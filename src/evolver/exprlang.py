@@ -18,6 +18,11 @@ Parsing folds a unary minus applied to a literal into the literal
 parse(format_expr(e)) == e for every parser-produced AST and
 format_expr is idempotent through a reparse.
 
+Expressions may nest at most MAX_DEPTH levels (parentheses, unary minus,
+exponents, and the left-leaning chains of + - * /); deeper input raises
+ExprError instead of exhausting the interpreter stack in the recursive
+parser and tree walkers.
+
 Evaluation is pure IEEE double arithmetic, vectorized over numpy array
 bindings.  Division by zero (including 0^negative) and fractional
 powers of negative bases raise; everything else is total.
@@ -33,6 +38,7 @@ import numpy as np
 from .errors import EvolverError
 
 VARIABLES = ("t", "s", "T", "pi")
+MAX_DEPTH = 100
 FUNCTIONS = {
     "sin": (1, np.sin),
     "cos": (1, np.cos),
@@ -117,6 +123,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -141,6 +148,8 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprError(f"unexpected {text!r}", pos)
+        if _height(e) > MAX_DEPTH:
+            raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels")
         return e
 
     def expr(self):
@@ -158,13 +167,19 @@ class _Parser:
         return e
 
     def factor(self):
+        # every recursive production passes through here
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels",
+                            self.peek()[2])
         if self.at_sym("-"):
             self.take()
             inner = self.factor()
-            if isinstance(inner, Num):
-                return Num(-inner.value)
-            return Neg(inner)
-        return self.power()
+            e = Num(-inner.value) if isinstance(inner, Num) else Neg(inner)
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self):
         base = self.atom()
@@ -206,6 +221,22 @@ class _Parser:
         if kind == "end":
             raise ExprError("unexpected end of input", pos)
         raise ExprError(f"unexpected {text!r}", pos)
+
+
+def _height(e: Expr) -> int:
+    """Levels of the AST, walked without recursion."""
+    best = 0
+    todo = [(e, 1)]
+    while todo:
+        node, level = todo.pop()
+        best = max(best, level)
+        if isinstance(node, Neg):
+            todo.append((node.arg, level + 1))
+        elif isinstance(node, Bin):
+            todo += [(node.lhs, level + 1), (node.rhs, level + 1)]
+        elif isinstance(node, Call):
+            todo += [(a, level + 1) for a in node.args]
+    return best
 
 
 def parse_expr(src: str) -> Expr:

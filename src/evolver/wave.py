@@ -146,13 +146,18 @@ def _block_family(eigs, beta, T: float, metric=None, omega: float = 0.0,
                   coupling=None) -> GeneratorFamily:
     lam = np.asarray(eigs, dtype=float)
     k = len(lam)
-    top = np.hstack([np.zeros((k, k)), np.eye(k)])
+    eye = np.eye(k)
+    base = np.zeros((2 * k, 2 * k))
+    base[:k, k:] = eye
+    base[k:, :k] = -np.diag(lam)
 
     def A(t):
-        damp = beta(t) * np.eye(k)
+        damp = beta(t) * eye
         if coupling is not None:
             damp = damp + coupling
-        return np.vstack([top, np.hstack([-np.diag(lam), -damp])])
+        out = base.copy()
+        out[k:, k:] = -damp
+        return out
 
     return GeneratorFamily(dim=2 * k, A=A, T=T, omega=omega, metric=metric,
                            periodic=True)
@@ -365,21 +370,26 @@ def _embed(z: np.ndarray, k_small: int, k_big: int) -> np.ndarray:
 
 
 def spectral_invariance_gap(model_k: WaveModel, model_kp: WaveModel,
-                            t: float, s: float, n: int = 256,
+                            pairs: Sequence[tuple[float, float]], n: int = 256,
                             coupling=None) -> float:
     """How far the larger section fails to restrict to the smaller one.
 
-    Builds both evolution systems at subdivision n and returns
-    max over the 2k basis states e of || R_kp(t, s) embed(e) - embed(R_k(t, s) e) ||.
-    For the diagonal damped wave family the modes never couple, so the
-    gap is roundoff-level; a nonzero coupling matrix (applied to the
-    damping block of both sections) destroys the invariance and serves
-    as a negative control.
+    Builds both evolution systems once at subdivision n and returns the
+    max over the (t, s) pairs and the 2k basis states e of
+    || R_kp(t, s) embed(e) - embed(R_k(t, s) e) ||.
+    pairs must be nonempty; the result is exactly the max of the
+    single-pair gaps.  For the diagonal damped wave family the modes
+    never couple, so the gap is roundoff-level; a nonzero coupling matrix
+    (applied to the damping block of both sections) destroys the
+    invariance and serves as a negative control.
     """
     if model_k.k >= model_kp.k:
         raise InvalidInputError("need k < k'")
     if abs(model_k.ell - model_kp.ell) > 1e-12 or abs(model_k.T - model_kp.T) > 1e-12:
         raise InvalidInputError("sections must share domain length and period")
+    pairs = list(pairs)
+    if not pairs:
+        raise InvalidInputError("need at least one (t, s) pair")
     ka, kb = model_k.k, model_kp.k
     Ca = None if coupling is None else np.asarray(coupling, dtype=float)[:ka, :ka]
     Cb = None if coupling is None else np.asarray(coupling, dtype=float)
@@ -388,12 +398,13 @@ def spectral_invariance_gap(model_k: WaveModel, model_kp: WaveModel,
     Ra = build_evolution(fam_a, n)
     Rb = build_evolution(fam_b, n)
     gap = 0.0
-    for j in range(2 * ka):
-        e = np.zeros(2 * ka)
-        e[j] = 1.0
-        big = Rb.apply(t, s, _embed(e, ka, kb))
-        small = Ra.apply(t, s, e)
-        gap = max(gap, float(np.linalg.norm(big - _embed(small, ka, kb))))
+    for t, s in pairs:
+        for j in range(2 * ka):
+            e = np.zeros(2 * ka)
+            e[j] = 1.0
+            big = Rb.apply(t, s, _embed(e, ka, kb))
+            small = Ra.apply(t, s, e)
+            gap = max(gap, float(np.linalg.norm(big - _embed(small, ka, kb))))
     return gap
 
 

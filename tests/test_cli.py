@@ -63,6 +63,8 @@ def test_seed_flag_overrides_config(tmp_path):
     {"numeric": {"ns": [0]}},
     {"numeric": {"samples": 2.5}},
     {"output": {"path": "x"}},
+    {"numeric": {"n": 0}},
+    {"numeric": {"grid": 0}},
 ])
 def test_config_rejection_exits_2(tmp_path, cfg_obj, capsys):
     cfg = _write_cfg(tmp_path, "bad.json", cfg_obj)
@@ -86,6 +88,15 @@ def test_runner_config_error_exits_2(tmp_path, capsys):
     rc = main(["evolsys", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_deeply_nested_expression_exits_2(tmp_path, capsys):
+    entry = "(" * 3000 + "-1" + ")" * 3000
+    cfg = _write_cfg(tmp_path, "deep.json", {"model": {"A": [[entry]], "T": 1.0}})
+    rc = main(["evolsys", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "nested deeper" in err
 
 
 def test_degree_boundary_zero_exits_1(tmp_path, capsys):

@@ -9,9 +9,9 @@ from evolver import (
     build_evolution,
     cocycle_defect,
     contraction_check,
-    evolution_apply,
     family_continuity_gap,
     get_model,
+    mat_exp,
     scale_family,
     shift_family,
     validate_family,
@@ -50,6 +50,43 @@ def test_build_guards():
         build_evolution(fam, 0)
     with pytest.raises(ResourceLimitError):
         build_evolution(fam, 2 ** 14 + 1)
+
+
+def _per_node_build(family, n):
+    # reference: one mat_exp per grid node, prefix products from time 0
+    h = family.T / n
+    nodes = np.linspace(0.0, family.T, n + 1)
+    steps = np.stack([mat_exp(family.A(t), h) for t in nodes[:-1]])
+    prefix = [np.eye(family.dim)]
+    for step in steps:
+        prefix.append(step @ prefix[-1])
+    return steps, np.stack(prefix)
+
+
+@pytest.mark.parametrize("key", ["scalar-linear", "rotation-damped-2d", "wave-k3"])
+def test_stacked_build_equals_per_node_exponentials(key):
+    fam = get_model(key).family
+    for n in (1, 37, 256):
+        R = build_evolution(fam, n)
+        steps, prefix = _per_node_build(fam, n)
+        assert np.array_equal(R.steps, steps)
+        assert np.array_equal(R.prefix, prefix)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[-1.0, 0.0], [0.0, np.nan]]),   # non-finite
+    np.array([[-1.0]]),                       # would broadcast into (2, 2)
+    -1.0,                                     # scalar, would broadcast too
+    -np.eye(3),                               # too large
+])
+def test_build_rejects_bad_interior_node(bad):
+    # A(0) is fine, so only the build sees the bad value at t >= 0.5
+    fam = GeneratorFamily(
+        dim=2, A=lambda t: bad if t >= 0.5 else -np.eye(2), T=1.0,
+        periodic=False,
+    )
+    with pytest.raises(InvalidInputError):
+        build_evolution(fam, 16)
 
 
 def test_identity_and_ordering():
@@ -109,7 +146,7 @@ def test_apply_matches_operator_and_batches():
     M = R.operator(0.9, 0.1)
     got = R.apply(0.9, 0.1, X)
     assert np.allclose(got, X @ M.T, atol=1e-12)
-    assert np.allclose(evolution_apply(R, 0.9, 0.1, X[0]), M @ X[0], atol=1e-12)
+    assert np.allclose(R.apply(0.9, 0.1, X[0]), M @ X[0], atol=1e-12)
     with pytest.raises(InvalidInputError):
         R.apply(0.9, 0.1, np.zeros(3))
 

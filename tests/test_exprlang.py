@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evolver import ExprError, eval_expr, format_expr, free_vars, parse_expr
-from evolver.exprlang import Bin, Call, Neg, Num, Var
+from evolver.exprlang import MAX_DEPTH, Bin, Call, Neg, Num, Var
 
 
 def test_basic_values():
@@ -44,6 +44,29 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ExprError) as info:
         parse_expr("min(1)")
     assert "argument" in str(info.value)
+
+
+def test_nesting_depth_limit():
+    # each of these used to exhaust the interpreter stack (RecursionError)
+    deep = [
+        "(" * 3000 + "t" + ")" * 3000,      # parentheses
+        "sin(" * 3000 + "t" + ")" * 3000,   # function calls
+        "-" * 3000 + "t",                   # unary minus
+        "^".join(["t"] * 3000),             # right-associative powers
+        "+".join(["t"] * 3000),             # left-leaning sum, flat in the source
+    ]
+    for src in deep:
+        with pytest.raises(ExprError) as info:
+            parse_expr(src)
+        assert "nested deeper" in str(info.value)
+    # the limit itself is accepted and round-trips
+    ok = "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1)
+    assert eval_expr(parse_expr(ok), {"t": 2.0}) == 2.0
+    chain = parse_expr("+".join(["t"] * MAX_DEPTH))
+    assert eval_expr(chain, {"t": 1.0}) == MAX_DEPTH
+    assert parse_expr(format_expr(chain)) == chain
+    with pytest.raises(ExprError):
+        parse_expr("+".join(["t"] * (MAX_DEPTH + 1)))
 
 
 def test_eval_errors():

@@ -47,6 +47,28 @@ def test_mat_exp_matches_series_oracle():
         assert np.allclose(mat_exp(A, t), series_expm(A, t), atol=1e-10, rtol=1e-10)
 
 
+def test_mat_exp_stack_matches_slices():
+    rng = np.random.default_rng(13)
+    for d in (1, 2, 6):
+        stack = rng.standard_normal((9, d, d))
+        stack[3] = np.diag(rng.standard_normal(d))   # diagonal slice
+        stack[4] = np.triu(stack[4])                 # triangular slice
+        for t in (1.0, 0.3):
+            got = mat_exp(stack, t)
+            assert got.shape == stack.shape
+            for A, E in zip(stack, got):
+                assert np.array_equal(E, mat_exp(A, t))
+        assert np.array_equal(mat_exp(stack, 0.0), np.broadcast_to(np.eye(d), stack.shape))
+    bad = rng.standard_normal((4, 2, 2))
+    bad[2, 0, 1] = np.inf
+    with pytest.raises(InvalidInputError):
+        mat_exp(bad)
+    with pytest.raises(InvalidInputError):
+        mat_exp(np.zeros((4, 2, 3)))
+    with pytest.raises(InvalidInputError):
+        as_matrix(np.zeros((4, 2, 2)))   # a stack is not one matrix
+
+
 def test_mat_exp_semigroup_law():
     rng = np.random.default_rng(12)
     for _ in range(20):

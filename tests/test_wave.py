@@ -121,13 +121,29 @@ def test_energy_identity_linear_unforced():
 def test_spectral_invariance_and_coupled_control():
     k1 = build_wave_model(np.pi, 1, lambda t: 1.0 + 0.5 * np.cos(t), 2.0 * np.pi)[0]
     k2 = build_wave_model(np.pi, 2, lambda t: 1.0 + 0.5 * np.cos(t), 2.0 * np.pi)[0]
-    gap = spectral_invariance_gap(k1, k2, 2.0 * np.pi, 0.0, n=128)
+    gap = spectral_invariance_gap(k1, k2, [(2.0 * np.pi, 0.0)], n=128)
     assert gap <= 1e-10
-    coupled = spectral_invariance_gap(k1, k2, 2.0 * np.pi, 0.0, n=128,
+    coupled = spectral_invariance_gap(k1, k2, [(2.0 * np.pi, 0.0)], n=128,
                                       coupling=0.1 * np.ones((2, 2)))
     assert coupled > 1e-8
     with pytest.raises(InvalidInputError):
-        spectral_invariance_gap(k2, k1, 1.0, 0.0)
+        spectral_invariance_gap(k2, k1, [(1.0, 0.0)])
+
+
+def test_spectral_invariance_pairs():
+    beta = lambda t: 1.0 + 0.5 * np.cos(t)
+    k1 = build_wave_model(np.pi, 1, beta, 2.0 * np.pi)[0]
+    k2 = build_wave_model(np.pi, 2, beta, 2.0 * np.pi)[0]
+    C = 0.1 * np.ones((2, 2))
+    pairs = [(2.0 * np.pi, 0.0), (3.1, 0.4), (1.0, 1.0), (5.5, 2.25)]
+    for coupling in (None, C):
+        many = spectral_invariance_gap(k1, k2, pairs, n=128, coupling=coupling)
+        singles = [spectral_invariance_gap(k1, k2, [p], n=128, coupling=coupling)
+                   for p in pairs]
+        assert many == max(singles)
+    # an empty list would report a vacuous 0.0 gap
+    with pytest.raises(InvalidInputError):
+        spectral_invariance_gap(k1, k2, [], n=128)
 
 
 def test_nondegeneracy_between_eigenvalues():
