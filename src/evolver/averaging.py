@@ -27,17 +27,25 @@ from .errors import (
     InvalidInputError,
     OracleFailureError,
 )
-from .evolsys import EvolutionSystem, GeneratorFamily, build_evolution, scale_family
+from .evolsys import (
+    MAX_SUBDIVISION,
+    EvolutionSystem,
+    GeneratorFamily,
+    build_evolution,
+    scale_family,
+)
 from .mild import DEFAULT_GRID, FixedPointResult, fixed_point, mild_solve
 
 QUAD_TOL = 1e-10
 
 
-def _simpson_doubling(sample, T: float, tol: float, m0: int = 16,
-                      m_max: int = 2 ** 20):
+def _simpson_doubling(sample, T: float, tol: float, m0: int = 16):
     """Composite Simpson with interval doubling until two levels agree.
 
     sample(ts) -> stacked values at the nodes ts; returns (mean, m_used).
+    No level finer than MAX_SUBDIVISION intervals is sampled, so a
+    non-convergent integrand costs under 2 * MAX_SUBDIVISION nodes before
+    OracleFailureError.
     """
     def level(m):
         ts = np.linspace(0.0, T, m + 1)
@@ -51,14 +59,14 @@ def _simpson_doubling(sample, T: float, tol: float, m0: int = 16,
 
     m = m0
     prev = level(m)
-    while m <= m_max:
+    while m < MAX_SUBDIVISION:
         m *= 2
         cur = level(m)
         if float(np.max(np.abs(cur - prev))) <= tol:
             return cur, m
         prev = cur
     raise OracleFailureError(
-        f"Simpson refinement did not reach {tol:.1e} by m = {m_max}"
+        f"Simpson refinement did not reach {tol:.1e} by m = {m}"
     )
 
 

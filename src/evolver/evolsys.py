@@ -10,6 +10,9 @@ exponentials,
 where S_j(a) = exp(a A(t_j)) acts on the cell [t_j, t_{j+1}).  Each build
 computes the n whole-cell steps S_j(h) with one stacked exponential call;
 only the partial cells of off-grid queries are exponentiated on demand.
+Step-operator stacks R(times[i+1], times[i]) on a time grid are assembled
+once per system and grid, with one stacked exponential for all their
+partial cells, and memoized on the system.
 The result is an exact evolution system for the piecewise-frozen family:
 it satisfies the cocycle identity R(t, s) = R(t, r) R(r, s) for every
 s <= r <= t up to roundoff, and converges to the evolution system of the
@@ -147,10 +150,14 @@ def validate_family(family: GeneratorFamily, samples: int = 129) -> dict:
 class EvolutionSystem:
     """Frozen-coefficient product evolution system on [0, T].
 
-    Immutable once built; operator/apply queries are pure and safe to
-    call concurrently.  Grid-node data (step exponentials and prefix
-    products from time 0) are precomputed, so R(t_k, 0) queries cost one
-    lookup and general queries walk the covered cells.
+    The defining data never change once built; operator/apply queries are
+    pure.  Grid-node data (step exponentials and prefix products from
+    time 0) are precomputed, so R(t_k, 0) queries cost one lookup and
+    general queries walk the covered cells.  step_operators memoizes each
+    stack it assembles, keyed on the exact time array; the stacks are
+    read-only and are dropped with the system.  Queries are safe to call
+    concurrently: two threads racing on the same uncached grid at worst
+    assemble an identical stack twice.
     """
 
     family: GeneratorFamily
@@ -158,6 +165,8 @@ class EvolutionSystem:
     nodes: np.ndarray
     steps: np.ndarray        # steps[j] = exp(h A(t_j))
     prefix: np.ndarray       # prefix[k] = R(t_k, 0)
+    _step_stacks: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     @property
     def T(self) -> float:
@@ -191,17 +200,14 @@ class EvolutionSystem:
 
     def _segments(self, t: float, s: float):
         """Yield (node_index, a, b, whole_cell) pieces covering [s, t]."""
-        js, s_on = self._locate(s)
-        cur = self.nodes[js] if s_on else s
-        j = js
-        t_eff = t
-        while cur < t_eff - SNAP * max(1.0, self.T):
-            cell_end = self.nodes[j + 1]
-            seg_end = min(cell_end, t_eff)
-            whole = (
-                abs(cur - self.nodes[j]) <= SNAP * max(1.0, self.T)
-                and abs(seg_end - cell_end) <= SNAP * max(1.0, self.T)
-            )
+        nodes = self.nodes
+        tol = SNAP * max(1.0, self.T)
+        j, s_on = self._locate(s)
+        cur = nodes[j] if s_on else s
+        while cur < t - tol:
+            cell_end = nodes[j + 1]
+            seg_end = min(cell_end, t)
+            whole = abs(cur - nodes[j]) <= tol and abs(seg_end - cell_end) <= tol
             yield j, cur, seg_end, whole
             cur = cell_end
             j += 1
@@ -235,13 +241,68 @@ class EvolutionSystem:
         return v
 
     def step_operators(self, times: np.ndarray) -> np.ndarray:
-        """Matrices E_i = R(times[i+1], times[i]) for an increasing time array."""
+        """Read-only stack E_i = R(times[i+1], times[i]) for an increasing array.
+
+        Each stack equals the per-cell operator() results bit for bit.  It
+        is assembled once per distinct times array and memoized on the
+        system: whole cells come from steps, and the partial cells of the
+        whole grid are exponentiated by one stacked mat_exp call.
+        """
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
             raise InvalidInputError("times must be strictly increasing, length >= 2")
-        return np.stack([
-            self.operator(b, a) for a, b in zip(times[:-1], times[1:])
-        ])
+        key = times.tobytes()
+        E = self._step_stacks.get(key)
+        if E is None:
+            E = self._assemble_steps(times)
+            E.flags.writeable = False
+            self._step_stacks[key] = E
+        return E
+
+    def _assemble_steps(self, times: np.ndarray) -> np.ndarray:
+        """Cell-by-cell operator() products with the partial cells batched."""
+        tol = SNAP * max(1.0, self.T)
+        # per cell: an int k for prefix[k], else a list of pieces (empty
+        # for the identity), each a step index j >= 0 or ~k for partial[k]
+        cells = []
+        part_nodes, part_lengths = [], []
+        for s, t in zip(times[:-1], times[1:]):
+            t, s = self._check_pair(t, s)
+            if t - s <= tol:
+                cells.append([])
+                continue
+            if s <= tol:   # operator()'s shortcut R(t_k, 0) = prefix[k]
+                jt, t_on = self._locate(t)
+                js, s_on = self._locate(s)
+                if s_on and js == 0 and t_on:
+                    cells.append(jt)
+                    continue
+            pieces = []
+            for j, a, b, whole in self._segments(t, s):
+                if whole:
+                    pieces.append(j)
+                else:
+                    pieces.append(~len(part_nodes))
+                    part_nodes.append(j)
+                    part_lengths.append(b - a)
+            cells.append(pieces)
+        if part_nodes:
+            uniq, inverse = np.unique(part_nodes, return_inverse=True)
+            gens = np.stack([
+                np.asarray(self.family.A(self.nodes[j]), dtype=float) for j in uniq
+            ])
+            partial = mat_exp(gens[inverse] * np.array(part_lengths)[:, None, None])
+        E = np.empty((len(cells), self.dim, self.dim))
+        for i, cell in enumerate(cells):
+            if isinstance(cell, int):
+                E[i] = self.prefix[cell]
+                continue
+            P = None
+            for p in cell:
+                F = self.steps[p] if p >= 0 else partial[~p]
+                P = F if P is None else F @ P
+            E[i] = P if P is not None else np.eye(self.dim)
+        return E
 
 
 def build_evolution(family: GeneratorFamily, n: int) -> EvolutionSystem:
@@ -326,38 +387,52 @@ def contraction_check(R: EvolutionSystem, omega: float,
     return float(excess)
 
 
-def family_continuity_gap(F1: GeneratorFamily, F2: GeneratorFamily, n: int, v,
-                          query_stride: int | None = None) -> tuple[float, float]:
-    """Compare two evolution systems against the integrated generator gap.
+def family_continuity_gap(F1: GeneratorFamily, perturbed: Sequence[GeneratorFamily],
+                          n: int, v, query_stride: int | None = None
+                          ) -> list[tuple[float, float]]:
+    """Compare evolution systems against the integrated generator gap.
 
-    Returns (lhs, rhs) with
+    Returns one (lhs, rhs) per family F2 in perturbed, with
         lhs = max over sampled grid pairs (t, s) of ||R1(t, s) v - R2(t, s) v||,
         rhs = ||v||_V * integral_0^T ||A1(r) - A2(r)|| dr,
     where ||v||_V = ||A1(0) v|| + ||v|| and the integrand is the spectral
     norm (an upper bound for the V -> E norm, so the comparison is
-    conservative).  For dissipative families lhs <= rhs.
+    conservative).  For dissipative families lhs <= rhs.  The system R1
+    of F1 is built once for all of them.
 
     The max is taken over node pairs subsampled at query_stride
     (default n // 64); values of R are exact at every visited node.
+    Raises InvalidInputError for an empty perturbed sequence.
     """
-    if abs(F1.T - F2.T) > SNAP or F1.dim != F2.dim:
-        raise PreconditionError("families must share period and dimension")
+    perturbed = list(perturbed)
+    if not perturbed:
+        raise InvalidInputError("need at least one perturbed family")
+    for F2 in perturbed:
+        if abs(F1.T - F2.T) > SNAP or F1.dim != F2.dim:
+            raise PreconditionError("families must share period and dimension")
     x = as_vector(v, F1.dim)
     R1 = build_evolution(F1, n)
-    R2 = build_evolution(F2, n)
     stride = query_stride or max(1, n // 64)
     starts = list(range(0, n, stride))
-    lhs = 0.0
-    for js in starts:
-        w1 = x.copy()
-        w2 = x.copy()
-        for j in range(js, n):
-            w1 = R1.steps[j] @ w1
-            w2 = R2.steps[j] @ w2
-            lhs = max(lhs, float(np.linalg.norm(w1 - w2)))
     norm_v = float(np.linalg.norm(np.asarray(F1.A(0.0)) @ x) + np.linalg.norm(x))
-    integrand = lambda r: np.linalg.norm(
-        np.asarray(F1.A(r), dtype=float) - np.asarray(F2.A(r), dtype=float), 2
-    )
-    total, _ = scipy.integrate.quad(integrand, 0.0, F1.T, epsabs=1e-10, limit=200)
-    return lhs, norm_v * float(total)
+
+    def integrand(r, F2):
+        return np.linalg.norm(
+            np.asarray(F1.A(r), dtype=float) - np.asarray(F2.A(r), dtype=float), 2
+        )
+
+    gaps = []
+    for F2 in perturbed:
+        R2 = build_evolution(F2, n)
+        lhs = 0.0
+        for js in starts:
+            w1 = x.copy()
+            w2 = x.copy()
+            for j in range(js, n):
+                w1 = R1.steps[j] @ w1
+                w2 = R2.steps[j] @ w2
+                lhs = max(lhs, float(np.linalg.norm(w1 - w2)))
+        total, _ = scipy.integrate.quad(integrand, 0.0, F1.T, args=(F2,),
+                                        epsabs=1e-10, limit=200)
+        gaps.append((lhs, norm_v * float(total)))
+    return gaps

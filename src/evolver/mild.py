@@ -12,9 +12,9 @@ fixed points of Phi_T, located either by direct iteration or by a damped
 Newton method on the period map with finite-difference Jacobians.
 
 All state-space operations broadcast over leading axes, so a batch of
-initial states (B, d) is propagated in one sweep; field callables are
-expected to broadcast the same way (a per-node fallback handles those
-that cannot).
+initial states (B, d) is propagated in one sweep; field callables must
+broadcast the same way, since every node of a sweep is evaluated in one
+call (a field that returns the wrong shape raises InvalidInputError).
 """
 
 from __future__ import annotations
@@ -90,17 +90,13 @@ class Trajectory:
 
 
 def _eval_field(F, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """F evaluated at every node; tries one broadcast call, falls back to a loop."""
+    """F evaluated at every node in one broadcast call (times as a column)."""
     tcol = times.reshape((-1,) + (1,) * (states.ndim - 1))
-    try:
-        w = np.asarray(F(tcol, states), dtype=float)
-        if w.shape == states.shape:
-            return w
-    except Exception:
-        pass
-    w = np.empty_like(states)
-    for i, t in enumerate(times):
-        w[i] = F(float(t), states[i])
+    w = np.asarray(F(tcol, states), dtype=float)
+    if w.shape != states.shape:
+        raise InvalidInputError(
+            f"field returned shape {w.shape}, expected {states.shape}"
+        )
     return w
 
 

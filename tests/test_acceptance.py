@@ -134,7 +134,7 @@ def test_parameter_continuity():
 
         fam2 = GeneratorFamily(dim=fam.dim, A=A2, T=T, omega=0.0,
                                metric=fam.metric, periodic=True)
-        lhs, rhs = family_continuity_gap(fam, fam2, 128, v)
+        [(lhs, rhs)] = family_continuity_gap(fam, [fam2], 128, v)
         lhss.append(lhs)
         bound_ok = bound_ok and lhs <= rhs
     scaling_ok = all(10.0 / 3.0 <= a / b <= 30.0 for a, b in zip(lhss, lhss[1:]))

@@ -6,6 +6,7 @@ from evolver import (
     GeneratorFamily,
     InvalidInputError,
     NonlinearField,
+    OracleFailureError,
     Region,
     average_field,
     average_generator,
@@ -57,6 +58,20 @@ def test_average_field_closed_form():
     probes = np.array([[1.0], [3.0], [-2.0]])
     got = average_field(F, probes, 1.0)
     assert np.allclose(got, probes / 2.0, atol=1e-10)
+
+
+def test_simpson_refinement_has_a_cost_guard():
+    # a jump at T/3 never lands on a dyadic node, so the levels never agree
+    T = 1.0
+    calls = [0]
+
+    def F(t, x):
+        calls[0] += 1
+        return x * (1.0 if t < T / 3.0 else 2.0)
+
+    with pytest.raises(OracleFailureError):
+        average_field(F, np.array([1.0]), T)
+    assert 0 < calls[0] <= 2 ** 15 + 64
 
 
 def test_averaged_pair_catalog_scalar():

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import evolver.evolsys as evolsys
 from evolver import (
     GeneratorFamily,
     InvalidInputError,
@@ -193,7 +197,7 @@ def test_continuity_gap_inequality_and_scaling():
     lhss = []
     for eps in (1e-1, 1e-2, 1e-3):
         pert = shift_family(fam, lambda t, e=eps: np.array([[e * np.cos(2.0 * np.pi * t)]]))
-        lhs, rhs = family_continuity_gap(fam, pert, 512, v)
+        [(lhs, rhs)] = family_continuity_gap(fam, [pert], 512, v)
         assert lhs <= rhs
         # rhs = ||v||_V * eps * int |cos| = 3 * eps * (2/pi)
         assert rhs == pytest.approx(3.0 * eps * 2.0 / np.pi, rel=1e-6)
@@ -204,7 +208,7 @@ def test_continuity_gap_inequality_and_scaling():
 
 def test_continuity_gap_identical_families_is_zero():
     fam = _scalar_family()
-    lhs, rhs = family_continuity_gap(fam, _scalar_family(), 128, [1.0])
+    [(lhs, rhs)] = family_continuity_gap(fam, [_scalar_family()], 128, [1.0])
     assert lhs == 0.0
     assert rhs <= 1e-12
 
@@ -213,4 +217,126 @@ def test_continuity_gap_requires_matching_shapes():
     fam = _scalar_family()
     other = GeneratorFamily(dim=1, A=lambda t: np.array([[-1.0]]), T=2.0)
     with pytest.raises(PreconditionError):
-        family_continuity_gap(fam, other, 64, [1.0])
+        family_continuity_gap(fam, [other], 64, [1.0])
+
+
+def test_continuity_gap_batch_equals_single_calls():
+    fam = _scalar_family()
+    perts = [
+        shift_family(fam, lambda t, e=eps: np.array([[e * np.cos(2.0 * np.pi * t)]]))
+        for eps in (1e-1, 1e-3)
+    ]
+    both = family_continuity_gap(fam, perts, 128, [1.0])
+    assert both == [family_continuity_gap(fam, [p], 128, [1.0])[0] for p in perts]
+    with pytest.raises(InvalidInputError):
+        family_continuity_gap(fam, [], 128, [1.0])
+
+
+def _per_cell_stack(R, times):
+    return np.stack([R.operator(b, a) for a, b in zip(times[:-1], times[1:])])
+
+
+@pytest.mark.parametrize("key", ["scalar-linear", "rotation-damped-2d", "wave-k3"])
+@pytest.mark.parametrize("n, grid", [
+    (128, 128),   # grid = n: whole cells, first cell from prefix
+    (64, 128),    # grid = 2n: every cell is a partial cell
+    (256, 128),   # n = 2 grid: two whole cells per step
+    (100, 300),   # neither divides the other
+    (300, 128),
+])
+def test_step_operators_equal_per_cell_operators(key, n, grid):
+    fam = get_model(key).family
+    R = build_evolution(fam, n)
+    times = np.linspace(0.0, fam.T, grid + 1)
+    assert np.array_equal(R.step_operators(times), _per_cell_stack(R, times))
+
+
+def test_step_operators_nonuniform_times():
+    fam = get_model("rotation-damped-2d").family
+    R = build_evolution(fam, 64)
+    inner = np.sort(np.random.default_rng(5).uniform(0.0, fam.T, 40))
+    times = np.concatenate([[0.0], inner, [R.nodes[40], fam.T]])
+    times = np.unique(times)
+    assert np.array_equal(R.step_operators(times), _per_cell_stack(R, times))
+
+
+def test_step_operators_memoized_per_grid(monkeypatch):
+    fam = get_model("rotation-damped-2d").family
+    calls = {"mat_exp": 0, "A": 0}
+
+    def counted_A(t):
+        calls["A"] += 1
+        return fam.A(t)
+
+    def counted_mat_exp(*args, **kwargs):
+        calls["mat_exp"] += 1
+        return mat_exp(*args, **kwargs)
+
+    R = build_evolution(GeneratorFamily(dim=fam.dim, A=counted_A, T=fam.T), 64)
+    monkeypatch.setattr(evolsys, "mat_exp", counted_mat_exp)
+    calls.update(mat_exp=0, A=0)   # count only what step_operators does
+    times = np.linspace(0.0, fam.T, 97)
+    E = R.step_operators(times)
+    assert not E.flags.writeable
+    with pytest.raises(ValueError):
+        E[0, 0, 0] = 1.0
+    first = dict(calls)
+    assert first["mat_exp"] == 1   # one stacked call for all partial cells
+    assert first["A"] <= 64        # one A(t) per distinct node
+    again = R.step_operators(times.copy())
+    assert again is E
+    assert calls == first
+    # a different grid gets its own entry and leaves the first one alone
+    other = R.step_operators(np.linspace(0.0, fam.T, 33))
+    assert other is not E and other.shape == (32, 2, 2)
+    assert R.step_operators(times) is E
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([0.0, 0.5, 0.5, 1.0]),   # not strictly increasing
+    np.array([0.0, 0.7, 0.3, 1.0]),
+    np.array([0.5]),                  # length < 2
+    np.zeros((2, 3)),                 # not 1-d
+])
+def test_step_operators_reject_bad_times_every_call(bad):
+    R = build_evolution(_scalar_family(), 16)
+    R.step_operators(np.linspace(0.0, 1.0, 5))
+    for _ in range(2):
+        with pytest.raises(InvalidInputError):
+            R.step_operators(bad)
+
+
+def test_step_operators_concurrent_misses_agree():
+    fam = get_model("rotation-damped-2d").family
+    grids = [np.linspace(0.0, fam.T, m + 1) for m in (48, 96, 100)]
+    refs = [_per_cell_stack(build_evolution(fam, 64), g) for g in grids]
+    R = build_evolution(fam, 64)
+    results, errors = [], []
+
+    def work(k):
+        try:
+            for i in range(len(grids)):
+                g = grids[(i + k) % len(grids)]
+                results.append(((i + k) % len(grids), R.step_operators(g)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    assert len(results) == 6 * len(grids)
+    for i, E in results:
+        assert np.array_equal(E, refs[i])
+        assert not E.flags.writeable
+    # after the race, every grid resolves to one memoized stack
+    for g in grids:
+        assert R.step_operators(g) is R.step_operators(g.copy())

@@ -115,6 +115,15 @@ def test_mild_divergence_guard():
         mild_solve(R, explosive, np.array([4.0]), grid=128, max_iter=50)
 
 
+def test_field_with_wrong_shape_is_rejected():
+    R = build_evolution(get_model("rotation-damped-2d").family, 64)
+    # sums over the state axis instead of returning one vector per state
+    bad = NonlinearField(F=lambda t, x: np.sum(x, axis=-1) * np.cos(t),
+                         lipschitz=1.0, growth=1.0)
+    with pytest.raises(InvalidInputError, match="expected"):
+        mild_solve(R, bad, np.array([0.1, 0.2]), grid=64)
+
+
 def test_translate_interpolates():
     cm = get_model("scalar-linear")
     R = build_evolution(cm.family, 1024)
