@@ -39,6 +39,14 @@ from .mild import DEFAULT_GRID, FixedPointResult, fixed_point, mild_solve
 QUAD_TOL = 1e-10
 
 
+def _simpson_weights(m: int) -> np.ndarray:
+    """Composite Simpson weights [1, 4, 2, ..., 2, 4, 1] for m intervals."""
+    w = np.ones(m + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 def _simpson_doubling(sample, T: float, tol: float, m0: int = 16):
     """Composite Simpson with interval doubling until two levels agree.
 
@@ -50,10 +58,7 @@ def _simpson_doubling(sample, T: float, tol: float, m0: int = 16):
     def level(m):
         ts = np.linspace(0.0, T, m + 1)
         vals = sample(ts)
-        w = np.ones(m + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w = w.reshape((m + 1,) + (1,) * (vals.ndim - 1))
+        w = _simpson_weights(m).reshape((m + 1,) + (1,) * (vals.ndim - 1))
         # composite Simpson divided by T: the mean is sum(w v) / (3 m)
         return np.sum(w * vals, axis=0) / (3.0 * m)
 
@@ -117,10 +122,7 @@ def averaged_pair(family: GeneratorFamily, F, probes=None,
 
     _, m = _simpson_doubling(sample, family.T, tol)
     ts = np.linspace(0.0, family.T, m + 1)
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w /= 3.0 * m
+    w = _simpson_weights(m) / (3.0 * m)
 
     def _mean_at(x):
         tcol = ts.reshape((-1,) + (1,) * x.ndim)

@@ -5,7 +5,9 @@ to be different from the library's own: a truncated power series for
 the exponential (the library delegates to a Pade kernel), full SVD for
 operator norms (the library uses power iteration), and classic RK4 time
 stepping for transition matrices and semilinear paths (the library uses
-frozen-coefficient products and trapezoid Picard sweeps).
+frozen-coefficient products and trapezoid Picard sweeps).  The
+step-by-step trapezoid loop is the reference for the library's chunked
+scan sweep.
 """
 
 import numpy as np
@@ -64,3 +66,22 @@ def rk4_path(A, F, x0, t1, steps, lam=1.0):
         k4 = rhs(t + h, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x
+
+
+def loop_sweep(E, x, w, lam, h):
+    """One trapezoid pass of the variation-of-constants formula, step by step.
+
+    E: (m, d, d) one-step evolution operators on the grid.
+    x: (..., d) initial states; w: (m+1, ..., d) forcing samples.
+    """
+    m = E.shape[0]
+    out = np.empty((m + 1,) + x.shape)
+    out[0] = x
+    z = x
+    J = np.zeros_like(x)
+    for i in range(m):
+        weight = 0.5 * h if i == 0 else h
+        J = (J + weight * w[i]) @ E[i].T
+        z = z @ E[i].T
+        out[i + 1] = z + lam * (J + 0.5 * h * w[i + 1])
+    return out

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evolver import (
     ConvergenceError,
@@ -15,8 +18,9 @@ from evolver import (
     sigma_apply,
     translate,
 )
+from evolver.mild import _scan_plan, _sweep
 
-from oracles import rk4_path
+from oracles import loop_sweep, rk4_path
 
 # periodic solution of u' = lam(-u + 2 + sin(2 pi t)) starts at
 # x_lam = 2 - 2 pi lam / (lam^2 + 4 pi^2)
@@ -56,6 +60,34 @@ def test_sigma_input_validation():
         sigma_apply(R, [0.0], np.zeros(5))  # not (m+1, d)
     with pytest.raises(InvalidInputError):
         sigma_apply(R, [0.0, 0.0], np.zeros((9, 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    m=st.integers(1, 300),
+    d=st.integers(1, 4),
+    batch=st.sampled_from([(), (1,), (5,), (2, 3)]),
+    lam=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(m=1, d=1, batch=(), lam=1.0, seed=0)
+@example(m=2, d=2, batch=(1,), lam=0.5, seed=1)
+@example(m=3, d=3, batch=(5,), lam=2.0, seed=2)
+@example(m=289, d=4, batch=(2, 3), lam=0.0, seed=3)
+@example(m=300, d=2, batch=(5,), lam=1.3, seed=4)
+def test_scan_sweep_matches_loop(m, d, batch, lam, seed):
+    # contractive random steps exp(h (S - I)) with S skew
+    rng = np.random.default_rng(seed)
+    h = 1.0 / m
+    S = rng.standard_normal((m, d, d))
+    E = scipy.linalg.expm(h * (S - S.transpose(0, 2, 1) - np.eye(d)))
+    x = rng.standard_normal(batch + (d,))
+    w = rng.standard_normal((m + 1,) + batch + (d,))
+    ref = loop_sweep(E, x, w, lam, h)
+    out = _sweep(_scan_plan(E), x, w, lam, h)
+    assert out.shape == ref.shape
+    assert np.array_equal(out[0], x)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_mild_scalar_closed_form():
