@@ -33,6 +33,7 @@ from .evolsys import (
     GeneratorFamily,
     build_evolution,
     scale_family,
+    shift_family,
 )
 from .mild import DEFAULT_GRID, FixedPointResult, fixed_point, mild_solve
 
@@ -77,10 +78,7 @@ def _simpson_doubling(sample, T: float, tol: float, m0: int = 16):
 
 def average_generator(family: GeneratorFamily, tol: float = QUAD_TOL) -> np.ndarray:
     """Time average (1/T) integral of A(t), adaptive Simpson to tol."""
-    def sample(ts):
-        return np.stack([np.asarray(family.A(t), dtype=float) for t in ts])
-
-    mean, _ = _simpson_doubling(sample, family.T, tol)
+    mean, _ = _simpson_doubling(family.stack, family.T, tol)
     return mean
 
 
@@ -237,21 +235,14 @@ def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
 def monodromy(family: GeneratorFamily, F_inf, lam: float, n: int = 1024) -> np.ndarray:
     """Fundamental matrix over [0, T] of z' = lam (A(t) + F_inf(t)) z.
 
-    F_inf: map t -> matrix (the linearization of the field at infinity).
-    Built with the frozen-coefficient product at subdivision n.
+    F_inf: map t -> matrix (the linearization of the field at infinity),
+    broadcasting over time like A or constant.  The family
+    lam (A + F_inf) is built with the frozen-coefficient product at
+    subdivision n.
     """
     if lam < 0:
         raise InvalidInputError("lam must be nonnegative")
-    base = family.A
-    combined = GeneratorFamily(
-        dim=family.dim,
-        A=lambda t: lam * (np.asarray(base(t), dtype=float)
-                           + np.asarray(F_inf(t), dtype=float)),
-        T=family.T,
-        omega=0.0,
-        metric=family.metric,
-        periodic=family.periodic,
-    )
+    combined = scale_family(shift_family(family, F_inf), lam)
     system = build_evolution(combined, n)
     return system.prefix[n].copy()
 

@@ -64,7 +64,11 @@ def compile_time_coefficient(src: str, T: float):
 
 
 def compile_matrix(entries, T: float):
-    """Matrix of numbers / expression strings -> callable t -> ndarray."""
+    """Matrix of numbers / expression strings -> callable t -> ndarray.
+
+    The callable broadcasts over time: shape (d, d) for a scalar t,
+    (len(ts), d, d) for a 1-d array ts.
+    """
     rows = []
     for row in entries:
         rows.append([
@@ -84,10 +88,10 @@ def compile_matrix(entries, T: float):
                     )
 
     def A(t):
-        out = np.empty((d, d))
+        out = np.empty(np.shape(t) + (d, d))
         for i, r in enumerate(rows):
             for j, cell in enumerate(r):
-                out[i, j] = cell if isinstance(cell, float) else eval_expr(
+                out[..., i, j] = cell if isinstance(cell, float) else eval_expr(
                     cell, {"t": t, "T": T}
                 )
         return out
@@ -122,8 +126,8 @@ def compile_field(exprs, T: float):
 
 def _scalar_linear() -> CatalogModel:
     T = 1.0
-    A = np.array([[-1.0]])
-    family = GeneratorFamily(dim=1, A=lambda t: A, T=T, omega=1.0, periodic=True)
+    family = GeneratorFamily(dim=1, A=lambda t: np.full(np.shape(t) + (1, 1), -1.0),
+                             T=T, omega=1.0, periodic=True)
     F = compile_field(["2+sin(2*pi*t/T)"], T)
     field = NonlinearField(F=F, lipschitz=0.0, growth=3.0, periodic=True)
     region = Region.ball(np.array([2.0]), 1.5)

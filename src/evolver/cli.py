@@ -34,12 +34,12 @@ from .averaging import (
 from .degree import Region, brouwer_degree, winding_number_2d
 from .errors import ConfigError, EvolverError
 from .evolsys import (
-    GeneratorFamily,
     build_evolution,
     cocycle_defect,
     contraction_check,
     family_continuity_gap,
     scale_family,
+    shift_family,
 )
 from .mild import fixed_point, mild_solve
 from .semigroup import (
@@ -291,23 +291,18 @@ def run_evolsys(cm, num, seed):
     rows.append(["order", "", order, 0.9, order >= 0.9])
 
     G = fam.metric if fam.metric is not None else np.eye(fam.dim)
-    rate_min = min(dissipativity_rate(fam.A(t), G) for t in R.nodes)
+    rate_min = float(np.min(dissipativity_rate(fam.stack(R.nodes), G)))
     excess = contraction_check(R, rate_min)
     rows.append(["contraction", "omega=%.6g" % rate_min, excess, 1e-9, excess <= 1e-9])
 
-    base_A = fam.A
     eps_sweep = [1e-1, 1e-2, 1e-3, 1e-4]
     v = np.zeros(fam.dim)
     v[0] = 1.0
-    perturbed = []
-    for eps in eps_sweep:
-        def A2(t, _e=eps):
-            return np.asarray(base_A(t), dtype=float) + (
-                _e * np.cos(2.0 * np.pi * t / T)
-            ) * np.eye(fam.dim)
-
-        perturbed.append(GeneratorFamily(dim=fam.dim, A=A2, T=T, omega=0.0,
-                                         metric=fam.metric, periodic=fam.periodic))
+    perturbed = [
+        shift_family(fam, lambda t, _e=eps: np.multiply.outer(
+            _e * np.cos(2.0 * np.pi * t / T), np.eye(fam.dim)))
+        for eps in eps_sweep
+    ]
     gaps = family_continuity_gap(fam, perturbed, num.get("n_continuity", 128), v)
     lhss = []
     cont_ok = True

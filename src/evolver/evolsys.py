@@ -1,9 +1,10 @@
 """Two-parameter evolution systems from time-dependent generator families.
 
 A GeneratorFamily is a continuous, time-periodic map t -> A(t) of
-dissipative matrices on [0, T].  build_evolution freezes the family on a
-uniform grid and forms the time-ordered product of the frozen-coefficient
-exponentials,
+dissipative matrices on [0, T] that broadcasts over time, so a whole
+grid of generators comes from one call.  build_evolution freezes the
+family on a uniform grid and forms the time-ordered product of the
+frozen-coefficient exponentials,
 
     R(t, s) = S_k(t - t_k) S_{k-1}(h) ... S_{l+1}(h) S_l(t_{l+1} - s),
 
@@ -46,11 +47,16 @@ class GeneratorFamily:
     """Time-dependent generator family on [0, T].
 
     dim: state dimension
-    A: map t -> (dim x dim) matrix, continuous on [0, T]
+    A: map t -> A(t), continuous on [0, T] and broadcasting over time: a
+       scalar t gives the (dim, dim) matrix, a 1-d array ts gives the
+       (len(ts), dim, dim) stack whose slice i equals A(ts[i]) exactly
     T: period (length of the time window)
     omega: claimed uniform dissipativity rate (0 means no claim)
     metric: SPD matrix of the inner product the rate refers to (None = Euclidean)
     periodic: whether A(0) = A(T) is part of the family's contract
+
+    Construction checks both shapes, A(0) and the stack A([0, T]), and
+    raises InvalidInputError for a family that ignores an array t.
     """
 
     dim: int
@@ -73,6 +79,21 @@ class GeneratorFamily:
             raise InvalidInputError(
                 f"A(0) has shape {A0.shape}, expected ({self.dim}, {self.dim})"
             )
+        self.stack(np.array([0.0, self.T]))
+
+    def stack(self, ts) -> np.ndarray:
+        """The generators at the 1-d times ts as one (len(ts), dim, dim) stack.
+
+        One call A(ts); raises InvalidInputError if it has any other shape.
+        """
+        ts = np.asarray(ts, dtype=float)
+        out = np.asarray(self.A(ts), dtype=float)
+        want = (ts.size, self.dim, self.dim)
+        if out.shape != want:
+            raise InvalidInputError(
+                f"A(ts) for {ts.size} times has shape {out.shape}, expected {want}"
+            )
+        return out
 
 
 def scale_family(family: GeneratorFamily, lam: float) -> GeneratorFamily:
@@ -92,7 +113,10 @@ def scale_family(family: GeneratorFamily, lam: float) -> GeneratorFamily:
 
 def shift_family(family: GeneratorFamily, B: Callable[[float], np.ndarray],
                  omega: float = 0.0) -> GeneratorFamily:
-    """The family t -> A(t) + B(t) with a caller-supplied rate claim."""
+    """The family t -> A(t) + B(t) with a caller-supplied rate claim.
+
+    B broadcasts over time like A, or is one (dim, dim) matrix for all t.
+    """
     base = family.A
     return GeneratorFamily(
         dim=family.dim,
@@ -112,20 +136,15 @@ def validate_family(family: GeneratorFamily, samples: int = 129) -> dict:
     A at two resolutions; a genuine discontinuity keeps the jump from
     shrinking.
     """
-    ts = np.linspace(0.0, family.T, samples)
-    rate_min = min(
-        dissipativity_rate(family.A(t), family.metric) for t in ts
-    )
-    periodic_defect = float(
-        np.linalg.norm(np.asarray(family.A(0.0)) - np.asarray(family.A(family.T)), 2)
-    )
+    if samples < 2:
+        raise InvalidInputError("need at least 2 samples")
+    gens = family.stack(np.linspace(0.0, family.T, samples))
+    rate_min = float(np.min(dissipativity_rate(gens, family.metric)))
+    periodic_defect = float(np.linalg.norm(gens[0] - gens[-1], 2))
 
     def max_jump(m):
-        grid = np.linspace(0.0, family.T, m + 1)
-        vals = [np.asarray(family.A(t), dtype=float) for t in grid]
-        return max(
-            float(np.linalg.norm(b - a, 2)) for a, b in zip(vals, vals[1:])
-        )
+        vals = family.stack(np.linspace(0.0, family.T, m + 1))
+        return float(np.max(np.linalg.norm(np.diff(vals, axis=0), 2, axis=(1, 2))))
 
     jump_c = max_jump(256)
     jump_f = max_jump(512)
@@ -288,9 +307,7 @@ class EvolutionSystem:
             cells.append(pieces)
         if part_nodes:
             uniq, inverse = np.unique(part_nodes, return_inverse=True)
-            gens = np.stack([
-                np.asarray(self.family.A(self.nodes[j]), dtype=float) for j in uniq
-            ])
+            gens = self.family.stack(self.nodes[uniq])
             partial = mat_exp(gens[inverse] * np.array(part_lengths)[:, None, None])
         E = np.empty((len(cells), self.dim, self.dim))
         for i, cell in enumerate(cells):
@@ -308,12 +325,12 @@ class EvolutionSystem:
 def build_evolution(family: GeneratorFamily, n: int) -> EvolutionSystem:
     """Build the frozen-coefficient product system at subdivision n.
 
-    The n node generators h A(t_j) are gathered into one (n, d, d) stack
-    and exponentiated by a single stacked mat_exp call; the steps equal
-    the node-by-node exponentials bit for bit.
+    The n node generators come from one call A(t_0 .. t_{n-1}) and are
+    exponentiated by a single stacked mat_exp call with time h; the
+    steps equal the node-by-node exponentials bit for bit.
 
     Raises ResourceLimitError for n > 2^14 and InvalidInputError for
-    n < 1 or for an A(t_j) that is non-finite or not (d, d).
+    n < 1, for a stack that is not (n, d, d) or for a non-finite A(t_j).
     """
     if n < 1:
         raise InvalidInputError("subdivision n must be >= 1")
@@ -322,19 +339,8 @@ def build_evolution(family: GeneratorFamily, n: int) -> EvolutionSystem:
     d = family.dim
     h = family.T / n
     nodes = np.linspace(0.0, family.T, n + 1)
-    # prefix[1:] holds the scaled generators until mat_exp has read them
+    steps = mat_exp(family.stack(nodes[:-1]), h)
     prefix = np.empty((n + 1, d, d))
-    stack = prefix[1:]
-    for j in range(n):
-        A = np.asarray(family.A(nodes[j]), dtype=float)
-        # checked per node: a smaller A(t) would broadcast into the slot
-        if A.shape != (d, d):
-            raise InvalidInputError(
-                f"A({nodes[j]}) has shape {A.shape}, expected ({d}, {d})"
-            )
-        stack[j] = A
-    stack *= h
-    steps = mat_exp(stack)
     prefix[0] = np.eye(d)
     for k in range(n):
         prefix[k + 1] = steps[k] @ prefix[k]
@@ -401,7 +407,8 @@ def family_continuity_gap(F1: GeneratorFamily, perturbed: Sequence[GeneratorFami
     of F1 is built once for all of them.
 
     The max is taken over node pairs subsampled at query_stride
-    (default n // 64); values of R are exact at every visited node.
+    (default n // 64); values of R are exact at every visited node.  All
+    start nodes advance together, one batched product per step.
     Raises InvalidInputError for an empty perturbed sequence.
     """
     perturbed = list(perturbed)
@@ -413,7 +420,7 @@ def family_continuity_gap(F1: GeneratorFamily, perturbed: Sequence[GeneratorFami
     x = as_vector(v, F1.dim)
     R1 = build_evolution(F1, n)
     stride = query_stride or max(1, n // 64)
-    starts = list(range(0, n, stride))
+    starts = range(0, n, stride)
     norm_v = float(np.linalg.norm(np.asarray(F1.A(0.0)) @ x) + np.linalg.norm(x))
 
     def integrand(r, F2):
@@ -424,14 +431,15 @@ def family_continuity_gap(F1: GeneratorFamily, perturbed: Sequence[GeneratorFami
     gaps = []
     for F2 in perturbed:
         R2 = build_evolution(F2, n)
+        # row i of W[0] (W[1]) follows R1 (R2) from node starts[i]; the
+        # starts ascend, so the rows under way at step j are a prefix
+        steps_T = np.stack([R1.steps, R2.steps], axis=1).swapaxes(-1, -2)
+        W = np.broadcast_to(x, (2, len(starts), F1.dim)).copy()
         lhs = 0.0
-        for js in starts:
-            w1 = x.copy()
-            w2 = x.copy()
-            for j in range(js, n):
-                w1 = R1.steps[j] @ w1
-                w2 = R2.steps[j] @ w2
-                lhs = max(lhs, float(np.linalg.norm(w1 - w2)))
+        for j in range(n):
+            c = j // stride + 1
+            W[:, :c] = W[:, :c] @ steps_T[j]
+            lhs = max(lhs, float(np.max(np.linalg.norm(W[0, :c] - W[1, :c], axis=-1))))
         total, _ = scipy.integrate.quad(integrand, 0.0, F1.T, args=(F2,),
                                         epsabs=1e-10, limit=200)
         gaps.append((lhs, norm_v * float(total)))

@@ -69,31 +69,8 @@ def mat_exp(M, t: float = 1.0) -> np.ndarray:
 
 
 def operator_norm(M) -> float:
-    """Spectral norm via power iteration on M^T M with a fixed-seed start.
-
-    Deterministic; converges to 1e-12 relative tolerance (iteration cap 10_000).
-    """
-    A = as_matrix(M)
-    d = A.shape[0]
-    B = A.T @ A
-    scale = np.max(np.abs(B))
-    if scale == 0.0:
-        return 0.0
-    v = np.random.default_rng(0).standard_normal(d)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(10_000):
-        w = B @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        cur = float(v @ (B @ v))
-        if abs(cur - prev) <= 1e-12 * max(cur, scale * 1e-30):
-            prev = cur
-            break
-        prev = cur
-    return float(np.sqrt(max(prev, 0.0)))
+    """Spectral norm: the largest singular value, from the SVD."""
+    return float(np.linalg.svd(as_matrix(M), compute_uv=False)[0])
 
 
 def resolvent(M, mu: float) -> np.ndarray:

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
 
 from .errors import InvalidInputError, InvalidMetricError, PreconditionError
 from .linop import as_matrix, as_vector, mat_exp, operator_norm
@@ -47,22 +46,25 @@ def metric_norm(x, G) -> float:
     return float(np.sqrt(max(v @ (np.asarray(G, dtype=float) @ v), 0.0)))
 
 
-def dissipativity_rate(M, G=None) -> float:
+def dissipativity_rate(M, G=None):
     """Largest omega with <x, M x>_G <= -omega <x, x>_G for all x.
 
-    Equals minus the top eigenvalue of the G-symmetrized generator,
-    i.e. the generalized eigenproblem for (G M + M^T G)/2 against G.
-    G defaults to the identity.
+    Equals minus the top eigenvalue of the G-symmetrized generator
+    S = (G M + M^T G)/2 against G, found as the top eigenvalue of the
+    Cholesky congruence L^{-1} S L^{-T} (G = L L^T).  M is one matrix
+    (returns a float) or an (m, d, d) stack (returns the (m,) rates from
+    one batched symmetric eigensolve).  G defaults to the identity.
     """
-    A = as_matrix(M)
-    d = A.shape[0]
+    stacked = np.ndim(M) == 3
+    A = as_matrix(M, stack=stacked)
+    d = A.shape[-1]
     G = np.eye(d) if G is None else np.asarray(G, dtype=float)
     if G.shape != (d, d):
         raise InvalidInputError("metric dimension does not match the generator")
-    metric_cholesky(G)
-    S = 0.5 * (G @ A + A.T @ G)
-    top = scipy.linalg.eigh(S, G, eigvals_only=True)[-1]
-    return float(-top)
+    L_inv = np.linalg.inv(metric_cholesky(G))
+    S = 0.5 * (G @ A + np.swapaxes(A, -1, -2) @ G)
+    rates = -np.linalg.eigvalsh(L_inv @ S @ L_inv.T)[..., -1]
+    return rates if stacked else float(rates)
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,16 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
+def _beta_at(beta, t) -> np.ndarray:
+    """beta at the times t, shaped like t; a constant beta may return a scalar."""
+    vals = np.asarray(beta(t), dtype=float)
+    if vals.shape not in ((), np.shape(t)):
+        raise InvalidInputError(
+            f"beta returned shape {vals.shape} for times of shape {np.shape(t)}"
+        )
+    return np.broadcast_to(vals, np.shape(t))
+
+
 def _block_family(eigs, beta, T: float, metric=None, omega: float = 0.0,
                   coupling=None) -> GeneratorFamily:
     lam = np.asarray(eigs, dtype=float)
@@ -152,11 +162,11 @@ def _block_family(eigs, beta, T: float, metric=None, omega: float = 0.0,
     base[k:, :k] = -np.diag(lam)
 
     def A(t):
-        damp = beta(t) * eye
+        damp = _beta_at(beta, t)[..., None, None] * eye
         if coupling is not None:
             damp = damp + coupling
-        out = base.copy()
-        out[k:, k:] = -damp
+        out = np.broadcast_to(base, damp.shape[:-2] + base.shape).copy()
+        out[..., k:, k:] = -damp
         return out
 
     return GeneratorFamily(dim=2 * k, A=A, T=T, omega=omega, metric=metric,
@@ -169,7 +179,8 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
                      time_samples: int = 2049):
     """Assemble the k-mode model and its generator family.
 
-    beta: callable t -> damping coefficient, must stay positive on [0, T]
+    beta: callable t -> damping coefficient, must stay positive on [0, T];
+    it broadcasts over an array of times (a constant may return a scalar)
     f: callable (t, s) -> scalar nonlinearity, broadcasting over arrays s
     f_inf: asymptotic slope of f; must keep distance > 1e-6 from both
     {lam_i} and {-lam_i}, else the linearized problem can be resonant
@@ -187,7 +198,7 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
     eigs = (idx * np.pi / ell) ** 2
 
     ts = np.linspace(0.0, T, time_samples)
-    beta_vals = np.array([float(beta(t)) for t in ts])
+    beta_vals = _beta_at(beta, ts)
     if not np.all(np.isfinite(beta_vals)):
         raise InvalidInputError("damping beta produced non-finite values")
     beta0 = float(np.min(beta_vals))
@@ -211,9 +222,8 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
     metric = _eta_metric(eigs, eta)
 
     family = _block_family(eigs, beta, T, metric=metric.G)
-    rate_numeric = min(
-        dissipativity_rate(family.A(t), metric.G) for t in ts[:: max(1, len(ts) // 129)]
-    )
+    rate_numeric = np.min(dissipativity_rate(
+        family.stack(ts[:: max(1, len(ts) // 129)]), metric.G))
     family = _block_family(eigs, beta, T, metric=metric.G,
                            omega=float(rate_numeric))
 
@@ -255,7 +265,7 @@ def select_eta(model: WaveModel, time_grid=None) -> EtaSelection:
     if time_grid is None:
         time_grid = np.linspace(0.0, model.T, 257)
     fam = _block_family(model.eigs, model.beta, model.T)
-    rate_n = min(dissipativity_rate(fam.A(t), G) for t in np.asarray(time_grid))
+    rate_n = np.min(dissipativity_rate(fam.stack(time_grid), G))
     return EtaSelection(eta=float(eta), rate_analytic=float(rate_a),
                         rate_numeric=float(rate_n), beta0=model.beta0,
                         gamma=model.gamma)
@@ -347,7 +357,7 @@ def energy_residual(traj: Trajectory, model: WaveModel, f_path=None) -> EnergyRe
     P = 0.5 * np.sum(a ** 2, axis=1)
     dE = (E[2:] - E[:-2]) / (2.0 * h)
     dP = (P[2:] - P[:-2]) / (2.0 * h)
-    beta_vals = np.array([float(model.beta(t)) for t in times[1:-1]])
+    beta_vals = _beta_at(model.beta, times[1:-1])
     rhs = -beta_vals * np.sum(b[1:-1] ** 2, axis=1)
     if f_path is not None:
         f_path = np.asarray(f_path, dtype=float)

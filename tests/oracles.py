@@ -1,16 +1,19 @@
 """Independent numeric oracles used by the test suite.
 
-Everything here is written against numpy only, with algorithms chosen
-to be different from the library's own: a truncated power series for
-the exponential (the library delegates to a Pade kernel), full SVD for
-operator norms (the library uses power iteration), and classic RK4 time
-stepping for transition matrices and semilinear paths (the library uses
+The algorithms are chosen to be different from the library's own: a
+truncated power series for the exponential (the library delegates to a
+Pade kernel), the top eigenvalue of the Gram matrix M^T M for operator
+norms (the library takes the SVD), scipy's generalized symmetric
+eigensolver for dissipativity rates (the library reduces to a standard
+problem by a Cholesky congruence), and classic RK4 time stepping for
+transition matrices and semilinear paths (the library uses
 frozen-coefficient products and trapezoid Picard sweeps).  The
 step-by-step trapezoid loop is the reference for the library's chunked
 scan sweep.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def series_expm(M, t=1.0, terms=30):
@@ -30,9 +33,18 @@ def series_expm(M, t=1.0, terms=30):
     return E
 
 
-def svd_norm(M):
-    """Spectral norm from the full SVD."""
-    return float(np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)[0])
+def gram_norm(M):
+    """Spectral norm as the square root of the top eigenvalue of M^T M."""
+    A = np.asarray(M, dtype=float)
+    return float(np.sqrt(max(np.linalg.eigvalsh(A.T @ A)[-1], 0.0)))
+
+
+def eigh_rate(M, G=None):
+    """Dissipativity rate: minus the top eigenvalue of (G M + M^T G)/2 against G."""
+    A = np.asarray(M, dtype=float)
+    G = np.eye(A.shape[0]) if G is None else np.asarray(G, dtype=float)
+    S = 0.5 * (G @ A + A.T @ G)
+    return float(-scipy.linalg.eigh(S, G, eigvals_only=True)[-1])
 
 
 def rk4_transition(A, t1, t0, steps):

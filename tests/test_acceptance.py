@@ -128,9 +128,8 @@ def test_parameter_continuity():
     bound_ok = True
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
         def A2(t, _e=eps):
-            return np.asarray(base_A(t), dtype=float) + (
-                _e * np.cos(2.0 * np.pi * t / T)
-            ) * np.eye(fam.dim)
+            return np.asarray(base_A(t), dtype=float) + np.multiply.outer(
+                _e * np.cos(2.0 * np.pi * t / T), np.eye(fam.dim))
 
         fam2 = GeneratorFamily(dim=fam.dim, A=A2, T=T, omega=0.0,
                                metric=fam.metric, periodic=True)

@@ -32,17 +32,19 @@ def _defect_closed_form(lam):
 
 def test_average_generator_scalar():
     fam = GeneratorFamily(
-        dim=1, A=lambda t: np.array([[-(2.0 + np.sin(2.0 * np.pi * t))]]), T=1.0
+        dim=1, A=lambda t: -(2.0 + np.sin(2.0 * np.pi * t))[..., None, None], T=1.0
     )
     assert average_generator(fam)[0, 0] == pytest.approx(-2.0, abs=1e-10)
 
 
 def test_average_generator_matches_quad_oracle():
     def A(t):
-        return np.array([
-            [-2.0 - np.sin(2.0 * np.pi * t), 0.3 * np.cos(2.0 * np.pi * t) ** 2],
-            [np.exp(-t), -1.0],
-        ])
+        t = np.asarray(t, dtype=float)
+        return np.stack([
+            np.stack([-2.0 - np.sin(2.0 * np.pi * t),
+                      0.3 * np.cos(2.0 * np.pi * t) ** 2], axis=-1),
+            np.stack([np.exp(-t), np.full_like(t, -1.0)], axis=-1),
+        ], axis=-2)
 
     fam = GeneratorFamily(dim=2, A=A, T=1.0, periodic=False)
     got = average_generator(fam)
@@ -91,8 +93,8 @@ def test_mu_rescale_endpoints_and_midpoint():
     fam = cm.family
     assert mu_rescale(fam, 0.0).A(0.3)[0, 0] == pytest.approx(fam.A(0.3)[0, 0])
     assert np.allclose(mu_rescale(fam, 1.0).A(0.3), -np.eye(1))
-    half = mu_rescale(GeneratorFamily(dim=1, A=lambda t: np.array([[-2.0]]), T=1.0,
-                                      omega=2.0), 0.5)
+    half = mu_rescale(GeneratorFamily(dim=1, A=lambda t: np.full(np.shape(t) + (1, 1), -2.0),
+                                      T=1.0, omega=2.0), 0.5)
     assert half.A(0.0)[0, 0] == pytest.approx(-1.5)
     with pytest.raises(InvalidInputError):
         mu_rescale(fam, 1.5)
@@ -134,9 +136,9 @@ def test_mu_rescale_fixed_points_match_at_endpoints():
 def test_monodromy_scalar_closed_form():
     # scalar time-ordered products commute: M = exp(lam int (a + b))
     fam = GeneratorFamily(
-        dim=1, A=lambda t: np.array([[-(1.0 + 0.5 * np.cos(2.0 * np.pi * t))]]), T=1.0
+        dim=1, A=lambda t: -(1.0 + 0.5 * np.cos(2.0 * np.pi * t))[..., None, None], T=1.0
     )
-    B = lambda t: np.array([[0.25 * np.sin(2.0 * np.pi * t)]])
+    B = lambda t: (0.25 * np.sin(2.0 * np.pi * t))[..., None, None]
     M = monodromy(fam, B, 0.8, n=1024)
     assert M[0, 0] == pytest.approx(np.exp(-0.8), abs=1e-12)
     with pytest.raises(InvalidInputError):

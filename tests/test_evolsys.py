@@ -3,8 +3,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evolver.evolsys as evolsys
+import evolver.wave as wave
 from evolver import (
     GeneratorFamily,
     InvalidInputError,
@@ -15,7 +18,10 @@ from evolver import (
     contraction_check,
     family_continuity_gap,
     get_model,
+    list_models,
     mat_exp,
+    model_from_config,
+    mu_rescale,
     scale_family,
     shift_family,
     validate_family,
@@ -28,7 +34,7 @@ def _scalar_family():
     # A(t) = -(2 + sin(2 pi t)): closed-form evolution via the antiderivative
     return GeneratorFamily(
         dim=1,
-        A=lambda t: np.array([[-(2.0 + np.sin(2.0 * np.pi * t))]]),
+        A=lambda t: -(2.0 + np.sin(2.0 * np.pi * t))[..., None, None],
         T=1.0,
         omega=1.0,
     )
@@ -46,6 +52,70 @@ def test_family_validation():
         GeneratorFamily(dim=1, A=lambda t: np.array([[-1.0]]), T=-1.0)
     with pytest.raises(InvalidInputError):
         GeneratorFamily(dim=2, A=lambda t: np.array([[-1.0]]), T=1.0)
+
+
+def _rotation():
+    return get_model("rotation-damped-2d").family
+
+
+def _swirl(t):
+    return np.multiply.outer(np.sin(2.0 * np.pi * t), [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _coupled_wave():
+    model = get_model("wave-k3").wave
+    return wave._block_family(model.eigs, model.beta, model.T,
+                              coupling=0.1 * np.ones((3, 3)))
+
+
+_CONTRACT_FAMILIES = {
+    **{key: (lambda key=key: get_model(key).family) for key in list_models()},
+    "inline": lambda: model_from_config({
+        "A": [["-(1+0.5*cos(2*pi*t/T))", "0.25"], ["t/T-1", "-2^2"]], "T": 1.5,
+    }).family,
+    "scale": lambda: scale_family(_rotation(), 0.3),
+    "shift": lambda: shift_family(_rotation(), _swirl),
+    "shift-constant": lambda: shift_family(_rotation(), lambda t: np.eye(2)),
+    "mu_rescale": lambda: mu_rescale(_rotation(), 0.4),
+    # monodromy's family lam (A + F_inf)
+    "monodromy": lambda: scale_family(
+        shift_family(get_model("wave-k1").family, lambda t: -np.eye(2)), 0.8),
+    "wave-coupled": _coupled_wave,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_FAMILIES))
+def test_family_broadcasts_over_time(name):
+    fam = _CONTRACT_FAMILIES[name]()
+    inner = np.sort(np.random.default_rng(3).uniform(0.0, fam.T, 31))
+    ts = np.concatenate([[0.0], inner, [fam.T]])
+    stack = fam.A(ts)
+    assert stack.shape == (len(ts), fam.dim, fam.dim)
+    assert np.array_equal(stack, np.stack([fam.A(t) for t in ts]))
+    assert np.array_equal(stack, np.stack([fam.A(float(t)) for t in ts]))
+
+
+@pytest.mark.parametrize("dim, A", [
+    (2, lambda t: -np.eye(2)),                                      # (d, d) for any t
+    (1, lambda t: np.array([[-(2.0 + np.sin(2.0 * np.pi * t))]])),  # (1, 1, m)
+])
+def test_family_ignoring_array_time_is_rejected(dim, A):
+    with pytest.raises(InvalidInputError, match="expected"):
+        GeneratorFamily(dim=dim, A=A, T=1.0)
+
+
+def test_build_makes_one_family_call():
+    fam = get_model("wave-k3").family
+    calls = []
+
+    def counted_A(t):
+        calls.append(np.shape(t))
+        return fam.A(t)
+
+    counted = GeneratorFamily(dim=fam.dim, A=counted_A, T=fam.T)
+    calls.clear()
+    build_evolution(counted, 300)
+    assert calls == [(300,)]
 
 
 def test_build_guards():
@@ -84,13 +154,42 @@ def test_stacked_build_equals_per_node_exponentials(key):
     -np.eye(3),                               # too large
 ])
 def test_build_rejects_bad_interior_node(bad):
-    # A(0) is fine, so only the build sees the bad value at t >= 0.5
-    fam = GeneratorFamily(
-        dim=2, A=lambda t: bad if t >= 0.5 else -np.eye(2), T=1.0,
-        periodic=False,
-    )
+    # A(0) and A(T) are fine, so only the build sees the bad value at
+    # 0.5 <= t < 1: a non-finite slice or a stack of the wrong shape
+    def A(t):
+        good = np.multiply.outer(np.ones_like(t), -np.eye(2))
+        inner = (np.asarray(t) >= 0.5) & (np.asarray(t) < 1.0)
+        if not np.any(inner):
+            return good
+        if np.shape(bad) == (2, 2):
+            good[inner] = bad
+            return good
+        return np.broadcast_to(bad, np.shape(t) + np.shape(bad))
+
+    fam = GeneratorFamily(dim=2, A=A, T=1.0, periodic=False)
     with pytest.raises(InvalidInputError):
         build_evolution(fam, 16)
+
+
+@st.composite
+def _off_grid_triples(draw):
+    key = draw(st.sampled_from(["scalar-linear", "rotation-damped-2d", "wave-k3"]))
+    n = draw(st.integers(1, 1024))
+    # a whole cell index plus a fraction in (0, 1): never on a grid node
+    cells = [draw(st.integers(0, n - 1)) for _ in range(3)]
+    fracs = [draw(st.floats(1e-3, 1.0 - 1e-3)) for _ in range(3)]
+    s, r, t = sorted((c + f) / n for c, f in zip(cells, fracs))
+    return key, n, (t, r, s)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_off_grid_triples())
+def test_cocycle_law_at_random_off_grid_triples(case):
+    key, n, (t, r, s) = case
+    fam = get_model(key).family
+    R = build_evolution(fam, n)
+    # the same bound as the evolsys experiment's cocycle check
+    assert cocycle_defect(R, t * fam.T, r * fam.T, s * fam.T) <= 1e-12
 
 
 def test_identity_and_ordering():
@@ -181,7 +280,7 @@ def test_validate_family_report():
     # a genuinely discontinuous family is flagged
     jump = GeneratorFamily(
         dim=1,
-        A=lambda t: np.array([[-1.0 if t < 0.5 else -2.0]]),
+        A=lambda t: np.where(np.asarray(t) < 0.5, -1.0, -2.0)[..., None, None],
         T=1.0,
         omega=0.0,
         periodic=False,
@@ -196,7 +295,7 @@ def test_continuity_gap_inequality_and_scaling():
     v = np.array([1.0])
     lhss = []
     for eps in (1e-1, 1e-2, 1e-3):
-        pert = shift_family(fam, lambda t, e=eps: np.array([[e * np.cos(2.0 * np.pi * t)]]))
+        pert = shift_family(fam, lambda t, e=eps: (e * np.cos(2.0 * np.pi * t))[..., None, None])
         [(lhs, rhs)] = family_continuity_gap(fam, [pert], 512, v)
         assert lhs <= rhs
         # rhs = ||v||_V * eps * int |cos| = 3 * eps * (2/pi)
@@ -213,9 +312,54 @@ def test_continuity_gap_identical_families_is_zero():
     assert rhs <= 1e-12
 
 
+def _loop_continuity_lhs(F1, F2, n, v, stride):
+    # reference: every start node walked forward one matrix-vector step at a time
+    R1, R2 = build_evolution(F1, n), build_evolution(F2, n)
+    x = np.asarray(v, dtype=float)
+    lhs = 0.0
+    for js in range(0, n, stride):
+        w1, w2 = x, x
+        for j in range(js, n):
+            w1 = R1.steps[j] @ w1
+            w2 = R2.steps[j] @ w2
+            lhs = max(lhs, float(np.linalg.norm(w1 - w2)))
+    return lhs
+
+
+_BUMPS = {
+    "cosine": lambda s: 0.1 * np.cos(2.0 * np.pi * s),
+    # short and late: the largest gap starts just before it, not at node 0
+    "late": lambda s: 0.1 * np.exp(-((s - 0.85) / 0.03) ** 2),
+    # zero on every node before the last start of each case below, so
+    # the largest gap starts at the last start node
+    "end": lambda s: 10.0 * np.maximum(s - 0.978, 0.0),
+}
+
+
+@pytest.mark.parametrize("key", ["scalar-linear", "rotation-damped-2d", "wave-k3"])
+@pytest.mark.parametrize("bump", sorted(_BUMPS))
+@pytest.mark.parametrize("n, stride", [(128, None), (100, 7), (64, 1), (50, 64)])
+def test_continuity_gap_batched_starts_match_loop(key, bump, n, stride):
+    # lhs is a difference of O(1) states, so its relative roundoff grows
+    # like 1/eps; bumps of size 0.1 keep the comparison at the 1e-13 level
+    fam = get_model(key).family
+    v = np.zeros(fam.dim)
+    v[0] = 1.0
+    # a bump times a fixed full matrix (a multiple of I would commute with R)
+    P = np.random.default_rng(2).standard_normal((fam.dim, fam.dim))
+    pert = shift_family(fam, lambda t: np.multiply.outer(_BUMPS[bump](t / fam.T), P))
+    [(lhs, _)] = family_continuity_gap(fam, [pert], n, v, query_stride=stride)
+    stride = stride or max(1, n // 64)
+    ref = _loop_continuity_lhs(fam, pert, n, v, stride)
+    assert ref > 0.0
+    assert abs(lhs - ref) <= 1e-13 * ref
+    if bump != "cosine" and stride < n:
+        assert ref > _loop_continuity_lhs(fam, pert, n, v, n)   # beats node 0 alone
+
+
 def test_continuity_gap_requires_matching_shapes():
     fam = _scalar_family()
-    other = GeneratorFamily(dim=1, A=lambda t: np.array([[-1.0]]), T=2.0)
+    other = GeneratorFamily(dim=1, A=lambda t: np.full(np.shape(t) + (1, 1), -1.0), T=2.0)
     with pytest.raises(PreconditionError):
         family_continuity_gap(fam, [other], 64, [1.0])
 
@@ -223,7 +367,7 @@ def test_continuity_gap_requires_matching_shapes():
 def test_continuity_gap_batch_equals_single_calls():
     fam = _scalar_family()
     perts = [
-        shift_family(fam, lambda t, e=eps: np.array([[e * np.cos(2.0 * np.pi * t)]]))
+        shift_family(fam, lambda t, e=eps: (e * np.cos(2.0 * np.pi * t))[..., None, None])
         for eps in (1e-1, 1e-3)
     ]
     both = family_continuity_gap(fam, perts, 128, [1.0])

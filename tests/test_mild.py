@@ -140,7 +140,7 @@ def test_mild_gronwall_contraction():
 
 
 def test_mild_divergence_guard():
-    fam = GeneratorFamily(dim=1, A=lambda t: np.array([[0.0]]), T=1.0)
+    fam = GeneratorFamily(dim=1, A=lambda t: np.zeros(np.shape(t) + (1, 1)), T=1.0)
     R = build_evolution(fam, 64)
     explosive = NonlinearField(F=lambda t, x: x ** 3, lipschitz=np.inf, growth=np.inf)
     with pytest.raises(ConvergenceError):
@@ -199,7 +199,7 @@ def test_fixed_point_degenerate_jacobian():
     # lam = 0 makes Phi exactly R(T,0) = diag(1, 1/e): unit eigenvalue,
     # so DPhi - I has an exactly-zero column and Newton must refuse
     A = np.array([[0.0, 0.0], [0.0, -1.0]])
-    fam = GeneratorFamily(dim=2, A=lambda t: A, T=1.0)
+    fam = GeneratorFamily(dim=2, A=lambda t: np.broadcast_to(A, np.shape(t) + A.shape), T=1.0)
     R = build_evolution(fam, 64)
     field = NonlinearField(F=lambda t, x: np.ones_like(x), lipschitz=0.0, growth=1.0)
     with pytest.raises(DegenerateFixedPointError):
@@ -208,7 +208,7 @@ def test_fixed_point_degenerate_jacobian():
 
 def test_fixed_point_free_translation_map_fails_loudly():
     # Phi(x) = x + 1 has no fixed point; the solver must raise, not return
-    fam = GeneratorFamily(dim=1, A=lambda t: np.array([[0.0]]), T=1.0)
+    fam = GeneratorFamily(dim=1, A=lambda t: np.zeros(np.shape(t) + (1, 1)), T=1.0)
     R = build_evolution(fam, 64)
     const = NonlinearField(F=lambda t, x: np.ones_like(x), lipschitz=0.0, growth=1.0)
     with pytest.raises((ConvergenceError, DegenerateFixedPointError)):

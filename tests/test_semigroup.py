@@ -14,6 +14,7 @@ from evolver import (
     chernoff_sum_limit,
     dissipativity_rate,
     exponential_scheme,
+    get_model,
     mat_exp,
     metric_cholesky,
     metric_norm,
@@ -21,7 +22,7 @@ from evolver import (
     resolvent_scheme,
 )
 
-from oracles import svd_norm
+from oracles import eigh_rate, gram_norm
 
 
 def test_metric_cholesky_validation():
@@ -41,7 +42,7 @@ def test_metric_norm_and_operator_norm():
     for _ in range(20):
         M = rng.standard_normal((2, 2))
         L = np.linalg.cholesky(G)
-        ref = svd_norm(L.T @ M @ np.linalg.inv(L).T)
+        ref = gram_norm(L.T @ M @ np.linalg.inv(L).T)
         assert metric_operator_norm(M, G) == pytest.approx(ref, abs=1e-12)
 
 
@@ -57,13 +58,50 @@ def test_dissipativity_rate_certifies_decay():
     for _ in range(20):
         d = int(rng.integers(1, 5))
         B = rng.standard_normal((d, d))
-        A = B - (svd_norm(B) + 0.1) * np.eye(d)
+        A = B - (gram_norm(B) + 0.1) * np.eye(d)
         W = rng.standard_normal((d, d))
         G = W @ W.T + d * np.eye(d)
         w = dissipativity_rate(A, G)
         for t in (0.1, 0.5, 1.7):
             nrm = metric_operator_norm(mat_exp(A, t), G)
             assert nrm <= np.exp(-w * t) + 1e-9
+
+
+def test_dissipativity_rate_stack_matches_eigh_oracle():
+    rng = np.random.default_rng(7)
+    cases = []
+    for d in (1, 2, 3, 6):
+        W = rng.standard_normal((d, d))
+        M = rng.standard_normal((40, d, d)) * rng.uniform(0.1, 10.0, (40, 1, 1))
+        cases += [(M, None), (M, W @ W.T + d * np.eye(d))]
+    fam = get_model("wave-k3").family   # damped wave blocks in the eta metric
+    cases.append((fam.stack(np.linspace(0.0, fam.T, 65)), fam.metric))
+    for M, G in cases:
+        rates = dissipativity_rate(M, G)
+        assert rates.shape == (len(M),)
+        for Mi, rate in zip(M, rates):
+            ref = eigh_rate(Mi, G)
+            assert abs(rate - ref) <= 1e-13 * max(1.0, abs(ref))
+            single = dissipativity_rate(Mi, G)
+            assert isinstance(single, float)
+            assert abs(single - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_dissipativity_rate_stack_rejects_bad_input():
+    M = np.stack([-np.eye(2), -2.0 * np.eye(2)])
+    with pytest.raises(InvalidMetricError):
+        dissipativity_rate(M, np.array([[1.0, 2.0], [2.0, 1.0]]))   # indefinite
+    with pytest.raises(InvalidMetricError):
+        dissipativity_rate(M, np.array([[1.0, 0.5], [0.0, 1.0]]))   # not symmetric
+    with pytest.raises(InvalidInputError):
+        dissipativity_rate(M, np.eye(3))
+    bad = M.copy()
+    bad[1, 0, 1] = np.nan
+    with pytest.raises(InvalidInputError):
+        dissipativity_rate(bad)
+    bad[1, 0, 1] = np.inf
+    with pytest.raises(InvalidInputError):
+        dissipativity_rate(bad, np.diag([1.0, 2.0]))
 
 
 def test_contraction_semigroup_validate():
@@ -84,7 +122,7 @@ def test_chernoff_defect_bound_random_sweep():
     for _ in range(60):
         d = int(rng.integers(1, 7))
         G = rng.standard_normal((d, d))
-        T = G * (rng.uniform(0.2, 0.999) / svd_norm(G))
+        T = G * (rng.uniform(0.2, 0.999) / gram_norm(G))
         x = rng.standard_normal(d)
         n = int(rng.integers(0, 65))
         lhs, rhs = chernoff_defect(T, x, n)
@@ -136,7 +174,7 @@ def test_sum_limit_scalar_closed_form():
 def test_resolvent_scheme_random_stable_generator():
     rng = np.random.default_rng(8)
     B = rng.standard_normal((3, 3))
-    A = B - 1.1 * svd_norm(B) * np.eye(3)
+    A = B - 1.1 * gram_norm(B) * np.eye(3)
     scheme = resolvent_scheme(lambda mu: A, 3)
     x = rng.standard_normal(3)
     x /= np.linalg.norm(x)
