@@ -435,9 +435,10 @@ def run_averaging(cm, num, seed):
     if cm.field is None or cm.region is None:
         raise ConfigError("averaging needs a model with a field and a region")
     lambdas = [float(v) for v in num.get("lambdas", catalog.AVERAGING_LADDER)]
+    avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
     report = averaging_degree_check(
         cm.family, cm.field, cm.region, lambdas,
-        n=num.get("n", 256), grid=num.get("grid", 256),
+        n=num.get("n", 256), grid=num.get("grid", 256), averaged=avg,
     )
     rows = [["averaged", "", True, "", report.d0, "", ""]]
     for r in report.rows:
@@ -446,8 +447,6 @@ def run_averaging(cm, num, seed):
     wind = None
     wind_ok = True
     if cm.dim == 2:
-        avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
-
         def g_hat(x):
             x = np.asarray(x, dtype=float)
             corr = np.linalg.solve(avg.A_hat, np.asarray(avg.F_hat(x)).T).T

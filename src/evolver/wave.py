@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .averaging import average_generator, monodromy, unit_eigenvalue_gap
 from .errors import ConfigError, InvalidInputError
@@ -77,8 +76,10 @@ def eta_metric_matrix(eigs, eta: float) -> np.ndarray:
 def _eta_metric(eigs, eta: float) -> EtaMetric:
     lam = np.asarray(eigs, dtype=float)
     G = eta_metric_matrix(lam, eta)
-    G0 = np.diag(np.concatenate([lam, np.ones(len(lam))]))
-    gen = scipy.linalg.eigh(G, G0, eigvals_only=True)
+    # G0 = diag(lam, 1) is diagonal, so the pencil (G, G0) has the
+    # eigenvalues of D^{-1/2} G D^{-1/2}, D = diag(G0)
+    r = 1.0 / np.sqrt(np.concatenate([lam, np.ones(len(lam))]))
+    gen = np.linalg.eigvalsh(r[:, None] * G * r[None, :])
     return EtaMetric(eta=float(eta), G=G, c_lo=float(np.sqrt(gen[0])),
                      c_hi=float(np.sqrt(gen[-1])))
 

@@ -1,18 +1,27 @@
 """Independent numeric oracles used by the test suite.
 
-The algorithms are chosen to be different from the library's own: a
-truncated power series for the exponential (the library delegates to a
-Pade kernel), the top eigenvalue of the Gram matrix M^T M for operator
-norms (the library takes the SVD), scipy's generalized symmetric
-eigensolver for dissipativity rates (the library reduces to a standard
-problem by a Cholesky congruence), and classic RK4 time stepping for
-transition matrices and semilinear paths (the library uses
-frozen-coefficient products and trapezoid Picard sweeps).  The
-step-by-step trapezoid loop is the reference for the library's chunked
-scan sweep.
+The algorithms are chosen to be different from the library's own, and
+nothing here imports the library.  The library is numpy-only; the
+oracles may use scipy and mpmath:
+
+* the exponential: a truncated power series, scipy's expm, and mpmath's
+  expm at 40 digits (the library runs a batched Pade kernel in numpy);
+* operator norms: the top eigenvalue of the Gram matrix M^T M (the
+  library takes the SVD);
+* dissipativity rates and metric constants: scipy's generalized
+  symmetric eigensolver (the library reduces to a standard problem by a
+  Cholesky congruence or a diagonal scaling);
+* integrals of the generator gap: scipy's adaptive quadrature (the
+  library uses a fixed composite Gauss-Legendre rule);
+* transition matrices and semilinear paths: classic RK4 time stepping
+  (the library uses frozen-coefficient products and trapezoid Picard
+  sweeps).  The step-by-step trapezoid loop is the reference for the
+  library's chunked scan sweep.
 """
 
+import mpmath
 import numpy as np
+import scipy.integrate
 import scipy.linalg
 
 
@@ -31,6 +40,29 @@ def series_expm(M, t=1.0, terms=30):
     for _ in range(s):
         E = E @ E
     return E
+
+
+def mp_expm_error(X, A, dps=40):
+    """||X - exp(A)||_1 / ||exp(A)||_1 with exp(A) from mpmath at dps digits."""
+    with mpmath.workdps(dps):
+        E = mpmath.expm(mpmath.matrix(np.asarray(A, dtype=float).tolist()))
+        diff = mpmath.matrix(np.asarray(X, dtype=float).tolist()) - E
+        return float(mpmath.mnorm(diff, 1) / mpmath.mnorm(E, 1))
+
+
+def gap_integral(A1, A2, T):
+    """integral_0^T ||A1(r) - A2(r)||_2 dr by adaptive quadrature on scalar r."""
+    def integrand(r):
+        return np.linalg.norm(np.asarray(A1(r), dtype=float) - np.asarray(A2(r), dtype=float), 2)
+
+    total, _ = scipy.integrate.quad(integrand, 0.0, T, epsabs=0.0, epsrel=1e-13, limit=500)
+    return float(total)
+
+
+def pencil_extremes(G, G0):
+    """Smallest and largest eigenvalue of the symmetric-definite pencil (G, G0)."""
+    w = scipy.linalg.eigh(G, G0, eigvals_only=True)
+    return float(w[0]), float(w[-1])
 
 
 def gram_norm(M):

@@ -27,7 +27,7 @@ from evolver import (
     validate_family,
 )
 
-from oracles import rk4_transition
+from oracles import gap_integral, rk4_transition
 
 
 def _scalar_family():
@@ -305,6 +305,26 @@ def test_continuity_gap_inequality_and_scaling():
     assert lhss[1] / lhss[2] == pytest.approx(10.0, rel=0.2)
 
 
+@pytest.mark.parametrize("key", ["wave-k3", "rotation-damped-2d", "scalar-linear"])
+def test_continuity_gap_rhs_matches_adaptive_quadrature(key):
+    # the evolsys experiment's perturbations: A(t) + eps cos(2 pi t / T) I
+    fam = get_model(key).family
+    T = fam.T
+    v = np.zeros(fam.dim)
+    v[0] = 1.0
+    eps_sweep = (1e-1, 1e-2, 1e-3, 1e-4)
+    perts = [
+        shift_family(fam, lambda t, e=eps: np.multiply.outer(
+            e * np.cos(2.0 * np.pi * t / T), np.eye(fam.dim)))
+        for eps in eps_sweep
+    ]
+    gaps = family_continuity_gap(fam, perts, 64, v)
+    norm_v = np.linalg.norm(fam.A(0.0) @ v) + np.linalg.norm(v)
+    for pert, (_, rhs) in zip(perts, gaps):
+        ref = norm_v * gap_integral(fam.A, pert.A, T)
+        assert abs(rhs - ref) <= 1e-12 * ref
+
+
 def test_continuity_gap_identical_families_is_zero():
     fam = _scalar_family()
     [(lhs, rhs)] = family_continuity_gap(fam, [_scalar_family()], 128, [1.0])
@@ -398,9 +418,17 @@ def test_step_operators_equal_per_cell_operators(key, n, grid):
 def test_step_operators_nonuniform_times():
     fam = get_model("rotation-damped-2d").family
     R = build_evolution(fam, 64)
-    inner = np.sort(np.random.default_rng(5).uniform(0.0, fam.T, 40))
+    rng = np.random.default_rng(5)
+    inner = np.sort(rng.uniform(0.0, fam.T, 40))
     times = np.concatenate([[0.0], inner, [R.nodes[40], fam.T]])
     times = np.unique(times)
+    assert np.array_equal(R.step_operators(times), _per_cell_stack(R, times))
+    # times within and just beyond the on-node snap, and ends that overhang
+    # [0, T] by less than it: cells may be empty, whole or partial
+    tol = evolsys.SNAP * max(1.0, fam.T)
+    offsets = rng.choice([0.0, 0.5, -0.5, 0.99, 1.5, -1.5, 2.5], 60) * tol
+    near = R.nodes[rng.integers(1, 64, 60)] + offsets
+    times = np.unique(np.concatenate([[-0.5 * tol], near, inner[:10], [fam.T + 0.5 * tol]]))
     assert np.array_equal(R.step_operators(times), _per_cell_stack(R, times))
 
 

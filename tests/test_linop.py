@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from evolver import InvalidInputError, SingularResolventError, mat_exp, operator_norm, resolvent
-from evolver.linop import MAX_DIM, as_matrix, as_vector
+from evolver import (
+    InvalidInputError,
+    SingularResolventError,
+    get_model,
+    list_models,
+    mat_exp,
+    operator_norm,
+    resolvent,
+)
+from evolver.linop import MAX_DIM, PADE_THETA, as_matrix, as_vector
 
-from oracles import gram_norm, series_expm
+from oracles import gram_norm, mp_expm_error, series_expm
 
 
 def test_as_matrix_rejects_bad_shapes():
@@ -53,12 +62,21 @@ def test_mat_exp_stack_matches_slices():
         stack = rng.standard_normal((9, d, d))
         stack[3] = np.diag(rng.standard_normal(d))   # diagonal slice
         stack[4] = np.triu(stack[4])                 # triangular slice
-        for t in (1.0, 0.3):
-            got = mat_exp(stack, t)
-            assert got.shape == stack.shape
-            for A, E in zip(stack, got):
-                assert np.array_equal(E, mat_exp(A, t))
-        assert np.array_equal(mat_exp(stack, 0.0), np.broadcast_to(np.eye(d), stack.shape))
+        # mixed norms: every Pade degree and different squaring counts
+        # within one stack
+        mixed = rng.standard_normal((12, d, d))
+        mixed[5] = 0.0
+        norms = np.abs(mixed).sum(axis=-2).max(axis=-1)
+        norms[5] = 1.0
+        mixed *= (np.geomspace(1e-3, 100.0, 12) / norms)[:, None, None]
+        for S in (stack, mixed):
+            for t in (1.0, 0.3):
+                got = mat_exp(S, t)
+                assert got.shape == S.shape
+                for A, E in zip(S, got):
+                    assert np.array_equal(E, mat_exp(A, t))
+            assert np.array_equal(mat_exp(S, 0.0), np.broadcast_to(np.eye(d), S.shape))
+        assert np.array_equal(mat_exp(mixed[5:6]), np.eye(d)[None])   # exp(0) = I
     bad = rng.standard_normal((4, 2, 2))
     bad[2, 0, 1] = np.inf
     with pytest.raises(InvalidInputError):
@@ -67,6 +85,47 @@ def test_mat_exp_stack_matches_slices():
         mat_exp(np.zeros((4, 2, 3)))
     with pytest.raises(InvalidInputError):
         as_matrix(np.zeros((4, 2, 2)))   # a stack is not one matrix
+
+
+def _rel_1norm(X, ref):
+    diff = np.abs(X - ref).sum(axis=-2).max(axis=-1)
+    return diff / np.abs(ref).sum(axis=-2).max(axis=-1)
+
+
+@pytest.mark.parametrize("key", list_models())
+def test_mat_exp_catalog_step_stacks_match_scipy(key):
+    fam = get_model(key).family
+    for n in (16, 256, 8192):
+        h = fam.T / n
+        A = fam.stack(np.linspace(0.0, fam.T, n + 1)[:-1])
+        ref = scipy.linalg.expm(h * A)
+        assert np.max(_rel_1norm(mat_exp(A, h), ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("key", list_models())
+def test_mat_exp_catalog_period_exponential_matches_mpmath(key):
+    # n = 1: the whole-period step, ||T A(0)||_1 up to 57 on wave-k3.  There
+    # scipy's own error reaches about 5e-14 (wave-k1), so the reference is
+    # mpmath at 40 digits rather than scipy.
+    fam = get_model(key).family
+    A = fam.T * fam.stack(np.array([0.0]))[0]
+    assert mp_expm_error(mat_exp(A), A) <= 1e-14
+
+
+def test_mat_exp_accuracy_against_mpmath_within_10x_scipy():
+    # 1-norms from below theta_3 to about 10 theta_13: every degree is the
+    # chosen one somewhere, and the top norms go through squaring
+    targets = np.geomspace(PADE_THETA[0] / 4.0, 10.0 * PADE_THETA[-1], 16)
+    bins = np.searchsorted(PADE_THETA, targets)
+    assert set(bins.tolist()) == {0, 1, 2, 3, 4, 5}
+    rng = np.random.default_rng(21)
+    for d in (2, 4, 6):
+        for nrm in targets:
+            A = rng.standard_normal((d, d))
+            A *= nrm / np.abs(A).sum(axis=0).max()
+            ours = mp_expm_error(mat_exp(A), A)
+            theirs = mp_expm_error(scipy.linalg.expm(A), A)
+            assert ours <= 10.0 * theirs, (d, nrm, ours, theirs)
 
 
 def test_mat_exp_semigroup_law():

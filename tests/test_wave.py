@@ -17,7 +17,9 @@ from evolver import (
     select_eta,
     spectral_invariance_gap,
 )
-from evolver.wave import MAX_MODES, project_nonlinearity
+from evolver.wave import MAX_MODES, _eta_metric, project_nonlinearity
+
+from oracles import pencil_extremes
 
 
 def test_build_validation():
@@ -55,6 +57,16 @@ def test_eigenvalues_frozen():
 def test_eta_metric_matrix_frozen():
     G = eta_metric_matrix([1.0], 0.5)
     assert np.allclose(G, [[1.25, 0.5], [0.5, 1.0]], atol=1e-14)
+
+
+@pytest.mark.parametrize("ell, k", [(np.pi, 1), (np.pi, 3), (2.0, 8), (np.pi, MAX_MODES)])
+@pytest.mark.parametrize("eta", [0.05, 0.5, 1.0])
+def test_eta_metric_constants_match_generalized_eigh(ell, k, eta):
+    eigs = (np.arange(1, k + 1) * np.pi / ell) ** 2
+    m = _eta_metric(eigs, eta)
+    lo, hi = pencil_extremes(m.G, np.diag(np.concatenate([eigs, np.ones(k)])))
+    assert abs(m.c_lo - np.sqrt(lo)) <= 1e-14
+    assert abs(m.c_hi - np.sqrt(hi)) <= 1e-14
 
 
 def test_eta_inner_first_mode():
