@@ -324,8 +324,9 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
                                      error="boundary fixed point suspected"))
             continue
         try:
+            # the samples are degree's own cloud (seed 0): reuse the screen
             rep = brouwer_degree(g, U, grid=degree_grid, boundary_m=boundary_m,
-                                 delta=delta)
+                                 _screen=(bmin, delta, scale))
             rows.append(AveragingRow(lam=float(lam), boundary_ok=True,
                                      boundary_min=bmin, degree=rep.value,
                                      agrees=(rep.value == d0_report.value)))

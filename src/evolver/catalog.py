@@ -12,7 +12,8 @@ Four shipped models:
                        saturating nonlinearity
 
 Time coefficients and nonlinearities are expression-language strings
-compiled to numpy callables, the same path inline JSON configs use.
+compiled once, when the model is built, to numpy callables; inline JSON
+configs take the same path.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .degree import Region
 from .errors import ConfigError
 from .evolsys import GeneratorFamily
-from .exprlang import eval_expr, free_vars, parse_expr
+from .exprlang import compile_expr, free_vars, parse_expr
 from .mild import NonlinearField
 from .wave import WaveModel, build_wave_model
 
@@ -56,9 +57,10 @@ def compile_time_coefficient(src: str, T: float):
     extra = free_vars(ast) - {"t", "T"}
     if extra:
         raise ConfigError(f"time coefficient may only use t and T, got {sorted(extra)}")
+    value = compile_expr(ast)
 
     def coeff(t):
-        return eval_expr(ast, {"t": t, "T": T})
+        return value({"t": t, "T": T})
 
     return coeff
 
@@ -86,14 +88,14 @@ def compile_matrix(entries, T: float):
                     raise ConfigError(
                         f"matrix entries may only use t and T, got {sorted(extra)}"
                     )
+    cells = [[c if isinstance(c, float) else compile_expr(c) for c in r] for r in rows]
 
     def A(t):
         out = np.empty(np.shape(t) + (d, d))
-        for i, r in enumerate(rows):
+        env = {"t": t, "T": T}
+        for i, r in enumerate(cells):
             for j, cell in enumerate(r):
-                out[..., i, j] = cell if isinstance(cell, float) else eval_expr(
-                    cell, {"t": t, "T": T}
-                )
+                out[..., i, j] = cell if isinstance(cell, float) else cell(env)
         return out
 
     return A, d
@@ -109,6 +111,7 @@ def compile_field(exprs, T: float):
         extra = free_vars(ast) - {"t", "s", "T"}
         if extra:
             raise ConfigError(f"field components may only use t, s, T, got {sorted(extra)}")
+    components = [compile_expr(ast) for ast in asts]
 
     def F(t, x):
         x = np.asarray(x, dtype=float)
@@ -117,8 +120,8 @@ def compile_field(exprs, T: float):
         while tt.ndim >= x.ndim and tt.ndim > 0:
             tt = tt[..., 0]
         out = np.empty_like(x)
-        for i, ast in enumerate(asts):
-            out[..., i] = eval_expr(ast, {"t": tt, "s": x[..., i], "T": T})
+        for i, value in enumerate(components):
+            out[..., i] = value({"t": tt, "s": x[..., i], "T": T})
         return out
 
     return F
@@ -167,10 +170,10 @@ def _wave(key: str) -> CatalogModel:
         beta = compile_time_coefficient("1+0.5*cos(t)", T)
         f_src = "tanh(s)+cos(t)"
         f_inf, lip, growth = 0.0, 1.0, 2.0
-    ast = parse_expr(f_src)
+    f_value = compile_expr(parse_expr(f_src))
 
     def f(t, s):
-        return eval_expr(ast, {"t": t, "s": s, "T": T})
+        return f_value({"t": t, "s": s, "T": T})
 
     model, family = build_wave_model(ell=np.pi, k=k, beta=beta, T=T, f=f,
                                      f_inf=f_inf, lipschitz=lip, growth=growth)

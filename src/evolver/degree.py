@@ -178,11 +178,14 @@ def _boundary_check(g, U: Region, boundary_m: int, delta, seed: int):
 
 def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
                    delta: float | None = None, max_newton: int = 60,
-                   zero_tol: float | None = None, seed: int = 0) -> DegreeReport:
+                   zero_tol: float | None = None, seed: int = 0,
+                   *, _screen: tuple | None = None) -> DegreeReport:
     """Degree of g on U by multi-start damped Newton and sign-summed Jacobians.
 
     grid: Newton starts per axis (grid^d total).  delta: admissibility
-    margin, default 1e-6 * (1 + max boundary |g|).  Raises
+    margin, default 1e-6 * (1 + max boundary |g|).  _screen: the
+    (boundary_min, delta, scale) of a caller that already screened this
+    boundary cloud (internal).  Raises
     InadmissibleRegionError on boundary (near-)zeros, DegenerateZeroError
     when a located zero has |det Dg| < 1e-8, InvalidInputError for d > 4.
     The computation is deterministic: fixed start lattice, zeros sorted
@@ -193,7 +196,9 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
         raise InvalidInputError(
             f"degree computations are capped at d <= {MAX_DEGREE_DIM}, got {d}"
         )
-    boundary_min, delta, scale = _boundary_check(g, U, boundary_m, delta, seed)
+    if _screen is None:
+        _screen = _boundary_check(g, U, boundary_m, delta, seed)
+    boundary_min, delta, scale = _screen
     if zero_tol is None:
         zero_tol = 1e-8 * (1.0 + scale)
 

@@ -23,6 +23,8 @@ exponents, and the left-leaning chains of + - * /); deeper input raises
 ExprError instead of exhausting the interpreter stack in the recursive
 parser and tree walkers.
 
+Expressions compile once (compile_expr) into a tree of closures that
+models build when they are assembled; eval_expr compiles and calls.
 Evaluation is pure IEEE double arithmetic, vectorized over numpy array
 bindings.  Division by zero (including 0^negative) and fractional
 powers of negative bases raise; everything else is total.
@@ -30,6 +32,8 @@ powers of negative bases raise; everything else is total.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -246,57 +250,74 @@ def parse_expr(src: str) -> Expr:
     return _Parser(src).parse()
 
 
+def compile_expr(e: Expr):
+    """Compile an AST once into a callable bindings -> eval_expr(e, bindings).
+
+    The callable is a tree of closures that makes the same IEEE operations
+    in the same order as a walk of the AST.  Nothing is folded when it is
+    built, so division by zero, invalid powers and unbound variables raise
+    ExprError when it is called; only a malformed AST is rejected here.
+    """
+    run = _compile(e)
+
+    def evaluate(bindings=None):
+        out = run({"pi": np.pi, **(bindings or {})})
+        return float(out) if np.ndim(out) == 0 else out
+
+    return evaluate
+
+
 def eval_expr(e: Expr, bindings=None):
     """Evaluate an AST under variable bindings (scalars or numpy arrays).
 
     pi is always bound.  Returns a float for scalar inputs, an ndarray
     when any binding is an array (numpy broadcasting).
     """
-    env = {"pi": np.pi}
-    if bindings:
-        env.update(bindings)
-    out = _eval(e, env)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return compile_expr(e)(bindings)
 
 
-def _eval(e, env):
+def _divide(a, b):
+    if np.any(np.asarray(b) == 0):
+        raise ExprError("division by zero")
+    return a / b
+
+
+def _power(a, b):
+    aa = np.asarray(a, dtype=float)
+    bb = np.asarray(b, dtype=float)
+    if np.any((aa == 0) & (bb < 0)):
+        raise ExprError("division by zero (zero base, negative exponent)")
+    with np.errstate(invalid="ignore"):
+        res = np.power(aa, bb)
+    if np.any(np.isnan(res)):
+        raise ExprError("invalid power (negative base, fractional exponent)")
+    return res if res.ndim else float(res)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": _divide, "^": _power}
+
+
+def _lookup(name, env):
+    if name not in env:
+        raise ExprError(f"unbound variable {name!r}")
+    return env[name]
+
+
+def _compile(e):
     if isinstance(e, Num):
-        return e.value
+        return lambda env, value=e.value: value
     if isinstance(e, Var):
-        if e.name not in env:
-            raise ExprError(f"unbound variable {e.name!r}")
-        return env[e.name]
+        return functools.partial(_lookup, e.name)
     if isinstance(e, Neg):
-        return -_eval(e.arg, env)
-    if isinstance(e, Bin):
-        a = _eval(e.lhs, env)
-        b = _eval(e.rhs, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if np.any(np.asarray(b) == 0):
-                raise ExprError("division by zero")
-            return a / b
-        if e.op == "^":
-            aa = np.asarray(a, dtype=float)
-            bb = np.asarray(b, dtype=float)
-            if np.any((aa == 0) & (bb < 0)):
-                raise ExprError("division by zero (zero base, negative exponent)")
-            with np.errstate(invalid="ignore"):
-                res = np.power(aa, bb)
-            if np.any(np.isnan(res)):
-                raise ExprError("invalid power (negative base, fractional exponent)")
-            return res if res.ndim else float(res)
-        raise ExprError(f"unknown operator {e.op!r}")
-    if isinstance(e, Call):
-        fn = FUNCTIONS[e.fn][1]
-        return fn(*(_eval(arg, env) for arg in e.args))
+        arg = _compile(e.arg)
+        return lambda env: -arg(env)
+    if isinstance(e, Bin) and e.op in _BINARY:
+        op, lhs, rhs = _BINARY[e.op], _compile(e.lhs), _compile(e.rhs)
+        return lambda env: op(lhs(env), rhs(env))
+    if isinstance(e, Call) and e.fn in FUNCTIONS:
+        fn, args = FUNCTIONS[e.fn][1], [_compile(a) for a in e.args]
+        return lambda env: fn(*[a(env) for a in args])
     raise ExprError(f"not an expression node: {e!r}")
 
 

@@ -11,7 +11,8 @@ trapezoid pass over m grid steps is an affine recurrence along the step
 operators, evaluated as a two-level chunked prefix scan: about
 2 sqrt(m) batched numpy steps instead of m Python-level ones.  Its
 state-independent half (the transposed steps and their in-chunk prefix
-products) is built once per solve and reused by every Picard pass.  It
+products) and a workspace of scan buffers and state paths, which each
+pass and its sup-norm gap fill in place, are built once per solve.  It
 only multiplies step operators and never inverts one, since the inverse
 of a strongly damped step would amplify roundoff.  The translation-by-t
 map Phi_t(x) follows, and T-periodic states are the fixed points of
@@ -130,12 +131,24 @@ def _scan_plan(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M, P
 
 
+def _workspace(plan, m: int, shape: tuple) -> tuple:
+    """Buffers (U, Y, out) for _sweep over m steps of states shaped (..., d).
+
+    U (C L, B, d) is the scan buffer, Y (C, B, d) the chunk carries and out
+    (m+1,) + shape the path, for B states per node.
+    """
+    C, L, _, d = plan[0].shape
+    B = int(np.prod(shape[:-1]))
+    return np.empty((C * L, B, d)), np.empty((C, B, d)), np.empty((m + 1,) + shape)
+
+
 def _sweep(plan: tuple[np.ndarray, np.ndarray], x: np.ndarray, w: np.ndarray,
-           lam: float, h: float) -> np.ndarray:
+           lam: float, h: float, work=None) -> np.ndarray:
     """One trapezoid pass of the variation-of-constants formula.
 
     plan: _scan_plan of the (m, d, d) one-step evolution operators E_i.
     x: (..., d) initial states; w: (m+1, ..., d) forcing samples.
+    work: a _workspace (U, Y, out) to run in, or None for a fresh one.
 
     The pass is the affine recurrence y_0 = x,
     y_{i+1} = (y_i + lam c_i w_i) E_i^T with c_0 = h/2 and c_i = h, and
@@ -147,31 +160,59 @@ def _sweep(plan: tuple[np.ndarray, np.ndarray], x: np.ndarray, w: np.ndarray,
     adds each carry to its chunk.  That is L + C, about 2 sqrt(m), steps
     at Python level instead of m, and since the affine maps compose
     forwards it needs no inverse of a step.
+
+    Every stage writes into the workspace with out= ufuncs and matmuls,
+    overwriting what it held, so a pass allocates nothing of the path's
+    size; the result is its out buffer.  w is only read and may alias
+    anything but the workspace (a field may return a view of its input).
     """
     M, P = plan
     C, L, d = M.shape[0], M.shape[1], M.shape[-1]
     m = w.shape[0] - 1
     B = x.size // d
+    U, Y, out = _workspace(plan, m, x.shape) if work is None else work
     # U[c, j] starts as the forcing term lam c_i w_i of step i = c L + j
     # and becomes the state after that step, started from zero in chunk c
-    U = np.zeros((C * L, B, d))
-    U[:m] = np.broadcast_to(w[:m], (m,) + x.shape).reshape(m, B, d)
-    U *= lam * h
+    head = U[:m].reshape((m,) + x.shape)
+    np.multiply(w[:m], lam * h, out=head)
     U[0] *= 0.5
+    U[m:] = 0.0  # identity steps that pad the last chunk carry no forcing
     U = U.reshape(C, L, B, d)
     for j in range(L):
         if j:
             U[:, j] += U[:, j - 1]
         np.matmul(U[:, j], M[:, j], out=U[:, j])
-    Y = np.empty((C, B, d))
     Y[0] = x.reshape(B, d)
     for c in range(C - 1):
-        Y[c + 1] = Y[c] @ P[c, L - 1] + U[c, L - 1]
-    U += Y[:, None] @ P
-    out = np.empty((m + 1,) + x.shape)
+        np.matmul(Y[c], P[c, L - 1], out=Y[c + 1])
+        Y[c + 1] += U[c, L - 1]
+    # out[1:] = (U + Y P) + lam (h/2) w[1:], the last chunk cut at step m
+    path = out.reshape(m + 1, B, d)
+    full = (C - 1) * L
+    np.matmul(Y[:C - 1, None], P[:C - 1], out=path[1:full + 1].reshape(C - 1, L, B, d))
+    np.matmul(Y[C - 1], P[C - 1, :m - full], out=path[full + 1:])
+    out[1:] += head
+    np.multiply(w[1:], 0.5 * lam * h, out=head)
+    out[1:] += head
     out[0] = x
-    out[1:] = U.reshape((C * L,) + x.shape)[:m] + (0.5 * lam * h) * w[1:]
     return out
+
+
+def _gap(new: np.ndarray, old: np.ndarray, scratch: np.ndarray) -> float:
+    """max |new_i - old_i| over paths that share row 0, computed in scratch.
+
+    One sqrt of the largest in-place sum of squares; as sqrt is monotone and
+    correctly rounded, this is np.max(np.linalg.norm(new - old, axis=-1))
+    exactly for d < 8 (numpy sums 8 or more components pairwise).
+    """
+    m = new.shape[0] - 1
+    diff = scratch[:m].reshape(new[1:].shape)
+    np.subtract(new[1:], old[1:], out=diff)
+    np.square(diff, out=diff)
+    total = diff[..., 0]
+    for k in range(1, diff.shape[-1]):
+        total += diff[..., k]
+    return float(np.sqrt(total.max()))
 
 
 def sigma_apply(R: EvolutionSystem, x, w, lam: float = 1.0) -> Trajectory:
@@ -200,7 +241,8 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
     """Picard iteration for the mild solution on [0, T].
 
     Starts from the constant path and iterates u <- Sigma(x0, F(., u), lam)
-    until the sup-norm update is below tol.  Raises ConvergenceError
+    until the sup-norm update is below tol; every pass runs in one
+    workspace whose two state paths swap roles.  Raises ConvergenceError
     (with the last update size) after max_iter sweeps or on blow-up.
     """
     x = np.asarray(x0, dtype=float)
@@ -209,14 +251,16 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
     times = np.linspace(0.0, R.T, grid + 1)
     plan = _scan_plan(R.step_operators(times))
     h = R.T / grid
-    states = np.broadcast_to(x, (grid + 1,) + x.shape).copy()
+    U, Y, new = _workspace(plan, grid, x.shape)
+    states = np.empty_like(new)
+    states[...] = x
     gap = np.inf
     blowup = 1e8 * (1.0 + float(np.max(np.linalg.norm(x, axis=-1))))
     for it in range(1, max_iter + 1):
         w = _eval_field(F, times, states)
-        new = _sweep(plan, x, w, lam, h)
-        gap = float(np.max(np.linalg.norm(new - states, axis=-1)))
-        states = new
+        _sweep(plan, x, w, lam, h, (U, Y, new))
+        gap = _gap(new, states, U)
+        states, new = new, states
         if gap < tol:
             return Trajectory(times=times, states=states, lam=lam,
                               iterations=it, residual=gap)

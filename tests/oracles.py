@@ -16,7 +16,9 @@ oracles may use scipy and mpmath:
 * transition matrices and semilinear paths: classic RK4 time stepping
   (the library uses frozen-coefficient products and trapezoid Picard
   sweeps).  The step-by-step trapezoid loop is the reference for the
-  library's chunked scan sweep.
+  library's chunked scan sweep;
+* expressions: a recursive walk of the AST on every evaluation (the
+  library compiles each AST once into a tree of closures).
 """
 
 import mpmath
@@ -129,3 +131,59 @@ def loop_sweep(E, x, w, lam, h):
         z = z @ E[i].T
         out[i + 1] = z + lam * (J + 0.5 * h * w[i + 1])
     return out
+
+
+_WALK_FUNCTIONS = {
+    "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
+    "abs": np.abs, "min": np.minimum, "max": np.maximum,
+}
+
+
+def walk_expr(e, bindings=None):
+    """Value of an expression AST by recursive walking, pi always bound.
+
+    Dispatches on node class names (Num, Var, Neg, Bin, Call), so it needs
+    nothing from the library, and raises ValueError where evaluation is
+    undefined: division by zero, zero to a negative power, a fractional
+    power of a negative base, an unbound variable.
+    """
+    env = {"pi": np.pi}
+    if bindings:
+        env.update(bindings)
+    out = _walk(e, env)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _walk(e, env):
+    kind = type(e).__name__
+    if kind == "Num":
+        return e.value
+    if kind == "Var":
+        if e.name not in env:
+            raise ValueError(f"unbound variable {e.name!r}")
+        return env[e.name]
+    if kind == "Neg":
+        return -_walk(e.arg, env)
+    if kind == "Call":
+        return _WALK_FUNCTIONS[e.fn](*(_walk(arg, env) for arg in e.args))
+    a = _walk(e.lhs, env)
+    b = _walk(e.rhs, env)
+    if e.op == "+":
+        return a + b
+    if e.op == "-":
+        return a - b
+    if e.op == "*":
+        return a * b
+    if e.op == "/":
+        if np.any(np.asarray(b) == 0):
+            raise ValueError("division by zero")
+        return a / b
+    aa = np.asarray(a, dtype=float)
+    bb = np.asarray(b, dtype=float)
+    if np.any((aa == 0) & (bb < 0)):
+        raise ValueError("division by zero (zero base, negative exponent)")
+    with np.errstate(invalid="ignore"):
+        res = np.power(aa, bb)
+    if np.any(np.isnan(res)):
+        raise ValueError("invalid power (negative base, fractional exponent)")
+    return res if res.ndim else float(res)

@@ -181,6 +181,31 @@ def test_averaging_degree_scalar_quick():
         assert row.boundary_ok and row.degree == 1 and row.agrees
 
 
+def test_averaging_degree_solves_the_boundary_once_per_rung(monkeypatch):
+    import evolver.averaging as averaging
+
+    cm = get_model("rotation-damped-2d")
+    cloud = cm.region.boundary_samples(128)
+    solve = averaging.mild_solve
+    rows = {"boundary": 0, "all": 0}
+
+    def counted(R, F, x0, *args, **kwargs):
+        x = np.asarray(x0)
+        rows["all"] += x.size // x.shape[-1]
+        if x.shape == cloud.shape and np.array_equal(x, cloud):
+            rows["boundary"] += len(x)
+        return solve(R, F, x0, *args, **kwargs)
+
+    monkeypatch.setattr(averaging, "mild_solve", counted)
+    lambdas = [0.3, 0.1]
+    report = averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
+                                    grid=128, degree_grid=4)
+    assert rows["boundary"] == len(lambdas) * len(cloud)
+    assert rows["all"] > rows["boundary"]
+    assert report.verdict
+    assert all(r.boundary_ok and r.degree == report.d0 for r in report.rows)
+
+
 def test_averaging_degree_flags_boundary_fixed_point():
     # center the region so the periodic point sits exactly on the boundary
     cm = get_model("scalar-linear")

@@ -99,6 +99,23 @@ def test_deeply_nested_expression_exits_2(tmp_path, capsys):
     assert "config error" in err and "nested deeper" in err
 
 
+@pytest.mark.parametrize("component, code, stream", [
+    ("1/0", 1, "numeric failure"),
+    ("1/(t-t)", 1, "numeric failure"),
+    ("1+", 2, "config error"),
+])
+def test_inline_field_failures_keep_their_exit_codes(tmp_path, capsys, component,
+                                                    code, stream):
+    # a parse error is a config error; a field that divides by zero when it
+    # is evaluated is a numeric failure
+    model = {"A": [[-1.0]], "T": 1.0, "F": [component],
+             "region": {"kind": "ball", "center": [0.0], "radius": 1.0}}
+    cfg = _write_cfg(tmp_path, "f.json", {"model": model})
+    rc = main(["branching", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == code
+    assert stream in capsys.readouterr().err
+
+
 def test_degree_boundary_zero_exits_1(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "d.json", {"numeric": {"boundary_zero": True}})
     out = tmp_path / "out"

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evolver import ExprError, eval_expr, format_expr, free_vars, parse_expr
+from evolver import ExprError, compile_expr, eval_expr, format_expr, free_vars, parse_expr
 from evolver.exprlang import MAX_DEPTH, Bin, Call, Neg, Num, Var
+
+from oracles import walk_expr
 
 
 def test_basic_values():
@@ -80,6 +84,64 @@ def test_eval_errors():
         eval_expr(parse_expr("(-2)^0.5"), {})
     with pytest.raises(ExprError):
         eval_expr(parse_expr("t+1"), {})  # unbound variable
+
+
+def test_compiled_errors_raise_on_call_not_on_compile():
+    cases = [("1/0", {}), ("1/t", {"t": 0.0}), ("0^-1", {}), ("(-2)^0.5", {}),
+             ("t+1", {}), ("1/t", {"t": np.array([1.0, 0.0])}),
+             ("t^-1", {"t": np.array([1.0, 0.0])}),
+             ("t^0.5", {"t": np.array([1.0, -2.0])})]
+    for src, env in cases:
+        value = compile_expr(parse_expr(src))
+        with pytest.raises(ExprError):
+            value(env)
+
+
+_LEAVES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25, -1.0, -2.0]).map(Num),
+    st.floats(-4.0, 4.0).map(Num),
+    st.sampled_from(["t", "s", "T", "pi"]).map(Var),
+)
+
+
+def _branches(children):
+    return st.one_of(
+        children.map(Neg),
+        st.builds(Bin, st.sampled_from(["+", "-", "*", "/", "^"]), children, children),
+        st.builds(lambda fn, a: Call(fn, (a,)),
+                  st.sampled_from(["sin", "cos", "exp", "tanh", "abs"]), children),
+        st.builds(lambda fn, a, b: Call(fn, (a, b)),
+                  st.sampled_from(["min", "max"]), children, children),
+    )
+
+
+_SCALARS = st.one_of(st.sampled_from([0.0, 1.0, -2.0]), st.floats(-3.0, 3.0))
+
+
+def _check_against_walk(value, ast, env):
+    with np.errstate(all="ignore"):
+        try:
+            ref = walk_expr(ast, env)
+        except ValueError:
+            with pytest.raises(ExprError):
+                value(env)
+            return
+        got = value(env)
+    assert type(got) is type(ref)
+    assert np.array_equal(got, ref, equal_nan=True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(ast=st.recursive(_LEAVES, _branches, max_leaves=16),
+       env=st.fixed_dictionaries({"t": _SCALARS, "s": _SCALARS}, optional={"T": _SCALARS}),
+       column=st.lists(_SCALARS, min_size=4, max_size=4).map(np.array))
+def test_compiled_matches_tree_walk(ast, env, column):
+    # compiling never evaluates, so it cannot fail on a well-formed AST
+    value = compile_expr(ast)
+    # scalar bindings, then t and s arrays with T still scalar
+    for bindings in (env, {**env, "t": column, "s": column[::-1] - env["s"]}):
+        _check_against_walk(value, ast, bindings)
+    _check_against_walk(lambda bindings: eval_expr(ast, bindings), ast, env)
 
 
 def test_vectorized_eval_broadcasts():

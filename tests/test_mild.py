@@ -18,7 +18,7 @@ from evolver import (
     sigma_apply,
     translate,
 )
-from evolver.mild import _scan_plan, _sweep
+from evolver.mild import _gap, _scan_plan, _sweep, _workspace
 
 from oracles import loop_sweep, rk4_path
 
@@ -88,6 +88,58 @@ def test_scan_sweep_matches_loop(m, d, batch, lam, seed):
     assert out.shape == ref.shape
     assert np.array_equal(out[0], x)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2, 6])
+@pytest.mark.parametrize("batch", [(), (1,), (13,)])
+def test_sweep_through_a_used_workspace_is_exact(d, batch):
+    rng = np.random.default_rng(7 * d + len(batch))
+    for m in (36, 37):  # chunks fill the grid exactly, then with padding
+        h = 1.0 / m
+        S = rng.standard_normal((m, d, d))
+        E = scipy.linalg.expm(h * (S - S.transpose(0, 2, 1) - np.eye(d)))
+        plan = _scan_plan(E)
+        x = rng.standard_normal(batch + (d,))
+        work = _workspace(plan, m, x.shape)
+        for buf in work:
+            buf.fill(np.nan)
+        for _ in range(2):
+            w = rng.standard_normal((m + 1,) + batch + (d,))
+            out = _sweep(plan, x, w, 0.8, h, work)
+            assert out is work[2]
+            assert np.array_equal(out, _sweep(plan, x, w, 0.8, h))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_gap_is_sup_norm_of_the_difference(d):
+    rng = np.random.default_rng(d)
+    m, batch = 50, (7,)
+    scale = 10.0 ** rng.integers(-6, 7, size=(m + 1,) + batch + (d,))
+    a = rng.standard_normal(scale.shape) * scale
+    b = rng.standard_normal(scale.shape) * scale
+    b[0] = a[0]
+    a0, b0 = a.copy(), b.copy()
+    scratch = np.full((m + 4,) + batch + (d,), np.nan)
+    got = _gap(a, b, scratch)
+    ref = float(np.max(np.linalg.norm(a - b, axis=-1)))
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+    if d < 8:
+        assert got == ref
+    else:  # numpy's norm sums 8 or more components pairwise
+        assert got == pytest.approx(ref, rel=4e-16 * d, abs=0.0)
+
+
+def test_mild_field_may_return_a_view_of_the_path():
+    cm = get_model("scalar-linear")
+    R = build_evolution(cm.family, 128)
+    X = np.array([[0.5], [1.5], [-2.0]])
+    views = NonlinearField(F=lambda t, x: x[...], lipschitz=1.0, growth=1.0)
+    copies = NonlinearField(F=lambda t, x: x.copy(), lipschitz=1.0, growth=1.0)
+    a = mild_solve(R, views, X, lam=0.5, grid=128)
+    b = mild_solve(R, copies, X, lam=0.5, grid=128)
+    assert a.iterations == b.iterations > 2
+    assert np.array_equal(a.states, b.states)
+    assert a.residual == b.residual
 
 
 def test_mild_scalar_closed_form():
