@@ -124,16 +124,12 @@ def averaged_pair(family: GeneratorFamily, F, probes=None,
 
     def _mean_at(x):
         tcol = ts.reshape((-1,) + (1,) * x.ndim)
-        try:
-            vals = np.asarray(F(tcol, x[None, ...]), dtype=float)
-            if vals.shape == (len(ts),) + x.shape:
-                return np.tensordot(w, vals, axes=(0, 0))
-        except Exception:
-            pass
-        acc = w[0] * np.asarray(F(float(ts[0]), x), dtype=float)
-        for wi, ti in zip(w[1:], ts[1:]):
-            acc = acc + wi * np.asarray(F(float(ti), x), dtype=float)
-        return acc
+        vals = np.asarray(F(tcol, x[None, ...]), dtype=float)
+        if vals.shape != (len(ts),) + x.shape:
+            raise InvalidInputError(
+                f"field returned shape {vals.shape}, expected {(len(ts),) + x.shape}"
+            )
+        return np.tensordot(w, vals, axes=(0, 0))
 
     def F_hat(x):
         x = np.asarray(x, dtype=float)

@@ -105,6 +105,9 @@ def compile_field(exprs, T: float):
     """Componentwise field spec -> batched callable F(t, x).
 
     Component i is an expression in t, T and s, where s binds to x[..., i].
+    t broadcasts against the leading axes of x, and the result is shaped
+    broadcast_shapes(t, x.shape[:-1]) + (d,) once trailing axes of t that
+    face x's component axis are dropped.
     """
     asts = [parse_expr(src) for src in exprs]
     for ast in asts:
@@ -119,7 +122,7 @@ def compile_field(exprs, T: float):
         # drop trailing broadcast axes so t aligns with component slices
         while tt.ndim >= x.ndim and tt.ndim > 0:
             tt = tt[..., 0]
-        out = np.empty_like(x)
+        out = np.empty(np.broadcast_shapes(tt.shape, x.shape[:-1]) + x.shape[-1:])
         for i, value in enumerate(components):
             out[..., i] = value({"t": tt, "s": x[..., i], "T": T})
         return out

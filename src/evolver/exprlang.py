@@ -277,7 +277,8 @@ def eval_expr(e: Expr, bindings=None):
 
 
 def _divide(a, b):
-    if np.any(np.asarray(b) == 0):
+    zero = b == 0 if isinstance(b, float) else np.any(np.asarray(b) == 0)
+    if zero:
         raise ExprError("division by zero")
     return a / b
 

@@ -20,9 +20,11 @@ Phi_T, located either by direct iteration or by a damped Newton method
 on the period map with finite-difference Jacobians.
 
 All state-space operations broadcast over leading axes, so a batch of
-initial states (B, d) is propagated in one sweep; field callables must
-broadcast the same way, since every node of a sweep is evaluated in one
-call (a field that returns the wrong shape raises InvalidInputError).
+initial states (B, d) is propagated in one sweep.  Field callables must
+broadcast the same way and be node-local: the value at node i depends
+only on t_i and x_i, since each pass evaluates the field over blocks of
+whole time nodes into a buffer the solve owns (a field that returns the
+wrong shape raises InvalidInputError).
 """
 
 from __future__ import annotations
@@ -46,13 +48,28 @@ DEFAULT_GRID = 2048
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
 
+_FIELD_BLOCK = 1 << 14
+"""State doubles per field call in a Picard pass (128 KiB).
+
+A block this size keeps a field's temporaries small enough that the
+allocator reuses them instead of returning them to the kernel and
+faulting them in again on the next pass.  Measured with getrusage on a
+2-core host, a repeated default wave-periodic run takes 2.6k minor
+faults at 2^14 against 48.7k for one call over the whole path, and 41k
+at 2^15; at 2^10 per-call overhead doubles a continuation run (batches
+up to 208 states: 0.94 s against 0.46 s).
+"""
+
 
 @dataclass(frozen=True)
 class NonlinearField:
     """Nonlinearity F(t, x) with Lipschitz and growth metadata.
 
     F: (t, x) -> array shaped like x; should broadcast over leading axes
-       of x (with t scalar or broadcast-compatible).
+       of x (with t scalar or broadcast-compatible) and be node-local:
+       over a column of times t_i against states x_i, the value at node i
+       depends only on t_i and x_i, since a solve evaluates F in blocks
+       of whole nodes.
     lipschitz: L with ||F(t, x) - F(t, y)|| <= L ||x - y||
     growth: c with ||F(t, x)|| <= c (1 + ||x||)
     periodic: whether F(t + T, .) = F(t, .) is part of the contract
@@ -97,15 +114,25 @@ class Trajectory:
         return (1.0 - a) * self.states[i] + a * self.states[i + 1]
 
 
-def _eval_field(F, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """F evaluated at every node in one broadcast call (times as a column)."""
+def _eval_field(F, times: np.ndarray, states: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """F at every node, written into out (shaped like states).
+
+    F is called on consecutive blocks of whole time nodes, times as a
+    column, each block holding about _FIELD_BLOCK state doubles.  For a
+    node-local field the result equals that of one call over all nodes.
+    """
     tcol = times.reshape((-1,) + (1,) * (states.ndim - 1))
-    w = np.asarray(F(tcol, states), dtype=float)
-    if w.shape != states.shape:
-        raise InvalidInputError(
-            f"field returned shape {w.shape}, expected {states.shape}"
-        )
-    return w
+    step = max(1, _FIELD_BLOCK // states[0].size)
+    for i in range(0, len(times), step):
+        block = states[i:i + step]
+        w = np.asarray(F(tcol[i:i + step], block), dtype=float)
+        if w.shape != block.shape:
+            raise InvalidInputError(
+                f"field returned shape {w.shape}, expected {block.shape}"
+            )
+        out[i:i + step] = w
+    return out
 
 
 def _scan_plan(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +191,7 @@ def _sweep(plan: tuple[np.ndarray, np.ndarray], x: np.ndarray, w: np.ndarray,
     Every stage writes into the workspace with out= ufuncs and matmuls,
     overwriting what it held, so a pass allocates nothing of the path's
     size; the result is its out buffer.  w is only read and may alias
-    anything but the workspace (a field may return a view of its input).
+    anything but the workspace.
     """
     M, P = plan
     C, L, d = M.shape[0], M.shape[1], M.shape[-1]
@@ -241,9 +268,10 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
     """Picard iteration for the mild solution on [0, T].
 
     Starts from the constant path and iterates u <- Sigma(x0, F(., u), lam)
-    until the sup-norm update is below tol; every pass runs in one
-    workspace whose two state paths swap roles.  Raises ConvergenceError
-    (with the last update size) after max_iter sweeps or on blow-up.
+    until the sup-norm update is below tol; every pass evaluates the field
+    into one forcing path and runs in one workspace whose two state paths
+    swap roles.  Raises ConvergenceError (with the last update size) after
+    max_iter sweeps or on blow-up.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape[-1] != R.dim:
@@ -254,10 +282,11 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
     U, Y, new = _workspace(plan, grid, x.shape)
     states = np.empty_like(new)
     states[...] = x
+    w = np.empty_like(new)
     gap = np.inf
     blowup = 1e8 * (1.0 + float(np.max(np.linalg.norm(x, axis=-1))))
     for it in range(1, max_iter + 1):
-        w = _eval_field(F, times, states)
+        _eval_field(F, times, states, w)
         _sweep(plan, x, w, lam, h, (U, Y, new))
         gap = _gap(new, states, U)
         states, new = new, states

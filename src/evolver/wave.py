@@ -306,8 +306,9 @@ def nonlinear_field(model: WaveModel) -> NonlinearField:
     def F(t, z):
         z = np.asarray(z, dtype=float)
         c = project_nonlinearity(model, t, z[..., :k])
-        out = np.zeros_like(z)
-        out[..., k:] = -c
+        out = np.empty_like(z)
+        out[..., :k] = 0.0
+        np.negative(c, out=out[..., k:])
         return out
 
     # the collocation projector is nonexpansive on the resolved modes

@@ -88,6 +88,15 @@ def test_averaged_pair_catalog_scalar():
         assert batch[i, 0] == pytest.approx(avg.F_hat(X[i])[0], abs=1e-12)
 
 
+def test_averaged_field_with_wrong_shape_is_rejected():
+    cm = get_model("scalar-linear")
+    # right at single times (so the Simpson rule builds), wrong over a node column
+    bad = NonlinearField(F=lambda t, x: np.zeros(np.shape(x)), lipschitz=0.0, growth=0.0)
+    avg = averaged_pair(cm.family, bad)
+    with pytest.raises(InvalidInputError, match="expected"):
+        avg.F_hat(np.array([0.7]))
+
+
 def test_mu_rescale_endpoints_and_midpoint():
     cm = get_model("scalar-linear")
     fam = cm.family

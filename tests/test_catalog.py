@@ -87,6 +87,11 @@ def test_field_broadcast_shapes():
         for b in range(4):
             want = [x[i, b, 0] + t[i, 0, 0], 2.0 * x[i, b, 1]]
             assert np.allclose(out[i, b], want, atol=1e-14)
+    # every time node against one batch of states, as averaging evaluates it
+    out_n = F(t, x[None, 0])
+    assert out_n.shape == (5, 4, 2)
+    assert np.array_equal(out_n[:, :, 1], np.broadcast_to(2.0 * x[0, :, 1], (5, 4)))
+    assert np.array_equal(out_n[:, :, 0], x[0, :, 0] + t[:, :, 0])
     # scalar time against a batch of states
     out1 = F(0.5, x[0])
     assert out1.shape == (4, 2)

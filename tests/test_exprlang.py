@@ -87,7 +87,9 @@ def test_eval_errors():
 
 
 def test_compiled_errors_raise_on_call_not_on_compile():
-    cases = [("1/0", {}), ("1/t", {"t": 0.0}), ("0^-1", {}), ("(-2)^0.5", {}),
+    cases = [("1/0", {}), ("1/t", {"t": 0.0}), ("1/t", {"t": -0.0}),
+             ("1/t", {"t": np.float64(0.0)}), ("1/t", {"t": 0}),
+             ("1/t", {"t": np.array(0.0)}), ("0^-1", {}), ("(-2)^0.5", {}),
              ("t+1", {}), ("1/t", {"t": np.array([1.0, 0.0])}),
              ("t^-1", {"t": np.array([1.0, 0.0])}),
              ("t^0.5", {"t": np.array([1.0, -2.0])})]

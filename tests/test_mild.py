@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,10 +17,11 @@ from evolver import (
     fixed_point,
     get_model,
     mild_solve,
+    nonlinear_field,
     sigma_apply,
     translate,
 )
-from evolver.mild import _gap, _scan_plan, _sweep, _workspace
+from evolver.mild import _FIELD_BLOCK, _eval_field, _gap, _scan_plan, _sweep, _workspace
 
 from oracles import loop_sweep, rk4_path
 
@@ -206,6 +209,64 @@ def test_field_with_wrong_shape_is_rejected():
                          lipschitz=1.0, growth=1.0)
     with pytest.raises(InvalidInputError, match="expected"):
         mild_solve(R, bad, np.array([0.1, 0.2]), grid=64)
+
+
+def _catalog_field(key):
+    cm = get_model(key)
+    return cm, (cm.field if cm.field is not None else nonlinear_field(cm.wave))
+
+
+@pytest.mark.parametrize("key", ["scalar-linear", "rotation-damped-2d", "wave-k3"])
+@pytest.mark.parametrize("batch", [(), (1,), (13,), (208,), (2, 3)])
+def test_blocked_field_equals_one_call(key, batch):
+    cm, field = _catalog_field(key)
+    step = max(1, _FIELD_BLOCK // (int(np.prod(batch)) * cm.dim))
+    nodes = 2 * step + step // 2 + 1  # two full blocks and a short third
+    times = np.linspace(0.0, cm.T, nodes)
+    states = np.random.default_rng(71).standard_normal((nodes,) + batch + (cm.dim,))
+    calls = []
+
+    def counted(t, x):
+        calls.append(len(x))
+        return field(t, x)
+
+    got = _eval_field(counted, times, states, np.full_like(states, np.nan))
+    assert calls == [step, step, nodes - 2 * step]
+    tcol = times.reshape((-1,) + (1,) * (states.ndim - 1))
+    assert np.array_equal(got, field(tcol, states))
+
+
+def test_field_with_wrong_shape_in_its_last_block_is_rejected():
+    cm = get_model("rotation-damped-2d")
+    R = build_evolution(cm.family, 64)
+    X = np.zeros((208, 2))
+    grid = 3 * (_FIELD_BLOCK // X.size)
+
+    def last_block_bad(t, x):
+        return x[..., :1] if np.max(t) == cm.T else cm.field(t, x)
+
+    with pytest.raises(InvalidInputError, match="expected"):
+        mild_solve(R, NonlinearField(F=last_block_bad, lipschitz=1.0, growth=1.0),
+                   X, grid=grid)
+
+
+def test_mild_solve_allocates_no_path_sized_field_temporaries():
+    # the solve owns about four paths (two state paths, the forcing path and
+    # the scan buffer) plus the scan plan; a field evaluated over the whole
+    # path at once would add its own path-sized temporaries (11.1 paths)
+    cm, field = _catalog_field("wave-k3")
+    R = build_evolution(cm.family, 1024)
+    X = 0.3 * np.random.default_rng(72).standard_normal((13, cm.dim))
+    mild_solve(R, field, X, grid=1024)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = mild_solve(R, field, X, grid=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.iterations > 2
+    assert (peak - base) / traj.states.nbytes < 7.0
 
 
 def test_translate_interpolates():
