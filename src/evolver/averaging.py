@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .degree import DegreeReport, Region, brouwer_degree, deg_hat
+from .degree import BOUNDARY_DELTA, DegreeReport, Region, brouwer_degree, deg_hat
 from .errors import (
     ConvergenceError,
     EvolverError,
@@ -196,7 +196,7 @@ class BranchingReport:
 
 def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
                          U: Region, n: int = 1024, grid: int = DEFAULT_GRID,
-                         fp_tol: float = 1e-10, fp_method: str = "newton-on-map",
+                         fp_tol: float = 1e-10,
                          averaged: AveragedField | None = None) -> BranchingReport:
     """Track the period-map fixed point as lam decreases and measure
     its averaged-field defect ||A_hat x_lam + F_hat(x_lam)||.
@@ -216,8 +216,7 @@ def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
     for lam in lams:
         R = build_evolution(scale_family(family, lam), n)
         try:
-            fp = fixed_point(R, F, lam, x_start, method=fp_method,
-                             tol=fp_tol, grid=grid)
+            fp = fixed_point(R, F, lam, x_start, tol=fp_tol, grid=grid)
         except EvolverError as exc:
             rows.append(BranchingRow(lam=lam, ok=False, error=str(exc)))
             continue
@@ -287,11 +286,12 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
     """Compare deg(I - Phi_T^lam, U) with the averaged degree along lambdas.
 
     d0 = deg(x + A_hat^{-1} F_hat(x), U).  For each lam the boundary of U
-    is screened for fixed points of Phi_T (margin 1e-6 * (1 + field
-    scale)); when clear, the degree of x - Phi_T(x) is computed.  The
-    empirical threshold lambda0 is the largest sampled lam such that it
-    and every smaller sampled lam pass the boundary screen.  Equality
-    with d0 is expected for all sampled lam <= lambda0.
+    is screened for fixed points of Phi_T (margin BOUNDARY_DELTA * (1 +
+    field scale), as in brouwer_degree); when clear, the degree of
+    x - Phi_T(x) is computed.  The empirical threshold lambda0 is the
+    largest sampled lam such that it and every smaller sampled lam pass
+    the boundary screen.  Equality with d0 is expected for all sampled
+    lam <= lambda0.
     """
     avg = averaged if averaged is not None else averaged_pair(family, F, probes=U.midpoint)
     d0_report = deg_hat(avg.A_hat, avg.F_hat, U,
@@ -312,7 +312,7 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
         vals = np.asarray(g(samples), dtype=float)
         norms = np.linalg.norm(vals, axis=-1)
         scale = float(np.max(norms))
-        delta = 1e-6 * (1.0 + scale)
+        delta = BOUNDARY_DELTA * (1.0 + scale)
         bmin = float(np.min(norms))
         if bmin <= delta:
             rows.append(AveragingRow(lam=float(lam), boundary_ok=False,

@@ -195,7 +195,7 @@ def _require_wave(cm):
 
 # ---------------------------------------------------------------------------
 # experiment runners: each returns a dict with header, rows, metrics,
-# thresholds, ok, failing
+# thresholds and checks, the (metric, passed) pairs in verdict order
 
 
 def run_chernoff(cm, num, seed):
@@ -230,14 +230,6 @@ def run_chernoff(cm, num, seed):
         rows.append(["power", "", 3, n, e, "", ""])
     for n, e in zip(total.ns, total.errors):
         rows.append(["sum", "", 3, n, e, "", ""])
-    ok = violations == 0 and power.converged and total.converged
-    failing = None
-    if violations:
-        failing = "defect_violations"
-    elif not power.converged:
-        failing = "power_convergence"
-    elif not total.converged:
-        failing = "sum_convergence"
     return {
         "header": ["section", "sample", "dim", "n", "lhs_or_error", "rhs", "ok"],
         "rows": rows,
@@ -249,8 +241,11 @@ def run_chernoff(cm, num, seed):
             "sum_final_error": total.errors[-1],
         },
         "thresholds": {"defect_slack": 1e-9, "convergence_tol": 1e-3},
-        "ok": ok,
-        "failing": failing,
+        "checks": [
+            ("defect_violations", violations == 0),
+            ("power_convergence", power.converged),
+            ("sum_convergence", total.converged),
+        ],
     }
 
 
@@ -317,14 +312,6 @@ def run_evolsys(cm, num, seed):
         scaling_ok = scaling_ok and good
         rows.append(["continuity-scaling", "", ratio, "10/3..30", good])
 
-    checks = [
-        ("cocycle_defect", coc_max <= 1e-12),
-        ("refinement_order", order >= 0.9),
-        ("contraction_excess", excess <= 1e-9),
-        ("continuity_bound", cont_ok),
-        ("continuity_scaling", scaling_ok),
-    ]
-    failing = next((name for name, good in checks if not good), None)
     return {
         "header": ["section", "label", "value", "bound", "ok"],
         "rows": rows,
@@ -335,8 +322,13 @@ def run_evolsys(cm, num, seed):
             "continuity_lhs": lhss,
         },
         "thresholds": {"cocycle": 1e-12, "order": 0.9, "contraction": 1e-9},
-        "ok": failing is None,
-        "failing": failing,
+        "checks": [
+            ("cocycle_defect", coc_max <= 1e-12),
+            ("refinement_order", order >= 0.9),
+            ("contraction_excess", excess <= 1e-9),
+            ("continuity_bound", cont_ok),
+            ("continuity_scaling", scaling_ok),
+        ],
     }
 
 
@@ -350,7 +342,7 @@ def run_branching(cm, num, seed):
     )
     d = cm.dim
     header = (["lambda"] + ["x_star_%d" % i for i in range(d)]
-              + ["defect", "picard_iters", "residual", "ok", "error"])
+              + ["defect", "newton_iters", "residual", "ok", "error"])
     rows = []
     for r in report.rows:
         xs = list(r.x) if r.x is not None else [""] * d
@@ -361,12 +353,6 @@ def run_branching(cm, num, seed):
     )
     ratio = report.defect_ratio
     all_ok = all(r.ok for r in report.rows)
-    checks = [
-        ("fixed_point_failures", all_ok),
-        ("defect_ratio", bool(ratio <= 1e-2)),
-        ("defect_trend", trend_ok),
-    ]
-    failing = next((name for name, good in checks if not good), None)
     return {
         "header": header,
         "rows": rows,
@@ -377,8 +363,11 @@ def run_branching(cm, num, seed):
             "x_star_last": report.rows[-1].x if report.rows and report.rows[-1].ok else None,
         },
         "thresholds": {"defect_ratio": 1e-2},
-        "ok": failing is None,
-        "failing": failing,
+        "checks": [
+            ("fixed_point_failures", all_ok),
+            ("defect_ratio", bool(ratio <= 1e-2)),
+            ("defect_trend", trend_ok),
+        ],
     }
 
 
@@ -426,8 +415,7 @@ def run_degree(cm, num, seed):
         "rows": rows,
         "metrics": {"fields_checked": len(rows)},
         "thresholds": {},
-        "ok": all_ok,
-        "failing": None if all_ok else "degree_mismatch",
+        "checks": [("degree_mismatch", all_ok)],
     }
 
 
@@ -455,11 +443,6 @@ def run_averaging(cm, num, seed):
         wind = winding_number_2d(g_hat, cm.region)
         wind_ok = wind == report.d0
         rows.append(["winding", "", True, "", wind, wind_ok, ""])
-    checks = [
-        ("degree_equality", report.verdict),
-        ("winding_crosscheck", wind_ok),
-    ]
-    failing = next((name for name, good in checks if not good), None)
     return {
         "header": ["section", "lambda", "boundary_ok", "boundary_min",
                    "degree", "agrees", "error"],
@@ -467,8 +450,10 @@ def run_averaging(cm, num, seed):
         "metrics": {"d0": report.d0, "lambda0": report.lambda0,
                     "winding_d0": wind},
         "thresholds": {},
-        "ok": failing is None,
-        "failing": failing,
+        "checks": [
+            ("degree_equality", report.verdict),
+            ("winding_crosscheck", wind_ok),
+        ],
     }
 
 
@@ -493,21 +478,18 @@ def run_continuation(cm, num, seed):
                      tol=1e-8, grid=grid)
     inside = bool(cm.region.contains(fp.x))
     rows.append(["fixed-point", lam_top, inside, fp.residual, ""])
-    checks = [
-        ("averaged_degree_nonzero", report.d0 != 0),
-        ("boundary_clear", boundary_clear),
-        ("degree_constant", degrees_ok),
-        ("endpoint_fixed_point", inside and fp.residual <= 1e-8),
-    ]
-    failing = next((name for name, good in checks if not good), None)
     return {
         "header": ["section", "lambda", "ok", "value", "error"],
         "rows": rows,
         "metrics": {"d0": report.d0, "x_star": fp.x,
                     "fp_residual": fp.residual},
         "thresholds": {"fp_residual": 1e-8},
-        "ok": failing is None,
-        "failing": failing,
+        "checks": [
+            ("averaged_degree_nonzero", report.d0 != 0),
+            ("boundary_clear", boundary_clear),
+            ("degree_constant", degrees_ok),
+            ("endpoint_fixed_point", inside and fp.residual <= 1e-8),
+        ],
     }
 
 
@@ -530,11 +512,6 @@ def run_wave_periodic(cm, num, seed):
                                 grid=num.get("grid", 1024))
     rows.append(["periodic", 1.0, result.residual_eta, 1e-6,
                  result.residual_eta <= 1e-6])
-    checks = [
-        ("nondegeneracy", nondeg.verdict),
-        ("periodic_residual", result.residual_eta <= 1e-6),
-    ]
-    failing = next((name for name, good in checks if not good), None)
     return {
         "header": ["section", "lambda", "value", "bound", "ok"],
         "rows": rows,
@@ -546,8 +523,10 @@ def run_wave_periodic(cm, num, seed):
             "newton_iterations": result.fixed_point.iterations,
         },
         "thresholds": {"unit_gap": 1e-8, "residual": 1e-6},
-        "ok": failing is None,
-        "failing": failing,
+        "checks": [
+            ("nondegeneracy", nondeg.verdict),
+            ("periodic_residual", result.residual_eta <= 1e-6),
+        ],
     }
 
 
@@ -608,13 +587,6 @@ def run_wave_energy(cm, num, seed):
         rows.append(["invariance-coupled", "k=%d,k'=%d" % (ka, kb),
                      gap_c, "> 1e-8", coupled_good])
 
-    checks = [
-        ("dissipativity_rate", rate_ok),
-        ("energy_residual", bool(res0 < 1e-3)),
-        ("energy_halving", halving_ok),
-        ("eigenmode_invariance", inv_ok),
-    ]
-    failing = next((name for name, good in checks if not good), None)
     return {
         "header": ["section", "label", "value", "bound", "ok"],
         "rows": rows,
@@ -627,8 +599,12 @@ def run_wave_energy(cm, num, seed):
         },
         "thresholds": {"energy": 1e-3, "halving": [0.3, 0.7],
                        "invariance": 1e-10},
-        "ok": failing is None,
-        "failing": failing,
+        "checks": [
+            ("dissipativity_rate", rate_ok),
+            ("energy_residual", bool(res0 < 1e-3)),
+            ("energy_halving", halving_ok),
+            ("eigenmode_invariance", inv_ok),
+        ],
     }
 
 
@@ -710,16 +686,17 @@ def main(argv=None) -> int:
         print(f"[timing] {args.experiment}: {time.perf_counter() - t0:.2f}s",
               file=sys.stderr)
 
+    failing = next((name for name, good in result["checks"] if not good), None)
     summary.update({
-        "verdict": "pass" if result["ok"] else "fail",
+        "verdict": "pass" if failing is None else "fail",
         "metrics": result["metrics"],
         "thresholds": result["thresholds"],
-        "failing": result["failing"],
+        "failing": failing,
     })
     csv_path, json_path = _write_outputs(out_dir, args.experiment, result, summary)
     print(f"{args.experiment}: {summary['verdict']} ({csv_path}, {json_path})")
-    if not result["ok"]:
-        print(f"numeric failure: {result['failing']}", file=sys.stderr)
+    if failing is not None:
+        print(f"numeric failure: {failing}", file=sys.stderr)
         return 1
     return 0
 

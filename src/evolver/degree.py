@@ -2,10 +2,11 @@
 
 deg(g, U) = sum of sign det Dg(z) over the zeros z of g in U, provided g
 does not vanish on the boundary and every zero is regular.  Zeros are
-located by damped Newton iterations started on an interior lattice and
-then clustered; the boundary condition is certified on a sample cloud.
-For planar fields winding_number_2d gives an independent value by
-accumulating the argument of g along the boundary loop.
+located by linop.damped_newton from an interior lattice, polished by it
+to the residual floor, and clustered; the boundary condition is certified
+on a sample cloud.  For planar fields winding_number_2d gives an
+independent value by accumulating the argument of g along the boundary
+loop.
 
 Fields must be vectorized: g applied to an (..., d) array of points
 returns an (..., d) array of values.  Degree computations are capped at
@@ -14,8 +15,7 @@ d <= 4 (the lattice of Newton starts grows like grid^d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +26,18 @@ from .errors import (
     OracleFailureError,
     SingularResolventError,
 )
+from .linop import COND_LIMIT, CONVERGED, SINGULAR, damped_newton, fd_jacobians
 
 MAX_DEGREE_DIM = 4
 
 CLUSTER_RADIUS = 1e-6
 FD_STEP = 1e-6
 DET_FLOOR = 1e-8
+MAX_NEWTON = 60
+# both relative to 1 + max |g| on the boundary samples
+ZERO_TOL = 1e-8        # residual at which a Newton start has found a zero
+BOUNDARY_DELTA = 1e-6  # admissibility margin
+WINDING_SAMPLES = 256
 WINDING_MAX_SAMPLES = 2 ** 20
 
 
@@ -147,24 +153,12 @@ class DegreeReport:
     delta: float
 
 
-def _fd_jacobians(g, X: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Jacobians at each row of X: (K, d, d)."""
-    K, d = X.shape
-    probes = np.concatenate([
-        X[:, None, :] + h * np.eye(d)[None, :, :],
-        X[:, None, :] - h * np.eye(d)[None, :, :],
-    ], axis=1)                       # (K, 2d, d)
-    vals = np.asarray(g(probes.reshape(-1, d)), dtype=float).reshape(K, 2 * d, d)
-    return (vals[:, :d, :] - vals[:, d:, :]).transpose(0, 2, 1) / (2.0 * h)
-
-
-def _boundary_check(g, U: Region, boundary_m: int, delta, seed: int):
-    samples = U.boundary_samples(boundary_m, seed=seed)
+def _boundary_check(g, U: Region, boundary_m: int):
+    samples = U.boundary_samples(boundary_m)
     vals = np.asarray(g(samples), dtype=float)
     norms = np.linalg.norm(vals, axis=-1)
     scale = float(np.max(norms)) if norms.size else 0.0
-    if delta is None:
-        delta = 1e-6 * (1.0 + scale)
+    delta = BOUNDARY_DELTA * (1.0 + scale)
     worst = int(np.argmin(norms))
     if norms[worst] <= delta:
         raise InadmissibleRegionError(
@@ -177,17 +171,17 @@ def _boundary_check(g, U: Region, boundary_m: int, delta, seed: int):
 
 
 def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
-                   delta: float | None = None, max_newton: int = 60,
-                   zero_tol: float | None = None, seed: int = 0,
                    *, _screen: tuple | None = None) -> DegreeReport:
     """Degree of g on U by multi-start damped Newton and sign-summed Jacobians.
 
-    grid: Newton starts per axis (grid^d total).  delta: admissibility
-    margin, default 1e-6 * (1 + max boundary |g|).  _screen: the
-    (boundary_min, delta, scale) of a caller that already screened this
-    boundary cloud (internal).  Raises
+    grid: Newton starts per axis (grid^d total); a start finds a zero when
+    damped_newton brings |g| to ZERO_TOL (1 + max boundary |g|) within 4
+    spans of U's midpoint.  The admissibility margin is BOUNDARY_DELTA
+    (1 + max boundary |g|).  _screen: the (boundary_min, delta, scale) of
+    a caller that already screened this boundary cloud (internal).  Raises
     InadmissibleRegionError on boundary (near-)zeros, DegenerateZeroError
-    when a located zero has |det Dg| < 1e-8, InvalidInputError for d > 4.
+    when polishing a located zero meets cond(Dg) > COND_LIMIT or leaves
+    |det Dg| < DET_FLOOR, InvalidInputError for d > 4.
     The computation is deterministic: fixed start lattice, zeros sorted
     before clustering and summation.
     """
@@ -197,64 +191,30 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
             f"degree computations are capped at d <= {MAX_DEGREE_DIM}, got {d}"
         )
     if _screen is None:
-        _screen = _boundary_check(g, U, boundary_m, delta, seed)
+        _screen = _boundary_check(g, U, boundary_m)
     boundary_min, delta, scale = _screen
-    if zero_tol is None:
-        zero_tol = 1e-8 * (1.0 + scale)
 
-    X = U.interior_grid(grid)
-    alive = np.ones(len(X), dtype=bool)
-    vals = np.asarray(g(X), dtype=float)
-    res = np.linalg.norm(vals, axis=-1)
+    def jac(X):
+        return fd_jacobians(g, X, FD_STEP)
+
     span = float(np.max(U.hi - U.lo)) if U.kind == "box" else 2.0 * U.radius
-    for _ in range(max_newton):
-        todo = alive & (res > zero_tol)
-        if not np.any(todo):
-            break
-        idx = np.where(todo)[0]
-        J = _fd_jacobians(g, X[idx], FD_STEP)
-        dets = np.linalg.det(J)
-        ok = np.abs(dets) > 1e-300
-        # kill starts whose Jacobian collapsed
-        alive[idx[~ok]] = False
-        idx = idx[ok]
-        if idx.size == 0:
-            break
-        step = np.linalg.solve(J[ok], -vals[idx][..., None])[..., 0]
-        improved = np.zeros(len(idx), dtype=bool)
-        alpha = np.ones(len(idx))
-        for _ in range(7):
-            pending = ~improved
-            if not np.any(pending):
-                break
-            cand = X[idx[pending]] + alpha[pending, None] * step[pending]
-            cvals = np.asarray(g(cand), dtype=float)
-            cres = np.linalg.norm(cvals, axis=-1)
-            better = cres < res[idx[pending]]
-            sel = np.where(pending)[0][better]
-            X[idx[sel]] = cand[better]
-            vals[idx[sel]] = cvals[better]
-            res[idx[sel]] = cres[better]
-            improved[sel] = True
-            alpha[np.where(pending)[0][~better]] *= 0.5
-        alive[idx[~improved]] = False
-        # drop points that wandered far away
-        far = np.linalg.norm(X - U.midpoint, axis=-1) > 4.0 * span
-        alive &= ~far
-
-    hits = X[alive & (res <= zero_tol)]
-    hits = hits[U.contains(hits)]
-    zeros = _cluster(hits)
-    if zeros.size == 0:
-        return DegreeReport(value=0, zeros=np.empty((0, d)), signs=np.empty(0, int),
-                            dets=np.empty(0), boundary_min=boundary_min, delta=delta)
-    zeros = _cluster(_polish(g, zeros, max_newton))
-    zeros = zeros[U.contains(zeros)]
-    if zeros.size == 0:
-        return DegreeReport(value=0, zeros=np.empty((0, d)), signs=np.empty(0, int),
-                            dets=np.empty(0), boundary_min=boundary_min, delta=delta)
-    J = _fd_jacobians(g, zeros, FD_STEP)
-    dets = np.linalg.det(J)
+    mid = U.midpoint
+    search = damped_newton(
+        g, jac, U.interior_grid(grid), tol=ZERO_TOL * (1.0 + scale),
+        max_iter=MAX_NEWTON, tries=7,
+        keep=lambda X: np.linalg.norm(X - mid, axis=-1) <= 4.0 * span)
+    hits = search.x[search.status == CONVERGED]
+    zeros = _cluster(hits[U.contains(hits)])
+    if zeros.size:
+        # polish to the residual floor: a degenerate zero creeps on toward
+        # the true zero until its Jacobian turns singular or fails DET_FLOOR
+        polish = damped_newton(g, jac, zeros, tol=0.0, max_iter=MAX_NEWTON, tries=1)
+        bad = polish.x[(polish.status == SINGULAR) & U.contains(polish.x)]
+        if bad.size:
+            raise DegenerateZeroError(f"zero at {bad[0]} has cond(Dg) > {COND_LIMIT:.0e}")
+        zeros = _cluster(polish.x)
+        zeros = zeros[U.contains(zeros)]
+    dets = np.linalg.det(jac(zeros)) if zeros.size else np.empty(0)
     small = np.abs(dets) < DET_FLOOR
     if np.any(small):
         z = zeros[int(np.where(small)[0][0])]
@@ -266,81 +226,41 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
                         dets=dets, boundary_min=boundary_min, delta=delta)
 
 
-def _polish(g, Z: np.ndarray, max_newton: int) -> np.ndarray:
-    """Drive located zeros down to the residual floor with full Newton steps.
-
-    A regular zero reaches machine-level residual in a couple of steps and
-    then stalls, which ends its polishing; a degenerate zero keeps creeping
-    toward the true zero, where the collapsing Jacobian becomes visible to
-    the determinant guard.
-    """
-    Z = Z.copy()
-    done = np.zeros(len(Z), dtype=bool)
-    vals = np.asarray(g(Z), dtype=float)
-    res = np.linalg.norm(vals, axis=-1)
-    for _ in range(max_newton):
-        todo = ~done & (res > 0.0)
-        if not np.any(todo):
-            break
-        idx = np.where(todo)[0]
-        J = _fd_jacobians(g, Z[idx], FD_STEP)
-        dets = np.linalg.det(J)
-        ok = np.abs(dets) > 1e-300
-        done[idx[~ok]] = True
-        idx = idx[ok]
-        if idx.size == 0:
-            break
-        step = np.linalg.solve(J[ok], -vals[idx][..., None])[..., 0]
-        cand = Z[idx] + step
-        cvals = np.asarray(g(cand), dtype=float)
-        cres = np.linalg.norm(cvals, axis=-1)
-        better = cres < res[idx]
-        sel = idx[better]
-        Z[sel] = cand[better]
-        vals[sel] = cvals[better]
-        res[sel] = cres[better]
-        done[idx[~better]] = True
-    return Z
-
-
 def _cluster(points: np.ndarray) -> np.ndarray:
-    """Greedy clustering with radius CLUSTER_RADIUS; deterministic order."""
+    """Greedy clustering with radius CLUSTER_RADIUS; deterministic order.
+
+    In lexicographic order, each unlabelled point founds a cluster of the
+    unlabelled points within the radius; clusters return as their means.
+    """
     if len(points) == 0:
         return points
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    reps: list[np.ndarray] = []
-    members: list[list[np.ndarray]] = []
-    for p in pts:
-        for i, r in enumerate(reps):
-            if np.linalg.norm(p - r) <= CLUSTER_RADIUS:
-                members[i].append(p)
-                break
-        else:
-            reps.append(p)
-            members.append([p])
-    return np.array([np.mean(ms, axis=0) for ms in members])
+    pts = points[np.lexsort(points.T[::-1])]
+    label = np.full(len(pts), -1)
+    for i in range(len(pts)):
+        if label[i] < 0:
+            near = np.linalg.norm(pts - pts[i], axis=1) <= CLUSTER_RADIUS
+            label[near & (label < 0)] = i
+    return np.array([pts[label == i].mean(axis=0) for i in np.unique(label)])
 
 
-def winding_number_2d(g, U: Region, m: int = 256, delta: float | None = None,
-                      seed: int = 0) -> int:
+def winding_number_2d(g, U: Region) -> int:
     """Winding number of a planar field along the boundary loop of U.
 
     Accumulates the argument increment of g between consecutive boundary
-    samples, doubling the sample count until every step turns by less
-    than pi/2.  Raises OracleFailureError beyond 2^20 samples and
-    InadmissibleRegionError if |g| dips below delta on the loop.
+    samples, doubling the sample count from WINDING_SAMPLES until every
+    step turns by less than pi/2.  Raises OracleFailureError beyond 2^20
+    samples and InadmissibleRegionError if |g| dips below
+    BOUNDARY_DELTA * (1 + max |g|) on the loop.
     Independent of the Newton-based degree computation.
     """
     if U.dim != 2:
         raise InvalidInputError("winding numbers need d = 2")
+    m = WINDING_SAMPLES
     while True:
-        loop = U.boundary_samples(m, seed=seed)
+        loop = U.boundary_samples(m)
         vals = np.asarray(g(loop), dtype=float)
         norms = np.linalg.norm(vals, axis=-1)
-        scale = float(np.max(norms))
-        d_eff = 1e-6 * (1.0 + scale) if delta is None else delta
-        if np.min(norms) <= d_eff:
+        if np.min(norms) <= BOUNDARY_DELTA * (1.0 + float(np.max(norms))):
             worst = int(np.argmin(norms))
             raise InadmissibleRegionError(
                 f"field nearly vanishes on the boundary loop: |g| = "
@@ -375,7 +295,7 @@ def deg_hat(A_hat, F_hat, U: Region, **kwargs) -> DegreeReport:
     """
     A = np.asarray(A_hat, dtype=float)
     cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > 1e12:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularResolventError(
             f"averaged generator is numerically singular (cond = {cond:.3e})"
         )

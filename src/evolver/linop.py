@@ -1,4 +1,5 @@
-"""Dense linear-operator substrate: exponentials, norms, resolvents.
+"""Dense linear-operator substrate: exponentials, norms, resolvents, and
+damped_newton, the one Newton loop of degree and mild.fixed_point.
 
 Matrices and vectors are plain numpy arrays (float64).  Dimensions are
 capped at MAX_DIM; everything here is small and dense by design.  Norms
@@ -7,6 +8,9 @@ them.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -174,3 +178,103 @@ def resolvent(M, mu: float) -> np.ndarray:
             f"mu = {mu} is (numerically) in the spectrum: cond = {cond:.3e}"
         )
     return np.linalg.solve(S, np.eye(d))
+
+
+# how a damped_newton start ended
+CONVERGED, SINGULAR, STALLED, ESCAPED, OUT_OF_ITERATIONS = range(5)
+
+
+def fd_jacobians(g, X: np.ndarray, h) -> np.ndarray:
+    """Central-difference Jacobians at each row of X: (K, d, d).
+
+    h: one step for all rows, or a (K,) step per row.
+    """
+    K, d = X.shape
+    h = np.reshape(h, (-1, 1, 1))
+    probes = np.concatenate([
+        X[:, None, :] + h * np.eye(d)[None, :, :],
+        X[:, None, :] - h * np.eye(d)[None, :, :],
+    ], axis=1)                       # (K, 2d, d)
+    vals = np.asarray(g(probes.reshape(-1, d)), dtype=float).reshape(K, 2 * d, d)
+    return (vals[:, :d, :] - vals[:, d:, :]).transpose(0, 2, 1) / (2.0 * h)
+
+
+@dataclass
+class NewtonRecord:
+    """Per-start outcome of damped_newton: row k of each array is start k.
+
+    x, gx: final iterates and G there; residual: |G(x)|; status: CONVERGED,
+    SINGULAR, STALLED, ESCAPED or OUT_OF_ITERATIONS; jacobians, halvings
+    (rejected trial steps): counts; cond: cond(J) of the last Jacobian (nan
+    before any); history: (K, iterations + 1) residuals at the start and
+    after each accepted step, nan where a start took no step.
+    """
+
+    x: np.ndarray
+    gx: np.ndarray
+    residual: np.ndarray
+    status: np.ndarray
+    jacobians: np.ndarray
+    halvings: np.ndarray
+    cond: np.ndarray
+    history: np.ndarray
+
+
+def damped_newton(G, jac, X, tol: float, max_iter: int, tries: int,
+                  keep: Callable | None = None) -> NewtonRecord:
+    """Damped Newton on G(x) = 0 from each row of X (K, d), in lockstep.
+
+    G maps (k, d) rows to (k, d) values, jac to (k, d, d) Jacobians.  Each
+    iteration solves J s = -G(x) at every running start and tries
+    x + alpha s for alpha = 1, 1/2, ... (tries trials), accepting the first
+    that lowers |G|.  A start ends converged (|G(x)| <= tol), singular
+    (cond(J) > COND_LIMIT, no step taken), stalled (no trial lowered |G|),
+    escaped (an accepted step left keep) or out of iterations.  tol = 0
+    with tries = 1 polishes: full steps until |G| stops falling.
+    """
+    X = np.array(X, dtype=float)
+    gx = np.asarray(G(X), dtype=float)
+    res = np.linalg.norm(gx, axis=-1)
+    # a start runs while its status reads out of iterations
+    status = np.where(res <= tol, CONVERGED, OUT_OF_ITERATIONS)
+    jacobians = np.zeros(len(X), dtype=int)
+    halvings = np.zeros(len(X), dtype=int)
+    cond = np.full(len(X), np.nan)
+    history = [res.copy()]
+    for _ in range(max_iter):
+        idx = np.flatnonzero(status == OUT_OF_ITERATIONS)
+        if idx.size == 0:
+            break
+        J = np.asarray(jac(X[idx]), dtype=float)
+        jacobians[idx] += 1
+        finite = np.all(np.isfinite(J), axis=(1, 2))
+        cond[idx] = np.inf
+        cond[idx[finite]] = np.linalg.cond(J[finite])
+        ok = cond[idx] <= COND_LIMIT
+        status[idx[~ok]] = SINGULAR
+        idx = idx[ok]
+        if idx.size == 0:
+            break
+        step = np.linalg.solve(J[ok], -gx[idx][..., None])[..., 0]
+        before, pending = res[idx], idx
+        for i in range(tries):
+            cand = X[pending] + 0.5 ** i * step
+            cvals = np.asarray(G(cand), dtype=float)
+            cres = np.linalg.norm(cvals, axis=-1)
+            better = cres < res[pending]
+            sel = pending[better]
+            X[sel], gx[sel], res[sel] = cand[better], cvals[better], cres[better]
+            halvings[pending[~better]] += 1
+            pending, step = pending[~better], step[~better]
+            if pending.size == 0:
+                break
+        status[pending] = STALLED
+        moved = idx[res[idx] < before]
+        status[moved[res[moved] <= tol]] = CONVERGED
+        if keep is not None:
+            status[moved[~keep(X[moved])]] = ESCAPED
+        history.append(np.full(len(X), np.nan))
+        history[-1][moved] = res[moved]
+    return NewtonRecord(x=X, gx=gx, residual=res, status=status,
+                        jacobians=jacobians, halvings=halvings, cond=cond,
+                        history=np.stack(history, axis=1))

@@ -16,8 +16,8 @@ pass and its sup-norm gap fill in place, are built once per solve.  It
 only multiplies step operators and never inverts one, since the inverse
 of a strongly damped step would amplify roundoff.  The translation-by-t
 map Phi_t(x) follows, and T-periodic states are the fixed points of
-Phi_T, located either by direct iteration or by a damped Newton method
-on the period map with finite-difference Jacobians.
+Phi_T, located by the library's one damped-Newton kernel
+(linop.damped_newton) on Phi_T(x) - x with finite-difference Jacobians.
 
 All state-space operations broadcast over leading axes, so a batch of
 initial states (B, d) is propagated in one sweep.  Field callables must
@@ -29,7 +29,7 @@ wrong shape raises InvalidInputError).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,7 @@ from .errors import (
     PreconditionError,
 )
 from .evolsys import EvolutionSystem
-from .linop import as_vector
+from .linop import CONVERGED, SINGULAR, STALLED, as_vector, damped_newton, fd_jacobians
 
 DEFAULT_GRID = 2048
 
@@ -316,89 +316,48 @@ def translate(R: EvolutionSystem, F, t: float, x, lam: float = 1.0,
 
 @dataclass
 class FixedPointResult:
-    """Outcome of a period-map fixed-point solve."""
+    """Outcome of a period-map fixed-point solve: history holds the residual
+    at each of the iterations iterates (accepted Newton steps plus one)."""
 
     x: np.ndarray
     residual: float
     iterations: int
-    method: str
-    history: list = field(default_factory=list)
+    history: list
 
 
-def fixed_point(R: EvolutionSystem, F, lam: float, x_init,
-                method: str = "newton-on-map", tol: float = 1e-8,
+def fixed_point(R: EvolutionSystem, F, lam: float, x_init, tol: float = 1e-8,
                 max_iter: int = 60, grid: int = DEFAULT_GRID,
                 picard_tol: float = PICARD_TOL) -> FixedPointResult:
     """Fixed point of the period map Phi_T, i.e. a T-periodic initial state.
 
-    method "picard": direct iteration x <- Phi_T(x); suits contractive
-    period maps.  method "newton-on-map" (alias "newton"): damped Newton
-    on Phi_T(x) - x with central finite-difference Jacobians, batch
-    evaluated.  Raises DegenerateFixedPointError when DPhi - I is
-    numerically singular and ConvergenceError when the residual
-    ||Phi_T(x) - x|| does not reach tol.
+    damped_newton on G(x) = Phi_T(x) - x from x_init as a batch of one,
+    with 8 trial steps and central-difference Jacobians at the step
+    1e-6 (1 + ||x||), their 2d probes solved as one batch.  Raises
+    DegenerateFixedPointError when DPhi - I is numerically singular
+    (cond > COND_LIMIT) and ConvergenceError when ||Phi_T(x) - x|| does
+    not reach tol (the step stalled or max_iter iterations ran out).
     """
     x = as_vector(x_init, R.dim)
-    d = R.dim
 
-    def phi(batch):
-        traj = mild_solve(R, F, batch, lam=lam, grid=grid, tol=picard_tol)
-        return traj.final
+    def G(X):
+        return mild_solve(R, F, X, lam=lam, grid=grid, tol=picard_tol).final - X
 
-    history = []
-    if method == "picard":
-        for it in range(1, max_iter + 1):
-            fx = phi(x)
-            res = float(np.linalg.norm(fx - x))
-            history.append(res)
-            x = fx
-            if res <= tol:
-                return FixedPointResult(x=x, residual=res, iterations=it,
-                                        method=method, history=history)
-        raise ConvergenceError(
-            f"picard fixed-point iteration stalled at residual {history[-1]:.3e}",
-            residual=history[-1],
+    def jac(X):
+        return fd_jacobians(G, X, 1e-6 * (1.0 + np.linalg.norm(X, axis=-1)))
+
+    rec = damped_newton(G, jac, x[None], tol, max_iter, tries=8)
+    res = float(rec.residual[0])
+    history = [float(r) for r in rec.history[0] if not np.isnan(r)]
+    if rec.status[0] == SINGULAR:
+        raise DegenerateFixedPointError(
+            f"period-map Jacobian is singular at iteration {rec.jacobians[0]} "
+            f"(cond = {rec.cond[0]:.3e})",
+            residual=res,
         )
-
-    if method not in ("newton-on-map", "newton"):
-        raise InvalidInputError(f"unknown fixed-point method {method!r}")
-
-    res = np.inf
-    for it in range(1, max_iter + 1):
-        hstep = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-        probes = np.concatenate([
-            x[None, :],
-            x[None, :] + hstep * np.eye(d),
-            x[None, :] - hstep * np.eye(d),
-        ])
-        values = phi(probes)
-        fx = values[0]
-        g = fx - x
-        res = float(np.linalg.norm(g))
-        history.append(res)
-        if res <= tol:
-            return FixedPointResult(x=x, residual=res, iterations=it,
-                                    method=method, history=history)
-        Dphi = (values[1:d + 1] - values[d + 1:]).T / (2.0 * hstep)
-        J = Dphi - np.eye(d)
-        cond = np.linalg.cond(J)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise DegenerateFixedPointError(
-                f"period-map Jacobian is singular at iteration {it} "
-                f"(cond = {cond:.3e})",
-                residual=res,
-            )
-        step = np.linalg.solve(J, -g)
-        # backtrack if the full step does not reduce the defect
-        alpha = 1.0
-        for _ in range(8):
-            cand = x + alpha * step
-            cres = float(np.linalg.norm(phi(cand) - cand))
-            if cres < res:
-                break
-            alpha *= 0.5
-        x = x + alpha * step
-    raise ConvergenceError(
-        f"newton-on-map stalled at residual {res:.3e} after {max_iter} iterations",
-        residual=res,
-    )
+    if rec.status[0] != CONVERGED:
+        why = (f"stalled at residual {res:.3e} after {len(history)} iterations"
+               if rec.status[0] == STALLED else f"did not reach {tol:.1e} in "
+               f"{max_iter} iterations (residual {res:.3e})")
+        raise ConvergenceError(f"newton-on-map {why}", residual=res)
+    return FixedPointResult(x=rec.x[0], residual=res, iterations=len(history),
+                            history=history)

@@ -496,8 +496,7 @@ def find_periodic_wave(model: WaveModel, lam: float = 1.0, x_init=None,
     field = nonlinear_field(model)
     R = build_evolution(scale_family(model.family, lam), n)
     x0 = np.zeros(model.dim) if x_init is None else np.asarray(x_init, dtype=float)
-    fp = fixed_point(R, field, lam, x0, method="newton-on-map",
-                     tol=fp_tol, grid=grid)
+    fp = fixed_point(R, field, lam, x0, tol=fp_tol, grid=grid)
     traj = mild_solve(R, field, fp.x, lam=lam, grid=grid)
     gap = traj.final - fp.x
     residual = float(np.sqrt(max(gap @ (model.eta_metric.G @ gap), 0.0)))

@@ -18,7 +18,9 @@ oracles may use scipy and mpmath:
   sweeps).  The step-by-step trapezoid loop is the reference for the
   library's chunked scan sweep;
 * expressions: a recursive walk of the AST on every evaluation (the
-  library compiles each AST once into a tree of closures).
+  library compiles each AST once into a tree of closures);
+* fixed points of a contractive period map: direct iteration
+  x <- Phi(x) (the library runs damped Newton on Phi(x) - x).
 """
 
 import mpmath
@@ -131,6 +133,22 @@ def loop_sweep(E, x, w, lam, h):
         z = z @ E[i].T
         out[i + 1] = z + lam * (J + 0.5 * h * w[i + 1])
     return out
+
+
+def picard_fixed_point(phi, x, tol, max_iter=200):
+    """Fixed point of a contractive map by direct iteration x <- phi(x).
+
+    Returns (x, iterations) once the update |phi(x) - x| is at most tol;
+    raises AssertionError after max_iter iterations.
+    """
+    x = np.asarray(x, dtype=float)
+    for it in range(1, max_iter + 1):
+        fx = np.asarray(phi(x), dtype=float)
+        step = float(np.linalg.norm(fx - x))
+        x = fx
+        if step <= tol:
+            return x, it
+    raise AssertionError(f"direct iteration stalled at update {step:.3e}")
 
 
 _WALK_FUNCTIONS = {

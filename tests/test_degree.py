@@ -11,6 +11,15 @@ from evolver import (
     deg_hat,
     winding_number_2d,
 )
+from evolver.degree import _cluster
+from evolver.linop import (
+    CONVERGED,
+    ESCAPED,
+    OUT_OF_ITERATIONS,
+    SINGULAR,
+    STALLED,
+    damped_newton,
+)
 
 
 def _complex_power(m, c=0.1):
@@ -141,6 +150,21 @@ def test_degenerate_zero_raises():
     with pytest.raises(DegenerateZeroError):
         brouwer_degree(g, Region.ball([0.1], 0.5), grid=8)
 
+    # planar fields whose only zero, the origin, is degenerate
+    U = Region.ball([0.1, 0.05], 0.5)
+    # with the factor 200, cond(Dg) passes COND_LIMIT while |det Dg| is
+    # still above DET_FLOOR: polishing must report that as degenerate (on
+    # (200 x, y^3) the polished starts otherwise stay apart and count 3)
+    for h in (lambda x, y: (x, y ** 2), lambda x, y: (200.0 * x, y ** 2),
+              lambda x, y: (x, y ** 3), lambda x, y: (200.0 * x, y ** 3),
+              lambda x, y: (x ** 2 - y ** 2, 2.0 * x * y)):
+        def g2(p, h=h):
+            p = np.asarray(p, dtype=float)
+            return np.stack(h(p[..., 0], p[..., 1]), axis=-1)
+
+        with pytest.raises(DegenerateZeroError):
+            brouwer_degree(g2, U, grid=8)
+
 
 def test_dimension_cap():
     U = Region.ball(np.zeros(5), 1.0)
@@ -163,3 +187,84 @@ def test_deg_hat_singular_generator():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularResolventError):
         deg_hat(A, lambda x: np.asarray(x), Region.ball([0.0, 0.0], 1.0))
+
+
+def _piecewise(X):
+    # x^2 + 1 below 1 (no zero, singular at 0), x - 3 on [1, 4),
+    # (x - 6)^3 on [4, 8) (Newton contracts by 2/3), x - 20 above 8
+    x = X[..., 0]
+    bands = [x < 1.0, x < 4.0, x < 8.0]
+    value = np.select(bands, [x ** 2 + 1.0, x - 3.0, (x - 6.0) ** 3], x - 20.0)
+    slope = np.select(bands, [2.0 * x, np.ones_like(x), 3.0 * (x - 6.0) ** 2], 1.0)
+    return value[..., None], slope[..., None, None]
+
+
+def test_damped_newton_records_every_status():
+    starts = np.array([[0.0], [0.5], [2.0], [3.0], [7.0], [11.0]])
+    rec = damped_newton(lambda X: _piecewise(X)[0], lambda X: _piecewise(X)[1],
+                        starts, tol=1e-12, max_iter=3, tries=1,
+                        keep=lambda X: X[:, 0] < 15.0)
+    q = (2.0 / 3.0) ** 3
+    expect = [
+        # status, x, jacobians, halvings, cond, history
+        (SINGULAR, 0.0, 1, 0, np.inf, [1.0]),
+        (STALLED, 0.5, 1, 1, 1.0, [1.25]),
+        (CONVERGED, 3.0, 1, 0, 1.0, [1.0, 0.0]),
+        (CONVERGED, 3.0, 0, 0, np.nan, [0.0]),
+        (OUT_OF_ITERATIONS, 6.0 + q, 3, 0, 1.0, [1.0, q, q ** 2, q ** 3]),
+        (ESCAPED, 20.0, 1, 0, 1.0, [9.0, 0.0]),
+    ]
+    assert rec.x.shape == rec.gx.shape == (6, 1)
+    assert rec.history.shape == (6, 4)
+    for k, (status, x, jacs, halvings, cond, history) in enumerate(expect):
+        assert rec.status[k] == status
+        assert rec.x[k, 0] == pytest.approx(x, rel=1e-12)
+        assert np.array_equal(rec.gx[k], _piecewise(rec.x[k:k + 1])[0][0])
+        assert rec.residual[k] == abs(rec.gx[k, 0])
+        assert rec.jacobians[k] == jacs
+        assert rec.halvings[k] == halvings
+        assert rec.cond[k] == cond or (np.isnan(cond) and np.isnan(rec.cond[k]))
+        steps = rec.history[k][~np.isnan(rec.history[k])]
+        assert steps == pytest.approx(history, rel=1e-12)
+        assert steps[-1] == rec.residual[k]
+        assert np.all(np.isnan(rec.history[k, len(history):]))
+
+
+def test_damped_newton_halves_until_the_residual_falls():
+    # from 0.5 the full step to -0.75 raises x^2 + 1; half of it lands at
+    # -0.125, which lowers it
+    rec = damped_newton(lambda X: _piecewise(X)[0], lambda X: _piecewise(X)[1],
+                        np.array([[0.5]]), tol=0.0, max_iter=1, tries=2)
+    assert rec.status[0] == OUT_OF_ITERATIONS
+    assert rec.halvings[0] == 1
+    assert rec.x[0, 0] == -0.125
+    assert rec.history.tolist() == [[1.25, 1.015625]]
+
+
+def test_polishing_reaches_the_residual_floor():
+    # zero (sqrt 2, sqrt 2) of (x^2 - 2, y - x); full steps until |G| stops falling
+    def G(X):
+        return np.stack([X[:, 0] ** 2 - 2.0, X[:, 1] - X[:, 0]], axis=-1)
+
+    def jac(X):
+        J = np.zeros((len(X), 2, 2))
+        J[:, 0, 0] = 2.0 * X[:, 0]
+        J[:, 1, 0] = -1.0
+        J[:, 1, 1] = 1.0
+        return J
+
+    starts = np.sqrt(2.0) + np.array([[1e-3, -2e-3], [-5e-4, 1e-4], [0.3, 0.1]])
+    rec = damped_newton(G, jac, starts, tol=0.0, max_iter=60, tries=1)
+    assert np.all((rec.status == CONVERGED) | (rec.status == STALLED))
+    assert np.all(rec.residual <= 4.0 * np.finfo(float).eps)
+    assert np.allclose(rec.x, np.sqrt(2.0), rtol=0.0, atol=4e-16)
+    assert np.all(rec.halvings == (rec.status == STALLED))
+
+
+def test_cluster_is_greedy_in_lexicographic_order():
+    # a chain of points 0.9e-6 apart: 0 founds a cluster that takes 0.9e-6;
+    # 1.8e-6 is too far from 0 and founds the next, which takes 2.7e-6
+    pts = np.array([[2.7e-6, 1.0], [0.0, 1.0], [1.8e-6, 1.0], [0.9e-6, 1.0]])
+    assert np.allclose(_cluster(pts), [[0.45e-6, 1.0], [2.25e-6, 1.0]],
+                       rtol=0.0, atol=1e-15)
+    assert _cluster(np.empty((0, 2))).shape == (0, 2)

@@ -23,7 +23,7 @@ from evolver import (
 )
 from evolver.mild import _FIELD_BLOCK, _eval_field, _gap, _scan_plan, _sweep, _workspace
 
-from oracles import loop_sweep, rk4_path
+from oracles import loop_sweep, picard_fixed_point, rk4_path
 
 # periodic solution of u' = lam(-u + 2 + sin(2 pi t)) starts at
 # x_lam = 2 - 2 pi lam / (lam^2 + 4 pi^2)
@@ -281,22 +281,26 @@ def test_translate_interpolates():
         translate(R, cm.field, 2.0, x)
 
 
-def test_fixed_point_picard_scalar():
+def test_fixed_point_scalar_closed_form():
     cm = get_model("scalar-linear")
     R = build_evolution(cm.family, 1024)
-    fp = fixed_point(R, cm.field, 1.0, [0.0], method="picard", tol=1e-10)
+    fp = fixed_point(R, cm.field, 1.0, [0.0], tol=1e-10)
     assert fp.x[0] == pytest.approx(_scalar_periodic_start(1.0), abs=1e-5)
     assert fp.residual <= 1e-10
-    assert fp.method == "picard"
+    # one residual per iterate, the last one the reported residual
+    assert len(fp.history) == fp.iterations
+    assert fp.history[-1] == fp.residual
+    assert all(b < a for a, b in zip(fp.history, fp.history[1:]))
 
 
 def test_fixed_point_newton_matches_picard():
     cm = get_model("scalar-linear")
     R = build_evolution(cm.family, 1024)
-    newton = fixed_point(R, cm.field, 1.0, [0.0], method="newton-on-map", tol=1e-10)
-    picard = fixed_point(R, cm.field, 1.0, [0.0], method="picard", tol=1e-10)
-    assert abs(newton.x[0] - picard.x[0]) < 1e-8
-    assert newton.iterations <= picard.iterations
+    newton = fixed_point(R, cm.field, 1.0, [0.0], tol=1e-10)
+    picard, picard_iters = picard_fixed_point(
+        lambda x: mild_solve(R, cm.field, x).final, [0.0], tol=1e-10)
+    assert abs(newton.x[0] - picard[0]) < 1e-8
+    assert newton.iterations <= picard_iters
 
 
 def test_fixed_point_rotation_2d():
@@ -316,7 +320,7 @@ def test_fixed_point_degenerate_jacobian():
     R = build_evolution(fam, 64)
     field = NonlinearField(F=lambda t, x: np.ones_like(x), lipschitz=0.0, growth=1.0)
     with pytest.raises(DegenerateFixedPointError):
-        fixed_point(R, field, 0.0, [0.0, 1.0], method="newton-on-map", grid=128)
+        fixed_point(R, field, 0.0, [0.0, 1.0], grid=128)
 
 
 def test_fixed_point_free_translation_map_fails_loudly():
@@ -325,10 +329,14 @@ def test_fixed_point_free_translation_map_fails_loudly():
     R = build_evolution(fam, 64)
     const = NonlinearField(F=lambda t, x: np.ones_like(x), lipschitz=0.0, growth=1.0)
     with pytest.raises((ConvergenceError, DegenerateFixedPointError)):
-        fixed_point(R, const, 1.0, [0.0], method="newton-on-map", grid=128)
+        fixed_point(R, const, 1.0, [0.0], grid=128)
 
 
-def test_fixed_point_unknown_method():
-    R = build_evolution(get_model("scalar-linear").family, 64)
-    with pytest.raises(InvalidInputError):
-        fixed_point(R, get_model("scalar-linear").field, 1.0, [0.0], method="bogus")
+def test_fixed_point_iteration_cap_raises():
+    # the rotation start needs two Newton steps; one is not enough
+    cm = get_model("rotation-damped-2d")
+    R = build_evolution(cm.family, 1024)
+    with pytest.raises(ConvergenceError) as info:
+        fixed_point(R, cm.field, 1.0, cm.region.midpoint, tol=1e-10, max_iter=1)
+    assert 1e-10 < info.value.residual < 1e-3
+    assert "did not reach 1.0e-10 in 1 iterations" in str(info.value)
