@@ -34,7 +34,6 @@ from .linop import as_matrix, as_vector, mat_exp, operator_norm, resolvent
 from .semigroup import (
     ChernoffScheme,
     ChernoffSequence,
-    ContractionSemigroup,
     ConvergenceTable,
     chernoff_defect,
     chernoff_power_limit,
@@ -49,12 +48,11 @@ from .semigroup import (
 from .evolsys import (
     EvolutionSystem,
     GeneratorFamily,
+    affine_family,
     build_evolution,
     cocycle_defect,
     contraction_check,
     family_continuity_gap,
-    scale_family,
-    shift_family,
     validate_family,
 )
 from .mild import (
@@ -63,8 +61,6 @@ from .mild import (
     Trajectory,
     fixed_point,
     mild_solve,
-    sigma_apply,
-    translate,
 )
 from .degree import (
     DegreeReport,
@@ -79,13 +75,11 @@ from .averaging import (
     AveragingRow,
     BranchingReport,
     BranchingRow,
-    average_field,
     average_generator,
     averaged_pair,
     averaging_degree_check,
     branching_experiment,
     monodromy,
-    mu_rescale,
     unit_eigenvalue_gap,
 )
 from .wave import (
@@ -98,9 +92,7 @@ from .wave import (
     WavePeriodicResult,
     build_wave_model,
     energy_residual,
-    eta_inner,
     eta_metric_matrix,
-    eta_norm,
     find_periodic_wave,
     linear_nondegeneracy,
     nonlinear_field,
@@ -109,7 +101,7 @@ from .wave import (
     spectral_invariance_gap,
 )
 from .exprlang import ExprError, compile_expr, eval_expr, format_expr, free_vars, parse_expr
-from .catalog import CatalogModel, get_model, list_models, model_from_config
+from .catalog import CatalogModel, get_model, model_from_config
 
 __version__ = "0.1.0"
 
@@ -123,7 +115,6 @@ __all__ = [
     "ChernoffScheme",
     "ChernoffSequence",
     "ConfigError",
-    "ContractionSemigroup",
     "ConvergenceError",
     "ConvergenceTable",
     "DegenerateFixedPointError",
@@ -151,9 +142,9 @@ __all__ = [
     "Trajectory",
     "WaveModel",
     "WavePeriodicResult",
+    "affine_family",
     "as_matrix",
     "as_vector",
-    "average_field",
     "average_generator",
     "averaged_pair",
     "averaging_degree_check",
@@ -170,9 +161,7 @@ __all__ = [
     "deg_hat",
     "dissipativity_rate",
     "energy_residual",
-    "eta_inner",
     "eta_metric_matrix",
-    "eta_norm",
     "eval_expr",
     "exponential_scheme",
     "family_continuity_gap",
@@ -182,7 +171,6 @@ __all__ = [
     "free_vars",
     "get_model",
     "linear_nondegeneracy",
-    "list_models",
     "mat_exp",
     "metric_cholesky",
     "metric_norm",
@@ -190,19 +178,14 @@ __all__ = [
     "mild_solve",
     "model_from_config",
     "monodromy",
-    "mu_rescale",
     "nonlinear_field",
     "operator_norm",
     "parse_expr",
     "project_nonlinearity",
     "resolvent",
     "resolvent_scheme",
-    "scale_family",
     "select_eta",
-    "shift_family",
-    "sigma_apply",
     "spectral_invariance_gap",
-    "translate",
     "unit_eigenvalue_gap",
     "validate_family",
     "winding_number_2d",

@@ -15,27 +15,20 @@ computes monodromy matrices for linearized nondegeneracy checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .degree import BOUNDARY_DELTA, DegreeReport, Region, brouwer_degree, deg_hat
+from .degree import DegreeReport, Region, brouwer_degree, deg_hat
 from .errors import (
-    ConvergenceError,
     EvolverError,
+    InadmissibleRegionError,
     InvalidInputError,
     OracleFailureError,
 )
-from .evolsys import (
-    MAX_SUBDIVISION,
-    EvolutionSystem,
-    GeneratorFamily,
-    build_evolution,
-    scale_family,
-    shift_family,
-)
-from .mild import DEFAULT_GRID, FixedPointResult, fixed_point, mild_solve
+from .evolsys import MAX_SUBDIVISION, GeneratorFamily, affine_family, build_evolution
+from .mild import DEFAULT_GRID, fixed_point, mild_solve
 
 QUAD_TOL = 1e-10
 
@@ -79,17 +72,6 @@ def _simpson_doubling(sample, T: float, tol: float, m0: int = 16):
 def average_generator(family: GeneratorFamily, tol: float = QUAD_TOL) -> np.ndarray:
     """Time average (1/T) integral of A(t), adaptive Simpson to tol."""
     mean, _ = _simpson_doubling(family.stack, family.T, tol)
-    return mean
-
-
-def average_field(F, x, T: float, tol: float = QUAD_TOL) -> np.ndarray:
-    """Time average (1/T) integral of F(t, x) at fixed x (batched over x)."""
-    x = np.asarray(x, dtype=float)
-
-    def sample(ts):
-        return np.stack([np.asarray(F(float(t), x), dtype=float) for t in ts])
-
-    mean, _ = _simpson_doubling(sample, T, tol)
     return mean
 
 
@@ -144,26 +126,6 @@ def averaged_pair(family: GeneratorFamily, F, probes=None,
     return AveragedField(A_hat=A_hat, F_hat=F_hat, T=family.T, nodes=m)
 
 
-def mu_rescale(family: GeneratorFamily, mu: float) -> GeneratorFamily:
-    """The deformation A_mu(t) = -mu I + (1 - mu) A(t), mu in [0, 1].
-
-    Interpolates the family toward -I while keeping dissipativity: the
-    rate of A_mu is at least mu + (1 - mu) * rate(A) >= min(mu, rate(A)).
-    """
-    if not (0.0 <= mu <= 1.0):
-        raise InvalidInputError(f"mu must lie in [0, 1], got {mu}")
-    base = family.A
-    d = family.dim
-    return GeneratorFamily(
-        dim=d,
-        A=lambda t: -mu * np.eye(d) + (1.0 - mu) * np.asarray(base(t), dtype=float),
-        T=family.T,
-        omega=mu + (1.0 - mu) * family.omega,
-        metric=family.metric,
-        periodic=family.periodic,
-    )
-
-
 @dataclass
 class BranchingRow:
     lam: float
@@ -196,8 +158,7 @@ class BranchingReport:
 
 def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
                          U: Region, n: int = 1024, grid: int = DEFAULT_GRID,
-                         fp_tol: float = 1e-10,
-                         averaged: AveragedField | None = None) -> BranchingReport:
+                         fp_tol: float = 1e-10) -> BranchingReport:
     """Track the period-map fixed point as lam decreases and measure
     its averaged-field defect ||A_hat x_lam + F_hat(x_lam)||.
 
@@ -210,11 +171,11 @@ def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
         raise InvalidInputError("lambda values must be positive")
     if any(a <= b for a, b in zip(lams, lams[1:])):
         raise InvalidInputError("lambda ladder must be strictly descending")
-    avg = averaged if averaged is not None else averaged_pair(family, F, probes=U.midpoint)
+    avg = averaged_pair(family, F, probes=U.midpoint)
     rows: list[BranchingRow] = []
     x_start = U.midpoint
     for lam in lams:
-        R = build_evolution(scale_family(family, lam), n)
+        R = build_evolution(affine_family(family, lam), n)
         try:
             fp = fixed_point(R, F, lam, x_start, tol=fp_tol, grid=grid)
         except EvolverError as exc:
@@ -237,8 +198,7 @@ def monodromy(family: GeneratorFamily, F_inf, lam: float, n: int = 1024) -> np.n
     """
     if lam < 0:
         raise InvalidInputError("lam must be nonnegative")
-    combined = scale_family(shift_family(family, F_inf), lam)
-    system = build_evolution(combined, n)
+    system = build_evolution(affine_family(family, lam, F_inf), n)
     return system.prefix[n].copy()
 
 
@@ -260,12 +220,16 @@ class AveragingRow:
 
 @dataclass
 class AveragingDegreeReport:
-    """Degree of I - Phi_T^lam against the averaged degree, per lam."""
+    """Degree of I - Phi_T^lam against the averaged degree, per lam.
+
+    averaged is the pair whose degree d0 is.
+    """
 
     d0: int
     d0_report: DegreeReport
     rows: list
     lambda0: float | None
+    averaged: AveragedField
 
     @property
     def verdict(self) -> bool:
@@ -281,54 +245,46 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
                            lambdas: Sequence[float], n: int = 256,
                            grid: int = 256, degree_grid: int = 8,
                            boundary_m: int = 128,
-                           picard_tol: float = 1e-10,
-                           averaged: AveragedField | None = None) -> AveragingDegreeReport:
+                           picard_tol: float = 1e-10) -> AveragingDegreeReport:
     """Compare deg(I - Phi_T^lam, U) with the averaged degree along lambdas.
 
-    d0 = deg(x + A_hat^{-1} F_hat(x), U).  For each lam the boundary of U
-    is screened for fixed points of Phi_T (margin BOUNDARY_DELTA * (1 +
-    field scale), as in brouwer_degree); when clear, the degree of
-    x - Phi_T(x) is computed.  The empirical threshold lambda0 is the
-    largest sampled lam such that it and every smaller sampled lam pass
-    the boundary screen.  Equality with d0 is expected for all sampled
-    lam <= lambda0.
+    d0 = deg(x + A_hat^{-1} F_hat(x), U).  For each lam, brouwer_degree
+    computes the degree of x - Phi_T(x); a rung whose boundary fails its
+    screen (a suspected fixed point of Phi_T on the boundary) is recorded
+    with boundary_ok False and the screened min |x - Phi_T(x)|, and a rung
+    that fails otherwise keeps boundary_ok True, with boundary_min nan and
+    the error text.  The empirical threshold lambda0 is the largest
+    sampled lam such that it and every smaller sampled lam yield a
+    degree.  Equality with d0 is expected for all sampled lam <= lambda0.
     """
-    avg = averaged if averaged is not None else averaged_pair(family, F, probes=U.midpoint)
+    avg = averaged_pair(family, F, probes=U.midpoint)
     d0_report = deg_hat(avg.A_hat, avg.F_hat, U,
                         grid=degree_grid, boundary_m=boundary_m)
     rows: list[AveragingRow] = []
-    for lam in lambdas:
-        R = build_evolution(scale_family(family, float(lam)), n)
+    for lam in map(float, lambdas):
+        R = build_evolution(affine_family(family, lam), n)
 
         def g(x):
             x = np.asarray(x, dtype=float)
             single = x.ndim == 1
             batch = x[None, :] if single else x
-            traj = mild_solve(R, F, batch, lam=float(lam), grid=grid, tol=picard_tol)
+            traj = mild_solve(R, F, batch, lam=lam, grid=grid, tol=picard_tol)
             out = batch - traj.final
             return out[0] if single else out
 
-        samples = U.boundary_samples(boundary_m)
-        vals = np.asarray(g(samples), dtype=float)
-        norms = np.linalg.norm(vals, axis=-1)
-        scale = float(np.max(norms))
-        delta = BOUNDARY_DELTA * (1.0 + scale)
-        bmin = float(np.min(norms))
-        if bmin <= delta:
-            rows.append(AveragingRow(lam=float(lam), boundary_ok=False,
-                                     boundary_min=bmin,
-                                     error="boundary fixed point suspected"))
-            continue
         try:
-            # the samples are degree's own cloud (seed 0): reuse the screen
-            rep = brouwer_degree(g, U, grid=degree_grid, boundary_m=boundary_m,
-                                 _screen=(bmin, delta, scale))
-            rows.append(AveragingRow(lam=float(lam), boundary_ok=True,
-                                     boundary_min=bmin, degree=rep.value,
-                                     agrees=(rep.value == d0_report.value)))
+            rep = brouwer_degree(g, U, grid=degree_grid, boundary_m=boundary_m)
+        except InadmissibleRegionError as exc:
+            rows.append(AveragingRow(lam=lam, boundary_ok=False,
+                                     boundary_min=exc.boundary_min,
+                                     error="boundary fixed point suspected"))
         except EvolverError as exc:
-            rows.append(AveragingRow(lam=float(lam), boundary_ok=True,
-                                     boundary_min=bmin, error=str(exc)))
+            rows.append(AveragingRow(lam=lam, boundary_ok=True,
+                                     boundary_min=float("nan"), error=str(exc)))
+        else:
+            rows.append(AveragingRow(lam=lam, boundary_ok=True,
+                                     boundary_min=rep.boundary_min, degree=rep.value,
+                                     agrees=(rep.value == d0_report.value)))
     lambda0 = None
     for lam in sorted(r.lam for r in rows):
         row = next(r for r in rows if r.lam == lam)
@@ -337,4 +293,4 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
         else:
             break
     return AveragingDegreeReport(d0=d0_report.value, d0_report=d0_report,
-                                 rows=rows, lambda0=lambda0)
+                                 rows=rows, lambda0=lambda0, averaged=avg)

@@ -193,10 +193,6 @@ _BUILDERS = {
 }
 
 
-def list_models():
-    return list(MODEL_KEYS)
-
-
 def get_model(key: str) -> CatalogModel:
     if key not in _BUILDERS:
         raise ConfigError(f"unknown catalog model {key!r}; known: {', '.join(MODEL_KEYS)}")

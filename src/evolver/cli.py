@@ -26,20 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .averaging import (
-    averaged_pair,
-    averaging_degree_check,
-    branching_experiment,
-)
-from .degree import Region, brouwer_degree, winding_number_2d
+from .averaging import averaging_degree_check, branching_experiment
+from .degree import Region, averaged_map, brouwer_degree, winding_number_2d
 from .errors import ConfigError, EvolverError
 from .evolsys import (
+    affine_family,
     build_evolution,
     cocycle_defect,
     contraction_check,
     family_continuity_gap,
-    scale_family,
-    shift_family,
 )
 from .mild import fixed_point, mild_solve
 from .semigroup import (
@@ -76,8 +71,8 @@ DEFAULT_MODEL = {
 
 _TOP_KEYS = {"experiment", "model", "numeric", "output"}
 _NUMERIC_KEYS = {
-    "n", "grid", "ns", "lambdas", "seed", "samples", "dim",
-    "power_m", "f_inf", "eta", "boundary_zero", "n_continuity",
+    "n", "grid", "ns", "lambdas", "seed", "samples",
+    "power_m", "f_inf", "boundary_zero", "n_continuity",
 }
 _ERROR_SLUGS = {
     "InvalidInputError": "invalid-input",
@@ -154,16 +149,15 @@ def _validate_config(cfg, experiment):
     bad = set(num) - _NUMERIC_KEYS
     if bad:
         raise ConfigError(f"unknown numeric keys: {sorted(bad)}")
-    for key in ("n", "grid", "samples", "dim", "power_m", "seed", "n_continuity"):
+    for key in ("n", "grid", "samples", "power_m", "seed", "n_continuity"):
         if key in num:
             v = num[key]
             # n and grid count subdivision cells, so zero is as bad as negative
             lo = 1 if key in ("n", "grid") else 0
             if not isinstance(v, int) or isinstance(v, bool) or v < lo:
                 raise ConfigError(f"numeric.{key} must be an integer >= {lo}")
-    for key in ("f_inf", "eta"):
-        if key in num and not isinstance(num[key], (int, float)):
-            raise ConfigError(f"numeric.{key} must be a number")
+    if "f_inf" in num and not isinstance(num["f_inf"], (int, float)):
+        raise ConfigError("numeric.f_inf must be a number")
     for key in ("ns", "lambdas"):
         if key in num:
             v = num[key]
@@ -294,7 +288,7 @@ def run_evolsys(cm, num, seed):
     v = np.zeros(fam.dim)
     v[0] = 1.0
     perturbed = [
-        shift_family(fam, lambda t, _e=eps: np.multiply.outer(
+        affine_family(fam, B=lambda t, _e=eps: np.multiply.outer(
             _e * np.cos(2.0 * np.pi * t / T), np.eye(fam.dim)))
         for eps in eps_sweep
     ]
@@ -423,10 +417,9 @@ def run_averaging(cm, num, seed):
     if cm.field is None or cm.region is None:
         raise ConfigError("averaging needs a model with a field and a region")
     lambdas = [float(v) for v in num.get("lambdas", catalog.AVERAGING_LADDER)]
-    avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
     report = averaging_degree_check(
         cm.family, cm.field, cm.region, lambdas,
-        n=num.get("n", 256), grid=num.get("grid", 256), averaged=avg,
+        n=num.get("n", 256), grid=num.get("grid", 256),
     )
     rows = [["averaged", "", True, "", report.d0, "", ""]]
     for r in report.rows:
@@ -435,12 +428,8 @@ def run_averaging(cm, num, seed):
     wind = None
     wind_ok = True
     if cm.dim == 2:
-        def g_hat(x):
-            x = np.asarray(x, dtype=float)
-            corr = np.linalg.solve(avg.A_hat, np.asarray(avg.F_hat(x)).T).T
-            return x + corr
-
-        wind = winding_number_2d(g_hat, cm.region)
+        avg = report.averaged
+        wind = winding_number_2d(averaged_map(avg.A_hat, avg.F_hat), cm.region)
         wind_ok = wind == report.d0
         rows.append(["winding", "", True, "", wind, wind_ok, ""])
     return {
@@ -473,7 +462,7 @@ def run_continuation(cm, num, seed):
         degrees_ok = degrees_ok and (r.degree == report.d0)
         rows.append(["sweep", r.lam, r.boundary_ok, r.degree, r.error])
     lam_top = lambdas[-1]
-    R = build_evolution(scale_family(cm.family, lam_top), n)
+    R = build_evolution(affine_family(cm.family, lam_top), n)
     fp = fixed_point(R, cm.field, lam_top, cm.region.midpoint,
                      tol=1e-8, grid=grid)
     inside = bool(cm.region.contains(fp.x))

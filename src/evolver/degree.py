@@ -153,32 +153,36 @@ class DegreeReport:
     delta: float
 
 
-def _boundary_check(g, U: Region, boundary_m: int):
-    samples = U.boundary_samples(boundary_m)
+def _boundary_screen(g, samples: np.ndarray):
+    """g on boundary samples, screened against the admissibility margin.
+
+    Returns (values, boundary_min, delta, scale): scale is max |g| on the
+    samples and delta = BOUNDARY_DELTA (1 + scale).  Raises
+    InadmissibleRegionError, carrying boundary_min = min |g|, when that
+    minimum is <= delta.
+    """
     vals = np.asarray(g(samples), dtype=float)
     norms = np.linalg.norm(vals, axis=-1)
-    scale = float(np.max(norms)) if norms.size else 0.0
+    scale = float(np.max(norms))
     delta = BOUNDARY_DELTA * (1.0 + scale)
     worst = int(np.argmin(norms))
-    if norms[worst] <= delta:
+    bmin = float(norms[worst])
+    if bmin <= delta:
         raise InadmissibleRegionError(
-            f"field nearly vanishes on the boundary: |g| = {norms[worst]:.3e} "
+            f"field nearly vanishes on the boundary: |g| = {bmin:.3e} "
             f"<= delta = {delta:.3e} at {samples[worst]}",
-            point=samples[worst],
-            value=vals[worst],
+            point=samples[worst], value=vals[worst], boundary_min=bmin,
         )
-    return float(norms[worst]), float(delta), scale
+    return vals, bmin, delta, scale
 
 
-def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
-                   *, _screen: tuple | None = None) -> DegreeReport:
+def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256) -> DegreeReport:
     """Degree of g on U by multi-start damped Newton and sign-summed Jacobians.
 
     grid: Newton starts per axis (grid^d total); a start finds a zero when
     damped_newton brings |g| to ZERO_TOL (1 + max boundary |g|) within 4
     spans of U's midpoint.  The admissibility margin is BOUNDARY_DELTA
-    (1 + max boundary |g|).  _screen: the (boundary_min, delta, scale) of
-    a caller that already screened this boundary cloud (internal).  Raises
+    (1 + max boundary |g|) on the boundary_m samples.  Raises
     InadmissibleRegionError on boundary (near-)zeros, DegenerateZeroError
     when polishing a located zero meets cond(Dg) > COND_LIMIT or leaves
     |det Dg| < DET_FLOOR, InvalidInputError for d > 4.
@@ -190,9 +194,7 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
         raise InvalidInputError(
             f"degree computations are capped at d <= {MAX_DEGREE_DIM}, got {d}"
         )
-    if _screen is None:
-        _screen = _boundary_check(g, U, boundary_m)
-    boundary_min, delta, scale = _screen
+    _, boundary_min, delta, scale = _boundary_screen(g, U.boundary_samples(boundary_m))
 
     def jac(X):
         return fd_jacobians(g, X, FD_STEP)
@@ -257,17 +259,7 @@ def winding_number_2d(g, U: Region) -> int:
         raise InvalidInputError("winding numbers need d = 2")
     m = WINDING_SAMPLES
     while True:
-        loop = U.boundary_samples(m)
-        vals = np.asarray(g(loop), dtype=float)
-        norms = np.linalg.norm(vals, axis=-1)
-        if np.min(norms) <= BOUNDARY_DELTA * (1.0 + float(np.max(norms))):
-            worst = int(np.argmin(norms))
-            raise InadmissibleRegionError(
-                f"field nearly vanishes on the boundary loop: |g| = "
-                f"{norms[worst]:.3e} at {loop[worst]}",
-                point=loop[worst],
-                value=vals[worst],
-            )
+        vals = _boundary_screen(g, U.boundary_samples(m))[0]
         ang = np.arctan2(vals[:, 1], vals[:, 0])
         ang = np.append(ang, ang[0])
         step = np.diff(ang)
@@ -287,11 +279,11 @@ def winding_number_2d(g, U: Region) -> int:
             )
 
 
-def deg_hat(A_hat, F_hat, U: Region, **kwargs) -> DegreeReport:
-    """Degree of the averaged pair: deg(x + A_hat^{-1} F_hat(x), U).
+def averaged_map(A_hat, F_hat):
+    """The averaged map x -> x + A_hat^{-1} F_hat(x), vectorized over x.
 
-    Raises SingularResolventError when A_hat is too ill conditioned to
-    invert.  Extra keyword arguments go to brouwer_degree.
+    Its zeros are those of A_hat x + F_hat(x).  Raises
+    SingularResolventError when A_hat is too ill conditioned to invert.
     """
     A = np.asarray(A_hat, dtype=float)
     cond = np.linalg.cond(A)
@@ -305,4 +297,12 @@ def deg_hat(A_hat, F_hat, U: Region, **kwargs) -> DegreeReport:
         fx = np.asarray(F_hat(x), dtype=float)
         return x + np.linalg.solve(A, fx.reshape(-1, fx.shape[-1]).T).T.reshape(fx.shape)
 
-    return brouwer_degree(g, U, **kwargs)
+    return g
+
+
+def deg_hat(A_hat, F_hat, U: Region, **kwargs) -> DegreeReport:
+    """Degree of the averaged pair: deg(averaged_map(A_hat, F_hat), U).
+
+    Extra keyword arguments go to brouwer_degree.
+    """
+    return brouwer_degree(averaged_map(A_hat, F_hat), U, **kwargs)

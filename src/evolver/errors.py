@@ -42,12 +42,17 @@ class DegenerateFixedPointError(ConvergenceError):
 
 
 class InadmissibleRegionError(EvolverError):
-    """A degree computation found the field vanishing (or nearly) on the boundary."""
+    """A degree computation found the field vanishing (or nearly) on the boundary.
 
-    def __init__(self, message, point=None, value=None):
+    point and value locate the worst boundary sample; boundary_min is |value|
+    as the screen computed it.
+    """
+
+    def __init__(self, message, point=None, value=None, boundary_min=None):
         super().__init__(message)
         self.point = point
         self.value = value
+        self.boundary_min = boundary_min
 
 
 class DegenerateZeroError(EvolverError):

@@ -101,36 +101,23 @@ class GeneratorFamily:
         return out
 
 
-def scale_family(family: GeneratorFamily, lam: float) -> GeneratorFamily:
-    """The family t -> lam * A(t); dissipativity rates scale by lam (lam >= 0)."""
-    if lam < 0 or not np.isfinite(lam):
-        raise InvalidInputError("scale factor must be nonnegative and finite")
-    base = family.A
-    return GeneratorFamily(
-        dim=family.dim,
-        A=lambda t: lam * base(t),
-        T=family.T,
-        omega=lam * family.omega,
-        metric=family.metric,
-        periodic=family.periodic,
-    )
-
-
-def shift_family(family: GeneratorFamily, B: Callable[[float], np.ndarray],
-                 omega: float = 0.0) -> GeneratorFamily:
-    """The family t -> A(t) + B(t) with a caller-supplied rate claim.
+def affine_family(family: GeneratorFamily, a: float = 1.0,
+                  B: Callable[[float], np.ndarray] | None = None) -> GeneratorFamily:
+    """The family t -> a (A(t) + B(t)) for a >= 0, or t -> a A(t) without B.
 
     B broadcasts over time like A, or is one (dim, dim) matrix for all t.
+    The rate claim scales to a * omega without B; a shift voids it (0).
     """
+    if a < 0 or not np.isfinite(a):
+        raise InvalidInputError("scale factor must be nonnegative and finite")
     base = family.A
-    return GeneratorFamily(
-        dim=family.dim,
-        A=lambda t: base(t) + np.asarray(B(t), dtype=float),
-        T=family.T,
-        omega=omega,
-        metric=family.metric,
-        periodic=family.periodic,
-    )
+    if B is None:
+        A = lambda t: a * base(t)
+    else:
+        A = lambda t: a * (base(t) + np.asarray(B(t), dtype=float))
+    omega = a * family.omega if B is None else 0.0
+    return GeneratorFamily(dim=family.dim, A=A, T=family.T, omega=omega,
+                           metric=family.metric, periodic=family.periodic)
 
 
 def validate_family(family: GeneratorFamily, samples: int = 129) -> dict:

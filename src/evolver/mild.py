@@ -242,26 +242,6 @@ def _gap(new: np.ndarray, old: np.ndarray, scratch: np.ndarray) -> float:
     return float(np.sqrt(total.max()))
 
 
-def sigma_apply(R: EvolutionSystem, x, w, lam: float = 1.0) -> Trajectory:
-    """Assemble R(t, 0) x + lam * integral_0^t R(t, s) w(s) ds on w's grid.
-
-    w: array (m+1, d) of forcing samples on the uniform grid over [0, T].
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim < 2 or w.shape[-1] != R.dim:
-        raise InvalidInputError("forcing must have shape (m+1, ..., d)")
-    m = w.shape[0] - 1
-    if m < 1:
-        raise InvalidInputError("forcing needs at least two samples")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != R.dim:
-        raise InvalidInputError("state dimension mismatch")
-    times = np.linspace(0.0, R.T, m + 1)
-    plan = _scan_plan(R.step_operators(times))
-    states = _sweep(plan, x, w, lam, R.T / m)
-    return Trajectory(times=times, states=states, lam=lam)
-
-
 def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
                grid: int = DEFAULT_GRID, tol: float = PICARD_TOL,
                max_iter: int = PICARD_MAX_ITER) -> Trajectory:
@@ -303,15 +283,6 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
         f"(last update {gap:.3e})",
         residual=gap,
     )
-
-
-def translate(R: EvolutionSystem, F, t: float, x, lam: float = 1.0,
-              grid: int = DEFAULT_GRID, tol: float = PICARD_TOL) -> np.ndarray:
-    """The translation map Phi_t(x): mild-solution state at time t (t <= T)."""
-    if t < -1e-12 or t > R.T + 1e-12:
-        raise PreconditionError(f"time {t} outside [0, T]")
-    traj = mild_solve(R, F, x, lam=lam, grid=grid, tol=tol)
-    return traj.at(min(max(t, 0.0), R.T))
 
 
 @dataclass

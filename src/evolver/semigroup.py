@@ -11,12 +11,12 @@ limits and the square-root defect bound for single contractions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidMetricError, PreconditionError
-from .linop import as_matrix, as_vector, mat_exp, operator_norm
+from .linop import as_matrix, as_vector, mat_exp, operator_norm, resolvent
 
 CONTRACTION_SLACK = 1e-12
 
@@ -64,41 +64,6 @@ def dissipativity_rate(M, G=None):
     S = 0.5 * (G @ A + np.swapaxes(A, -1, -2) @ G)
     rates = -np.linalg.eigvalsh(L_inv @ S @ L_inv.T)[..., -1]
     return rates if stacked else float(rates)
-
-
-@dataclass(frozen=True)
-class ContractionSemigroup:
-    """A generator with a claimed decay rate in a (possibly weighted) metric.
-
-    generator: square matrix M
-    omega: claimed rate, <x, Mx>_G <= -omega |x|_G^2
-    metric: SPD matrix G, identity when None
-    """
-
-    generator: np.ndarray
-    omega: float = 0.0
-    metric: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "generator", as_matrix(self.generator))
-        if self.metric is not None:
-            object.__setattr__(self, "metric", as_matrix(self.metric))
-            metric_cholesky(self.metric)
-        if not np.isfinite(self.omega):
-            raise InvalidInputError("omega must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.generator.shape[0]
-
-    def validate(self) -> float:
-        """Return the actual dissipativity rate; raises if below the claimed omega."""
-        actual = dissipativity_rate(self.generator, self.metric)
-        if actual < self.omega - 1e-10:
-            raise PreconditionError(
-                f"claimed rate {self.omega} exceeds actual rate {actual}"
-            )
-        return actual
 
 
 @dataclass(frozen=True)
@@ -206,16 +171,12 @@ def chernoff_defect(T_op, x, n: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _scheme_power(scheme: ChernoffScheme, lam: float, mu: float, k: int, x):
+def _contraction(scheme: ChernoffScheme, lam: float, mu: float) -> np.ndarray:
+    """The matrix L(lam, mu); raises PreconditionError unless it is a contraction."""
     Lm = as_matrix(scheme.L(lam, mu))
     if operator_norm(Lm) > 1.0 + CONTRACTION_SLACK:
-        raise PreconditionError(
-            f"scheme is not contractive at lam={lam}, mu={mu}"
-        )
-    v = np.array(x, dtype=float)
-    for _ in range(k):
-        v = Lm @ v
-    return Lm, v
+        raise PreconditionError(f"scheme is not contractive at lam={lam}, mu={mu}")
+    return Lm
 
 
 def chernoff_power_limit(scheme: ChernoffScheme, seq: ChernoffSequence, x) -> ConvergenceTable:
@@ -230,7 +191,10 @@ def chernoff_power_limit(scheme: ChernoffScheme, seq: ChernoffSequence, x) -> Co
     target = mat_exp(A0, t) @ v
     table = ConvergenceTable(target=target)
     for n, k, lam, mu in seq.triples():
-        _, approx = _scheme_power(scheme, lam, mu, k, v)
+        Lm = _contraction(scheme, lam, mu)
+        approx = v.copy()
+        for _ in range(k):
+            approx = Lm @ approx
         table.ns.append(n)
         table.errors.append(float(np.linalg.norm(approx - target)))
     return table
@@ -251,9 +215,7 @@ def chernoff_sum_limit(scheme: ChernoffScheme, seq: ChernoffSequence, x) -> Conv
     target = mat_exp(block, t)[:-1, -1]
     table = ConvergenceTable(target=target)
     for n, k, lam, mu in seq.triples():
-        Lm = as_matrix(scheme.L(lam, mu))
-        if operator_norm(Lm) > 1.0 + CONTRACTION_SLACK:
-            raise PreconditionError(f"scheme is not contractive at lam={lam}, mu={mu}")
+        Lm = _contraction(scheme, lam, mu)
         acc = np.zeros_like(v)
         w = v.copy()
         for _ in range(k):
@@ -274,10 +236,13 @@ def exponential_scheme(A_of_mu: Callable[[float], np.ndarray], dim: int) -> Cher
 
 
 def resolvent_scheme(A_of_mu: Callable[[float], np.ndarray], dim: int) -> ChernoffScheme:
-    """Scheme L(lam, mu) = (I - lam A^(mu))^{-1} (implicit Euler step)."""
+    """Scheme L(lam, mu) = (I - lam A^(mu))^{-1} (implicit Euler step).
+
+    L raises SingularResolventError where I - lam A^(mu) is numerically
+    singular.
+    """
 
     def L(lam, mu):
-        A = as_matrix(A_of_mu(mu))
-        return np.linalg.solve(np.eye(dim) - lam * A, np.eye(dim))
+        return resolvent(lam * as_matrix(A_of_mu(mu)), 1.0)
 
     return ChernoffScheme(L=L, limit_generator=A_of_mu, dim=dim)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .averaging import average_generator, monodromy, unit_eigenvalue_gap
 from .errors import ConfigError, InvalidInputError
-from .evolsys import GeneratorFamily, build_evolution, scale_family
+from .evolsys import GeneratorFamily, affine_family, build_evolution
 from .mild import (
     DEFAULT_GRID,
     FixedPointResult,
@@ -41,7 +41,7 @@ from .mild import (
     fixed_point,
     mild_solve,
 )
-from .semigroup import dissipativity_rate
+from .semigroup import dissipativity_rate, metric_norm
 
 MAX_MODES = 64
 
@@ -272,19 +272,6 @@ def select_eta(model: WaveModel, time_grid=None) -> EtaSelection:
                         gamma=model.gamma)
 
 
-def eta_inner(z1, z2, model: WaveModel) -> float:
-    """The eta-inner product of two states in mode coordinates."""
-    a = np.asarray(z1, dtype=float)
-    b = np.asarray(z2, dtype=float)
-    if a.shape != (model.dim,) or b.shape != (model.dim,):
-        raise InvalidInputError("states must be vectors of length 2k")
-    return float(a @ (model.eta_metric.G @ b))
-
-
-def eta_norm(z, model: WaveModel) -> float:
-    return float(np.sqrt(max(eta_inner(z, z, model), 0.0)))
-
-
 def project_nonlinearity(model: WaveModel, t, a):
     """Mode coefficients of x -> f(t, u(x)) for u = sum a_i phi_i.
 
@@ -494,11 +481,10 @@ def find_periodic_wave(model: WaveModel, lam: float = 1.0, x_init=None,
     if model.f is None:
         raise InvalidInputError("model has no nonlinearity to solve with")
     field = nonlinear_field(model)
-    R = build_evolution(scale_family(model.family, lam), n)
+    R = build_evolution(affine_family(model.family, lam), n)
     x0 = np.zeros(model.dim) if x_init is None else np.asarray(x_init, dtype=float)
     fp = fixed_point(R, field, lam, x0, tol=fp_tol, grid=grid)
     traj = mild_solve(R, field, fp.x, lam=lam, grid=grid)
-    gap = traj.final - fp.x
-    residual = float(np.sqrt(max(gap @ (model.eta_metric.G @ gap), 0.0)))
+    residual = metric_norm(traj.final - fp.x, model.eta_metric.G)
     return WavePeriodicResult(trajectory=traj, fixed_point=fp,
                               residual_eta=residual)

@@ -8,19 +8,18 @@ from evolver import (
     NonlinearField,
     OracleFailureError,
     Region,
-    average_field,
+    affine_family,
     average_generator,
     averaged_pair,
     averaging_degree_check,
     branching_experiment,
     build_evolution,
+    deg_hat,
     fixed_point,
     get_model,
-    mu_rescale,
+    mild_solve,
     monodromy,
-    scale_family,
     unit_eigenvalue_gap,
-    validate_family,
 )
 
 # the scalar catalog model u' = lam(-u + 2 + sin(2 pi t)) has averaged pair
@@ -55,10 +54,14 @@ def test_average_generator_matches_quad_oracle():
             assert got[i, j] == pytest.approx(ref, abs=1e-9)
 
 
+def _constant_family(T=1.0):
+    return GeneratorFamily(dim=1, A=lambda t: np.full(np.shape(t) + (1, 1), -1.0), T=T)
+
+
 def test_average_field_closed_form():
     F = lambda t, x: x * np.cos(2.0 * np.pi * t) ** 2
     probes = np.array([[1.0], [3.0], [-2.0]])
-    got = average_field(F, probes, 1.0)
+    got = averaged_pair(_constant_family(), F, probes=probes).F_hat(probes)
     assert np.allclose(got, probes / 2.0, atol=1e-10)
 
 
@@ -72,7 +75,7 @@ def test_simpson_refinement_has_a_cost_guard():
         return x * (1.0 if t < T / 3.0 else 2.0)
 
     with pytest.raises(OracleFailureError):
-        average_field(F, np.array([1.0]), T)
+        averaged_pair(_constant_family(T), F, probes=np.array([1.0]))
     assert 0 < calls[0] <= 2 ** 15 + 64
 
 
@@ -97,31 +100,10 @@ def test_averaged_field_with_wrong_shape_is_rejected():
         avg.F_hat(np.array([0.7]))
 
 
-def test_mu_rescale_endpoints_and_midpoint():
-    cm = get_model("scalar-linear")
-    fam = cm.family
-    assert mu_rescale(fam, 0.0).A(0.3)[0, 0] == pytest.approx(fam.A(0.3)[0, 0])
-    assert np.allclose(mu_rescale(fam, 1.0).A(0.3), -np.eye(1))
-    half = mu_rescale(GeneratorFamily(dim=1, A=lambda t: np.full(np.shape(t) + (1, 1), -2.0),
-                                      T=1.0, omega=2.0), 0.5)
-    assert half.A(0.0)[0, 0] == pytest.approx(-1.5)
-    with pytest.raises(InvalidInputError):
-        mu_rescale(fam, 1.5)
-    with pytest.raises(InvalidInputError):
-        mu_rescale(fam, -0.1)
-
-
-def test_mu_rescale_rate_claim_holds():
-    cm = get_model("rotation-damped-2d")
-    for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
-        fam_mu = mu_rescale(cm.family, mu)
-        assert fam_mu.omega == pytest.approx(mu + (1.0 - mu) * cm.family.omega)
-        assert fam_mu.omega >= min(mu, cm.family.omega) - 1e-12
-        assert validate_family(fam_mu)["passed"]
-
-
 def test_mu_rescale_fixed_points_match_at_endpoints():
-    # at mu = 1 the deformed system u' = lam(-u + x*) has exactly x* = 2
+    # the deformation A_mu = -mu + (1 - mu) A toward -1 leaves the scalar
+    # model's constant A = -1 as it is, so both ends use its own family.
+    # At mu = 1 the deformed system u' = lam(-u + x*) has exactly x* = 2
     # as its periodic start; at mu = 0 the original one approaches it as lam -> 0
     cm = get_model("scalar-linear")
     avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
@@ -132,11 +114,11 @@ def test_mu_rescale_fixed_points_match_at_endpoints():
         return -np.linalg.solve(avg.A_hat, flat.T).T.reshape(fx.shape)
 
     comparison = NonlinearField(F=comp, lipschitz=0.0, growth=2.0)
-    R1 = build_evolution(scale_family(mu_rescale(cm.family, 1.0), 0.5), 256)
+    R1 = build_evolution(affine_family(cm.family, 0.5), 256)
     fp1 = fixed_point(R1, comparison, 0.5, [0.0], grid=512, tol=1e-10)
     assert fp1.x[0] == pytest.approx(2.0, abs=1e-5)
     lam = 0.01
-    R0 = build_evolution(scale_family(mu_rescale(cm.family, 0.0), lam), 256)
+    R0 = build_evolution(affine_family(cm.family, lam), 256)
     fp0 = fixed_point(R0, cm.field, lam, [2.0], grid=512, tol=1e-10)
     assert fp0.x[0] == pytest.approx(2.0 - _defect_closed_form(lam), abs=1e-4)
     assert abs(fp0.x[0] - 2.0) < 3.0 * lam  # O(lam) branch gap
@@ -219,10 +201,31 @@ def test_averaging_degree_flags_boundary_fixed_point():
     # center the region so the periodic point sits exactly on the boundary
     cm = get_model("scalar-linear")
     lam = 0.1
-    R = build_evolution(scale_family(cm.family, lam), 256)
+    R = build_evolution(affine_family(cm.family, lam), 256)
     fp = fixed_point(R, cm.field, lam, [2.0], grid=256, tol=1e-9)
     U = Region.ball([fp.x[0] - 0.3], 0.3)
     report = averaging_degree_check(cm.family, cm.field, U, [lam])
-    assert not report.rows[0].boundary_ok
+    row = report.rows[0]
+    assert not row.boundary_ok
+    assert row.error == "boundary fixed point suspected"
+    assert row.degree is None
+    # the screened minimum of |x - Phi_T(x)| over the 128 boundary samples,
+    # with the check's own evolution build (n = 256) and solver settings
+    cloud = U.boundary_samples(128)
+    traj = mild_solve(R, cm.field, cloud, lam=lam, grid=256, tol=1e-10)
+    assert row.boundary_min == float(np.min(np.linalg.norm(cloud - traj.final, axis=-1)))
     assert report.lambda0 is None
     assert not report.verdict
+
+
+def test_averaging_report_carries_its_averaged_pair():
+    cm = get_model("rotation-damped-2d")
+    report = averaging_degree_check(cm.family, cm.field, cm.region, [0.1],
+                                    grid=128, degree_grid=4)
+    avg = report.averaged
+    assert avg.A_hat.shape == (2, 2)
+    # d0 is the degree of that pair
+    d0 = deg_hat(avg.A_hat, avg.F_hat, cm.region, grid=4, boundary_m=128)
+    assert d0.value == report.d0
+    assert np.array_equal(d0.zeros, report.d0_report.zeros)
+    assert d0.boundary_min == report.d0_report.boundary_min

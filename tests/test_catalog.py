@@ -5,18 +5,19 @@ from evolver import ConfigError, ExprError
 from evolver.catalog import (
     AVERAGING_LADDER,
     BRANCHING_LADDER,
+    MODEL_KEYS,
     WAVE_LADDER,
     compile_field,
     compile_matrix,
     compile_time_coefficient,
     get_model,
-    list_models,
     model_from_config,
 )
 
 
 def test_list_and_get():
-    assert list_models() == ["scalar-linear", "rotation-damped-2d", "wave-k1", "wave-k3"]
+    assert MODEL_KEYS == ("scalar-linear", "rotation-damped-2d", "wave-k1", "wave-k3")
+    assert [get_model(key).key for key in MODEL_KEYS] == list(MODEL_KEYS)
     with pytest.raises(ConfigError):
         get_model("nope")
 

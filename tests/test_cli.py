@@ -65,6 +65,8 @@ def test_seed_flag_overrides_config(tmp_path):
     {"output": {"path": "x"}},
     {"numeric": {"n": 0}},
     {"numeric": {"grid": 0}},
+    {"numeric": {"eta": 0.5}},   # read by no experiment
+    {"numeric": {"dim": 2}},     # read by no experiment
 ])
 def test_config_rejection_exits_2(tmp_path, cfg_obj, capsys):
     cfg = _write_cfg(tmp_path, "bad.json", cfg_obj)

@@ -17,15 +17,13 @@ from evolver import (
     cocycle_defect,
     contraction_check,
     family_continuity_gap,
+    affine_family,
     get_model,
-    list_models,
     mat_exp,
     model_from_config,
-    mu_rescale,
-    scale_family,
-    shift_family,
     validate_family,
 )
+from evolver.catalog import MODEL_KEYS
 
 from oracles import gap_integral, rk4_transition
 
@@ -69,17 +67,17 @@ def _coupled_wave():
 
 
 _CONTRACT_FAMILIES = {
-    **{key: (lambda key=key: get_model(key).family) for key in list_models()},
+    **{key: (lambda key=key: get_model(key).family) for key in MODEL_KEYS},
     "inline": lambda: model_from_config({
         "A": [["-(1+0.5*cos(2*pi*t/T))", "0.25"], ["t/T-1", "-2^2"]], "T": 1.5,
     }).family,
-    "scale": lambda: scale_family(_rotation(), 0.3),
-    "shift": lambda: shift_family(_rotation(), _swirl),
-    "shift-constant": lambda: shift_family(_rotation(), lambda t: np.eye(2)),
-    "mu_rescale": lambda: mu_rescale(_rotation(), 0.4),
+    "scale": lambda: affine_family(_rotation(), 0.3),
+    "shift": lambda: affine_family(_rotation(), B=_swirl),
+    "shift-constant": lambda: affine_family(_rotation(), B=lambda t: np.eye(2)),
+    # the deformation -mu I + (1 - mu) A(t) toward -I, at mu = 0.4
+    "mu_rescale": lambda: affine_family(_rotation(), 0.6, lambda t: -(0.4 / 0.6) * np.eye(2)),
     # monodromy's family lam (A + F_inf)
-    "monodromy": lambda: scale_family(
-        shift_family(get_model("wave-k1").family, lambda t: -np.eye(2)), 0.8),
+    "monodromy": lambda: affine_family(get_model("wave-k1").family, 0.8, lambda t: -np.eye(2)),
     "wave-coupled": _coupled_wave,
 }
 
@@ -264,12 +262,32 @@ def test_contraction_check_certifies_rate():
 
 def test_scale_and_shift_family():
     fam = _scalar_family()
-    assert scale_family(fam, 0.5).A(0.25)[0, 0] == pytest.approx(-1.5)
-    assert scale_family(fam, 0.5).omega == pytest.approx(0.5)
-    with pytest.raises(InvalidInputError):
-        scale_family(fam, -1.0)
-    shifted = shift_family(fam, lambda t: np.array([[1.0]]), omega=0.0)
+    assert affine_family(fam, 0.5).A(0.25)[0, 0] == pytest.approx(-1.5)
+    shifted = affine_family(fam, B=lambda t: np.array([[1.0]]))
     assert shifted.A(0.25)[0, 0] == pytest.approx(-2.0)
+    both = affine_family(fam, 0.5, lambda t: np.array([[1.0]]))
+    assert both.A(0.25)[0, 0] == pytest.approx(-1.0)
+    # the shift is added before scaling: a (A + B), not a A + B
+    ts = np.linspace(0.0, 1.0, 9)
+    B = lambda t: np.multiply.outer(np.cos(2.0 * np.pi * t), [[0.5]])
+    assert np.array_equal(affine_family(fam, 0.3, B).A(ts), 0.3 * (fam.A(ts) + B(ts)))
+
+
+def test_affine_family_rate_claim():
+    for key in MODEL_KEYS:
+        fam = get_model(key).family
+        assert fam.omega > 0.0
+        for a in (0.0, 0.3, 1.0, 2.5):
+            scaled = affine_family(fam, a)
+            assert scaled.omega == a * fam.omega
+            assert validate_family(scaled)["passed"]
+        # a shift can destroy dissipativity, so it claims no rate
+        shifted = affine_family(fam, 0.5, lambda t: 0.1 * np.eye(fam.dim))
+        assert shifted.omega == 0.0
+        assert validate_family(shifted)["passed"]
+        for bad in (-1.0, -1e-300, np.inf, np.nan):
+            with pytest.raises(InvalidInputError):
+                affine_family(fam, bad)
 
 
 def test_validate_family_report():
@@ -295,7 +313,7 @@ def test_continuity_gap_inequality_and_scaling():
     v = np.array([1.0])
     lhss = []
     for eps in (1e-1, 1e-2, 1e-3):
-        pert = shift_family(fam, lambda t, e=eps: (e * np.cos(2.0 * np.pi * t))[..., None, None])
+        pert = affine_family(fam, B=lambda t, e=eps: (e * np.cos(2.0 * np.pi * t))[..., None, None])
         [(lhs, rhs)] = family_continuity_gap(fam, [pert], 512, v)
         assert lhs <= rhs
         # rhs = ||v||_V * eps * int |cos| = 3 * eps * (2/pi)
@@ -314,7 +332,7 @@ def test_continuity_gap_rhs_matches_adaptive_quadrature(key):
     v[0] = 1.0
     eps_sweep = (1e-1, 1e-2, 1e-3, 1e-4)
     perts = [
-        shift_family(fam, lambda t, e=eps: np.multiply.outer(
+        affine_family(fam, B=lambda t, e=eps: np.multiply.outer(
             e * np.cos(2.0 * np.pi * t / T), np.eye(fam.dim)))
         for eps in eps_sweep
     ]
@@ -367,7 +385,7 @@ def test_continuity_gap_batched_starts_match_loop(key, bump, n, stride):
     v[0] = 1.0
     # a bump times a fixed full matrix (a multiple of I would commute with R)
     P = np.random.default_rng(2).standard_normal((fam.dim, fam.dim))
-    pert = shift_family(fam, lambda t: np.multiply.outer(_BUMPS[bump](t / fam.T), P))
+    pert = affine_family(fam, B=lambda t: np.multiply.outer(_BUMPS[bump](t / fam.T), P))
     [(lhs, _)] = family_continuity_gap(fam, [pert], n, v, query_stride=stride)
     stride = stride or max(1, n // 64)
     ref = _loop_continuity_lhs(fam, pert, n, v, stride)
@@ -387,7 +405,7 @@ def test_continuity_gap_requires_matching_shapes():
 def test_continuity_gap_batch_equals_single_calls():
     fam = _scalar_family()
     perts = [
-        shift_family(fam, lambda t, e=eps: (e * np.cos(2.0 * np.pi * t))[..., None, None])
+        affine_family(fam, B=lambda t, e=eps: (e * np.cos(2.0 * np.pi * t))[..., None, None])
         for eps in (1e-1, 1e-3)
     ]
     both = family_continuity_gap(fam, perts, 128, [1.0])

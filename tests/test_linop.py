@@ -6,11 +6,11 @@ from evolver import (
     InvalidInputError,
     SingularResolventError,
     get_model,
-    list_models,
     mat_exp,
     operator_norm,
     resolvent,
 )
+from evolver.catalog import MODEL_KEYS
 from evolver.linop import MAX_DIM, PADE_THETA, as_matrix, as_vector
 
 from oracles import gram_norm, mp_expm_error, series_expm
@@ -92,7 +92,7 @@ def _rel_1norm(X, ref):
     return diff / np.abs(ref).sum(axis=-2).max(axis=-1)
 
 
-@pytest.mark.parametrize("key", list_models())
+@pytest.mark.parametrize("key", MODEL_KEYS)
 def test_mat_exp_catalog_step_stacks_match_scipy(key):
     fam = get_model(key).family
     for n in (16, 256, 8192):
@@ -102,7 +102,7 @@ def test_mat_exp_catalog_step_stacks_match_scipy(key):
         assert np.max(_rel_1norm(mat_exp(A, h), ref)) <= 1e-14
 
 
-@pytest.mark.parametrize("key", list_models())
+@pytest.mark.parametrize("key", MODEL_KEYS)
 def test_mat_exp_catalog_period_exponential_matches_mpmath(key):
     # n = 1: the whole-period step, ||T A(0)||_1 up to 57 on wave-k3.  There
     # scipy's own error reaches about 5e-14 (wave-k1), so the reference is

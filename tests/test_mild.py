@@ -18,8 +18,6 @@ from evolver import (
     get_model,
     mild_solve,
     nonlinear_field,
-    sigma_apply,
-    translate,
 )
 from evolver.mild import _FIELD_BLOCK, _eval_field, _gap, _scan_plan, _sweep, _workspace
 
@@ -35,34 +33,32 @@ def test_sigma_zero_forcing_is_linear_flow():
     cm = get_model("rotation-damped-2d")
     R = build_evolution(cm.family, 256)
     x = np.array([0.4, -0.3])
-    w = np.zeros((257, 2))
-    traj = sigma_apply(R, x, w)
+    traj = mild_solve(R, lambda t, z: np.zeros_like(z), x, grid=256)
     for i in (0, 64, 128, 256):
         ref = R.apply(traj.times[i], 0.0, x)
         assert np.allclose(traj.states[i], ref, atol=1e-12)
 
 
+def _forcing(*coefs):
+    # a state-independent field: one trigonometric term per component
+    def F(t, z):
+        cols = [c * np.sin((k + 1) * np.pi * t + k) for k, c in enumerate(coefs)]
+        return np.broadcast_to(np.concatenate(cols, axis=-1), np.shape(z))
+
+    return F
+
+
 def test_sigma_is_affine_in_forcing():
     cm = get_model("rotation-damped-2d")
     R = build_evolution(cm.family, 128)
-    rng = np.random.default_rng(31)
-    x = rng.standard_normal(2)
-    w1 = rng.standard_normal((129, 2))
-    w2 = rng.standard_normal((129, 2))
-    both = sigma_apply(R, x, w1 + w2, lam=0.7).states
-    split = (sigma_apply(R, x, w1, lam=0.7).states
-             + sigma_apply(R, np.zeros(2), w2, lam=0.7).states)
-    assert np.allclose(both, split, atol=1e-12)
-
-
-def test_sigma_input_validation():
-    R = build_evolution(get_model("scalar-linear").family, 16)
-    with pytest.raises(InvalidInputError):
-        sigma_apply(R, [0.0], np.zeros((1, 1)))  # single sample
-    with pytest.raises(InvalidInputError):
-        sigma_apply(R, [0.0], np.zeros(5))  # not (m+1, d)
-    with pytest.raises(InvalidInputError):
-        sigma_apply(R, [0.0, 0.0], np.zeros((9, 1)))
+    x = np.random.default_rng(31).standard_normal(2)
+    F1, F2 = _forcing(1.0, -0.5), _forcing(0.3, 2.0)
+    both = mild_solve(R, lambda t, z: F1(t, z) + F2(t, z), x, lam=0.7, grid=128)
+    one = mild_solve(R, F1, x, lam=0.7, grid=128)
+    other = mild_solve(R, F2, np.zeros(2), lam=0.7, grid=128)
+    # a state-independent forcing makes the second pass repeat the first
+    assert both.iterations == one.iterations == other.iterations == 2
+    assert np.allclose(both.states, one.states + other.states, atol=1e-12)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -275,10 +271,13 @@ def test_translate_interpolates():
     lam = 1.0
     x = np.array([_scalar_periodic_start(lam)])
     # the periodic orbit returns to its start at t = T
-    back = translate(R, cm.field, 1.0, x, lam=lam, grid=1024)
-    assert abs(back[0] - x[0]) < 1e-5
+    traj = mild_solve(R, cm.field, x, lam=lam, grid=1024)
+    assert abs(traj.at(1.0)[0] - x[0]) < 1e-5
+    # between nodes the path is interpolated linearly
+    mid = 0.5 * (traj.states[307] + traj.states[308])
+    assert traj.at(307.5 / 1024) == pytest.approx(mid, abs=1e-15)
     with pytest.raises(PreconditionError):
-        translate(R, cm.field, 2.0, x)
+        traj.at(2.0)
 
 
 def test_fixed_point_scalar_closed_form():

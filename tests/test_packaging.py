@@ -1,8 +1,11 @@
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import evolver
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -18,3 +21,37 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert json.loads(out.stdout.strip().splitlines()[-1]) == []
+
+
+# exports that library and demo code never use, kept as references for tests
+# and tools, with the reason each stays public
+TEST_REFERENCE_EXPORTS = {
+    "exponential_scheme": "the exact Chernoff scheme exp(lam A), the product "
+                          "formula's reference case in the semigroup tests",
+    "validate_family": "checks a family's claimed rate, periodicity and "
+                       "continuity; the family contract tests run it on "
+                       "every catalog and combined family",
+    "eval_expr": "the one-shot evaluator of a parsed expression, which "
+                 "perfbench traces as the expression layer",
+}
+
+
+def _used_names(paths):
+    """Names that code loads or reads as attributes (not definitions or imports)."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_export_is_used_outside_the_tests():
+    root = SRC.parent
+    paths = [p for p in sorted((SRC / "evolver").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((root / "demos").glob("*.py"))
+    used = _used_names(paths)
+    unused = sorted(set(evolver.__all__) - used)
+    assert unused == sorted(TEST_REFERENCE_EXPORTS)

@@ -6,12 +6,11 @@ from evolver import (
     build_evolution,
     build_wave_model,
     energy_residual,
-    eta_inner,
     eta_metric_matrix,
-    eta_norm,
     find_periodic_wave,
     get_model,
     linear_nondegeneracy,
+    metric_norm,
     mild_solve,
     nonlinear_field,
     select_eta,
@@ -70,12 +69,10 @@ def test_eta_metric_constants_match_generalized_eigh(ell, k, eta):
 
 
 def test_eta_inner_first_mode():
+    # |(a, b)|_eta^2 = lam_1 a^2 + (b + eta a)^2 = 1 + 0.25 at (1, 0)
     model, _ = build_wave_model(np.pi, 1, lambda t: 1.0, 2.0 * np.pi, eta=0.5)
     e1 = np.array([1.0, 0.0])
-    assert eta_inner(e1, e1, model) == pytest.approx(1.25)
-    assert eta_norm(e1, model) == pytest.approx(np.sqrt(1.25))
-    with pytest.raises(InvalidInputError):
-        eta_inner(np.zeros(3), np.zeros(3), model)
+    assert metric_norm(e1, model.eta_metric.G) == pytest.approx(np.sqrt(1.25))
 
 
 def test_select_eta_closed_form_k1_constant_damping():
@@ -183,7 +180,11 @@ def test_find_periodic_wave_small_residual():
     assert result.fixed_point.residual <= 1e-10
     z0 = result.trajectory.states[0]
     zT = result.trajectory.states[-1]
-    assert eta_norm(zT - z0, model) == pytest.approx(result.residual_eta)
+    # the eta norm from its definition: sum lam_i a_i^2 + (b_i + eta a_i)^2
+    a, b = (zT - z0)[:model.k], (zT - z0)[model.k:]
+    eta = model.eta_metric.eta
+    ref = np.sqrt(model.eigs @ a ** 2 + np.sum((b + eta * a) ** 2))
+    assert result.residual_eta == pytest.approx(ref, rel=1e-12)
 
 
 def test_find_periodic_wave_affine_matches_linear_oracle():
