@@ -97,21 +97,21 @@ def averaged_pair(family: GeneratorFamily, F, probes=None,
         probes = np.zeros((1, family.dim))
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
 
-    def sample(ts):
-        return np.stack([np.asarray(F(float(t), probes), dtype=float) for t in ts])
-
-    _, m = _simpson_doubling(sample, family.T, tol)
-    ts = np.linspace(0.0, family.T, m + 1)
-    w = _simpson_weights(m) / (3.0 * m)
-
-    def _mean_at(x):
-        tcol = ts.reshape((-1,) + (1,) * x.ndim)
-        vals = np.asarray(F(tcol, x[None, ...]), dtype=float)
+    def sample(ts, x):
+        # F at every node ts[i] and state x, one broadcast call: (len(ts),) + x.shape
+        vals = np.asarray(F(ts.reshape((-1,) + (1,) * x.ndim), x[None, ...]), dtype=float)
         if vals.shape != (len(ts),) + x.shape:
             raise InvalidInputError(
                 f"field returned shape {vals.shape}, expected {(len(ts),) + x.shape}"
             )
-        return np.tensordot(w, vals, axes=(0, 0))
+        return vals
+
+    _, m = _simpson_doubling(lambda ts: sample(ts, probes), family.T, tol)
+    ts = np.linspace(0.0, family.T, m + 1)
+    w = _simpson_weights(m) / (3.0 * m)
+
+    def _mean_at(x):
+        return np.tensordot(w, sample(ts, x), axes=(0, 0))
 
     def F_hat(x):
         x = np.asarray(x, dtype=float)

@@ -158,12 +158,15 @@ def _validate_config(cfg, experiment):
                 raise ConfigError(f"numeric.{key} must be an integer >= {lo}")
     if "f_inf" in num and not isinstance(num["f_inf"], (int, float)):
         raise ConfigError("numeric.f_inf must be a number")
-    for key in ("ns", "lambdas"):
+    # ns are step counts, so no float is truncated; bool would pass as int
+    for key, kinds, what in (("ns", int, "integers >= 1"),
+                             ("lambdas", (int, float), "positive numbers")):
         if key in num:
             v = num[key]
             if (not isinstance(v, list) or not v
-                    or not all(isinstance(x, (int, float)) and x > 0 for x in v)):
-                raise ConfigError(f"numeric.{key} must be a list of positive numbers")
+                    or not all(isinstance(x, kinds) and not isinstance(x, bool)
+                               and x > 0 for x in v)):
+                raise ConfigError(f"numeric.{key} must be a nonempty list of {what}")
     out = cfg.get("output", {})
     if not isinstance(out, dict):
         raise ConfigError("output section must be an object")
@@ -216,7 +219,7 @@ def run_chernoff(cm, num, seed):
     scheme = resolvent_scheme(lambda mu: A, 3)
     x3 = rng.standard_normal(3)
     x3 /= np.linalg.norm(x3)
-    ns = tuple(int(v) for v in num.get("ns", (16, 64, 256, 1024, 4096)))
+    ns = tuple(num.get("ns", (16, 64, 256, 1024, 4096)))
     seq = ChernoffSequence(t=1.0, mu0=0.0, ns=ns)
     power = chernoff_power_limit(scheme, seq, x3)
     total = chernoff_sum_limit(scheme, seq, x3)
@@ -261,10 +264,9 @@ def run_evolsys(cm, num, seed):
         (R.nodes[n], R.nodes[3 * n // 4], R.nodes[n // 4]),
         (R.nodes[7 * n // 8], R.nodes[n // 2], R.nodes[n // 8]),
     ]
-    coc_max = 0.0
-    for t, r, s in triples:
-        d = cocycle_defect(R, t, r, s)
-        coc_max = max(coc_max, d)
+    defects = cocycle_defect(R, *np.array(triples).T)
+    coc_max = float(np.max(defects, initial=0.0))
+    for (t, r, s), d in zip(triples, defects.tolist()):
         rows.append(["cocycle", "%.6g,%.6g,%.6g" % (t, r, s), d, 1e-12, d <= 1e-12])
 
     ref = build_evolution(fam, min(16 * n, 2 ** 14))

@@ -9,11 +9,11 @@ frozen-coefficient exponentials,
     R(t, s) = S_k(t - t_k) S_{k-1}(h) ... S_{l+1}(h) S_l(t_{l+1} - s),
 
 where S_j(a) = exp(a A(t_j)) acts on the cell [t_j, t_{j+1}).  Each build
-computes the n whole-cell steps S_j(h) with one stacked exponential call;
-only the partial cells of off-grid queries are exponentiated on demand.
-Step-operator stacks R(times[i+1], times[i]) on a time grid are assembled
-once per system and grid, with one stacked exponential for all their
-partial cells, and memoized on the system.
+computes the n whole-cell steps S_j(h) with one stacked exponential call.
+Every query goes through one batched pair kernel, EvolutionSystem.operators,
+which returns R(t_i, s_i) for a whole array of pairs with one stacked
+exponential for all their partial cells; operator, apply, step_operators
+(memoized per system and grid) and the audits below are its callers.
 The result is an exact evolution system for the piecewise-frozen family:
 it satisfies the cocycle identity R(t, s) = R(t, r) R(r, s) for every
 s <= r <= t up to roundoff, and converges to the evolution system of the
@@ -161,14 +161,16 @@ def validate_family(family: GeneratorFamily, samples: int = 129) -> dict:
 class EvolutionSystem:
     """Frozen-coefficient product evolution system on [0, T].
 
-    The defining data never change once built; operator/apply queries are
-    pure.  Grid-node data (step exponentials and prefix products from
-    time 0) are precomputed, so R(t_k, 0) queries cost one lookup and
-    general queries walk the covered cells.  step_operators memoizes each
-    stack it assembles, keyed on the exact time array; the stacks are
-    read-only and are dropped with the system.  Queries are safe to call
-    concurrently: two threads racing on the same uncached grid at worst
-    assemble an identical stack twice.
+    The defining data never change once built, and queries are pure.
+    Grid-node data (step exponentials and prefix products from time 0)
+    are precomputed.  operators(t, s) answers every query for a batch of
+    pairs at once: R(t_k, 0) is a lookup, and any other pair multiplies
+    its whole steps and at most two partial cells.  operator(t, s) is
+    its one-pair case and apply(t, s, x) is x @ operator(t, s)^T.
+    step_operators memoizes each stack it assembles, keyed on the exact
+    time array; the stacks are read-only and are dropped with the system.
+    Queries are safe to call concurrently: two threads racing on the same
+    uncached grid at worst assemble an identical stack twice.
     """
 
     family: GeneratorFamily
@@ -191,121 +193,52 @@ class EvolutionSystem:
     def h(self) -> float:
         return self.family.T / self.n
 
-    def _locate(self, t: float) -> tuple[int, bool]:
-        """Cell index of t and whether t sits on a grid node (snapped)."""
-        j = int(round(t / self.h))
-        if abs(t - self.nodes[min(j, self.n)]) <= SNAP * max(1.0, self.T):
-            return min(j, self.n), True
-        j = int(t / self.h)
-        return min(j, self.n - 1), False
+    def operators(self, t, s) -> np.ndarray:
+        """The stack of R(t_i, s_i) over the broadcast arrays t and s.
 
-    def _check_pair(self, t: float, s: float) -> tuple[float, float]:
-        if not (np.isfinite(t) and np.isfinite(s)):
-            raise InvalidInputError("times must be finite")
-        lo = -SNAP * max(1.0, self.T)
-        if s < lo or t > self.T + SNAP * max(1.0, self.T) or t - s < lo:
-            raise PreconditionError(
-                f"need 0 <= s <= t <= T, got s={s}, t={t}, T={self.T}"
-            )
-        return min(max(t, 0.0), self.T), min(max(s, 0.0), self.T)
+        Returns shape broadcast_shapes(t, s) + (d, d); scalars give one
+        matrix.  Raises InvalidInputError for a non-finite time and
+        PreconditionError unless 0 <= s <= t <= T (within the snap).
 
-    def _segments(self, t: float, s: float):
-        """Yield (node_index, a, b, whole_cell) pieces covering [s, t]."""
-        nodes = self.nodes
-        tol = SNAP * max(1.0, self.T)
-        j, s_on = self._locate(s)
-        cur = nodes[j] if s_on else s
-        while cur < t - tol:
-            cell_end = nodes[j + 1]
-            seg_end = min(cell_end, t)
-            whole = abs(cur - nodes[j]) <= tol and abs(seg_end - cell_end) <= tol
-            yield j, cur, seg_end, whole
-            cur = cell_end
-            j += 1
-
-    def operator(self, t: float, s: float) -> np.ndarray:
-        """The matrix R(t, s), 0 <= s <= t <= T.  R(t, t) is exactly I."""
-        t, s = self._check_pair(t, s)
-        if t - s <= SNAP * max(1.0, self.T):
-            return np.eye(self.dim)
-        jt, t_on = self._locate(t)
-        js, s_on = self._locate(s)
-        if s_on and js == 0 and t_on:
-            return self.prefix[jt].copy()
-        P = None
-        for j, a, b, whole in self._segments(t, s):
-            F = self.steps[j] if whole else mat_exp(self.family.A(self.nodes[j]), b - a)
-            P = F if P is None else F @ P
-        return P if P is not None else np.eye(self.dim)
-
-    def apply(self, t: float, s: float, x) -> np.ndarray:
-        """R(t, s) applied to a vector (d,) or a batch (..., d)."""
-        t, s = self._check_pair(t, s)
-        v = np.asarray(x, dtype=float)
-        if v.shape[-1] != self.dim:
-            raise InvalidInputError("state dimension mismatch")
-        if t - s <= SNAP * max(1.0, self.T):
-            return v.copy()
-        for j, a, b, whole in self._segments(t, s):
-            F = self.steps[j] if whole else mat_exp(self.family.A(self.nodes[j]), b - a)
-            v = v @ F.T
-        return v
-
-    def step_operators(self, times: np.ndarray) -> np.ndarray:
-        """Read-only stack E_i = R(times[i+1], times[i]) for an increasing array.
-
-        Each stack equals the per-cell operator() results bit for bit.  It
-        is assembled once per distinct times array and memoized on the
-        system: whole cells come from steps, and the partial cells of the
-        whole grid are exponentiated by one stacked mat_exp call.
-        """
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
-            raise InvalidInputError("times must be strictly increasing, length >= 2")
-        key = times.tobytes()
-        E = self._step_stacks.get(key)
-        if E is None:
-            E = self._assemble_steps(times)
-            E.flags.writeable = False
-            self._step_stacks[key] = E
-        return E
-
-    def _assemble_steps(self, times: np.ndarray) -> np.ndarray:
-        """operator() of every cell (times[i], times[i+1]), batched over cells.
-
-        All pairs are validated at once and one searchsorted locates every
-        time on the grid.  A cell covers grid cells j0..j1; only its first
-        piece (starting off a node) and its last piece (ending off a node)
-        are partial.  The pieces multiply onto the stack one position at a
-        time, left to right as in operator(), so each slice equals
-        operator() bit for bit.
+        Times are clamped to [0, T] and located on the grid with one
+        searchsorted; a time within SNAP * max(1, T) of a node is on it.
+        A pair with t - s inside the snap is exactly I, and R(t_k, 0) is
+        prefix[k].  Any other pair covers grid cells j0..j1, whole cells
+        come from steps, and only its first piece (starting off a node)
+        and last piece (ending off a node) are partial: their generators
+        come from one stack call on the distinct nodes and their
+        exponentials from one stacked mat_exp.  The pieces multiply onto
+        the stack one position at a time, left to right, so every slice
+        is the same product the cell-by-cell walk forms.
         """
         nodes, T, d = self.nodes, self.T, self.dim
         tol = SNAP * max(1.0, T)
-        if not np.all(np.isfinite(times)):
+        t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+        shape = t.shape
+        t, s = t.ravel(), s.ravel()
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(s))):
             raise InvalidInputError("times must be finite")
-        bad = np.flatnonzero((times[:-1] < -tol) | (times[1:] > T + tol))
+        bad = np.flatnonzero((s < -tol) | (t > T + tol) | (t - s < -tol))
         if bad.size:
             i = bad[0]
             raise PreconditionError(
-                f"need 0 <= s <= t <= T, got s={times[i]}, t={times[i + 1]}, T={T}"
+                f"need 0 <= s <= t <= T, got s={s[i]}, t={t[i]}, T={T}"
             )
-        tc = np.clip(times, 0.0, T)
+        s, t = np.clip(s, 0.0, T), np.clip(t, 0.0, T)
         # k: first node >= time - tol; the time is on node k when within tol
-        k = np.searchsorted(nodes, tc - tol)
-        on = nodes[k] <= tc + tol
-        s, t = tc[:-1], tc[1:]
+        ks, kt = np.searchsorted(nodes, s - tol), np.searchsorted(nodes, t - tol)
+        s_on, t_on = nodes[ks] <= s + tol, nodes[kt] <= t + tol
         E = np.broadcast_to(np.eye(d), (len(s), d, d)).copy()
         ident = t - s <= tol
-        from_prefix = ~ident & (s <= tol) & on[1:]   # R(t_k, 0) = prefix[k]
-        E[from_prefix] = self.prefix[k[1:][from_prefix]]
+        from_prefix = ~ident & (s <= tol) & t_on
+        E[from_prefix] = self.prefix[kt[from_prefix]]
         cell = np.flatnonzero(~ident & ~from_prefix)
-        s_on, t = on[:-1][cell], t[cell]
-        j0 = k[:-1][cell] - ~s_on        # an off-node start lies in cell k - 1
+        j0 = ks[cell] - ~s_on[cell]      # an off-node start lies in cell k - 1
+        s_on, t = s_on[cell], t[cell]
         cur0 = np.where(s_on, nodes[j0], s[cell])
-        live = cur0 < t - tol            # else operator() has no piece: identity
+        live = cur0 < t - tol            # else no piece is left: identity
         cell, s_on, t, j0, cur0 = cell[live], s_on[live], t[live], j0[live], cur0[live]
-        j1 = k[1:][cell] - 1
+        j1 = kt[cell] - 1
         pieces = j1 - j0 + 1
         end1 = np.minimum(nodes[j1 + 1], t)
         end_whole = np.abs(end1 - nodes[j1 + 1]) <= tol
@@ -332,6 +265,38 @@ class EvolutionSystem:
             F[tail] = last[c[tail]]
             P[c] = F @ P[c]
         E[cell] = P
+        return E.reshape(shape + (d, d))
+
+    def operator(self, t: float, s: float) -> np.ndarray:
+        """The matrix R(t, s), 0 <= s <= t <= T: the one-pair operators call.
+
+        R(t, t) is exactly I.
+        """
+        return self.operators(t, s)
+
+    def apply(self, t: float, s: float, x) -> np.ndarray:
+        """R(t, s) applied to a vector (d,) or a batch (..., d): x @ R(t, s)^T."""
+        M = self.operator(t, s)
+        v = np.asarray(x, dtype=float)
+        if v.shape[-1] != self.dim:
+            raise InvalidInputError("state dimension mismatch")
+        return v @ M.T
+
+    def step_operators(self, times: np.ndarray) -> np.ndarray:
+        """Read-only stack E_i = R(times[i+1], times[i]) for an increasing array.
+
+        It is operators(times[1:], times[:-1]), assembled once per
+        distinct times array and memoized on the system.
+        """
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
+            raise InvalidInputError("times must be strictly increasing, length >= 2")
+        key = times.tobytes()
+        E = self._step_stacks.get(key)
+        if E is None:
+            E = self.operators(times[1:], times[:-1])
+            E.flags.writeable = False
+            self._step_stacks[key] = E
         return E
 
 
@@ -360,13 +325,20 @@ def build_evolution(family: GeneratorFamily, n: int) -> EvolutionSystem:
     return EvolutionSystem(family=family, n=n, nodes=nodes, steps=steps, prefix=prefix)
 
 
-def cocycle_defect(R: EvolutionSystem, t: float, r: float, s: float) -> float:
-    """||R(t, s) - R(t, r) R(r, s)|| in the spectral norm, for s <= r <= t."""
-    if not (s <= r + SNAP and r <= t + SNAP):
-        raise PreconditionError(f"need s <= r <= t, got {s}, {r}, {t}")
-    whole = R.operator(t, s)
-    split = R.operator(t, r) @ R.operator(r, s)
-    return float(np.linalg.norm(whole - split, 2))
+def cocycle_defect(R: EvolutionSystem, t, r, s):
+    """||R(t, s) - R(t, r) R(r, s)|| in the spectral norm, for s <= r <= t.
+
+    t, r and s broadcast: scalars give a float, arrays the array of
+    defects, all from one operators call.
+    """
+    t, r, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t, r, s)))
+    bad = np.flatnonzero(~((s <= r + SNAP) & (r <= t + SNAP)))
+    if bad.size:
+        i = np.unravel_index(bad[0], t.shape)
+        raise PreconditionError(f"need s <= r <= t, got {s[i]}, {r[i]}, {t[i]}")
+    whole, left, right = R.operators(np.stack([t, t, r]), np.stack([s, r, s]))
+    defect = np.linalg.norm(whole - left @ right, 2, axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def _default_sample_pairs(T: float, m: int) -> list[tuple[float, float]]:
@@ -399,11 +371,9 @@ def contraction_check(R: EvolutionSystem, omega: float,
         ]
     else:
         pairs = list(samples)
-    excess = -np.inf
-    for t, s in pairs:
-        nrm = metric_operator_norm(R.operator(t, s), G)
-        excess = max(excess, nrm * np.exp(omega * (t - s)) - 1.0)
-    return float(excess)
+    t, s = np.array(pairs, dtype=float).reshape(-1, 2).T
+    nrm = np.array([metric_operator_norm(M, G) for M in R.operators(t, s)])
+    return float(np.max(nrm * np.exp(omega * (t - s)) - 1.0, initial=-np.inf))
 
 
 def family_continuity_gap(F1: GeneratorFamily, perturbed: Sequence[GeneratorFamily],

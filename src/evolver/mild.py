@@ -38,7 +38,6 @@ from .errors import (
     ConvergenceError,
     DegenerateFixedPointError,
     InvalidInputError,
-    PreconditionError,
 )
 from .evolsys import EvolutionSystem
 from .linop import CONVERGED, SINGULAR, STALLED, as_vector, damped_newton, fd_jacobians
@@ -65,11 +64,12 @@ up to 208 states: 0.94 s against 0.46 s).
 class NonlinearField:
     """Nonlinearity F(t, x) with Lipschitz and growth metadata.
 
-    F: (t, x) -> array shaped like x; should broadcast over leading axes
-       of x (with t scalar or broadcast-compatible) and be node-local:
-       over a column of times t_i against states x_i, the value at node i
-       depends only on t_i and x_i, since a solve evaluates F in blocks
-       of whole nodes.
+    F: (t, x) -> array shaped broadcast_shapes(t, x.shape[:-1]) + (d,),
+       once trailing axes of t that face x's component axis are dropped
+       (t is a scalar or a column such as ts[:, None]); it broadcasts over
+       leading axes of x and is node-local: over a column of times t_i
+       against states x_i, the value at node i depends only on t_i and
+       x_i, since a solve evaluates F in blocks of whole nodes.
     lipschitz: L with ||F(t, x) - F(t, y)|| <= L ||x - y||
     growth: c with ||F(t, x)|| <= c (1 + ||x||)
     periodic: whether F(t + T, .) = F(t, .) is part of the contract
@@ -102,16 +102,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-    def at(self, t: float) -> np.ndarray:
-        """Linear interpolation between grid nodes (first-order dense output)."""
-        times = self.times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-            raise PreconditionError(f"time {t} outside [{times[0]}, {times[-1]}]")
-        i = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
-        h = times[i + 1] - times[i]
-        a = (t - times[i]) / h
-        return (1.0 - a) * self.states[i] + a * self.states[i + 1]
 
 
 def _eval_field(F, times: np.ndarray, states: np.ndarray,

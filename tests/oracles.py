@@ -17,6 +17,9 @@ oracles may use scipy and mpmath:
   (the library uses frozen-coefficient products and trapezoid Picard
   sweeps).  The step-by-step trapezoid loop is the reference for the
   library's chunked scan sweep;
+* R(t, s) of a built system: a walk over its cells one pair at a time,
+  multiplying one piece per cell (the library locates a whole batch of
+  pairs at once and multiplies them in lockstep);
 * expressions: a recursive walk of the AST on every evaluation (the
   library compiles each AST once into a tree of closures);
 * fixed points of a contractive period map: direct iteration
@@ -133,6 +136,46 @@ def loop_sweep(E, x, w, lam, h):
         z = z @ E[i].T
         out[i + 1] = z + lam * (J + 0.5 * h * w[i + 1])
     return out
+
+
+def walk_operator(R, t, s, expm, snap):
+    """R(t, s) of a frozen-coefficient system, walking its cells one by one.
+
+    R supplies nodes, n, h, T, dim, steps (whole-cell exponentials),
+    prefix (R(t_k, 0)) and family.A.  expm(M, a) is the exponential the
+    system was built with, passed in so the walk can be compared with the
+    library bit for bit.  A time within snap * max(1, T) of a node counts
+    as on it.  Expects 0 <= s <= t <= T up to that snap.
+    """
+    tol = snap * max(1.0, R.T)
+    t, s = min(max(t, 0.0), R.T), min(max(s, 0.0), R.T)
+
+    def locate(u):
+        # cell index of u, and whether u sits on a grid node
+        j = min(int(round(u / R.h)), R.n)
+        if abs(u - R.nodes[j]) <= tol:
+            return j, True
+        return min(int(u / R.h), R.n - 1), False
+
+    if t - s <= tol:
+        return np.eye(R.dim)
+    jt, t_on = locate(t)
+    j, s_on = locate(s)
+    if s_on and j == 0 and t_on:
+        return R.prefix[jt].copy()
+    P = np.eye(R.dim)
+    first = True
+    cur = R.nodes[j] if s_on else s
+    while cur < t - tol:
+        cell_end = R.nodes[j + 1]
+        seg_end = min(cell_end, t)
+        whole = abs(cur - R.nodes[j]) <= tol and abs(seg_end - cell_end) <= tol
+        F = R.steps[j] if whole else expm(R.family.A(R.nodes[j]), seg_end - cur)
+        P = F.copy() if first else F @ P
+        first = False
+        cur = cell_end
+        j += 1
+    return P
 
 
 def picard_fixed_point(phi, x, tol, max_iter=200):

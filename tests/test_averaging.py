@@ -19,6 +19,7 @@ from evolver import (
     get_model,
     mild_solve,
     monodromy,
+    nonlinear_field,
     unit_eigenvalue_gap,
 )
 
@@ -71,8 +72,8 @@ def test_simpson_refinement_has_a_cost_guard():
     calls = [0]
 
     def F(t, x):
-        calls[0] += 1
-        return x * (1.0 if t < T / 3.0 else 2.0)
+        calls[0] += np.size(t)   # nodes sampled
+        return x * np.where(t < T / 3.0, 1.0, 2.0)
 
     with pytest.raises(OracleFailureError):
         averaged_pair(_constant_family(T), F, probes=np.array([1.0]))
@@ -91,13 +92,23 @@ def test_averaged_pair_catalog_scalar():
         assert batch[i, 0] == pytest.approx(avg.F_hat(X[i])[0], abs=1e-12)
 
 
+def test_averaged_pair_on_the_wave_field():
+    # f = 0.2 s + 0.3 cos t: the cos t forcing averages out, and the
+    # collocation projection of 0.2 a phi_1 is exactly 0.2 a
+    cm = get_model("wave-k1")
+    avg = averaged_pair(cm.family, nonlinear_field(cm.wave))
+    X = np.array([[0.3, -0.2], [0.0, 0.0], [1.0, 2.0]])
+    want = np.stack([np.zeros(3), -0.2 * X[:, 0]], axis=-1)
+    assert np.allclose(avg.F_hat(X), want, atol=1e-10)
+    assert np.allclose(avg.F_hat(X[0]), want[0], atol=1e-10)
+
+
 def test_averaged_field_with_wrong_shape_is_rejected():
     cm = get_model("scalar-linear")
-    # right at single times (so the Simpson rule builds), wrong over a node column
+    # right at single times, wrong over the node column the Simpson rule samples
     bad = NonlinearField(F=lambda t, x: np.zeros(np.shape(x)), lipschitz=0.0, growth=0.0)
-    avg = averaged_pair(cm.family, bad)
     with pytest.raises(InvalidInputError, match="expected"):
-        avg.F_hat(np.array([0.7]))
+        averaged_pair(cm.family, bad)
 
 
 def test_mu_rescale_fixed_points_match_at_endpoints():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evolver import ConfigError, ExprError
+from evolver import ConfigError, ExprError, nonlinear_field
 from evolver.catalog import (
     AVERAGING_LADDER,
     BRANCHING_LADDER,
@@ -140,3 +140,31 @@ def test_inline_config_errors():
         model_from_config({"A": [[-1.0]], "F": ["1", "2"]})
     with pytest.raises(ConfigError):
         model_from_config({"A": [[-1.0]], "region": {"kind": "torus"}})
+
+
+def _catalog_field(key):
+    cm = get_model(key)
+    return cm.T, cm.dim, cm.field if cm.wave is None else nonlinear_field(cm.wave)
+
+
+@pytest.mark.parametrize("key", MODEL_KEYS)
+def test_field_contract(key):
+    # F(t, x) has shape broadcast_shapes(t, x.shape[:-1]) + (d,) once the
+    # axis of t facing the components is dropped, and every broadcast value
+    # is the per-node call's (to roundoff: the wave field's collocation is
+    # a matrix product whose summation order follows the batch layout)
+    T, d, F = _catalog_field(key)
+    same = lambda a, b: np.allclose(a, b, rtol=1e-13, atol=1e-13)
+    rng = np.random.default_rng(8)
+    ts = np.linspace(0.0, T, 7)
+    X = rng.standard_normal((5, d))
+    grid = F(ts[:, None, None], X[None])          # every node against every state
+    assert grid.shape == (7, 5, d)
+    for i, t in enumerate(ts):
+        assert same(grid[i], F(t, X))
+        for p in range(5):
+            assert same(grid[i, p], F(t, X[p]))
+    Y = rng.standard_normal((7, d))
+    column = F(ts[:, None], Y)                    # node i against state i
+    assert column.shape == (7, d)
+    assert same(column, np.stack([F(t, y) for t, y in zip(ts, Y)]))

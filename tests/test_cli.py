@@ -67,6 +67,8 @@ def test_seed_flag_overrides_config(tmp_path):
     {"numeric": {"grid": 0}},
     {"numeric": {"eta": 0.5}},   # read by no experiment
     {"numeric": {"dim": 2}},     # read by no experiment
+    {"numeric": {"ns": [16.7, 64.2, 256.9, 1024.5]}},   # not truncated to ints
+    {"numeric": {"lambdas": [True]}},                 # a boolean is not 1
 ])
 def test_config_rejection_exits_2(tmp_path, cfg_obj, capsys):
     cfg = _write_cfg(tmp_path, "bad.json", cfg_obj)

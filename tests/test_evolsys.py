@@ -1,5 +1,6 @@
 import sys
 import threading
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from evolver import (
 )
 from evolver.catalog import MODEL_KEYS
 
-from oracles import gap_integral, rk4_transition
+from oracles import gap_integral, rk4_transition, walk_operator
 
 
 def _scalar_family():
@@ -415,7 +416,79 @@ def test_continuity_gap_batch_equals_single_calls():
 
 
 def _per_cell_stack(R, times):
-    return np.stack([R.operator(b, a) for a, b in zip(times[:-1], times[1:])])
+    return np.stack([walk_operator(R, b, a, mat_exp, evolsys.SNAP)
+                     for a, b in zip(times[:-1], times[1:])])
+
+
+@lru_cache(maxsize=None)
+def _system(key, n):
+    return build_evolution(get_model(key).family, n)
+
+
+@st.composite
+def _pairs(draw):
+    key = draw(st.sampled_from(["scalar-linear", "rotation-damped-2d", "wave-k3"]))
+    n = draw(st.sampled_from([1, 7, 64, 256]))
+    T = get_model(key).T
+    tol = evolsys.SNAP * max(1.0, T)
+    # on a node (exactly, or off it by less than the snap), or inside a cell
+    on_node = st.builds(lambda i, o: T * i / n + o * tol,
+                        st.integers(0, n), st.sampled_from([0.0, 0.0, 0.5, -0.5, 0.99]))
+    in_cell = st.builds(lambda c, f: T * (c + f) / n,
+                        st.integers(0, n - 1), st.floats(1e-6, 1.0 - 1e-6))
+    times = st.one_of(on_node, in_cell)
+    pairs = draw(st.lists(st.tuples(times, times), min_size=1, max_size=12))
+    return key, n, [(max(a, b), min(a, b)) for a, b in pairs]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_pairs())
+def test_operators_equal_cell_walk(case):
+    key, n, pairs = case
+    R = _system(key, n)
+    t, s = np.array(pairs).T
+    got = R.operators(t, s)
+    assert got.shape == (len(pairs), R.dim, R.dim)
+    for k, (tk, sk) in enumerate(pairs):
+        assert np.array_equal(got[k], walk_operator(R, tk, sk, mat_exp, evolsys.SNAP))
+    assert np.array_equal(R.operator(*pairs[0]), got[0])
+
+
+def test_operators_broadcast_shapes():
+    R = _system("rotation-damped-2d", 64)
+    s = np.array([[0.0, 0.1], [0.25, 0.3]]) * R.T
+    stack = R.operators(R.T, s)
+    assert stack.shape == (2, 2, 2, 2)
+    assert np.array_equal(stack[1, 0], R.operator(R.T, s[1, 0]))
+    assert R.operator(0.5, 0.25).shape == (2, 2)
+
+
+@pytest.mark.parametrize("t, s, err", [
+    ([0.5, 0.2], [0.1, 0.5], PreconditionError),      # reversed pair
+    ([0.5, 1.5], [0.1, 0.0], PreconditionError),      # t after T
+    ([0.5, 0.4], [0.1, -0.1], PreconditionError),     # s before 0
+    ([0.5, np.nan], [0.1, 0.0], InvalidInputError),
+    ([0.5, 0.4], [0.1, -np.inf], InvalidInputError),
+])
+def test_operators_reject_bad_pairs(t, s, err):
+    R = build_evolution(_scalar_family(), 64)
+    with pytest.raises(err):
+        R.operators(np.array(t), np.array(s))
+    with pytest.raises(err):
+        R.operator(t[1], s[1])
+    with pytest.raises(err):
+        R.apply(t[1], s[1], [1.0])
+
+
+def test_cocycle_defect_broadcasts_over_triples():
+    R = _system("wave-k3", 64)
+    rng = np.random.default_rng(3)
+    s, r, t = np.sort(rng.uniform(0.0, R.T, (3, 9)), axis=0)
+    batch = cocycle_defect(R, t, r, s)
+    assert batch.shape == (9,)
+    assert np.array_equal(batch, [cocycle_defect(R, *v) for v in zip(t, r, s)])
+    with pytest.raises(PreconditionError):
+        cocycle_defect(R, t, s, r)
 
 
 @pytest.mark.parametrize("key", ["scalar-linear", "rotation-damped-2d", "wave-k3"])

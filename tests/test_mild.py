@@ -12,7 +12,6 @@ from evolver import (
     GeneratorFamily,
     InvalidInputError,
     NonlinearField,
-    PreconditionError,
     build_evolution,
     fixed_point,
     get_model,
@@ -263,21 +262,6 @@ def test_mild_solve_allocates_no_path_sized_field_temporaries():
         tracemalloc.stop()
     assert traj.iterations > 2
     assert (peak - base) / traj.states.nbytes < 7.0
-
-
-def test_translate_interpolates():
-    cm = get_model("scalar-linear")
-    R = build_evolution(cm.family, 1024)
-    lam = 1.0
-    x = np.array([_scalar_periodic_start(lam)])
-    # the periodic orbit returns to its start at t = T
-    traj = mild_solve(R, cm.field, x, lam=lam, grid=1024)
-    assert abs(traj.at(1.0)[0] - x[0]) < 1e-5
-    # between nodes the path is interpolated linearly
-    mid = 0.5 * (traj.states[307] + traj.states[308])
-    assert traj.at(307.5 / 1024) == pytest.approx(mid, abs=1e-15)
-    with pytest.raises(PreconditionError):
-        traj.at(2.0)
 
 
 def test_fixed_point_scalar_closed_form():
