@@ -233,8 +233,8 @@ class EvolutionSystem:
         from_prefix = ~ident & (s <= tol) & t_on
         E[from_prefix] = self.prefix[kt[from_prefix]]
         cell = np.flatnonzero(~ident & ~from_prefix)
-        j0 = ks[cell] - ~s_on[cell]      # an off-node start lies in cell k - 1
         s_on, t = s_on[cell], t[cell]
+        j0 = ks[cell] - ~s_on            # an off-node start lies in cell k - 1
         cur0 = np.where(s_on, nodes[j0], s[cell])
         live = cur0 < t - tol            # else no piece is left: identity
         cell, s_on, t, j0, cur0 = cell[live], s_on[live], t[live], j0[live], cur0[live]
