@@ -7,7 +7,8 @@ Layers, bottom up:
                damped-Newton kernel
     semigroup  contraction semigroups and product-formula limits
     evolsys    frozen-coefficient evolution systems R(t, s)
-    mild       variation-of-constants solver and period-map fixed points
+    mild       variation-of-constants solver, the period map Phi_T^lam and
+               its fixed points
     degree     Brouwer degree, winding oracle
     averaging  averaged pairs, branching sweeps, degree equality
     wave       damped wave Galerkin sections, eta metrics, energy law
@@ -61,6 +62,7 @@ from .mild import (
     Trajectory,
     fixed_point,
     mild_solve,
+    period_map,
 )
 from .degree import (
     DegreeReport,
@@ -181,6 +183,7 @@ __all__ = [
     "nonlinear_field",
     "operator_norm",
     "parse_expr",
+    "period_map",
     "project_nonlinearity",
     "resolvent",
     "resolvent_scheme",

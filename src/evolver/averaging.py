@@ -28,7 +28,7 @@ from .errors import (
     OracleFailureError,
 )
 from .evolsys import MAX_SUBDIVISION, GeneratorFamily, affine_family, build_evolution
-from .mild import DEFAULT_GRID, fixed_point, mild_solve
+from .mild import DEFAULT_GRID, fixed_point, period_map
 
 QUAD_TOL = 1e-10
 
@@ -157,14 +157,15 @@ class BranchingReport:
 
 
 def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
-                         U: Region, n: int = 1024, grid: int = DEFAULT_GRID,
-                         fp_tol: float = 1e-10) -> BranchingReport:
+                         U: Region, n: int = 1024,
+                         grid: int = DEFAULT_GRID) -> BranchingReport:
     """Track the period-map fixed point as lam decreases and measure
     its averaged-field defect ||A_hat x_lam + F_hat(x_lam)||.
 
     The defect decays like O(lam): fixed points accumulate on the zero
-    of the averaged field.  A failed solve marks its row and the sweep
-    continues (warm starts skip the failed rung).
+    of the averaged field.  Each rung solves ||Phi_T^lam(x) - x|| to
+    1e-10; a failed solve marks its row and the sweep continues (warm
+    starts skip the failed rung).
     """
     lams = [float(l) for l in lambdas]
     if any(l <= 0 for l in lams):
@@ -175,9 +176,8 @@ def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
     rows: list[BranchingRow] = []
     x_start = U.midpoint
     for lam in lams:
-        R = build_evolution(affine_family(family, lam), n)
         try:
-            fp = fixed_point(R, F, lam, x_start, tol=fp_tol, grid=grid)
+            fp = fixed_point(period_map(family, F, lam, n, grid), x_start, tol=1e-10)
         except EvolverError as exc:
             rows.append(BranchingRow(lam=lam, ok=False, error=str(exc)))
             continue
@@ -244,8 +244,7 @@ class AveragingDegreeReport:
 def averaging_degree_check(family: GeneratorFamily, F, U: Region,
                            lambdas: Sequence[float], n: int = 256,
                            grid: int = 256, degree_grid: int = 8,
-                           boundary_m: int = 128,
-                           picard_tol: float = 1e-10) -> AveragingDegreeReport:
+                           boundary_m: int = 128) -> AveragingDegreeReport:
     """Compare deg(I - Phi_T^lam, U) with the averaged degree along lambdas.
 
     d0 = deg(x + A_hat^{-1} F_hat(x), U).  For each lam, brouwer_degree
@@ -262,18 +261,10 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
                         grid=degree_grid, boundary_m=boundary_m)
     rows: list[AveragingRow] = []
     for lam in map(float, lambdas):
-        R = build_evolution(affine_family(family, lam), n)
-
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            single = x.ndim == 1
-            batch = x[None, :] if single else x
-            traj = mild_solve(R, F, batch, lam=lam, grid=grid, tol=picard_tol)
-            out = batch - traj.final
-            return out[0] if single else out
-
+        phi = period_map(family, F, lam, n, grid)
         try:
-            rep = brouwer_degree(g, U, grid=degree_grid, boundary_m=boundary_m)
+            rep = brouwer_degree(lambda x: x - phi(x).final, U,
+                                 grid=degree_grid, boundary_m=boundary_m)
         except InadmissibleRegionError as exc:
             rows.append(AveragingRow(lam=lam, boundary_ok=False,
                                      boundary_min=exc.boundary_min,
@@ -286,11 +277,9 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
                                      boundary_min=rep.boundary_min, degree=rep.value,
                                      agrees=(rep.value == d0_report.value)))
     lambda0 = None
-    for lam in sorted(r.lam for r in rows):
-        row = next(r for r in rows if r.lam == lam)
-        if row.boundary_ok and row.degree is not None:
-            lambda0 = lam
-        else:
+    for row in sorted(rows, key=lambda r: r.lam):
+        if not (row.boundary_ok and row.degree is not None):
             break
+        lambda0 = row.lam
     return AveragingDegreeReport(d0=d0_report.value, d0_report=d0_report,
                                  rows=rows, lambda0=lambda0, averaged=avg)

@@ -36,7 +36,7 @@ from .evolsys import (
     contraction_check,
     family_continuity_gap,
 )
-from .mild import fixed_point, mild_solve
+from .mild import fixed_point, period_map
 from .semigroup import (
     ChernoffSequence,
     chernoff_defect,
@@ -415,14 +415,16 @@ def run_degree(cm, num, seed):
     }
 
 
-def run_averaging(cm, num, seed):
+def _degree_ladder(cm, num, experiment, lambdas):
     if cm.field is None or cm.region is None:
-        raise ConfigError("averaging needs a model with a field and a region")
+        raise ConfigError(f"{experiment} needs a model with a field and a region")
+    return averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
+                                  n=num.get("n", 256), grid=num.get("grid", 256))
+
+
+def run_averaging(cm, num, seed):
     lambdas = [float(v) for v in num.get("lambdas", catalog.AVERAGING_LADDER)]
-    report = averaging_degree_check(
-        cm.family, cm.field, cm.region, lambdas,
-        n=num.get("n", 256), grid=num.get("grid", 256),
-    )
+    report = _degree_ladder(cm, num, "averaging", lambdas)
     rows = [["averaged", "", True, "", report.d0, "", ""]]
     for r in report.rows:
         rows.append(["period-map", r.lam, r.boundary_ok, r.boundary_min,
@@ -449,13 +451,8 @@ def run_averaging(cm, num, seed):
 
 
 def run_continuation(cm, num, seed):
-    if cm.field is None or cm.region is None:
-        raise ConfigError("continuation needs a model with a field and a region")
     lambdas = sorted(float(v) for v in num.get("lambdas", (0.01, 0.03, 0.1, 0.3, 1.0)))
-    n = num.get("n", 256)
-    grid = num.get("grid", 256)
-    report = averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
-                                    n=n, grid=grid)
+    report = _degree_ladder(cm, num, "continuation", lambdas)
     rows = [["averaged", "", True, report.d0, ""]]
     boundary_clear = True
     degrees_ok = True
@@ -464,9 +461,8 @@ def run_continuation(cm, num, seed):
         degrees_ok = degrees_ok and (r.degree == report.d0)
         rows.append(["sweep", r.lam, r.boundary_ok, r.degree, r.error])
     lam_top = lambdas[-1]
-    R = build_evolution(affine_family(cm.family, lam_top), n)
-    fp = fixed_point(R, cm.field, lam_top, cm.region.midpoint,
-                     tol=1e-8, grid=grid)
+    phi = period_map(cm.family, cm.field, lam_top, num.get("n", 256), num.get("grid", 256))
+    fp = fixed_point(phi, cm.region.midpoint, tol=1e-8)
     inside = bool(cm.region.contains(fp.x))
     rows.append(["fixed-point", lam_top, inside, fp.residual, ""])
     return {
@@ -533,20 +529,14 @@ def run_wave_energy(cm, num, seed):
 
     grid0 = num.get("grid", 2048)
     n0 = num.get("n", 2 * grid0)
-    field = nonlinear_field(model) if model.f is not None else None
+    field = nonlinear_field(model)
     x0 = np.zeros(model.dim)
     x0[0] = 0.5
     x0[model.k] = -0.2
 
     def residual_at(grid, n):
-        R = build_evolution(model.family, n)
-        if field is None:
-            traj = mild_solve(R, lambda t, z: np.zeros_like(z), x0, grid=grid)
-            f_path = None
-        else:
-            traj = mild_solve(R, field, x0, grid=grid)
-            vals = field(traj.times[:, None], traj.states)
-            f_path = vals[:, model.k:]
+        traj = period_map(model.family, field, 1.0, n, grid)(x0)
+        f_path = field(traj.times[:, None], traj.states)[:, model.k:]
         rep = energy_residual(traj, model, f_path=f_path)
         return rep.max_energy_residual, rep.max_position_residual
 

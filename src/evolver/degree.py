@@ -83,8 +83,9 @@ class Region:
             return np.linalg.norm(p - self.center, axis=-1) < self.radius - margin
         return np.all((p > self.lo + margin) & (p < self.hi - margin), axis=-1)
 
-    def boundary_samples(self, m: int, seed: int = 0) -> np.ndarray:
-        """(M, d) boundary points.  Ordered as a closed loop when d == 2."""
+    def boundary_samples(self, m: int) -> np.ndarray:
+        """(M, d) boundary points, a closed loop when d == 2; for d >= 3 drawn
+        by a generator seeded with 0, so the cloud is deterministic."""
         d = self.dim
         if self.kind == "ball":
             if d == 1:
@@ -95,7 +96,7 @@ class Region:
                 return self.center + self.radius * np.stack(
                     [np.cos(th), np.sin(th)], axis=-1
                 )
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(0)
             dirs = rng.standard_normal((m, d))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             axes = np.concatenate([np.eye(d), -np.eye(d)])
@@ -112,7 +113,7 @@ class Region:
             top = np.stack([x1 - u * (x1 - x0), np.full_like(u, y1)], axis=-1)
             left = np.stack([np.full_like(u, x0), y1 - u * (y1 - y0)], axis=-1)
             return np.concatenate([bottom, right, top, left])
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         per_face = max(m // (2 * d), 1)
         pts = []
         for axis in range(d):

@@ -372,7 +372,7 @@ def contraction_check(R: EvolutionSystem, omega: float,
     else:
         pairs = list(samples)
     t, s = np.array(pairs, dtype=float).reshape(-1, 2).T
-    nrm = np.array([metric_operator_norm(M, G) for M in R.operators(t, s)])
+    nrm = metric_operator_norm(R.operators(t, s), G)
     return float(np.max(nrm * np.exp(omega * (t - s)) - 1.0, initial=-np.inf))
 
 

@@ -14,10 +14,10 @@ state-independent half (the transposed steps and their in-chunk prefix
 products) and a workspace of scan buffers and state paths, which each
 pass and its sup-norm gap fill in place, are built once per solve.  It
 only multiplies step operators and never inverts one, since the inverse
-of a strongly damped step would amplify roundoff.  The translation-by-t
-map Phi_t(x) follows, and T-periodic states are the fixed points of
-Phi_T, located by the library's one damped-Newton kernel
-(linop.damped_newton) on Phi_T(x) - x with finite-difference Jacobians.
+of a strongly damped step would amplify roundoff.  period_map is the
+translation along trajectories Phi_T^lam of u' = lam (A u + F); its
+fixed points, the T-periodic states, are found by the one damped-Newton
+kernel (linop.damped_newton) with finite-difference Jacobians.
 
 All state-space operations broadcast over leading axes, so a batch of
 initial states (B, d) is propagated in one sweep.  Field callables must
@@ -39,7 +39,7 @@ from .errors import (
     DegenerateFixedPointError,
     InvalidInputError,
 )
-from .evolsys import EvolutionSystem
+from .evolsys import EvolutionSystem, GeneratorFamily, affine_family, build_evolution
 from .linop import CONVERGED, SINGULAR, STALLED, as_vector, damped_newton, fd_jacobians
 
 DEFAULT_GRID = 2048
@@ -275,6 +275,18 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
     )
 
 
+def period_map(family: GeneratorFamily, F, lam: float, n: int,
+               grid: int = DEFAULT_GRID) -> Callable:
+    """The translation along trajectories Phi_T^lam of u' = lam (A u + F).
+
+    Builds R = build_evolution(affine_family(family, lam), n) once and
+    returns x -> mild_solve(R, F, x, lam=lam, grid=grid), whose .final is
+    Phi_T^lam(x) for a state (d,) or a batch (..., d).
+    """
+    R = build_evolution(affine_family(family, lam), n)
+    return lambda x: mild_solve(R, F, x, lam=lam, grid=grid)
+
+
 @dataclass
 class FixedPointResult:
     """Outcome of a period-map fixed-point solve: history holds the residual
@@ -286,22 +298,21 @@ class FixedPointResult:
     history: list
 
 
-def fixed_point(R: EvolutionSystem, F, lam: float, x_init, tol: float = 1e-8,
-                max_iter: int = 60, grid: int = DEFAULT_GRID,
-                picard_tol: float = PICARD_TOL) -> FixedPointResult:
-    """Fixed point of the period map Phi_T, i.e. a T-periodic initial state.
+def fixed_point(phi: Callable, x_init, tol: float = 1e-8,
+                max_iter: int = 60) -> FixedPointResult:
+    """Fixed point of a period map phi (see period_map): a T-periodic state.
 
-    damped_newton on G(x) = Phi_T(x) - x from x_init as a batch of one,
-    with 8 trial steps and central-difference Jacobians at the step
+    damped_newton on G(x) = phi(x).final - x from x_init as a batch of
+    one, with 8 trial steps and central-difference Jacobians at the step
     1e-6 (1 + ||x||), their 2d probes solved as one batch.  Raises
     DegenerateFixedPointError when DPhi - I is numerically singular
-    (cond > COND_LIMIT) and ConvergenceError when ||Phi_T(x) - x|| does
-    not reach tol (the step stalled or max_iter iterations ran out).
+    (cond > COND_LIMIT) and ConvergenceError when ||phi(x).final - x||
+    does not reach tol (the step stalled or max_iter iterations ran out).
     """
-    x = as_vector(x_init, R.dim)
+    x = as_vector(x_init)
 
     def G(X):
-        return mild_solve(R, F, X, lam=lam, grid=grid, tol=picard_tol).final - X
+        return phi(X).final - X
 
     def jac(X):
         return fd_jacobians(G, X, 1e-6 * (1.0 + np.linalg.norm(X, axis=-1)))

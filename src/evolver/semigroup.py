@@ -32,11 +32,14 @@ def metric_cholesky(G) -> np.ndarray:
         raise InvalidMetricError("metric is not positive definite") from None
 
 
-def metric_operator_norm(M, G) -> float:
-    """Operator norm of M acting on (R^d, <.,.>_G), via congruence to Euclidean."""
-    A = as_matrix(M)
+def metric_operator_norm(M, G):
+    """Operator norm of M on (R^d, <.,.>_G) via congruence to Euclidean: a
+    float for one matrix, the (m,) norms for an (m, d, d) stack."""
+    stacked = np.ndim(M) == 3
+    A = as_matrix(M, stack=stacked)
     L = metric_cholesky(G)
-    return float(np.linalg.norm(L.T @ A @ np.linalg.inv(L).T, 2))
+    norms = np.linalg.norm(L.T @ A @ np.linalg.inv(L).T, 2, axis=(-2, -1))
+    return norms if stacked else float(norms)
 
 
 def metric_norm(x, G) -> float:

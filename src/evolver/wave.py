@@ -32,14 +32,14 @@ import numpy as np
 
 from .averaging import average_generator, monodromy, unit_eigenvalue_gap
 from .errors import ConfigError, InvalidInputError
-from .evolsys import GeneratorFamily, affine_family, build_evolution
+from .evolsys import GeneratorFamily, build_evolution
 from .mild import (
     DEFAULT_GRID,
     FixedPointResult,
     NonlinearField,
     Trajectory,
     fixed_point,
-    mild_solve,
+    period_map,
 )
 from .semigroup import dissipativity_rate, metric_norm
 
@@ -158,8 +158,7 @@ def _block_family(eigs, beta, T: float, metric=None, omega: float = 0.0,
 
 def build_wave_model(ell: float, k: int, beta, T: float, f=None,
                      f_inf: float = 0.0, lipschitz: float = 0.0,
-                     growth: float = 0.0, eta: float | None = None,
-                     time_samples: int = 2049):
+                     growth: float = 0.0, eta: float | None = None):
     """Assemble the k-mode model and its generator family.
 
     beta: callable t -> damping coefficient, must stay positive on [0, T];
@@ -169,6 +168,7 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
     {lam_i} and {-lam_i}, else the linearized problem can be resonant
     eta: damping shift; selected by maximizing the analytic rate if None
 
+    beta is screened for positivity on 2049 uniform nodes of [0, T].
     Returns (model, family); the family carries the eta metric.
     """
     if not (np.isfinite(ell) and ell > 0):
@@ -180,7 +180,7 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
     idx = np.arange(1, k + 1)
     eigs = (idx * np.pi / ell) ** 2
 
-    ts = np.linspace(0.0, T, time_samples)
+    ts = np.linspace(0.0, T, 2049)
     beta_vals = _beta_at(beta, ts)
     if not np.all(np.isfinite(beta_vals)):
         raise InvalidInputError("damping beta produced non-finite values")
@@ -232,24 +232,22 @@ def _select_eta_value(beta0: float, gamma: float) -> float:
     return eta
 
 
-def select_eta(model: WaveModel, time_grid=None) -> EtaSelection:
+def select_eta(model: WaveModel) -> EtaSelection:
     """Optimal damping shift for the model's beta profile.
 
     The analytic rate min(eta/2, beta0 - eta - eta gamma^2/2) is the
     minimum of a rising and a falling line, so its maximum over (0, 1] is
     at eta = min(1, beta0 / (3/2 + gamma^2/2)), in closed form.  Reports
     that rate and the numerically exact rate of the family in the resulting
-    metric (minimum of the dissipativity rate over time_grid, default
-    257 uniform nodes).  The numeric rate is authoritative; the analytic
+    metric (minimum of the dissipativity rate over 257 uniform nodes of
+    [0, T]).  The numeric rate is authoritative; the analytic
     one is its certified lower bound.
     """
     eta = _select_eta_value(model.beta0, model.gamma)
     rate_a = _analytic_rate(eta, model.beta0, model.gamma)
     G = eta_metric_matrix(model.eigs, eta)
-    if time_grid is None:
-        time_grid = np.linspace(0.0, model.T, 257)
     fam = _block_family(model.eigs, model.beta, model.T)
-    rate_n = np.min(dissipativity_rate(fam.stack(time_grid), G))
+    rate_n = np.min(dissipativity_rate(fam.stack(np.linspace(0.0, model.T, 257)), G))
     return EtaSelection(eta=float(eta), rate_analytic=float(rate_a),
                         rate_numeric=float(rate_n), beta0=model.beta0,
                         gamma=model.gamma)
@@ -416,12 +414,13 @@ class NondegeneracyReport:
 
 
 def linear_nondegeneracy(model: WaveModel, lambdas: Sequence[float],
-                         f_inf: float | None = None, n: int = 1024,
-                         unit_tol: float = 1e-8) -> NondegeneracyReport:
+                         f_inf: float | None = None,
+                         n: int = 1024) -> NondegeneracyReport:
     """Monodromy and averaged-kernel checks for the linearization at infinity.
 
     The lift of the asymptotic slope is F_inf(u, v) = (0, -f_inf u).
-    A detected resonance yields a failing verdict, not an exception.
+    A smallest singular value or unit-eigenvalue gap at or below 1e-8 is
+    a detected resonance; it yields a failing verdict, not an exception.
     """
     fi = model.f_inf if f_inf is None else float(f_inf)
     k = model.k
@@ -430,13 +429,13 @@ def linear_nondegeneracy(model: WaveModel, lambdas: Sequence[float],
     A_hat = average_generator(model.family)
     sig = np.linalg.svd(A_hat + B, compute_uv=False)
     kernel_sigma_min = float(sig[-1])
-    kernel_ok = kernel_sigma_min > unit_tol
+    kernel_ok = kernel_sigma_min > 1e-8
     rows = []
     for lam in lambdas:
         M = monodromy(model.family, lambda t: B, float(lam), n=n)
         gap = unit_eigenvalue_gap(M)
         rows.append(NondegeneracyRow(lam=float(lam), unit_gap=gap,
-                                     ok=gap > unit_tol))
+                                     ok=gap > 1e-8))
     return NondegeneracyReport(f_inf=fi, kernel_sigma_min=kernel_sigma_min,
                                kernel_ok=kernel_ok, rows=rows)
 
@@ -450,21 +449,19 @@ class WavePeriodicResult:
     residual_eta: float
 
 
-def find_periodic_wave(model: WaveModel, lam: float = 1.0, x_init=None,
-                       n: int = 2048, grid: int = DEFAULT_GRID,
+def find_periodic_wave(model: WaveModel, lam: float = 1.0, n: int = 2048,
+                       grid: int = DEFAULT_GRID,
                        fp_tol: float = 1e-10) -> WavePeriodicResult:
     """Locate a T-periodic state of z' = lam (A(t) z + F(t, z)) by shooting.
 
-    Newton-on-the-period-map from x_init (origin by default); the
-    reported residual is ||z(T) - z(0)|| in the eta metric.
+    Newton on the period map Phi_T^lam from the origin; the reported
+    residual is ||z(T) - z(0)|| in the eta metric.
     """
     if model.f is None:
         raise InvalidInputError("model has no nonlinearity to solve with")
-    field = nonlinear_field(model)
-    R = build_evolution(affine_family(model.family, lam), n)
-    x0 = np.zeros(model.dim) if x_init is None else np.asarray(x_init, dtype=float)
-    fp = fixed_point(R, field, lam, x0, tol=fp_tol, grid=grid)
-    traj = mild_solve(R, field, fp.x, lam=lam, grid=grid)
+    phi = period_map(model.family, nonlinear_field(model), lam, n, grid)
+    fp = fixed_point(phi, np.zeros(model.dim), tol=fp_tol)
+    traj = phi(fp.x)
     residual = metric_norm(traj.final - fp.x, model.eta_metric.G)
     return WavePeriodicResult(trajectory=traj, fixed_point=fp,
                               residual_eta=residual)

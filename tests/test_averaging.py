@@ -8,18 +8,16 @@ from evolver import (
     NonlinearField,
     OracleFailureError,
     Region,
-    affine_family,
     average_generator,
     averaged_pair,
     averaging_degree_check,
     branching_experiment,
-    build_evolution,
     deg_hat,
     fixed_point,
     get_model,
-    mild_solve,
     monodromy,
     nonlinear_field,
+    period_map,
     unit_eigenvalue_gap,
 )
 
@@ -125,12 +123,10 @@ def test_mu_rescale_fixed_points_match_at_endpoints():
         return -np.linalg.solve(avg.A_hat, flat.T).T.reshape(fx.shape)
 
     comparison = NonlinearField(F=comp, lipschitz=0.0, growth=2.0)
-    R1 = build_evolution(affine_family(cm.family, 0.5), 256)
-    fp1 = fixed_point(R1, comparison, 0.5, [0.0], grid=512, tol=1e-10)
+    fp1 = fixed_point(period_map(cm.family, comparison, 0.5, 256, 512), [0.0], tol=1e-10)
     assert fp1.x[0] == pytest.approx(2.0, abs=1e-5)
     lam = 0.01
-    R0 = build_evolution(affine_family(cm.family, lam), 256)
-    fp0 = fixed_point(R0, cm.field, lam, [2.0], grid=512, tol=1e-10)
+    fp0 = fixed_point(period_map(cm.family, cm.field, lam, 256, 512), [2.0], tol=1e-10)
     assert fp0.x[0] == pytest.approx(2.0 - _defect_closed_form(lam), abs=1e-4)
     assert abs(fp0.x[0] - 2.0) < 3.0 * lam  # O(lam) branch gap
 
@@ -184,11 +180,12 @@ def test_averaging_degree_scalar_quick():
 
 
 def test_averaging_degree_solves_the_boundary_once_per_rung(monkeypatch):
-    import evolver.averaging as averaging
+    # every period-map evaluation is a mild.mild_solve call, made by period_map
+    import evolver.mild as mild
 
     cm = get_model("rotation-damped-2d")
     cloud = cm.region.boundary_samples(128)
-    solve = averaging.mild_solve
+    solve = mild.mild_solve
     rows = {"boundary": 0, "all": 0}
 
     def counted(R, F, x0, *args, **kwargs):
@@ -198,7 +195,7 @@ def test_averaging_degree_solves_the_boundary_once_per_rung(monkeypatch):
             rows["boundary"] += len(x)
         return solve(R, F, x0, *args, **kwargs)
 
-    monkeypatch.setattr(averaging, "mild_solve", counted)
+    monkeypatch.setattr(mild, "mild_solve", counted)
     lambdas = [0.3, 0.1]
     report = averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
                                     grid=128, degree_grid=4)
@@ -212,8 +209,8 @@ def test_averaging_degree_flags_boundary_fixed_point():
     # center the region so the periodic point sits exactly on the boundary
     cm = get_model("scalar-linear")
     lam = 0.1
-    R = build_evolution(affine_family(cm.family, lam), 256)
-    fp = fixed_point(R, cm.field, lam, [2.0], grid=256, tol=1e-9)
+    phi = period_map(cm.family, cm.field, lam, 256, 256)
+    fp = fixed_point(phi, [2.0], tol=1e-9)
     U = Region.ball([fp.x[0] - 0.3], 0.3)
     report = averaging_degree_check(cm.family, cm.field, U, [lam])
     row = report.rows[0]
@@ -221,9 +218,9 @@ def test_averaging_degree_flags_boundary_fixed_point():
     assert row.error == "boundary fixed point suspected"
     assert row.degree is None
     # the screened minimum of |x - Phi_T(x)| over the 128 boundary samples,
-    # with the check's own evolution build (n = 256) and solver settings
+    # with the check's own period map (n = grid = 256)
     cloud = U.boundary_samples(128)
-    traj = mild_solve(R, cm.field, cloud, lam=lam, grid=256, tol=1e-10)
+    traj = phi(cloud)
     assert row.boundary_min == float(np.min(np.linalg.norm(cloud - traj.final, axis=-1)))
     assert report.lambda0 is None
     assert not report.verdict

@@ -12,11 +12,13 @@ from evolver import (
     GeneratorFamily,
     InvalidInputError,
     NonlinearField,
+    affine_family,
     build_evolution,
     fixed_point,
     get_model,
     mild_solve,
     nonlinear_field,
+    period_map,
 )
 from evolver.mild import _FIELD_BLOCK, _eval_field, _gap, _scan_plan, _sweep, _workspace
 
@@ -264,10 +266,25 @@ def test_mild_solve_allocates_no_path_sized_field_temporaries():
     assert (peak - base) / traj.states.nbytes < 7.0
 
 
+@pytest.mark.parametrize("key", ["scalar-linear", "rotation-damped-2d"])
+def test_period_map_is_the_scaled_system_solve(key):
+    # Phi_T^lam pairs the system of lam A with the same lam in the solve
+    cm = get_model(key)
+    lam, n, grid = 0.3, 128, 256
+    phi = period_map(cm.family, cm.field, lam, n, grid)
+    R = build_evolution(affine_family(cm.family, lam), n)
+    rng = np.random.default_rng(11)
+    for X in (cm.region.midpoint, rng.standard_normal((5, cm.dim))):
+        got = phi(X)
+        ref = mild_solve(R, cm.field, X, lam=lam, grid=grid)
+        assert got.final.shape == X.shape
+        assert np.array_equal(got.final, ref.final)
+        assert got.lam == lam
+
+
 def test_fixed_point_scalar_closed_form():
     cm = get_model("scalar-linear")
-    R = build_evolution(cm.family, 1024)
-    fp = fixed_point(R, cm.field, 1.0, [0.0], tol=1e-10)
+    fp = fixed_point(period_map(cm.family, cm.field, 1.0, 1024), [0.0], tol=1e-10)
     assert fp.x[0] == pytest.approx(_scalar_periodic_start(1.0), abs=1e-5)
     assert fp.residual <= 1e-10
     # one residual per iterate, the last one the reported residual
@@ -278,10 +295,9 @@ def test_fixed_point_scalar_closed_form():
 
 def test_fixed_point_newton_matches_picard():
     cm = get_model("scalar-linear")
-    R = build_evolution(cm.family, 1024)
-    newton = fixed_point(R, cm.field, 1.0, [0.0], tol=1e-10)
-    picard, picard_iters = picard_fixed_point(
-        lambda x: mild_solve(R, cm.field, x).final, [0.0], tol=1e-10)
+    phi = period_map(cm.family, cm.field, 1.0, 1024)
+    newton = fixed_point(phi, [0.0], tol=1e-10)
+    picard, picard_iters = picard_fixed_point(lambda x: phi(x).final, [0.0], tol=1e-10)
     assert abs(newton.x[0] - picard[0]) < 1e-8
     assert newton.iterations <= picard_iters
 
@@ -289,37 +305,38 @@ def test_fixed_point_newton_matches_picard():
 def test_fixed_point_rotation_2d():
     cm = get_model("rotation-damped-2d")
     R = build_evolution(cm.family, 1024)
-    fp = fixed_point(R, cm.field, 1.0, cm.region.midpoint, tol=1e-10)
-    # the solve certifies periodicity of the resulting orbit
+    fp = fixed_point(period_map(cm.family, cm.field, 1.0, 1024), cm.region.midpoint,
+                     tol=1e-10)
+    # an independent solve on an unscaled R certifies periodicity of the orbit
     orbit = mild_solve(R, cm.field, fp.x, grid=2048)
     assert np.linalg.norm(orbit.final - fp.x) <= 1e-8
 
 
 def test_fixed_point_degenerate_jacobian():
-    # lam = 0 makes Phi exactly R(T,0) = diag(1, 1/e): unit eigenvalue,
-    # so DPhi - I has an exactly-zero column and Newton must refuse
+    # with a zero field Phi_T^1 is exactly R(T, 0) = diag(1, 1/e): a unit
+    # eigenvalue, so DPhi - I has an exactly-zero column and Newton must refuse
     A = np.array([[0.0, 0.0], [0.0, -1.0]])
     fam = GeneratorFamily(dim=2, A=lambda t: np.broadcast_to(A, np.shape(t) + A.shape), T=1.0)
-    R = build_evolution(fam, 64)
-    field = NonlinearField(F=lambda t, x: np.ones_like(x), lipschitz=0.0, growth=1.0)
+    zero = NonlinearField(F=lambda t, x: np.zeros_like(x), lipschitz=0.0, growth=0.0)
+    phi = period_map(fam, zero, 1.0, 64, grid=128)
+    assert np.allclose(phi(np.eye(2)).final, np.diag([1.0, np.exp(-1.0)]), atol=1e-14)
     with pytest.raises(DegenerateFixedPointError):
-        fixed_point(R, field, 0.0, [0.0, 1.0], grid=128)
+        fixed_point(phi, [0.0, 1.0])
 
 
 def test_fixed_point_free_translation_map_fails_loudly():
     # Phi(x) = x + 1 has no fixed point; the solver must raise, not return
     fam = GeneratorFamily(dim=1, A=lambda t: np.zeros(np.shape(t) + (1, 1)), T=1.0)
-    R = build_evolution(fam, 64)
     const = NonlinearField(F=lambda t, x: np.ones_like(x), lipschitz=0.0, growth=1.0)
     with pytest.raises((ConvergenceError, DegenerateFixedPointError)):
-        fixed_point(R, const, 1.0, [0.0], grid=128)
+        fixed_point(period_map(fam, const, 1.0, 64, grid=128), [0.0])
 
 
 def test_fixed_point_iteration_cap_raises():
     # the rotation start needs two Newton steps; one is not enough
     cm = get_model("rotation-damped-2d")
-    R = build_evolution(cm.family, 1024)
+    phi = period_map(cm.family, cm.field, 1.0, 1024)
     with pytest.raises(ConvergenceError) as info:
-        fixed_point(R, cm.field, 1.0, cm.region.midpoint, tol=1e-10, max_iter=1)
+        fixed_point(phi, cm.region.midpoint, tol=1e-10, max_iter=1)
     assert 1e-10 < info.value.residual < 1e-3
     assert "did not reach 1.0e-10 in 1 iterations" in str(info.value)

@@ -45,6 +45,18 @@ def test_metric_norm_and_operator_norm():
         assert metric_operator_norm(M, G) == pytest.approx(ref, abs=1e-12)
 
 
+def test_metric_operator_norm_stack_matches_loop():
+    # one factorization of G serves the whole stack, slice by slice the same norms
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3, 6):
+        W = rng.standard_normal((d, d))
+        G = W @ W.T + d * np.eye(d)
+        M = rng.standard_normal((30, d, d))
+        got = metric_operator_norm(M, G)
+        assert got.shape == (30,)
+        assert np.array_equal(got, [metric_operator_norm(m, G) for m in M])
+
+
 def test_dissipativity_rate_frozen_example():
     A = np.array([[0.0, 1.0], [-1.0, -2.0]])
     assert dissipativity_rate(A) == pytest.approx(0.0, abs=1e-12)
