@@ -68,7 +68,6 @@ from .degree import (
     DegreeReport,
     Region,
     brouwer_degree,
-    deg_hat,
     winding_number_2d,
 )
 from .averaging import (
@@ -160,7 +159,6 @@ __all__ = [
     "cocycle_defect",
     "compile_expr",
     "contraction_check",
-    "deg_hat",
     "dissipativity_rate",
     "energy_residual",
     "eta_metric_matrix",

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .degree import DegreeReport, Region, brouwer_degree, deg_hat
+from .degree import DegreeReport, Region, averaged_map, brouwer_degree
 from .errors import (
     EvolverError,
     InadmissibleRegionError,
@@ -257,8 +257,8 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
     degree.  Equality with d0 is expected for all sampled lam <= lambda0.
     """
     avg = averaged_pair(family, F, probes=U.midpoint)
-    d0_report = deg_hat(avg.A_hat, avg.F_hat, U,
-                        grid=degree_grid, boundary_m=boundary_m)
+    d0_report = brouwer_degree(averaged_map(avg.A_hat, avg.F_hat), U,
+                               grid=degree_grid, boundary_m=boundary_m)
     rows: list[AveragingRow] = []
     for lam in map(float, lambdas):
         phi = period_map(family, F, lam, n, grid)

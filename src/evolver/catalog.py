@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .evolsys import GeneratorFamily
 from .exprlang import compile_expr, free_vars, parse_expr
 from .mild import NonlinearField
-from .wave import WaveModel, build_wave_model
+from .wave import WaveModel, build_wave_model, nonlinear_field
 
 MODEL_KEYS = ("scalar-linear", "rotation-damped-2d", "wave-k1", "wave-k3")
 
@@ -65,21 +65,31 @@ def compile_time_coefficient(src: str, T: float):
     return coeff
 
 
+def _number(v, what: str) -> float:
+    """A finite JSON number (a boolean is not one) as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+        raise ConfigError(f"{what} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _numbers(v, what: str) -> list:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{what} must be a nonempty list of numbers")
+    return [_number(x, what) for x in v]
+
+
 def compile_matrix(entries, T: float):
     """Matrix of numbers / expression strings -> callable t -> ndarray.
 
     The callable broadcasts over time: shape (d, d) for a scalar t,
     (len(ts), d, d) for a 1-d array ts.
     """
-    rows = []
-    for row in entries:
-        rows.append([
-            parse_expr(cell) if isinstance(cell, str) else float(cell)
-            for cell in row
-        ])
+    if not isinstance(entries, list) or not entries or not all(
+            isinstance(row, list) and len(row) == len(entries) for row in entries):
+        raise ConfigError("matrix spec must be a square, nonempty list of rows")
+    rows = [[parse_expr(cell) if isinstance(cell, str) else _number(cell, "matrix entry")
+             for cell in row] for row in entries]
     d = len(rows)
-    if any(len(r) != d for r in rows):
-        raise ConfigError("matrix spec must be square")
     for r in rows:
         for cell in r:
             if not isinstance(cell, float):
@@ -135,7 +145,7 @@ def _scalar_linear() -> CatalogModel:
     family = GeneratorFamily(dim=1, A=lambda t: np.full(np.shape(t) + (1, 1), -1.0),
                              T=T, omega=1.0, periodic=True)
     F = compile_field(["2+sin(2*pi*t/T)"], T)
-    field = NonlinearField(F=F, lipschitz=0.0, growth=3.0, periodic=True)
+    field = NonlinearField(F=F, lipschitz=0.0)
     region = Region.ball(np.array([2.0]), 1.5)
     return CatalogModel(key="scalar-linear", kind="ode", dim=1, T=T,
                         family=family, field=field, region=region,
@@ -154,7 +164,7 @@ def _rotation_damped() -> CatalogModel:
         ["1+0.2*cos(2*pi*t/T)+0.1*tanh(s)",
          "0.5+0.2*sin(2*pi*t/T)+0.1*tanh(s)"], T,
     )
-    field = NonlinearField(F=F, lipschitz=0.1, growth=1.6, periodic=True)
+    field = NonlinearField(F=F, lipschitz=0.1)
     region = Region.ball(np.array([0.25, 0.75]), 1.5)
     return CatalogModel(key="rotation-damped-2d", kind="ode", dim=d, T=T,
                         family=family, field=field, region=region,
@@ -167,22 +177,22 @@ def _wave(key: str) -> CatalogModel:
         k = 1
         beta = compile_time_coefficient("1", T)
         f_src = "0.2*s+0.3*cos(t)"
-        f_inf, lip, growth = 0.2, 0.2, 0.5
+        f_inf, lip = 0.2, 0.2
     else:
         k = 3
         beta = compile_time_coefficient("1+0.5*cos(t)", T)
         f_src = "tanh(s)+cos(t)"
-        f_inf, lip, growth = 0.0, 1.0, 2.0
+        f_inf, lip = 0.0, 1.0
     f_value = compile_expr(parse_expr(f_src))
 
     def f(t, s):
         return f_value({"t": t, "s": s, "T": T})
 
-    model, family = build_wave_model(ell=np.pi, k=k, beta=beta, T=T, f=f,
-                                     f_inf=f_inf, lipschitz=lip, growth=growth)
+    model = build_wave_model(ell=np.pi, k=k, beta=beta, T=T, f=f,
+                             f_inf=f_inf, lipschitz=lip)
     return CatalogModel(key=key, kind="wave", dim=model.dim, T=T,
-                        family=family, field=None, region=None,
-                        lambdas=WAVE_LADDER, wave=model)
+                        family=model.family, field=nonlinear_field(model),
+                        region=None, lambdas=WAVE_LADDER, wave=model)
 
 
 _BUILDERS = {
@@ -199,13 +209,39 @@ def get_model(key: str) -> CatalogModel:
     return _BUILDERS[key]()
 
 
+_INLINE_KEYS = {"A", "T", "F", "lipschitz", "omega", "region", "lambdas"}
+_REGION_KEYS = {"ball": {"center", "radius"}, "box": {"lo", "hi"}}
+
+
+def _region(r, d: int) -> Region:
+    if not isinstance(r, dict):
+        raise ConfigError("region must be an object")
+    kind = r.get("kind", "ball")
+    if kind not in _REGION_KEYS:
+        raise ConfigError(f"unknown region kind {kind!r}")
+    keys = _REGION_KEYS[kind]
+    if set(r) - {"kind"} != keys:
+        raise ConfigError(f"a {kind} region takes the keys {sorted(keys)} and an "
+                          f"optional 'kind', got {sorted(r)}")
+    if kind == "ball":
+        region = Region.ball(np.array(_numbers(r["center"], "region center")),
+                             _number(r["radius"], "region radius"))
+    else:
+        region = Region.box(np.array(_numbers(r["lo"], "region lo")),
+                            np.array(_numbers(r["hi"], "region hi")))
+    if region.dim != d:
+        raise ConfigError(f"region has dimension {region.dim}, the model {d}")
+    return region
+
+
 def model_from_config(spec) -> CatalogModel:
     """Catalog key or inline dict -> CatalogModel.
 
-    Inline schema: {"A": matrix spec, "T": period, optional "F": [expr per
-    component], "lipschitz", "growth", "omega", "region": {"kind": "ball",
-    "center": [...], "radius": r} or {"kind": "box", "lo": [...], "hi": [...]},
-    "lambdas": [...]}.
+    Inline schema: {"A": matrix spec, "T": period (default 1), optional
+    "F": [expr per component], "lipschitz" (default 1), "omega" (default
+    0), "region": {"kind": "ball", "center": [...], "radius": r} or
+    {"kind": "box", "lo": [...], "hi": [...]}, "lambdas": [...]}.
+    Unknown keys, wrong types and non-finite numbers raise ConfigError.
     """
     if isinstance(spec, str):
         return get_model(spec)
@@ -213,33 +249,25 @@ def model_from_config(spec) -> CatalogModel:
         raise ConfigError("model must be a catalog key or an inline object")
     if "A" not in spec:
         raise ConfigError("inline model needs an A matrix spec")
-    T = float(spec.get("T", 1.0))
-    if not (np.isfinite(T) and T > 0):
+    unknown = set(spec) - _INLINE_KEYS
+    if unknown:
+        raise ConfigError(f"unknown inline model keys: {sorted(unknown)}")
+    T = _number(spec.get("T", 1.0), "model period T")
+    if T <= 0:
         raise ConfigError("model period T must be positive")
     A, d = compile_matrix(spec["A"], T)
-    omega = float(spec.get("omega", 0.0))
+    omega = _number(spec.get("omega", 0.0), "omega")
     family = GeneratorFamily(dim=d, A=A, T=T, omega=omega, periodic=True)
     field = None
     if "F" in spec:
         exprs = spec["F"]
         if not isinstance(exprs, list) or len(exprs) != d:
             raise ConfigError(f"F must list {d} component expressions")
-        F = compile_field(exprs, T)
-        field = NonlinearField(F=F, lipschitz=float(spec.get("lipschitz", 1.0)),
-                               growth=float(spec.get("growth", 1.0)),
-                               periodic=True)
-    region = None
-    if "region" in spec:
-        r = spec["region"]
-        kind = r.get("kind", "ball")
-        if kind == "ball":
-            region = Region.ball(np.asarray(r["center"], dtype=float),
-                                 float(r["radius"]))
-        elif kind == "box":
-            region = Region.box(np.asarray(r["lo"], dtype=float),
-                                np.asarray(r["hi"], dtype=float))
-        else:
-            raise ConfigError(f"unknown region kind {kind!r}")
-    lambdas = tuple(float(v) for v in spec.get("lambdas", BRANCHING_LADDER))
+        field = NonlinearField(F=compile_field(exprs, T),
+                               lipschitz=_number(spec.get("lipschitz", 1.0), "lipschitz"))
+    region = _region(spec["region"], d) if "region" in spec else None
+    lambdas = tuple(_numbers(spec.get("lambdas", list(BRANCHING_LADDER)), "lambdas"))
+    if min(lambdas) <= 0:
+        raise ConfigError("lambdas must be positive")
     return CatalogModel(key="inline", kind="ode", dim=d, T=T, family=family,
                         field=field, region=region, lambdas=lambdas)

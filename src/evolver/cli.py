@@ -50,7 +50,6 @@ from .wave import (
     energy_residual,
     find_periodic_wave,
     linear_nondegeneracy,
-    nonlinear_field,
     select_eta,
     spectral_invariance_gap,
 )
@@ -152,11 +151,13 @@ def _validate_config(cfg, experiment):
     for key in ("n", "grid", "samples", "power_m", "seed", "n_continuity"):
         if key in num:
             v = num[key]
-            # n and grid count subdivision cells, so zero is as bad as negative
-            lo = 1 if key in ("n", "grid") else 0
+            # n, grid and n_continuity count subdivision cells, so zero is
+            # as bad as negative
+            lo = 1 if key in ("n", "grid", "n_continuity") else 0
             if not isinstance(v, int) or isinstance(v, bool) or v < lo:
                 raise ConfigError(f"numeric.{key} must be an integer >= {lo}")
-    if "f_inf" in num and not isinstance(num["f_inf"], (int, float)):
+    if "f_inf" in num and (isinstance(num["f_inf"], bool)
+                           or not isinstance(num["f_inf"], (int, float))):
         raise ConfigError("numeric.f_inf must be a number")
     # ns are step counts, so no float is truncated; bool would pass as int
     for key, kinds, what in (("ns", int, "integers >= 1"),
@@ -529,15 +530,12 @@ def run_wave_energy(cm, num, seed):
 
     grid0 = num.get("grid", 2048)
     n0 = num.get("n", 2 * grid0)
-    field = nonlinear_field(model)
     x0 = np.zeros(model.dim)
     x0[0] = 0.5
     x0[model.k] = -0.2
 
     def residual_at(grid, n):
-        traj = period_map(model.family, field, 1.0, n, grid)(x0)
-        f_path = field(traj.times[:, None], traj.states)[:, model.k:]
-        rep = energy_residual(traj, model, f_path=f_path)
+        rep = energy_residual(period_map(cm.family, cm.field, 1.0, n, grid)(x0), model)
         return rep.max_energy_residual, rep.max_position_residual
 
     res0, pos0 = residual_at(grid0, n0)
@@ -554,8 +552,8 @@ def run_wave_energy(cm, num, seed):
         (0.17, 0.0), (0.35, 0.1), (0.5, 0.25), (0.63, 0.2), (0.77, 0.4),
         (0.88, 0.3), (1.0, 0.0), (0.95, 0.6), (0.42, 0.4), (0.29, 0.05))]
     for ka, kb in ((1, 3), (3, 8)):
-        small, _ = build_wave_model(model.ell, ka, model.beta, model.T)
-        big, _ = build_wave_model(model.ell, kb, model.beta, model.T)
+        small = build_wave_model(model.ell, ka, model.beta, model.T)
+        big = build_wave_model(model.ell, kb, model.beta, model.T)
         gap = spectral_invariance_gap(small, big, pairs, n=256)
         good = gap <= 1e-10
         inv_ok = inv_ok and good

@@ -300,10 +300,3 @@ def averaged_map(A_hat, F_hat):
 
     return g
 
-
-def deg_hat(A_hat, F_hat, U: Region, **kwargs) -> DegreeReport:
-    """Degree of the averaged pair: deg(averaged_map(A_hat, F_hat), U).
-
-    Extra keyword arguments go to brouwer_degree.
-    """
-    return brouwer_degree(averaged_map(A_hat, F_hat), U, **kwargs)

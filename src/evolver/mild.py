@@ -62,7 +62,7 @@ up to 208 states: 0.94 s against 0.46 s).
 
 @dataclass(frozen=True)
 class NonlinearField:
-    """Nonlinearity F(t, x) with Lipschitz and growth metadata.
+    """Nonlinearity F(t, x) with its Lipschitz constant.
 
     F: (t, x) -> array shaped broadcast_shapes(t, x.shape[:-1]) + (d,),
        once trailing axes of t that face x's component axis are dropped
@@ -71,14 +71,10 @@ class NonlinearField:
        against states x_i, the value at node i depends only on t_i and
        x_i, since a solve evaluates F in blocks of whole nodes.
     lipschitz: L with ||F(t, x) - F(t, y)|| <= L ||x - y||
-    growth: c with ||F(t, x)|| <= c (1 + ||x||)
-    periodic: whether F(t + T, .) = F(t, .) is part of the contract
     """
 
     F: Callable
     lipschitz: float
-    growth: float
-    periodic: bool = True
 
     def __call__(self, t, x):
         return self.F(t, x)

@@ -18,9 +18,14 @@ for suitable eta in (0, 1].  The nonlinearity enters the velocity slot,
 F(t, (u, v)) = (0, -N_f(t, u)), with N_f projected onto the modes by
 sine collocation at 4k interior nodes (exact on the resolved modes).
 
-The module selects eta, certifies decay rates, checks the energy balance
-and the eigenmode invariance of the evolution system, runs linearized
-nondegeneracy diagnostics, and locates T-periodic states by shooting.
+build_wave_model assembles a WaveModel once: it selects eta, builds the
+eta metric and the one generator family, certifies its decay rate as the
+family's omega, and sets up the collocation.  Everything else reads that
+model: select_eta reports the rates, nonlinear_field lifts f, and
+energy_residual audits the energy balance with the model's own forcing.
+The module also checks the eigenmode invariance of the evolution system,
+runs linearized nondegeneracy diagnostics, and locates T-periodic states
+by shooting.
 """
 
 from __future__ import annotations
@@ -96,12 +101,10 @@ class WaveModel:
     f: Callable | None
     f_inf: float
     lipschitz: float
-    growth: float
     beta0: float
     gamma: float
     eta_metric: EtaMetric
     family: GeneratorFamily
-    colloc_nodes: np.ndarray
     colloc_matrix: np.ndarray
     colloc_weight: float
 
@@ -117,12 +120,6 @@ class EtaSelection:
     eta: float
     rate_analytic: float
     rate_numeric: float
-    beta0: float
-    gamma: float
-
-
-def _analytic_rate(eta: float, beta0: float, gamma: float) -> float:
-    return min(eta / 2.0, beta0 - eta - eta * gamma ** 2 / 2.0)
 
 
 def _beta_at(beta, t) -> np.ndarray:
@@ -135,8 +132,8 @@ def _beta_at(beta, t) -> np.ndarray:
     return np.broadcast_to(vals, np.shape(t))
 
 
-def _block_family(eigs, beta, T: float, metric=None, omega: float = 0.0,
-                  coupling=None) -> GeneratorFamily:
+def _block_generator(eigs, beta, coupling=None):
+    """A(t) = [[0, I], [-Lam, -(beta(t) I + coupling)]], batched over t."""
     lam = np.asarray(eigs, dtype=float)
     k = len(lam)
     eye = np.eye(k)
@@ -152,24 +149,25 @@ def _block_family(eigs, beta, T: float, metric=None, omega: float = 0.0,
         out[..., k:, k:] = -damp
         return out
 
-    return GeneratorFamily(dim=2 * k, A=A, T=T, omega=omega, metric=metric,
-                           periodic=True)
+    return A
 
 
 def build_wave_model(ell: float, k: int, beta, T: float, f=None,
-                     f_inf: float = 0.0, lipschitz: float = 0.0,
-                     growth: float = 0.0, eta: float | None = None):
-    """Assemble the k-mode model and its generator family.
+                     f_inf: float = 0.0, lipschitz: float = 0.0) -> WaveModel:
+    """Assemble the k-mode model: eta metric, generator family, collocation.
 
     beta: callable t -> damping coefficient, must stay positive on [0, T];
     it broadcasts over an array of times (a constant may return a scalar)
     f: callable (t, s) -> scalar nonlinearity, broadcasting over arrays s
     f_inf: asymptotic slope of f; must keep distance > 1e-6 from both
     {lam_i} and {-lam_i}, else the linearized problem can be resonant
-    eta: damping shift; selected by maximizing the analytic rate if None
+    lipschitz: Lipschitz constant of f in s, carried to the lifted field
 
-    beta is screened for positivity on 2049 uniform nodes of [0, T].
-    Returns (model, family); the family carries the eta metric.
+    beta is screened for positivity on 2049 uniform nodes of [0, T], which
+    also give beta0 = min beta and gamma = max(beta + 1) / sqrt(lam_1).
+    eta maximizes the analytic rate (see select_eta).  The family carries
+    the eta metric G and, as omega, the numeric rate: the minimum of the
+    dissipativity rate of A(t) in G over 257 uniform nodes of [0, T].
     """
     if not (np.isfinite(ell) and ell > 0):
         raise InvalidInputError("domain length ell must be positive")
@@ -180,8 +178,7 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
     idx = np.arange(1, k + 1)
     eigs = (idx * np.pi / ell) ** 2
 
-    ts = np.linspace(0.0, T, 2049)
-    beta_vals = _beta_at(beta, ts)
+    beta_vals = _beta_at(beta, np.linspace(0.0, T, 2049))
     if not np.all(np.isfinite(beta_vals)):
         raise InvalidInputError("damping beta produced non-finite values")
     beta0 = float(np.min(beta_vals))
@@ -198,38 +195,26 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
             f"asymptotic slope f_inf = {f_inf} is within 1e-6 of the spectrum"
         )
 
-    if eta is None:
-        eta = _select_eta_value(beta0, gamma)
-    if not (0.0 < eta <= 1.0):
-        raise InvalidInputError("eta must lie in (0, 1]")
-    metric = _eta_metric(eigs, eta)
-
-    family = _block_family(eigs, beta, T, metric=metric.G)
-    rate_numeric = np.min(dissipativity_rate(
-        family.stack(ts[:: max(1, len(ts) // 129)]), metric.G))
-    family = _block_family(eigs, beta, T, metric=metric.G,
-                           omega=float(rate_numeric))
-
-    M = 4 * k
-    nodes = ell * np.arange(1, M + 1) / (M + 1)
-    Phi = np.sqrt(2.0 / ell) * np.sin(
-        np.outer(np.arange(1, M + 1), idx) * np.pi / (M + 1)
-    )
-    model = WaveModel(
-        ell=float(ell), k=int(k), eigs=eigs, beta=beta, T=float(T), f=f,
-        f_inf=float(f_inf), lipschitz=float(lipschitz), growth=float(growth),
-        beta0=beta0, gamma=gamma, eta_metric=metric, family=family,
-        colloc_nodes=nodes, colloc_matrix=Phi, colloc_weight=ell / (M + 1),
-    )
-    return model, family
-
-
-def _select_eta_value(beta0: float, gamma: float) -> float:
     # the rate's two lines eta/2 and beta0 - eta (1 + gamma^2/2) cross here
     eta = min(1.0, beta0 / (1.5 + gamma ** 2 / 2.0))
     if not (np.isfinite(eta) and eta > 0):
         raise ConfigError(f"no admissible damping shift: beta0 = {beta0}")
-    return eta
+    metric = _eta_metric(eigs, eta)
+    A = _block_generator(eigs, beta)
+    omega = np.min(dissipativity_rate(A(np.linspace(0.0, T, 257)), metric.G))
+    family = GeneratorFamily(dim=2 * k, A=A, T=T, omega=float(omega),
+                             metric=metric.G, periodic=True)
+
+    M = 4 * k
+    Phi = np.sqrt(2.0 / ell) * np.sin(
+        np.outer(np.arange(1, M + 1), idx) * np.pi / (M + 1)
+    )
+    return WaveModel(
+        ell=float(ell), k=int(k), eigs=eigs, beta=beta, T=float(T), f=f,
+        f_inf=float(f_inf), lipschitz=float(lipschitz), beta0=beta0,
+        gamma=gamma, eta_metric=metric, family=family, colloc_matrix=Phi,
+        colloc_weight=ell / (M + 1),
+    )
 
 
 def select_eta(model: WaveModel) -> EtaSelection:
@@ -237,20 +222,16 @@ def select_eta(model: WaveModel) -> EtaSelection:
 
     The analytic rate min(eta/2, beta0 - eta - eta gamma^2/2) is the
     minimum of a rising and a falling line, so its maximum over (0, 1] is
-    at eta = min(1, beta0 / (3/2 + gamma^2/2)), in closed form.  Reports
-    that rate and the numerically exact rate of the family in the resulting
-    metric (minimum of the dissipativity rate over 257 uniform nodes of
-    [0, T]).  The numeric rate is authoritative; the analytic
+    at eta = min(1, beta0 / (3/2 + gamma^2/2)), in closed form; the model
+    is built in that metric.  Reports that rate and the numerically exact
+    rate of the family in the same metric, which build_wave_model stored
+    as family.omega.  The numeric rate is authoritative; the analytic
     one is its certified lower bound.
     """
-    eta = _select_eta_value(model.beta0, model.gamma)
-    rate_a = _analytic_rate(eta, model.beta0, model.gamma)
-    G = eta_metric_matrix(model.eigs, eta)
-    fam = _block_family(model.eigs, model.beta, model.T)
-    rate_n = np.min(dissipativity_rate(fam.stack(np.linspace(0.0, model.T, 257)), G))
-    return EtaSelection(eta=float(eta), rate_analytic=float(rate_a),
-                        rate_numeric=float(rate_n), beta0=model.beta0,
-                        gamma=model.gamma)
+    eta = model.eta_metric.eta
+    rate = min(eta / 2.0, model.beta0 - eta - eta * model.gamma ** 2 / 2.0)
+    return EtaSelection(eta=eta, rate_analytic=float(rate),
+                        rate_numeric=model.family.omega)
 
 
 def project_nonlinearity(model: WaveModel, t, a):
@@ -280,9 +261,7 @@ def nonlinear_field(model: WaveModel) -> NonlinearField:
         return out
 
     # the collocation projector is nonexpansive on the resolved modes
-    return NonlinearField(F=F, lipschitz=model.lipschitz,
-                          growth=model.growth * max(1.0, np.sqrt(model.ell)),
-                          periodic=True)
+    return NonlinearField(F=F, lipschitz=model.lipschitz)
 
 
 @dataclass
@@ -307,16 +286,19 @@ class EnergyReport:
         return float(np.max(np.abs(self.position_residual)))
 
 
-def energy_residual(traj: Trajectory, model: WaveModel, f_path=None) -> EnergyReport:
-    """Check the energy identity on a computed trajectory.
+def energy_residual(traj: Trajectory, model: WaveModel) -> EnergyReport:
+    """Check the energy identity on a computed trajectory of the model.
 
-    f_path: (m+1, k) mode coefficients of the velocity-slot forcing
-    (zero if None).  The residual scales like O(grid step) plus the
-    frozen-coefficient error of the evolution build.
+    The forcing (f, v)_0 is the velocity slot of the model's own field,
+    -project_nonlinearity along the path, and zero when model.f is None.
+    Central differences need at least 3 nodes.  The residual scales like
+    O(grid step) plus the frozen-coefficient error of the evolution build.
     """
     z = np.asarray(traj.states, dtype=float)
     if z.ndim != 2 or z.shape[1] != model.dim:
         raise InvalidInputError("trajectory must be a single path of 2k states")
+    if len(z) < 3:
+        raise InvalidInputError("energy audit needs a path of at least 3 nodes")
     k = model.k
     a = z[:, :k]
     b = z[:, k:]
@@ -329,11 +311,9 @@ def energy_residual(traj: Trajectory, model: WaveModel, f_path=None) -> EnergyRe
     dP = (P[2:] - P[:-2]) / (2.0 * h)
     beta_vals = _beta_at(model.beta, times[1:-1])
     rhs = -beta_vals * np.sum(b[1:-1] ** 2, axis=1)
-    if f_path is not None:
-        f_path = np.asarray(f_path, dtype=float)
-        if f_path.shape != (len(times), k):
-            raise InvalidInputError("forcing path must have shape (m+1, k)")
-        rhs = rhs + np.sum(f_path[1:-1] * b[1:-1], axis=1)
+    if model.f is not None:
+        forcing = -project_nonlinearity(model, times[:, None], a)
+        rhs = rhs + np.sum(forcing[1:-1] * b[1:-1], axis=1)
     pos_rhs = np.sum(a[1:-1] * b[1:-1], axis=1)
     return EnergyReport(
         times=times[1:-1],
@@ -375,10 +355,9 @@ def spectral_invariance_gap(model_k: WaveModel, model_kp: WaveModel,
     ka, kb = model_k.k, model_kp.k
     Ca = None if coupling is None else np.asarray(coupling, dtype=float)[:ka, :ka]
     Cb = None if coupling is None else np.asarray(coupling, dtype=float)
-    fam_a = _block_family(model_k.eigs, model_k.beta, model_k.T, coupling=Ca)
-    fam_b = _block_family(model_kp.eigs, model_kp.beta, model_kp.T, coupling=Cb)
-    Ra = build_evolution(fam_a, n)
-    Rb = build_evolution(fam_b, n)
+    Ra, Rb = (build_evolution(GeneratorFamily(
+        dim=m.dim, A=_block_generator(m.eigs, m.beta, C), T=m.T), n)
+        for m, C in ((model_k, Ca), (model_kp, Cb)))
     t, s = np.array(pairs, dtype=float).reshape(-1, 2).T
     # row e of R(t, s)^T is R(t, s) e, the image of basis state e
     small = Ra.operators(t, s).swapaxes(-1, -2)

@@ -30,7 +30,6 @@ from evolver import (
     find_periodic_wave,
     linear_nondegeneracy,
     mild_solve,
-    nonlinear_field,
     resolvent_scheme,
     select_eta,
     spectral_invariance_gap,
@@ -208,25 +207,22 @@ def test_wave_dissipativity():
     for beta in (lambda t: 1.0,
                  lambda t: 1.0 + 0.5 * np.cos(2.0 * np.pi * t / T)):
         for k in (1, 3, 8):
-            model, _ = build_wave_model(np.pi, k, beta, T)
+            model = build_wave_model(np.pi, k, beta, T)
             sel = select_eta(model)
             ok = ok and sel.rate_numeric >= sel.rate_analytic - 1e-9
     assert _verdict("wave-dissipativity", ok)
 
 
 def test_energy_identity():
-    model = get_model("wave-k3").wave
-    field = nonlinear_field(model)
+    cm = get_model("wave-k3")
+    model = cm.wave
     x0 = np.zeros(model.dim)
     x0[0] = 0.5
     x0[model.k] = -0.2
 
     def residual_at(grid, n):
-        R = build_evolution(model.family, n)
-        traj = mild_solve(R, field, x0, grid=grid)
-        vals = field(traj.times[:, None], traj.states)
-        rep = energy_residual(traj, model, f_path=vals[:, model.k:])
-        return rep.max_energy_residual
+        traj = mild_solve(build_evolution(cm.family, n), cm.field, x0, grid=grid)
+        return energy_residual(traj, model).max_energy_residual
 
     res0 = residual_at(2048, 4096)
     res1 = residual_at(4096, 8192)
@@ -242,8 +238,8 @@ def test_eigenmode_invariance():
              (0.88, 0.3), (1.0, 0.0), (0.95, 0.6), (0.42, 0.4), (0.29, 0.05))
     ok = True
     for ka, kb in ((1, 3), (3, 8)):
-        small, _ = build_wave_model(np.pi, ka, beta, T)
-        big, _ = build_wave_model(np.pi, kb, beta, T)
+        small = build_wave_model(np.pi, ka, beta, T)
+        big = build_wave_model(np.pi, kb, beta, T)
         gap = spectral_invariance_gap(
             small, big, [(ft * T, fs * T) for ft, fs in pairs], n=256)
         ok = ok and gap <= 1e-10
@@ -266,10 +262,9 @@ def test_nondegeneracy_periodic():
     model1 = cm1.wave
     n = grid = 256
     R = build_evolution(cm1.family, n)
-    field = nonlinear_field(model1)
 
     def phi(x):
-        return mild_solve(R, field, x, lam=1.0, grid=grid, tol=1e-13).final
+        return mild_solve(R, cm1.field, x, lam=1.0, grid=grid, tol=1e-13).final
 
     d = model1.dim
     b = phi(np.zeros(d))

@@ -12,14 +12,14 @@ from evolver import (
     averaged_pair,
     averaging_degree_check,
     branching_experiment,
-    deg_hat,
+    brouwer_degree,
     fixed_point,
     get_model,
     monodromy,
-    nonlinear_field,
     period_map,
     unit_eigenvalue_gap,
 )
+from evolver.degree import averaged_map
 
 # the scalar catalog model u' = lam(-u + 2 + sin(2 pi t)) has averaged pair
 # A_hat = -1, F_hat = 2, zero x* = 2, and periodic starts
@@ -94,7 +94,7 @@ def test_averaged_pair_on_the_wave_field():
     # f = 0.2 s + 0.3 cos t: the cos t forcing averages out, and the
     # collocation projection of 0.2 a phi_1 is exactly 0.2 a
     cm = get_model("wave-k1")
-    avg = averaged_pair(cm.family, nonlinear_field(cm.wave))
+    avg = averaged_pair(cm.family, cm.field)
     X = np.array([[0.3, -0.2], [0.0, 0.0], [1.0, 2.0]])
     want = np.stack([np.zeros(3), -0.2 * X[:, 0]], axis=-1)
     assert np.allclose(avg.F_hat(X), want, atol=1e-10)
@@ -104,7 +104,7 @@ def test_averaged_pair_on_the_wave_field():
 def test_averaged_field_with_wrong_shape_is_rejected():
     cm = get_model("scalar-linear")
     # right at single times, wrong over the node column the Simpson rule samples
-    bad = NonlinearField(F=lambda t, x: np.zeros(np.shape(x)), lipschitz=0.0, growth=0.0)
+    bad = NonlinearField(F=lambda t, x: np.zeros(np.shape(x)), lipschitz=0.0)
     with pytest.raises(InvalidInputError, match="expected"):
         averaged_pair(cm.family, bad)
 
@@ -122,7 +122,7 @@ def test_mu_rescale_fixed_points_match_at_endpoints():
         flat = fx.reshape(-1, fx.shape[-1])
         return -np.linalg.solve(avg.A_hat, flat.T).T.reshape(fx.shape)
 
-    comparison = NonlinearField(F=comp, lipschitz=0.0, growth=2.0)
+    comparison = NonlinearField(F=comp, lipschitz=0.0)
     fp1 = fixed_point(period_map(cm.family, comparison, 0.5, 256, 512), [0.0], tol=1e-10)
     assert fp1.x[0] == pytest.approx(2.0, abs=1e-5)
     lam = 0.01
@@ -233,7 +233,8 @@ def test_averaging_report_carries_its_averaged_pair():
     avg = report.averaged
     assert avg.A_hat.shape == (2, 2)
     # d0 is the degree of that pair
-    d0 = deg_hat(avg.A_hat, avg.F_hat, cm.region, grid=4, boundary_m=128)
+    d0 = brouwer_degree(averaged_map(avg.A_hat, avg.F_hat), cm.region, grid=4,
+                        boundary_m=128)
     assert d0.value == report.d0
     assert np.array_equal(d0.zeros, report.d0_report.zeros)
     assert d0.boundary_min == report.d0_report.boundary_min

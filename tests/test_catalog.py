@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evolver import ConfigError, ExprError, nonlinear_field
+from evolver import ConfigError, ExprError
 from evolver.catalog import (
     AVERAGING_LADDER,
     BRANCHING_LADDER,
@@ -52,11 +52,15 @@ def test_rotation_model_frozen():
 def test_wave_models():
     m1 = get_model("wave-k1")
     assert m1.kind == "wave" and m1.dim == 2
-    assert m1.wave is not None and m1.field is None
     assert np.isclose(m1.T, 2.0 * np.pi)
     m3 = get_model("wave-k3")
     assert m3.dim == 6
     assert m3.lambdas == WAVE_LADDER
+    # a wave model carries its family and its lifted field, but no region yet
+    for m in (m1, m3):
+        assert m.wave is not None and m.family is m.wave.family
+        assert m.field is not None and m.field.lipschitz == m.wave.lipschitz
+        assert m.region is None
 
 
 def test_time_coefficient():
@@ -107,7 +111,6 @@ def test_inline_model():
         "T": 1.0,
         "F": ["1+s", "cos(2*pi*t)"],
         "lipschitz": 1.0,
-        "growth": 2.0,
         "omega": 0.9,
         "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 2.0},
         "lambdas": [1.0, 0.5],
@@ -140,11 +143,18 @@ def test_inline_config_errors():
         model_from_config({"A": [[-1.0]], "F": ["1", "2"]})
     with pytest.raises(ConfigError):
         model_from_config({"A": [[-1.0]], "region": {"kind": "torus"}})
+    # wrong types, non-finite numbers and unknown keys are all config errors
+    for bad in ({"A": [[-1.0]], "T": float("nan")}, {"A": [[None]]}, {"A": []},
+                {"A": [[-1.0]], "omega": "1"}, {"A": [[-1.0]], "lambdas": [0.5, -1]},
+                {"A": [[-1.0]], "region": {"kind": "box", "lo": [0.0]}},
+                {"A": [[-1.0]], "F": ["s"], "lipschitz": True}):
+        with pytest.raises(ConfigError):
+            model_from_config(bad)
 
 
 def _catalog_field(key):
     cm = get_model(key)
-    return cm.T, cm.dim, cm.field if cm.wave is None else nonlinear_field(cm.wave)
+    return cm.T, cm.dim, cm.field
 
 
 @pytest.mark.parametrize("key", MODEL_KEYS)

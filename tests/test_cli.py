@@ -69,6 +69,8 @@ def test_seed_flag_overrides_config(tmp_path):
     {"numeric": {"dim": 2}},     # read by no experiment
     {"numeric": {"ns": [16.7, 64.2, 256.9, 1024.5]}},   # not truncated to ints
     {"numeric": {"lambdas": [True]}},                 # a boolean is not 1
+    {"numeric": {"f_inf": True}},                     # nor is it a slope
+    {"numeric": {"n_continuity": 0}},                 # it counts cells
 ])
 def test_config_rejection_exits_2(tmp_path, cfg_obj, capsys):
     cfg = _write_cfg(tmp_path, "bad.json", cfg_obj)
@@ -118,6 +120,35 @@ def test_inline_field_failures_keep_their_exit_codes(tmp_path, capsys, component
     rc = main(["branching", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == code
     assert stream in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    {"region": {"kind": "ball", "radius": 1}},
+    {"T": "abc"},
+    {"region": [1, 2]},
+    {"A": 5},
+    {"lambdas": "x"},
+    {"lipshitz": 1.0},                                # a typo is not ignored
+    {"growth": 1.0},                                  # read by nothing
+    {"region": {"kind": "ball", "center": [0.0], "radius": 1.0, "raduis": 2.0}},
+    {"region": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}},
+    {"A": [[True]]},
+])
+def test_malformed_inline_model_exits_2(tmp_path, capsys, override):
+    model = {"A": [[-1.0]], "T": 1.0, "F": ["1-s"],
+             "region": {"kind": "ball", "center": [0.0], "radius": 1.0}}
+    cfg = _write_cfg(tmp_path, "m.json", {"model": {**model, **override}})
+    rc = main(["branching", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_energy_audit_on_a_two_node_path_exits_1(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "w.json", {"numeric": {"grid": 1}})
+    rc = main(["wave-energy", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "numeric failure: invalid-input" in capsys.readouterr().err
 
 
 def test_degree_boundary_zero_exits_1(tmp_path, capsys):

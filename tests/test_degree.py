@@ -8,10 +8,9 @@ from evolver import (
     Region,
     SingularResolventError,
     brouwer_degree,
-    deg_hat,
     winding_number_2d,
 )
-from evolver.degree import _cluster
+from evolver.degree import _cluster, averaged_map
 from evolver.linop import (
     CONVERGED,
     ESCAPED,
@@ -178,7 +177,7 @@ def test_deg_hat_linearized_field():
     # x + A^{-1} F with A = diag(-1,-2), F = const: single zero, degree 1
     A = np.diag([-1.0, -2.0])
     F = lambda x: np.broadcast_to([0.3, -0.4], np.asarray(x).shape).copy()
-    rep = deg_hat(A, F, Region.ball([0.0, 0.0], 2.0), grid=8)
+    rep = brouwer_degree(averaged_map(A, F), Region.ball([0.0, 0.0], 2.0), grid=8)
     assert rep.value == 1
     assert np.allclose(rep.zeros[0], [0.3, -0.2], atol=1e-6)
 
@@ -186,7 +185,8 @@ def test_deg_hat_linearized_field():
 def test_deg_hat_singular_generator():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularResolventError):
-        deg_hat(A, lambda x: np.asarray(x), Region.ball([0.0, 0.0], 1.0))
+        brouwer_degree(averaged_map(A, lambda x: np.asarray(x)),
+                       Region.ball([0.0, 0.0], 1.0))
 
 
 def _piecewise(X):

@@ -63,8 +63,8 @@ def _swirl(t):
 
 def _coupled_wave():
     model = get_model("wave-k3").wave
-    return wave._block_family(model.eigs, model.beta, model.T,
-                              coupling=0.1 * np.ones((3, 3)))
+    A = wave._block_generator(model.eigs, model.beta, coupling=0.1 * np.ones((3, 3)))
+    return GeneratorFamily(dim=model.dim, A=A, T=model.T)
 
 
 _CONTRACT_FAMILIES = {

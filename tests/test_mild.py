@@ -17,7 +17,6 @@ from evolver import (
     fixed_point,
     get_model,
     mild_solve,
-    nonlinear_field,
     period_map,
 )
 from evolver.mild import _FIELD_BLOCK, _eval_field, _gap, _scan_plan, _sweep, _workspace
@@ -133,8 +132,8 @@ def test_mild_field_may_return_a_view_of_the_path():
     cm = get_model("scalar-linear")
     R = build_evolution(cm.family, 128)
     X = np.array([[0.5], [1.5], [-2.0]])
-    views = NonlinearField(F=lambda t, x: x[...], lipschitz=1.0, growth=1.0)
-    copies = NonlinearField(F=lambda t, x: x.copy(), lipschitz=1.0, growth=1.0)
+    views = NonlinearField(F=lambda t, x: x[...], lipschitz=1.0)
+    copies = NonlinearField(F=lambda t, x: x.copy(), lipschitz=1.0)
     a = mild_solve(R, views, X, lam=0.5, grid=128)
     b = mild_solve(R, copies, X, lam=0.5, grid=128)
     assert a.iterations == b.iterations > 2
@@ -194,7 +193,7 @@ def test_mild_gronwall_contraction():
 def test_mild_divergence_guard():
     fam = GeneratorFamily(dim=1, A=lambda t: np.zeros(np.shape(t) + (1, 1)), T=1.0)
     R = build_evolution(fam, 64)
-    explosive = NonlinearField(F=lambda t, x: x ** 3, lipschitz=np.inf, growth=np.inf)
+    explosive = NonlinearField(F=lambda t, x: x ** 3, lipschitz=np.inf)
     with pytest.raises(ConvergenceError):
         mild_solve(R, explosive, np.array([4.0]), grid=128, max_iter=50)
 
@@ -203,14 +202,14 @@ def test_field_with_wrong_shape_is_rejected():
     R = build_evolution(get_model("rotation-damped-2d").family, 64)
     # sums over the state axis instead of returning one vector per state
     bad = NonlinearField(F=lambda t, x: np.sum(x, axis=-1) * np.cos(t),
-                         lipschitz=1.0, growth=1.0)
+                         lipschitz=1.0)
     with pytest.raises(InvalidInputError, match="expected"):
         mild_solve(R, bad, np.array([0.1, 0.2]), grid=64)
 
 
 def _catalog_field(key):
     cm = get_model(key)
-    return cm, (cm.field if cm.field is not None else nonlinear_field(cm.wave))
+    return cm, cm.field
 
 
 @pytest.mark.parametrize("key", ["scalar-linear", "rotation-damped-2d", "wave-k3"])
@@ -243,7 +242,7 @@ def test_field_with_wrong_shape_in_its_last_block_is_rejected():
         return x[..., :1] if np.max(t) == cm.T else cm.field(t, x)
 
     with pytest.raises(InvalidInputError, match="expected"):
-        mild_solve(R, NonlinearField(F=last_block_bad, lipschitz=1.0, growth=1.0),
+        mild_solve(R, NonlinearField(F=last_block_bad, lipschitz=1.0),
                    X, grid=grid)
 
 
@@ -317,7 +316,7 @@ def test_fixed_point_degenerate_jacobian():
     # eigenvalue, so DPhi - I has an exactly-zero column and Newton must refuse
     A = np.array([[0.0, 0.0], [0.0, -1.0]])
     fam = GeneratorFamily(dim=2, A=lambda t: np.broadcast_to(A, np.shape(t) + A.shape), T=1.0)
-    zero = NonlinearField(F=lambda t, x: np.zeros_like(x), lipschitz=0.0, growth=0.0)
+    zero = NonlinearField(F=lambda t, x: np.zeros_like(x), lipschitz=0.0)
     phi = period_map(fam, zero, 1.0, 64, grid=128)
     assert np.allclose(phi(np.eye(2)).final, np.diag([1.0, np.exp(-1.0)]), atol=1e-14)
     with pytest.raises(DegenerateFixedPointError):
@@ -327,7 +326,7 @@ def test_fixed_point_degenerate_jacobian():
 def test_fixed_point_free_translation_map_fails_loudly():
     # Phi(x) = x + 1 has no fixed point; the solver must raise, not return
     fam = GeneratorFamily(dim=1, A=lambda t: np.zeros(np.shape(t) + (1, 1)), T=1.0)
-    const = NonlinearField(F=lambda t, x: np.ones_like(x), lipschitz=0.0, growth=1.0)
+    const = NonlinearField(F=lambda t, x: np.ones_like(x), lipschitz=0.0)
     with pytest.raises((ConvergenceError, DegenerateFixedPointError)):
         fixed_point(period_map(fam, const, 1.0, 64, grid=128), [0.0])
 

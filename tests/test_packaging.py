@@ -55,3 +55,21 @@ def test_every_export_is_used_outside_the_tests():
     used = _used_names(paths)
     unused = sorted(set(evolver.__all__) - used)
     assert unused == sorted(TEST_REFERENCE_EXPORTS)
+
+
+def test_perfbench_instrument_finds_every_traced_function():
+    # perfbench/layers.py wraps evolver functions by name; a renamed or
+    # deleted one would silently drop out of the benchmark's layer metrics
+    import evolver.cli  # noqa: F401  (Instrument patches the loaded modules)
+
+    bench = str(SRC.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import layers
+        import spans
+
+        with layers.Instrument(spans.Recorder()) as inst:
+            pass
+    finally:
+        sys.path.remove(bench)
+    assert inst.missing == []

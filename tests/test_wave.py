@@ -5,6 +5,7 @@ from evolver import (
     InvalidInputError,
     build_evolution,
     build_wave_model,
+    dissipativity_rate,
     energy_residual,
     eta_metric_matrix,
     find_periodic_wave,
@@ -13,6 +14,7 @@ from evolver import (
     metric_norm,
     mild_solve,
     nonlinear_field,
+    period_map,
     select_eta,
     spectral_invariance_gap,
 )
@@ -33,8 +35,6 @@ def test_build_validation():
         build_wave_model(**{**ok, "T": -1.0})
     with pytest.raises(InvalidInputError):
         build_wave_model(**{**ok, "beta": lambda t: np.cos(t)})  # dips below zero
-    with pytest.raises(InvalidInputError):
-        build_wave_model(**{**ok, "eta": 1.5})
 
 
 def test_build_rejects_resonant_f_inf():
@@ -46,9 +46,9 @@ def test_build_rejects_resonant_f_inf():
 
 
 def test_eigenvalues_frozen():
-    model, _ = build_wave_model(np.pi, 3, lambda t: 1.0, 2.0 * np.pi)
+    model = build_wave_model(np.pi, 3, lambda t: 1.0, 2.0 * np.pi)
     assert np.allclose(model.eigs, [1.0, 4.0, 9.0], atol=1e-12)
-    model2, _ = build_wave_model(2.0, 2, lambda t: 1.0, 1.0)
+    model2 = build_wave_model(2.0, 2, lambda t: 1.0, 1.0)
     assert np.allclose(model2.eigs, [(np.pi / 2.0) ** 2, np.pi ** 2])
     assert model.dim == 6
 
@@ -69,37 +69,86 @@ def test_eta_metric_constants_match_generalized_eigh(ell, k, eta):
 
 
 def test_eta_inner_first_mode():
-    # |(a, b)|_eta^2 = lam_1 a^2 + (b + eta a)^2 = 1 + 0.25 at (1, 0)
-    model, _ = build_wave_model(np.pi, 1, lambda t: 1.0, 2.0 * np.pi, eta=0.5)
+    # |(a, b)|_eta^2 = lam_1 a^2 + (b + eta a)^2 = 1 + eta^2 at (1, 0)
+    model = build_wave_model(np.pi, 1, lambda t: 1.0, 2.0 * np.pi)
+    eta = model.eta_metric.eta
     e1 = np.array([1.0, 0.0])
-    assert metric_norm(e1, model.eta_metric.G) == pytest.approx(np.sqrt(1.25))
+    assert metric_norm(e1, model.eta_metric.G) == pytest.approx(np.sqrt(1.0 + eta ** 2))
 
 
 def test_select_eta_closed_form_k1_constant_damping():
     # beta0 = 1, gamma = max(beta + 1)/sqrt(lam_1) = 2:
     # optimum of min(eta/2, beta0 - eta - eta gamma^2/2) is eta* = 2/7, rate 1/7
-    model, _ = build_wave_model(np.pi, 1, lambda t: 1.0, 2.0 * np.pi)
+    model = build_wave_model(np.pi, 1, lambda t: 1.0, 2.0 * np.pi)
     sel = select_eta(model)
-    assert sel.gamma == pytest.approx(2.0, abs=1e-12)
+    assert model.gamma == pytest.approx(2.0, abs=1e-12)
     assert sel.eta == pytest.approx(2.0 / 7.0, abs=1e-9)
     assert sel.rate_analytic == pytest.approx(1.0 / 7.0, abs=1e-9)
     assert sel.rate_numeric >= sel.rate_analytic - 1e-9
 
 
 def test_select_eta_matches_grid_scan():
-    model, _ = build_wave_model(np.pi, 2, lambda t: 1.0 + 0.5 * np.cos(t),
-                                2.0 * np.pi)
+    model = build_wave_model(np.pi, 2, lambda t: 1.0 + 0.5 * np.cos(t), 2.0 * np.pi)
     sel = select_eta(model)
-    b0, g = sel.beta0, sel.gamma
+    b0, g = model.beta0, model.gamma
     etas = np.linspace(1e-5, min(1.0, b0 / (1.0 + g * g / 2.0)) - 1e-5, 20001)
     rates = np.minimum(etas / 2.0, b0 - etas - etas * g * g / 2.0)
     assert sel.rate_analytic >= rates.max() - 1e-7
 
 
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("beta", [lambda t: 1.0, lambda t: 1.0 + 0.5 * np.cos(t)],
+                         ids=["constant", "cos"])
+def test_select_eta_and_omega_match_the_closed_forms(k, beta):
+    # recompute eta, both rates and the family's omega from their formulas:
+    # beta0, gamma on 2049 nodes, the numeric rate on 257 nodes of [0, T]
+    T = 2.0 * np.pi
+    model = build_wave_model(np.pi, k, beta, T)
+    eigs = (np.arange(1, k + 1) * np.pi / np.pi) ** 2
+    b = np.broadcast_to(beta(np.linspace(0.0, T, 2049)), (2049,))
+    beta0 = float(np.min(b))
+    gamma = float(np.max(b + 1.0) / np.sqrt(eigs[0]))
+    eta = min(1.0, beta0 / (1.5 + gamma ** 2 / 2.0))
+    ts = np.linspace(0.0, T, 257)
+    A = np.zeros((len(ts), 2 * k, 2 * k))
+    A[:, :k, k:] = np.eye(k)
+    A[:, k:, :k] = -np.diag(eigs)
+    A[:, k:, k:] = -(np.broadcast_to(beta(ts), ts.shape)[:, None, None] * np.eye(k))
+    rate = float(np.min(dissipativity_rate(A, eta_metric_matrix(eigs, eta))))
+    sel = select_eta(model)
+    assert (model.beta0, model.gamma) == (beta0, gamma)
+    assert sel.eta == eta == model.eta_metric.eta
+    assert sel.rate_analytic == min(eta / 2.0, beta0 - eta - eta * gamma ** 2 / 2.0)
+    assert sel.rate_numeric == rate == model.family.omega
+    assert np.array_equal(model.family.metric, eta_metric_matrix(eigs, eta))
+
+
+def test_energy_residual_takes_the_models_own_forcing():
+    # the balance d/dt E = -beta |b|^2 + (f, b) with f the velocity slot of F
+    cm = get_model("wave-k3")
+    model, k = cm.wave, cm.wave.k
+    x0 = np.zeros(model.dim)
+    x0[0], x0[k] = 0.5, -0.2
+    traj = period_map(cm.family, cm.field, 1.0, 512, 256)(x0)
+    rep = energy_residual(traj, model)
+    t, z = traj.times, traj.states
+    a, b = z[:, :k], z[:, k:]
+    h = t[1] - t[0]
+    E = 0.5 * ((a ** 2) @ model.eigs + np.sum(b ** 2, axis=1))
+    f_path = cm.field(t[:, None], z)[:, k:]
+    beta = np.broadcast_to(model.beta(t[1:-1]), t[1:-1].shape)
+    rhs = -beta * np.sum(b[1:-1] ** 2, axis=1) + np.sum(f_path[1:-1] * b[1:-1], axis=1)
+    assert np.array_equal(rep.energy_residual, (E[2:] - E[:-2]) / (2.0 * h) - rhs)
+    assert np.array_equal(rep.times, t[1:-1])
+    # central differences need an interior node
+    short = period_map(cm.family, cm.field, 1.0, 4, 1)(x0)
+    with pytest.raises(InvalidInputError, match="at least 3 nodes"):
+        energy_residual(short, model)
+
+
 def test_collocation_projection_is_exact_on_modes():
-    model, _ = build_wave_model(np.pi, 3, lambda t: 1.0, 2.0 * np.pi,
-                                f=lambda t, u: u, f_inf=0.5, lipschitz=1.0,
-                                growth=1.0)
+    model = build_wave_model(np.pi, 3, lambda t: 1.0, 2.0 * np.pi,
+                             f=lambda t, u: u, f_inf=0.5, lipschitz=1.0)
     rng = np.random.default_rng(51)
     a = rng.standard_normal((5, 3))
     assert np.allclose(project_nonlinearity(model, 0.0, a), a, atol=1e-12)
@@ -118,8 +167,8 @@ def test_nonlinear_field_lives_in_velocity_slot():
 
 def test_energy_identity_linear_unforced():
     # constant damping: dE/dt = -beta |b|^2 along the linear flow
-    model, family = build_wave_model(np.pi, 1, lambda t: 1.0, 2.0 * np.pi)
-    R = build_evolution(family, 2048)
+    model = build_wave_model(np.pi, 1, lambda t: 1.0, 2.0 * np.pi)
+    R = build_evolution(model.family, 2048)
     zero = lambda t, z: np.zeros_like(z)
     traj = mild_solve(R, zero, np.array([0.5, 0.0]), grid=2048)
     rep = energy_residual(traj, model)
@@ -128,8 +177,8 @@ def test_energy_identity_linear_unforced():
 
 
 def test_spectral_invariance_and_coupled_control():
-    k1 = build_wave_model(np.pi, 1, lambda t: 1.0 + 0.5 * np.cos(t), 2.0 * np.pi)[0]
-    k2 = build_wave_model(np.pi, 2, lambda t: 1.0 + 0.5 * np.cos(t), 2.0 * np.pi)[0]
+    k1 = build_wave_model(np.pi, 1, lambda t: 1.0 + 0.5 * np.cos(t), 2.0 * np.pi)
+    k2 = build_wave_model(np.pi, 2, lambda t: 1.0 + 0.5 * np.cos(t), 2.0 * np.pi)
     gap = spectral_invariance_gap(k1, k2, [(2.0 * np.pi, 0.0)], n=128)
     assert gap <= 1e-10
     coupled = spectral_invariance_gap(k1, k2, [(2.0 * np.pi, 0.0)], n=128,
@@ -141,8 +190,8 @@ def test_spectral_invariance_and_coupled_control():
 
 def test_spectral_invariance_pairs():
     beta = lambda t: 1.0 + 0.5 * np.cos(t)
-    k1 = build_wave_model(np.pi, 1, beta, 2.0 * np.pi)[0]
-    k2 = build_wave_model(np.pi, 2, beta, 2.0 * np.pi)[0]
+    k1 = build_wave_model(np.pi, 1, beta, 2.0 * np.pi)
+    k2 = build_wave_model(np.pi, 2, beta, 2.0 * np.pi)
     C = 0.1 * np.ones((2, 2))
     pairs = [(2.0 * np.pi, 0.0), (3.1, 0.4), (1.0, 1.0), (5.5, 2.25)]
     for coupling in (None, C):
@@ -190,13 +239,12 @@ def test_find_periodic_wave_small_residual():
 def test_find_periodic_wave_affine_matches_linear_oracle():
     # affine forcing: the discrete period map is z -> M z + b, so its fixed
     # point solves (I - M) z = b; probe M and b from the map itself
-    model, family = build_wave_model(
+    model = build_wave_model(
         np.pi, 1, lambda t: 1.0, 2.0 * np.pi,
-        f=lambda t, u: 0.2 * u + 0.3 * np.cos(t), f_inf=0.2,
-        lipschitz=0.2, growth=0.5,
+        f=lambda t, u: 0.2 * u + 0.3 * np.cos(t), f_inf=0.2, lipschitz=0.2,
     )
     n = 256
-    R = build_evolution(family, n)
+    R = build_evolution(model.family, n)
     F = nonlinear_field(model)
     d = model.dim
 
