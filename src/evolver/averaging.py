@@ -81,12 +81,19 @@ class AveragedField:
 
     The Simpson node count is fixed at construction (doubled until two
     levels agree at the probe states), so F_hat is pure and deterministic.
+    F_hat has F's Lipschitz bound (inf for none): Simpson weights are positive.
     """
 
     A_hat: np.ndarray
     F_hat: Callable
     T: float
     nodes: int
+    lipschitz: float
+
+    @property
+    def map_lipschitz(self) -> float:
+        """Lipschitz bound 1 + |A_hat^{-1}|_2 lipschitz of averaged_map."""
+        return float(1.0 + self.lipschitz / np.linalg.svd(self.A_hat)[1][-1])
 
 
 def averaged_pair(family: GeneratorFamily, F, probes=None,
@@ -117,13 +124,15 @@ def averaged_pair(family: GeneratorFamily, F, probes=None,
         x = np.asarray(x, dtype=float)
         if x.ndim <= 1:
             return _mean_at(x)
-        # chunk large batches so the (nodes, batch, d) intermediate stays small
+        # chunk large batches so the (nodes, batch, d) intermediate stays
+        # small; an empty batch is its own (empty) mean
         flat = x.reshape(-1, x.shape[-1])
         step = max(1, 2_000_000 // (len(ts) * x.shape[-1]))
         parts = [_mean_at(flat[i:i + step]) for i in range(0, len(flat), step)]
-        return np.concatenate(parts).reshape(x.shape)
+        return np.concatenate(parts or [flat]).reshape(x.shape)
 
-    return AveragedField(A_hat=A_hat, F_hat=F_hat, T=family.T, nodes=m)
+    return AveragedField(A_hat=A_hat, F_hat=F_hat, T=family.T, nodes=m,
+                         lipschitz=getattr(F, "lipschitz", np.inf))
 
 
 @dataclass
@@ -248,23 +257,29 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
     """Compare deg(I - Phi_T^lam, U) with the averaged degree along lambdas.
 
     d0 = deg(x + A_hat^{-1} F_hat(x), U).  For each lam, brouwer_degree
-    computes the degree of x - Phi_T(x); a rung whose boundary fails its
-    screen (a suspected fixed point of Phi_T on the boundary) is recorded
-    with boundary_ok False and the screened min |x - Phi_T(x)|, and a rung
-    that fails otherwise keeps boundary_ok True, with boundary_min nan and
-    the error text.  The empirical threshold lambda0 is the largest
-    sampled lam such that it and every smaller sampled lam yield a
-    degree.  Equality with d0 is expected for all sampled lam <= lambda0.
+    computes the degree of x - Phi_T(x).  Both prune Newton starts by the
+    maps' Lipschitz bounds (AveragedField.map_lipschitz,
+    PeriodMap.gap_lipschitz), sound when F honours F.lipschitz.  A rung
+    whose boundary fails its screen (a suspected fixed point of Phi_T on
+    the boundary) is recorded with boundary_ok False and the screened
+    min |x - Phi_T(x)|, and a rung that fails otherwise keeps boundary_ok
+    True, with boundary_min nan and the error text.  The empirical
+    threshold lambda0 is the largest sampled lam such that it and every
+    smaller sampled lam yield a degree.  Equality with d0 is expected for
+    all sampled lam <= lambda0.
     """
     avg = averaged_pair(family, F, probes=U.midpoint)
     d0_report = brouwer_degree(averaged_map(avg.A_hat, avg.F_hat), U,
-                               grid=degree_grid, boundary_m=boundary_m)
+                               grid=degree_grid, boundary_m=boundary_m,
+                               lipschitz=avg.map_lipschitz)
     rows: list[AveragingRow] = []
     for lam in map(float, lambdas):
         phi = period_map(family, F, lam, n, grid)
+        lip, slack = phi.gap_lipschitz()
         try:
             rep = brouwer_degree(lambda x: x - phi(x).final, U,
-                                 grid=degree_grid, boundary_m=boundary_m)
+                                 grid=degree_grid, boundary_m=boundary_m,
+                                 lipschitz=lip, slack=slack)
         except InadmissibleRegionError as exc:
             rows.append(AveragingRow(lam=lam, boundary_ok=False,
                                      boundary_min=exc.boundary_min,

@@ -238,7 +238,8 @@ def model_from_config(spec) -> CatalogModel:
     """Catalog key or inline dict -> CatalogModel.
 
     Inline schema: {"A": matrix spec, "T": period (default 1), optional
-    "F": [expr per component], "lipschitz" (default 1), "omega" (default
+    "F": [expr per component], "lipschitz" (a bound >= 0 for F, none if
+    absent: the degree then keeps every Newton start), "omega" (default
     0), "region": {"kind": "ball", "center": [...], "radius": r} or
     {"kind": "box", "lo": [...], "hi": [...]}, "lambdas": [...]}.
     Unknown keys, wrong types and non-finite numbers raise ConfigError.
@@ -258,13 +259,15 @@ def model_from_config(spec) -> CatalogModel:
     A, d = compile_matrix(spec["A"], T)
     omega = _number(spec.get("omega", 0.0), "omega")
     family = GeneratorFamily(dim=d, A=A, T=T, omega=omega, periodic=True)
+    lip = _number(spec["lipschitz"], "lipschitz") if "lipschitz" in spec else np.inf
+    if lip < 0:
+        raise ConfigError(f"lipschitz must be nonnegative, got {lip}")
     field = None
     if "F" in spec:
         exprs = spec["F"]
         if not isinstance(exprs, list) or len(exprs) != d:
             raise ConfigError(f"F must list {d} component expressions")
-        field = NonlinearField(F=compile_field(exprs, T),
-                               lipschitz=_number(spec.get("lipschitz", 1.0), "lipschitz"))
+        field = NonlinearField(F=compile_field(exprs, T), lipschitz=lip)
     region = _region(spec["region"], d) if "region" in spec else None
     lambdas = tuple(_numbers(spec.get("lambdas", list(BRANCHING_LADDER)), "lambdas"))
     if min(lambdas) <= 0:

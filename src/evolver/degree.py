@@ -2,11 +2,12 @@
 
 deg(g, U) = sum of sign det Dg(z) over the zeros z of g in U, provided g
 does not vanish on the boundary and every zero is regular.  Zeros are
-located by linop.damped_newton from an interior lattice, polished by it
-to the residual floor, and clustered; the boundary condition is certified
-on a sample cloud.  For planar fields winding_number_2d gives an
-independent value by accumulating the argument of g along the boundary
-loop.
+located by linop.damped_newton from the centers of a lattice of cells
+covering U, skipping cells that a Lipschitz bound of g, if given, rules out,
+polished by it to the residual floor, and clustered; the boundary
+condition is screened on a sample cloud.  For planar fields
+winding_number_2d gives an independent value by accumulating the
+argument of g along the boundary loop.
 
 Fields must be vectorized: g applied to an (..., d) array of points
 returns an (..., d) array of values.  Degree computations are capped at
@@ -87,32 +88,23 @@ class Region:
         """(M, d) boundary points, a closed loop when d == 2; for d >= 3 drawn
         by a generator seeded with 0, so the cloud is deterministic."""
         d = self.dim
+        if d == 1:
+            return np.stack(self.bounds)
         if self.kind == "ball":
-            if d == 1:
-                return np.array([[self.center[0] - self.radius],
-                                 [self.center[0] + self.radius]])
             if d == 2:
                 th = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-                return self.center + self.radius * np.stack(
-                    [np.cos(th), np.sin(th)], axis=-1
-                )
+                return self.center + self.radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
             rng = np.random.default_rng(0)
             dirs = rng.standard_normal((m, d))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             axes = np.concatenate([np.eye(d), -np.eye(d)])
             return self.center + self.radius * np.concatenate([dirs, axes])
-        # box
-        if d == 1:
-            return np.array([[self.lo[0]], [self.hi[0]]])
         if d == 2:
-            per_edge = max(m // 4, 2)
-            u = np.linspace(0.0, 1.0, per_edge, endpoint=False)
+            # the loop lo -> (x1, y0) -> hi -> (x0, y1), max(m // 4, 2) per edge
             (x0, y0), (x1, y1) = self.lo, self.hi
-            bottom = np.stack([x0 + u * (x1 - x0), np.full_like(u, y0)], axis=-1)
-            right = np.stack([np.full_like(u, x1), y0 + u * (y1 - y0)], axis=-1)
-            top = np.stack([x1 - u * (x1 - x0), np.full_like(u, y1)], axis=-1)
-            left = np.stack([np.full_like(u, x0), y1 - u * (y1 - y0)], axis=-1)
-            return np.concatenate([bottom, right, top, left])
+            c = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])
+            u = np.linspace(0.0, 1.0, max(m // 4, 2), endpoint=False)[:, None]
+            return np.concatenate([a + u * (b - a) for a, b in zip(c, c[1:])])
         rng = np.random.default_rng(0)
         per_face = max(m // (2 * d), 1)
         pts = []
@@ -123,28 +115,28 @@ class Region:
                 pts.append(q)
         return np.concatenate(pts)
 
-    def interior_grid(self, res: int) -> np.ndarray:
-        """(K, d) lattice of Newton starts: cell centers of a res^d grid."""
-        d = self.dim
+    @property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Corners (lo, hi) of the smallest box holding U."""
         if self.kind == "ball":
-            lo = self.center - self.radius
-            hi = self.center + self.radius
-        else:
-            lo, hi = self.lo, self.hi
-        axes = [
-            np.linspace(lo[i], hi[i], res, endpoint=False) + (hi[i] - lo[i]) / (2 * res)
-            for i in range(d)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+            return self.center - self.radius, self.center + self.radius
+        return self.lo, self.hi
+
+    def cell_centers(self, res: int) -> np.ndarray:
+        """(K, d) centers of the cells of a res^d grid over bounds meeting U."""
+        lo, hi = self.bounds
+        half = (hi - lo) / (2 * res)
+        axes = [np.linspace(a, b, res, endpoint=False) + h for a, b, h in zip(lo, hi, half)]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
         if self.kind == "ball":
-            pts = pts[np.linalg.norm(pts - self.center, axis=1) < 0.98 * self.radius]
+            gap = np.maximum(np.abs(pts - self.center) - half, 0.0)
+            pts = pts[np.linalg.norm(gap, axis=1) < self.radius]
         return pts
 
 
 @dataclass
 class DegreeReport:
-    """Degree value with the evidence that produced it."""
+    """Degree value with its evidence; cells counts lattice cells, starts Newton runs."""
 
     value: int
     zeros: np.ndarray
@@ -152,6 +144,8 @@ class DegreeReport:
     dets: np.ndarray
     boundary_min: float
     delta: float
+    cells: int
+    starts: int
 
 
 def _boundary_screen(g, samples: np.ndarray):
@@ -177,13 +171,17 @@ def _boundary_screen(g, samples: np.ndarray):
     return vals, bmin, delta, scale
 
 
-def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256) -> DegreeReport:
+def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
+                   lipschitz: float = np.inf, slack: float = 0.0) -> DegreeReport:
     """Degree of g on U by multi-start damped Newton and sign-summed Jacobians.
 
-    grid: Newton starts per axis (grid^d total); a start finds a zero when
-    damped_newton brings |g| to ZERO_TOL (1 + max boundary |g|) within 4
-    spans of U's midpoint.  The admissibility margin is BOUNDARY_DELTA
-    (1 + max boundary |g|) on the boundary_m samples.  Raises
+    grid: lattice cells per axis over U.bounds; a start finds a zero when
+    damped_newton brings |g| to tol = ZERO_TOL (1 + max boundary |g|) within
+    4 spans of U's midpoint.  Given |g(x) - g(y)| <= lipschitz |x - y| +
+    slack, a cell with |g(center)| > lipschitz rho + slack + tol, rho its
+    half-diagonal, holds no zero and starts no Newton (exclusion: Franek
+    and Ratschan, Math. Comp. 84, 2015).  The admissibility margin is
+    BOUNDARY_DELTA (1 + max boundary |g|) on the boundary_m samples.  Raises
     InadmissibleRegionError on boundary (near-)zeros, DegenerateZeroError
     when polishing a located zero meets cond(Dg) > COND_LIMIT or leaves
     |det Dg| < DET_FLOOR, InvalidInputError for d > 4.
@@ -196,18 +194,25 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256) -> Degre
             f"degree computations are capped at d <= {MAX_DEGREE_DIM}, got {d}"
         )
     _, boundary_min, delta, scale = _boundary_screen(g, U.boundary_samples(boundary_m))
+    tol = ZERO_TOL * (1.0 + scale)
 
     def jac(X):
         return fd_jacobians(g, X, FD_STEP)
 
-    span = float(np.max(U.hi - U.lo)) if U.kind == "box" else 2.0 * U.radius
-    mid = U.midpoint
-    search = damped_newton(
-        g, jac, U.interior_grid(grid), tol=ZERO_TOL * (1.0 + scale),
-        max_iter=MAX_NEWTON, tries=7,
-        keep=lambda X: np.linalg.norm(X - mid, axis=-1) <= 4.0 * span)
-    hits = search.x[search.status == CONVERGED]
-    zeros = _cluster(hits[U.contains(hits)])
+    lo, hi = U.bounds
+    span, mid = float(np.max(hi - lo)), U.midpoint
+    cells = U.cell_centers(grid)
+    live = np.ones(len(cells), dtype=bool)
+    if np.isfinite(lipschitz):
+        rho = 0.5 * float(np.linalg.norm(hi - lo)) / grid
+        live = np.linalg.norm(g(cells), axis=-1) <= lipschitz * rho + slack + tol
+    zeros = np.empty((0, d))
+    if live.any():
+        search = damped_newton(
+            g, jac, cells[live], tol=tol, max_iter=MAX_NEWTON, tries=7,
+            keep=lambda X: np.linalg.norm(X - mid, axis=-1) <= 4.0 * span)
+        hits = search.x[search.status == CONVERGED]
+        zeros = _cluster(hits[U.contains(hits)])
     if zeros.size:
         # polish to the residual floor: a degenerate zero creeps on toward
         # the true zero until its Jacobian turns singular or fails DET_FLOOR
@@ -226,7 +231,8 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256) -> Degre
         )
     signs = np.sign(dets).astype(int)
     return DegreeReport(value=int(signs.sum()), zeros=zeros, signs=signs,
-                        dets=dets, boundary_min=boundary_min, delta=delta)
+                        dets=dets, boundary_min=boundary_min, delta=delta,
+                        cells=len(cells), starts=int(live.sum()))
 
 
 def _cluster(points: np.ndarray) -> np.ndarray:

@@ -17,7 +17,8 @@ only multiplies step operators and never inverts one, since the inverse
 of a strongly damped step would amplify roundoff.  period_map is the
 translation along trajectories Phi_T^lam of u' = lam (A u + F); its
 fixed points, the T-periodic states, are found by the one damped-Newton
-kernel (linop.damped_newton) with finite-difference Jacobians.
+kernel (linop.damped_newton) with finite-difference Jacobians, and its
+gap_lipschitz bounds x - Phi_T^lam(x) for the degree's cell exclusion.
 
 All state-space operations broadcast over leading axes, so a batch of
 initial states (B, d) is propagated in one sweep.  Field callables must
@@ -243,6 +244,8 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
     if x.shape[-1] != R.dim:
         raise InvalidInputError("state dimension mismatch")
     times = np.linspace(0.0, R.T, grid + 1)
+    if x.size == 0:
+        return Trajectory(times=times, states=np.empty((grid + 1,) + x.shape), lam=lam)
     plan = _scan_plan(R.step_operators(times))
     h = R.T / grid
     U, Y, new = _workspace(plan, grid, x.shape)
@@ -271,16 +274,60 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
     )
 
 
+@dataclass(frozen=True)
+class PeriodMap:
+    """Phi_T^lam on the system R of lam A: phi(x) = mild_solve(R, F, x, lam=lam,
+    grid=grid), whose .final is Phi_T^lam(x) for a state or a batch (..., d)."""
+
+    R: EvolutionSystem
+    F: Callable
+    lam: float
+    grid: int
+
+    def __call__(self, x) -> Trajectory:
+        return mild_solve(self.R, self.F, x, lam=self.lam, grid=self.grid)
+
+    def gap_lipschitz(self) -> tuple[float, float]:
+        """(Lip, slack): |g(x) - g(y)| <= Lip |x - y| + slack for the computed
+        g(x) = x - phi(x).final, or (inf, 0) when no bound holds.
+
+        On _sweep's pass u_{i+1} = E_i (u_i + lam h/2 F_i) + lam h/2 F_{i+1},
+        with L = F.lipschitz, q = lam h L / 2 < 1, a_i = |E_i|_2 and
+        b_i = |E_i - I|_2, solutions from x and y stay within D_i |x - y|,
+        D_0 = 1, D_{i+1} = a_i (1 + q) / (1 - q) D_i; Lip is the smaller of
+        1 + D_m and the O(lam) sum S of their steps' changes, (b_i + a_i q)
+        D_i + q D_{i+1}.  Picard contracts in the sup norm by kappa < 1,
+        kappa = max_i P_i, P_0 = 0, P_{i+1} = a_i P_i + (a_i + 1) q, so a solve
+        stopped below PICARD_TOL is within kappa / (1 - kappa) PICARD_TOL of
+        the discrete map at each of the two points.
+        """
+        h = self.R.T / self.grid
+        q = 0.5 * self.lam * h * getattr(self.F, "lipschitz", np.inf)
+        if not q < 1.0:
+            return np.inf, 0.0
+        E = self.R.step_operators(np.linspace(0.0, self.R.T, self.grid + 1))
+        a = np.linalg.norm(E, 2, axis=(1, 2)).tolist()
+        b = np.linalg.norm(E - np.eye(E.shape[-1]), 2, axis=(1, 2)).tolist()
+        r = (1.0 + q) / (1.0 - q)
+        D, S, P, kappa = 1.0, 0.0, 0.0, 0.0
+        for ai, bi in zip(a, b):
+            S += (bi + ai * q + ai * r * q) * D
+            D *= ai * r
+            P = ai * P + (ai + 1.0) * q
+            kappa = max(kappa, P)
+        if not kappa < 1.0:
+            return np.inf, 0.0
+        return min(S, 1.0 + D), 2.0 * kappa / (1.0 - kappa) * PICARD_TOL
+
+
 def period_map(family: GeneratorFamily, F, lam: float, n: int,
-               grid: int = DEFAULT_GRID) -> Callable:
+               grid: int = DEFAULT_GRID) -> PeriodMap:
     """The translation along trajectories Phi_T^lam of u' = lam (A u + F).
 
     Builds R = build_evolution(affine_family(family, lam), n) once and
-    returns x -> mild_solve(R, F, x, lam=lam, grid=grid), whose .final is
-    Phi_T^lam(x) for a state (d,) or a batch (..., d).
+    returns the PeriodMap x -> mild_solve(R, F, x, lam=lam, grid=grid).
     """
-    R = build_evolution(affine_family(family, lam), n)
-    return lambda x: mild_solve(R, F, x, lam=lam, grid=grid)
+    return PeriodMap(build_evolution(affine_family(family, lam), n), F, lam, grid)
 
 
 @dataclass

@@ -260,8 +260,9 @@ def nonlinear_field(model: WaveModel) -> NonlinearField:
         np.negative(c, out=out[..., k:])
         return out
 
-    # the collocation projector is nonexpansive on the resolved modes
-    return NonlinearField(F=F, lipschitz=model.lipschitz)
+    # |N_f(a) - N_f(b)| <= L w |C|_2^2 |a - b| for N_f(a) = w C^T f(t, C a)
+    lip = model.lipschitz * model.colloc_weight * np.linalg.norm(model.colloc_matrix, 2) ** 2
+    return NonlinearField(F=F, lipschitz=float(lip))
 
 
 @dataclass

@@ -19,6 +19,7 @@ from evolver import (
     period_map,
     unit_eigenvalue_gap,
 )
+from evolver.catalog import AVERAGING_LADDER
 from evolver.degree import averaged_map
 
 # the scalar catalog model u' = lam(-u + 2 + sin(2 pi t)) has averaged pair
@@ -238,3 +239,106 @@ def test_averaging_report_carries_its_averaged_pair():
     assert d0.value == report.d0
     assert np.array_equal(d0.zeros, report.d0_report.zeros)
     assert d0.boundary_min == report.d0_report.boundary_min
+
+
+# the rungs of the default continuation (cli.run_continuation) and averaging runs
+_DEFAULT_RUNGS = ([("rotation-damped-2d", lam) for lam in (0.01, 0.03, 0.1, 0.3, 1.0)]
+                  + [("scalar-linear", lam) for lam in AVERAGING_LADDER])
+
+
+def _ball_points(U, k, rng):
+    # k points drawn uniformly from the ball U
+    v = rng.standard_normal((k, U.dim))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return U.center + U.radius * v * rng.random((k, 1)) ** (1.0 / U.dim)
+
+
+def _assert_bound_holds(g, U, lip, slack, seed):
+    # |g(x) - g(y)| <= lip |x - y| + slack over random pairs in U; 1e-12
+    # absorbs the roundoff of g, which the degree's ZERO_TOL term covers
+    X = _ball_points(U, 400, np.random.default_rng(seed))
+    gx = g(X)
+    lhs = np.linalg.norm(gx[:200] - gx[200:], axis=-1)
+    dist = np.linalg.norm(X[:200] - X[200:], axis=-1)
+    assert np.isfinite(lip)
+    assert np.all(lhs <= lip * dist + slack + 1e-12), float(np.max(lhs / dist) / lip)
+
+
+@pytest.mark.parametrize("key, lam", _DEFAULT_RUNGS)
+def test_period_map_lipschitz_bound_holds_on_default_rungs(key, lam):
+    # the bound is within a factor 1.13 of the largest quotient seen on
+    # these rungs (sharp to roundoff on scalar-linear), so half of it fails
+    cm = get_model(key)
+    phi = period_map(cm.family, cm.field, lam, 256, 256)
+    lip, slack = phi.gap_lipschitz()
+    assert 0.0 <= slack < 1e-10
+    _assert_bound_holds(lambda x: x - phi(x).final, cm.region, lip, slack, seed=5)
+
+
+@pytest.mark.parametrize("key", ["rotation-damped-2d", "scalar-linear"])
+def test_averaged_map_lipschitz_bound_holds(key):
+    cm = get_model(key)
+    avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
+    assert avg.lipschitz == cm.field.lipschitz
+    _assert_bound_holds(averaged_map(avg.A_hat, avg.F_hat), cm.region,
+                        avg.map_lipschitz, 0.0, seed=6)
+
+
+def test_a_field_without_a_bound_prunes_nothing():
+    cm = get_model("rotation-damped-2d")
+    bare = lambda t, x: cm.field(t, x)
+    assert period_map(cm.family, bare, 0.1, 64, 64).gap_lipschitz() == (np.inf, 0.0)
+    avg = averaged_pair(cm.family, bare)
+    assert avg.lipschitz == np.inf and avg.map_lipschitz == np.inf
+    # nor does a bound under which a trapezoid step (q >= 1, at 1e4) or the
+    # Picard pass (kappa >= 1, at 10) does not contract
+    for lip in (1e4, 10.0):
+        steep = NonlinearField(F=cm.field.F, lipschitz=lip)
+        assert period_map(cm.family, steep, 1.0, 64, 64).gap_lipschitz() == (np.inf, 0.0)
+
+
+@pytest.mark.parametrize("key, lam", [("rotation-damped-2d", 0.03),
+                                      ("rotation-damped-2d", 1.0),
+                                      ("scalar-linear", 0.1)])
+def test_pruned_and_unpruned_degrees_agree(key, lam):
+    cm = get_model(key)
+    phi = period_map(cm.family, cm.field, lam, 256, 256)
+    avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
+    lip, slack = phi.gap_lipschitz()
+    for g, bound in ((lambda x: x - phi(x).final, dict(lipschitz=lip, slack=slack)),
+                     (averaged_map(avg.A_hat, avg.F_hat), dict(lipschitz=avg.map_lipschitz))):
+        full = brouwer_degree(g, cm.region, grid=8, boundary_m=128)
+        pruned = brouwer_degree(g, cm.region, grid=8, boundary_m=128, **bound)
+        assert full.starts == full.cells and pruned.starts < pruned.cells
+        assert pruned.value == full.value == 1
+        assert pruned.zeros.shape == full.zeros.shape
+        assert np.allclose(pruned.zeros, full.zeros, atol=1e-10)
+        assert np.array_equal(pruned.signs, full.signs)
+
+
+def test_default_continuation_rungs_start_few_newtons(monkeypatch):
+    # the default continuation: 60 cells per degree, a handful of starts
+    import evolver.averaging as averaging
+
+    reports = []
+    degree = averaging.brouwer_degree
+
+    def recorded(*args, **kwargs):
+        reports.append(degree(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(averaging, "brouwer_degree", recorded)
+    cm = get_model("rotation-damped-2d")
+    report = averaging_degree_check(cm.family, cm.field, cm.region,
+                                    (0.01, 0.03, 0.1, 0.3, 1.0), n=256, grid=256)
+    assert report.verdict and len(reports) == 6   # d0 and five rungs
+    for rep in reports:
+        assert rep.cells == 60 and 1 <= rep.starts <= 8
+        assert rep.value == 1 and len(rep.zeros) == 1
+
+
+def test_averaged_field_of_an_empty_batch_is_empty():
+    cm = get_model("rotation-damped-2d")
+    avg = averaged_pair(cm.family, cm.field)
+    assert avg.F_hat(np.empty((0, 2))).shape == (0, 2)
+    assert avg.F_hat(np.empty((3, 0, 2))).shape == (3, 0, 2)

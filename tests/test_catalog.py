@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evolver import ConfigError, ExprError
 from evolver.catalog import (
@@ -56,10 +58,13 @@ def test_wave_models():
     m3 = get_model("wave-k3")
     assert m3.dim == 6
     assert m3.lambdas == WAVE_LADDER
-    # a wave model carries its family and its lifted field, but no region yet
+    # a wave model carries its family and its lifted field, but no region
+    # yet; the lift's bound is L w |C|_2^2, 1 + 2e-16 times L on wave-k1
     for m in (m1, m3):
         assert m.wave is not None and m.family is m.wave.family
-        assert m.field is not None and m.field.lipschitz == m.wave.lipschitz
+        C, w = m.wave.colloc_matrix, m.wave.colloc_weight
+        assert m.field is not None
+        assert m.field.lipschitz == m.wave.lipschitz * w * np.linalg.norm(C, 2) ** 2
         assert m.region is None
 
 
@@ -124,6 +129,29 @@ def test_inline_model():
     assert m.region.contains(np.zeros(2))
 
 
+def test_inline_field_without_a_bound_claims_none():
+    m = model_from_config({"A": [[-1.0]], "F": ["s"]})
+    assert m.field.lipschitz == np.inf
+    assert model_from_config({"A": [[-1.0]], "F": ["s"], "lipschitz": 0}).field.lipschitz == 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(key=st.sampled_from(MODEL_KEYS), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(1e-6, 1e3))
+def test_catalog_fields_honour_their_lipschitz(key, seed, scale):
+    # |F(t, x) - F(t, y)| <= L |x - y| at random nodes and pairs of states,
+    # up to roundoff relative to the values compared
+    T, d, F = _catalog_field(key)
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, T, (64, 1))
+    x = scale * rng.standard_normal((64, d))
+    y = x + scale * rng.standard_normal((64, d)) * rng.uniform(1e-6, 1.0, (64, 1))
+    fx, fy = F(t, x), F(t, y)
+    lhs = np.linalg.norm(fx - fy, axis=-1)
+    floor = 1e-14 * (np.linalg.norm(fx, axis=-1) + np.linalg.norm(fy, axis=-1))
+    assert np.all(lhs <= F.lipschitz * np.linalg.norm(x - y, axis=-1) + floor)
+
+
 def test_inline_box_region_and_key_passthrough():
     m = model_from_config({"A": [[-1.0]],
                            "region": {"kind": "box", "lo": [0.0], "hi": [1.0]}})
@@ -147,7 +175,8 @@ def test_inline_config_errors():
     for bad in ({"A": [[-1.0]], "T": float("nan")}, {"A": [[None]]}, {"A": []},
                 {"A": [[-1.0]], "omega": "1"}, {"A": [[-1.0]], "lambdas": [0.5, -1]},
                 {"A": [[-1.0]], "region": {"kind": "box", "lo": [0.0]}},
-                {"A": [[-1.0]], "F": ["s"], "lipschitz": True}):
+                {"A": [[-1.0]], "F": ["s"], "lipschitz": True},
+                {"A": [[-1.0]], "F": ["s"], "lipschitz": -3}):
         with pytest.raises(ConfigError):
             model_from_config(bad)
 

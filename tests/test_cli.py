@@ -133,6 +133,7 @@ def test_inline_field_failures_keep_their_exit_codes(tmp_path, capsys, component
     {"region": {"kind": "ball", "center": [0.0], "radius": 1.0, "raduis": 2.0}},
     {"region": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}},
     {"A": [[True]]},
+    {"lipschitz": -3},                                # no field has that bound
 ])
 def test_malformed_inline_model_exits_2(tmp_path, capsys, override):
     model = {"A": [[-1.0]], "T": 1.0, "F": ["1-s"],

@@ -268,3 +268,68 @@ def test_cluster_is_greedy_in_lexicographic_order():
     assert np.allclose(_cluster(pts), [[0.45e-6, 1.0], [2.25e-6, 1.0]],
                        rtol=0.0, atol=1e-15)
     assert _cluster(np.empty((0, 2))).shape == (0, 2)
+
+
+def _two_opposite_zeros(x):
+    # (x^2 - 1/4, y): zeros (-1/2, 0) with det -1 and (1/2, 0) with det +1;
+    # on the box [-1, 1]^2 holding every start cell it is 2-Lipschitz
+    x = np.asarray(x, dtype=float)
+    return np.stack([x[..., 0] ** 2 - 0.25, x[..., 1]], axis=-1)
+
+
+def test_exclusion_keeps_the_degree_of_opposite_zeros():
+    U = Region.ball([0.0, 0.0], 1.0)
+    full = brouwer_degree(_two_opposite_zeros, U, grid=8)
+    pruned = brouwer_degree(_two_opposite_zeros, U, grid=8, lipschitz=2.0)
+    assert full.value == pruned.value == 0
+    assert np.allclose(pruned.zeros, [[-0.5, 0.0], [0.5, 0.0]], atol=1e-12)
+    assert np.array_equal(pruned.zeros, full.zeros)
+    assert list(pruned.signs) == list(full.signs) == [-1, 1]
+    assert full.cells == pruned.cells == full.starts == 60
+    assert 2 <= pruned.starts < 60
+
+
+@pytest.mark.parametrize("angle", [0.97, 2.53, 3.76, 5.31])
+def test_exclusion_finds_a_zero_beside_the_boundary(angle):
+    # the zero's own cell has its center outside U; the lattice still covers
+    # U, so some cell within a half-diagonal of the zero keeps its start
+    z = 0.97 * np.array([np.cos(angle), np.sin(angle)])
+    U = Region.ball([0.0, 0.0], 1.0)
+    g = lambda x: np.asarray(x, dtype=float) - z
+    rep = brouwer_degree(g, U, grid=8, boundary_m=128, lipschitz=1.0)
+    assert rep.value == 1 and 1 <= rep.starts <= 4
+    assert np.allclose(rep.zeros, [z], atol=1e-12)
+
+
+def test_cell_centers_cover_the_region():
+    # every point of U, the shell just inside a ball's sphere included, lies
+    # within a half-diagonal of some cell center
+    rng = np.random.default_rng(3)
+    for U in (Region.ball([0.3, -0.2], 1.5), Region.ball([0.0, 0.0, 0.0], 1.0),
+              Region.box([0.0, -1.0], [2.0, 0.5])):
+        lo, hi = U.bounds
+        pts = lo + rng.random((4000, U.dim)) * (hi - lo)
+        if U.kind == "ball":
+            dirs = rng.standard_normal((4000, U.dim))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            pts = np.concatenate([pts, U.center + 0.99 * U.radius * dirs])
+        pts = pts[U.contains(pts)]
+        for res in (3, 8):
+            cells = U.cell_centers(res)
+            rho = 0.5 * np.linalg.norm(hi - lo) / res
+            dist = np.linalg.norm(pts[:, None] - cells[None], axis=-1).min(axis=1)
+            assert np.all(dist <= rho)
+
+
+def test_every_cell_excluded_means_degree_zero_without_newton(monkeypatch):
+    import evolver.degree as degree
+
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton ran although every cell is excluded")
+
+    monkeypatch.setattr(degree, "damped_newton", no_newton)
+    U = Region.ball([0.0, 0.0], 1.0)
+    rep = brouwer_degree(lambda x: np.asarray(x, dtype=float) - 5.0, U, grid=8,
+                         lipschitz=1.0)
+    assert rep.value == 0 and rep.starts == 0 and rep.cells == 60
+    assert rep.zeros.shape == (0, 2) and rep.signs.size == 0

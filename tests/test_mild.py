@@ -339,3 +339,12 @@ def test_fixed_point_iteration_cap_raises():
         fixed_point(phi, cm.region.midpoint, tol=1e-10, max_iter=1)
     assert 1e-10 < info.value.residual < 1e-3
     assert "did not reach 1.0e-10 in 1 iterations" in str(info.value)
+
+
+def test_mild_solve_of_an_empty_batch_is_an_empty_path():
+    cm = get_model("rotation-damped-2d")
+    R = build_evolution(cm.family, 64)
+    for shape in ((0, 2), (3, 0, 2)):
+        traj = mild_solve(R, cm.field, np.empty(shape), grid=32)
+        assert traj.states.shape == (33,) + shape
+        assert traj.final.shape == shape
