@@ -17,11 +17,12 @@ from evolver import (
     get_model,
     winding_number_2d,
 )
+from evolver.catalog import BRANCHING_LADDER
 
 model = get_model("rotation-damped-2d")
 
 report = averaging_degree_check(
-    model.family, model.field, model.region, model.lambdas, n=256, grid=256
+    model.family, model.field, model.region, BRANCHING_LADDER, n=256, grid=256
 )
 
 print("averaged-field degree d0 =", report.d0)

@@ -17,6 +17,7 @@ from evolver import (
     monodromy,
     unit_eigenvalue_gap,
 )
+from evolver.catalog import WAVE_LADDER
 
 model = get_model("wave-k3")
 wave = model.wave
@@ -34,7 +35,7 @@ print()
 # --- nondegeneracy screen at an asymptotic slope ----------------------------
 
 # slope 2.5 sits between the first two stiffness eigenvalues (1 and 4)
-report = linear_nondegeneracy(wave, model.lambdas, f_inf=2.5, n=512)
+report = linear_nondegeneracy(wave, WAVE_LADDER, f_inf=2.5, n=512)
 print(f"kernel screen at f_inf = {report.f_inf}: "
       f"sigma_min = {report.kernel_sigma_min:.5f} (ok = {report.kernel_ok})")
 print(f"{'lambda':>10} {'unit eigenvalue gap':>20}")
@@ -44,7 +45,7 @@ print(f"overall verdict: {report.verdict}")
 print()
 
 # the gap is an honest spectral distance: recompute one case directly
-lam = model.lambdas[0]
+lam = WAVE_LADDER[0]
 k = wave.k
 B = np.zeros((2 * k, 2 * k))
 B[k:, :k] = -report.f_inf * np.eye(k)

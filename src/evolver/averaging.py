@@ -30,7 +30,10 @@ from .errors import (
 from .evolsys import MAX_SUBDIVISION, GeneratorFamily, affine_family, build_evolution
 from .mild import DEFAULT_GRID, fixed_point, period_map
 
-QUAD_TOL = 1e-10
+QUAD_TOL = 1e-10    # Simpson doubling stops when two levels agree this closely
+QUAD_START = 16     # intervals of the first Simpson level
+DEGREE_GRID = 8     # start lattice per axis of averaging_degree_check's degrees
+DEGREE_BOUNDARY = 128   # boundary samples of those degrees
 
 
 def _simpson_weights(m: int) -> np.ndarray:
@@ -41,8 +44,9 @@ def _simpson_weights(m: int) -> np.ndarray:
     return w
 
 
-def _simpson_doubling(sample, T: float, tol: float, m0: int = 16):
-    """Composite Simpson with interval doubling until two levels agree.
+def _simpson_doubling(sample, T: float):
+    """Composite Simpson with interval doubling until two levels agree to
+    QUAD_TOL, starting from QUAD_START intervals.
 
     sample(ts) -> stacked values at the nodes ts; returns (mean, m_used).
     No level finer than MAX_SUBDIVISION intervals is sampled, so a
@@ -56,22 +60,22 @@ def _simpson_doubling(sample, T: float, tol: float, m0: int = 16):
         # composite Simpson divided by T: the mean is sum(w v) / (3 m)
         return np.sum(w * vals, axis=0) / (3.0 * m)
 
-    m = m0
+    m = QUAD_START
     prev = level(m)
     while m < MAX_SUBDIVISION:
         m *= 2
         cur = level(m)
-        if float(np.max(np.abs(cur - prev))) <= tol:
+        if float(np.max(np.abs(cur - prev))) <= QUAD_TOL:
             return cur, m
         prev = cur
     raise OracleFailureError(
-        f"Simpson refinement did not reach {tol:.1e} by m = {m}"
+        f"Simpson refinement did not reach {QUAD_TOL:.1e} by m = {m}"
     )
 
 
-def average_generator(family: GeneratorFamily, tol: float = QUAD_TOL) -> np.ndarray:
-    """Time average (1/T) integral of A(t), adaptive Simpson to tol."""
-    mean, _ = _simpson_doubling(family.stack, family.T, tol)
+def average_generator(family: GeneratorFamily) -> np.ndarray:
+    """Time average (1/T) integral of A(t), adaptive Simpson to QUAD_TOL."""
+    mean, _ = _simpson_doubling(family.stack, family.T)
     return mean
 
 
@@ -96,10 +100,9 @@ class AveragedField:
         return float(1.0 + self.lipschitz / np.linalg.svd(self.A_hat)[1][-1])
 
 
-def averaged_pair(family: GeneratorFamily, F, probes=None,
-                  tol: float = QUAD_TOL) -> AveragedField:
+def averaged_pair(family: GeneratorFamily, F, probes=None) -> AveragedField:
     """Build the averaged pair (A_hat, F_hat) for a family and field."""
-    A_hat = average_generator(family, tol)
+    A_hat = average_generator(family)
     if probes is None:
         probes = np.zeros((1, family.dim))
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
@@ -113,7 +116,7 @@ def averaged_pair(family: GeneratorFamily, F, probes=None,
             )
         return vals
 
-    _, m = _simpson_doubling(lambda ts: sample(ts, probes), family.T, tol)
+    _, m = _simpson_doubling(lambda ts: sample(ts, probes), family.T)
     ts = np.linspace(0.0, family.T, m + 1)
     w = _simpson_weights(m) / (3.0 * m)
 
@@ -252,12 +255,12 @@ class AveragingDegreeReport:
 
 def averaging_degree_check(family: GeneratorFamily, F, U: Region,
                            lambdas: Sequence[float], n: int = 256,
-                           grid: int = 256, degree_grid: int = 8,
-                           boundary_m: int = 128) -> AveragingDegreeReport:
+                           grid: int = 256) -> AveragingDegreeReport:
     """Compare deg(I - Phi_T^lam, U) with the averaged degree along lambdas.
 
     d0 = deg(x + A_hat^{-1} F_hat(x), U).  For each lam, brouwer_degree
-    computes the degree of x - Phi_T(x).  Both prune Newton starts by the
+    computes the degree of x - Phi_T(x), both on a DEGREE_GRID lattice with
+    DEGREE_BOUNDARY boundary samples.  Both prune Newton starts by the
     maps' Lipschitz bounds (AveragedField.map_lipschitz,
     PeriodMap.gap_lipschitz), sound when F honours F.lipschitz.  A rung
     whose boundary fails its screen (a suspected fixed point of Phi_T on
@@ -270,7 +273,7 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
     """
     avg = averaged_pair(family, F, probes=U.midpoint)
     d0_report = brouwer_degree(averaged_map(avg.A_hat, avg.F_hat), U,
-                               grid=degree_grid, boundary_m=boundary_m,
+                               grid=DEGREE_GRID, boundary_m=DEGREE_BOUNDARY,
                                lipschitz=avg.map_lipschitz)
     rows: list[AveragingRow] = []
     for lam in map(float, lambdas):
@@ -278,7 +281,7 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
         lip, slack = phi.gap_lipschitz()
         try:
             rep = brouwer_degree(lambda x: x - phi(x).final, U,
-                                 grid=degree_grid, boundary_m=boundary_m,
+                                 grid=DEGREE_GRID, boundary_m=DEGREE_BOUNDARY,
                                  lipschitz=lip, slack=slack)
         except InadmissibleRegionError as exc:
             rows.append(AveragingRow(lam=lam, boundary_ok=False,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degree import Region
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .evolsys import GeneratorFamily
 from .exprlang import compile_expr, free_vars, parse_expr
 from .mild import NonlinearField
@@ -31,6 +31,7 @@ from .wave import WaveModel, build_wave_model, nonlinear_field
 
 MODEL_KEYS = ("scalar-linear", "rotation-damped-2d", "wave-k1", "wave-k3")
 
+# default coupling ladders of the CLI experiments (cli.EXPERIMENTS)
 BRANCHING_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3)
 AVERAGING_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01)
 WAVE_LADDER = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
@@ -47,7 +48,6 @@ class CatalogModel:
     family: GeneratorFamily
     field: NonlinearField | None
     region: Region | None
-    lambdas: tuple
     wave: WaveModel | None = None
 
 
@@ -117,7 +117,8 @@ def compile_field(exprs, T: float):
     Component i is an expression in t, T and s, where s binds to x[..., i].
     t broadcasts against the leading axes of x, and the result is shaped
     broadcast_shapes(t, x.shape[:-1]) + (d,) once trailing axes of t that
-    face x's component axis are dropped.
+    face x's component axis are dropped.  Those axes must have length 1;
+    any other length raises InvalidInputError.
     """
     asts = [parse_expr(src) for src in exprs]
     for ast in asts:
@@ -131,6 +132,11 @@ def compile_field(exprs, T: float):
         tt = np.asarray(t, dtype=float)
         # drop trailing broadcast axes so t aligns with component slices
         while tt.ndim >= x.ndim and tt.ndim > 0:
+            if tt.shape[-1] != 1:
+                raise InvalidInputError(
+                    f"times of shape {np.shape(t)} do not broadcast against "
+                    f"states of shape {x.shape}"
+                )
             tt = tt[..., 0]
         out = np.empty(np.broadcast_shapes(tt.shape, x.shape[:-1]) + x.shape[-1:])
         for i, value in enumerate(components):
@@ -148,8 +154,7 @@ def _scalar_linear() -> CatalogModel:
     field = NonlinearField(F=F, lipschitz=0.0)
     region = Region.ball(np.array([2.0]), 1.5)
     return CatalogModel(key="scalar-linear", kind="ode", dim=1, T=T,
-                        family=family, field=field, region=region,
-                        lambdas=BRANCHING_LADDER)
+                        family=family, field=field, region=region)
 
 
 def _rotation_damped() -> CatalogModel:
@@ -167,8 +172,7 @@ def _rotation_damped() -> CatalogModel:
     field = NonlinearField(F=F, lipschitz=0.1)
     region = Region.ball(np.array([0.25, 0.75]), 1.5)
     return CatalogModel(key="rotation-damped-2d", kind="ode", dim=d, T=T,
-                        family=family, field=field, region=region,
-                        lambdas=BRANCHING_LADDER)
+                        family=family, field=field, region=region)
 
 
 def _wave(key: str) -> CatalogModel:
@@ -192,7 +196,7 @@ def _wave(key: str) -> CatalogModel:
                              f_inf=f_inf, lipschitz=lip)
     return CatalogModel(key=key, kind="wave", dim=model.dim, T=T,
                         family=model.family, field=nonlinear_field(model),
-                        region=None, lambdas=WAVE_LADDER, wave=model)
+                        region=None, wave=model)
 
 
 _BUILDERS = {
@@ -209,7 +213,7 @@ def get_model(key: str) -> CatalogModel:
     return _BUILDERS[key]()
 
 
-_INLINE_KEYS = {"A", "T", "F", "lipschitz", "omega", "region", "lambdas"}
+_INLINE_KEYS = {"A", "T", "F", "lipschitz", "omega", "region"}
 _REGION_KEYS = {"ball": {"center", "radius"}, "box": {"lo", "hi"}}
 
 
@@ -241,7 +245,7 @@ def model_from_config(spec) -> CatalogModel:
     "F": [expr per component], "lipschitz" (a bound >= 0 for F, none if
     absent: the degree then keeps every Newton start), "omega" (default
     0), "region": {"kind": "ball", "center": [...], "radius": r} or
-    {"kind": "box", "lo": [...], "hi": [...]}, "lambdas": [...]}.
+    {"kind": "box", "lo": [...], "hi": [...]}}.
     Unknown keys, wrong types and non-finite numbers raise ConfigError.
     """
     if isinstance(spec, str):
@@ -269,8 +273,5 @@ def model_from_config(spec) -> CatalogModel:
             raise ConfigError(f"F must list {d} component expressions")
         field = NonlinearField(F=compile_field(exprs, T), lipschitz=lip)
     region = _region(spec["region"], d) if "region" in spec else None
-    lambdas = tuple(_numbers(spec.get("lambdas", list(BRANCHING_LADDER)), "lambdas"))
-    if min(lambdas) <= 0:
-        raise ConfigError("lambdas must be positive")
     return CatalogModel(key="inline", kind="ode", dim=d, T=T, family=family,
-                        field=field, region=region, lambdas=lambdas)
+                        field=field, region=region)

@@ -9,6 +9,11 @@ continuation, wave-periodic, wave-energy.  Each writes
 verdict line, and exits 0 on pass, 1 on a numeric failure (the failing
 metric is named on stderr), 2 on a config problem.
 
+A config is checked against its experiment's row of EXPERIMENTS before
+any runner starts: a numeric key the runner does not read, a model given
+to an experiment that takes none, or one that lacks what it needs is a
+config error.
+
 Outputs are byte-deterministic for a fixed config and seed: floats are
 printed with %.17g, JSON keys are sorted, and wall time goes to stderr
 only (the summary carries "wall_time": null).
@@ -21,7 +26,9 @@ import csv
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +53,6 @@ from .semigroup import (
     resolvent_scheme,
 )
 from .wave import (
-    build_wave_model,
     energy_residual,
     find_periodic_wave,
     linear_nondegeneracy,
@@ -54,24 +60,33 @@ from .wave import (
     spectral_invariance_gap,
 )
 
-EXPERIMENT_NAMES = (
-    "chernoff", "evolsys", "branching", "degree",
-    "averaging", "continuation", "wave-periodic", "wave-energy",
-)
-
-DEFAULT_MODEL = {
-    "evolsys": "wave-k3",
-    "branching": "scalar-linear",
-    "averaging": "scalar-linear",
-    "continuation": "rotation-damped-2d",
-    "wave-periodic": "wave-k3",
-    "wave-energy": "wave-k3",
-}
-
 _TOP_KEYS = {"experiment", "model", "numeric", "output"}
-_NUMERIC_KEYS = {
-    "n", "grid", "ns", "lambdas", "seed", "samples",
-    "power_m", "f_inf", "boundary_zero", "n_continuity",
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _positive_list(kind):
+    return lambda v: isinstance(v, list) and bool(v) and all(kind(x) and x > 0 for x in v)
+
+
+# (check, what it asks for) per numeric key; n, grid and n_continuity count
+# subdivision cells, so zero is as bad as negative; ns are step counts, so
+# no float is truncated; a boolean is no number
+_NUMERIC_CHECKS = {
+    **{key: (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+       for key in ("n", "grid", "n_continuity")},
+    **{key: (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+       for key in ("samples", "power_m", "seed")},
+    "f_inf": (_is_number, "a number"),
+    "ns": (_positive_list(_is_int), "a nonempty list of integers >= 1"),
+    "lambdas": (_positive_list(_is_number), "a nonempty list of positive numbers"),
+    "boundary_zero": (lambda v: isinstance(v, bool), "true or false"),
 }
 _ERROR_SLUGS = {
     "InvalidInputError": "invalid-input",
@@ -145,29 +160,16 @@ def _validate_config(cfg, experiment):
     num = cfg.get("numeric", {})
     if not isinstance(num, dict):
         raise ConfigError("numeric section must be an object")
-    bad = set(num) - _NUMERIC_KEYS
-    if bad:
-        raise ConfigError(f"unknown numeric keys: {sorted(bad)}")
-    for key in ("n", "grid", "samples", "power_m", "seed", "n_continuity"):
-        if key in num:
-            v = num[key]
-            # n, grid and n_continuity count subdivision cells, so zero is
-            # as bad as negative
-            lo = 1 if key in ("n", "grid", "n_continuity") else 0
-            if not isinstance(v, int) or isinstance(v, bool) or v < lo:
-                raise ConfigError(f"numeric.{key} must be an integer >= {lo}")
-    if "f_inf" in num and (isinstance(num["f_inf"], bool)
-                           or not isinstance(num["f_inf"], (int, float))):
-        raise ConfigError("numeric.f_inf must be a number")
-    # ns are step counts, so no float is truncated; bool would pass as int
-    for key, kinds, what in (("ns", int, "integers >= 1"),
-                             ("lambdas", (int, float), "positive numbers")):
-        if key in num:
-            v = num[key]
-            if (not isinstance(v, list) or not v
-                    or not all(isinstance(x, kinds) and not isinstance(x, bool)
-                               and x > 0 for x in v)):
-                raise ConfigError(f"numeric.{key} must be a nonempty list of {what}")
+    # seed is read by main, which records it in every summary
+    defaults = {"seed": 0, **EXPERIMENTS[experiment].numeric}
+    unread = set(num) - set(defaults)
+    if unread:
+        raise ConfigError(f"{experiment} does not read numeric keys {sorted(unread)}; "
+                          f"it reads {sorted(defaults)}")
+    for key, v in num.items():
+        check, what = _NUMERIC_CHECKS[key]
+        if not check(v):
+            raise ConfigError(f"numeric.{key} must be {what}")
     out = cfg.get("output", {})
     if not isinstance(out, dict):
         raise ConfigError("output section must be an object")
@@ -175,20 +177,22 @@ def _validate_config(cfg, experiment):
         raise ConfigError(f"unknown output keys: {sorted(set(out) - {'dir', 'format'})}")
     if out.get("format", "csv") != "csv":
         raise ConfigError("output.format must be 'csv'")
-    return num, out
+    return {**defaults, **num}, out
 
 
 def _resolve_model(cfg, experiment):
-    spec = cfg.get("model", DEFAULT_MODEL.get(experiment))
-    if spec is None:
+    """The experiment's model, checked against what its row needs."""
+    row = EXPERIMENTS[experiment]
+    if row.model is None:
+        if "model" in cfg:
+            raise ConfigError(f"{experiment} takes no model")
         return None
-    return catalog.model_from_config(spec)
-
-
-def _require_wave(cm):
-    if cm is None or cm.wave is None:
-        raise ConfigError("this experiment needs a wave-* catalog model")
-    return cm.wave
+    cm = catalog.model_from_config(cfg.get("model", row.model))
+    if row.needs == "field" and (cm.field is None or cm.region is None):
+        raise ConfigError(f"{experiment} needs a model with a field and a region")
+    if row.needs == "wave" and cm.wave is None:
+        raise ConfigError(f"{experiment} needs a wave-* catalog model")
+    return cm
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +202,7 @@ def _require_wave(cm):
 
 def run_chernoff(cm, num, seed):
     rng = np.random.default_rng(seed)
-    samples = num.get("samples", 200)
+    samples = num["samples"]
     rows = []
     violations = 0
     min_margin = np.inf
@@ -220,7 +224,7 @@ def run_chernoff(cm, num, seed):
     scheme = resolvent_scheme(lambda mu: A, 3)
     x3 = rng.standard_normal(3)
     x3 /= np.linalg.norm(x3)
-    ns = tuple(num.get("ns", (16, 64, 256, 1024, 4096)))
+    ns = tuple(num["ns"])
     seq = ChernoffSequence(t=1.0, mu0=0.0, ns=ns)
     power = chernoff_power_limit(scheme, seq, x3)
     total = chernoff_sum_limit(scheme, seq, x3)
@@ -250,7 +254,7 @@ def run_chernoff(cm, num, seed):
 def run_evolsys(cm, num, seed):
     fam = cm.family
     T = fam.T
-    n = num.get("n", 256)
+    n = num["n"]
     if n < 16:
         raise ConfigError("evolsys needs numeric.n >= 16")
     R = build_evolution(fam, n)
@@ -295,7 +299,7 @@ def run_evolsys(cm, num, seed):
             _e * np.cos(2.0 * np.pi * t / T), np.eye(fam.dim)))
         for eps in eps_sweep
     ]
-    gaps = family_continuity_gap(fam, perturbed, num.get("n_continuity", 128), v)
+    gaps = family_continuity_gap(fam, perturbed, num["n_continuity"], v)
     lhss = []
     cont_ok = True
     for eps, (lhs, rhs) in zip(eps_sweep, gaps):
@@ -330,13 +334,9 @@ def run_evolsys(cm, num, seed):
 
 
 def run_branching(cm, num, seed):
-    if cm.field is None or cm.region is None:
-        raise ConfigError("branching needs a model with a field and a region")
-    lambdas = [float(v) for v in num.get("lambdas", cm.lambdas)]
-    report = branching_experiment(
-        cm.family, cm.field, lambdas, cm.region,
-        n=num.get("n", 512), grid=num.get("grid", 1024),
-    )
+    lambdas = [float(v) for v in num["lambdas"]]
+    report = branching_experiment(cm.family, cm.field, lambdas, cm.region,
+                                  n=num["n"], grid=num["grid"])
     d = cm.dim
     header = (["lambda"] + ["x_star_%d" % i for i in range(d)]
               + ["defect", "newton_iters", "residual", "ok", "error"])
@@ -379,7 +379,7 @@ def _power_field(m):
 
 
 def run_degree(cm, num, seed):
-    if num.get("boundary_zero"):
+    if num["boundary_zero"]:
         U = Region.ball(np.array([1.0, 0.0]), 1.0)
         brouwer_degree(lambda x: np.asarray(x, dtype=float), U)
         raise ConfigError("boundary-zero run unexpectedly passed the screen")
@@ -400,7 +400,7 @@ def run_degree(cm, num, seed):
             all_ok = all_ok and ok
             rows.append([name, d, "", rep.value, expected, wind, ok])
     U2 = Region.ball(np.zeros(2), 1.0)
-    for m in (2, int(num.get("power_m", 3))):
+    for m in (2, num["power_m"]):
         g = _power_field(m)
         rep = brouwer_degree(g, U2, grid=12)
         wind = winding_number_2d(g, U2)
@@ -416,16 +416,10 @@ def run_degree(cm, num, seed):
     }
 
 
-def _degree_ladder(cm, num, experiment, lambdas):
-    if cm.field is None or cm.region is None:
-        raise ConfigError(f"{experiment} needs a model with a field and a region")
-    return averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
-                                  n=num.get("n", 256), grid=num.get("grid", 256))
-
-
 def run_averaging(cm, num, seed):
-    lambdas = [float(v) for v in num.get("lambdas", catalog.AVERAGING_LADDER)]
-    report = _degree_ladder(cm, num, "averaging", lambdas)
+    lambdas = [float(v) for v in num["lambdas"]]
+    report = averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
+                                    n=num["n"], grid=num["grid"])
     rows = [["averaged", "", True, "", report.d0, "", ""]]
     for r in report.rows:
         rows.append(["period-map", r.lam, r.boundary_ok, r.boundary_min,
@@ -452,8 +446,9 @@ def run_averaging(cm, num, seed):
 
 
 def run_continuation(cm, num, seed):
-    lambdas = sorted(float(v) for v in num.get("lambdas", (0.01, 0.03, 0.1, 0.3, 1.0)))
-    report = _degree_ladder(cm, num, "continuation", lambdas)
+    lambdas = sorted(float(v) for v in num["lambdas"])
+    report = averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
+                                    n=num["n"], grid=num["grid"])
     rows = [["averaged", "", True, report.d0, ""]]
     boundary_clear = True
     degrees_ok = True
@@ -462,7 +457,7 @@ def run_continuation(cm, num, seed):
         degrees_ok = degrees_ok and (r.degree == report.d0)
         rows.append(["sweep", r.lam, r.boundary_ok, r.degree, r.error])
     lam_top = lambdas[-1]
-    phi = period_map(cm.family, cm.field, lam_top, num.get("n", 256), num.get("grid", 256))
+    phi = period_map(cm.family, cm.field, lam_top, num["n"], num["grid"])
     fp = fixed_point(phi, cm.region.midpoint, tol=1e-8)
     inside = bool(cm.region.contains(fp.x))
     rows.append(["fixed-point", lam_top, inside, fp.residual, ""])
@@ -482,22 +477,16 @@ def run_continuation(cm, num, seed):
 
 
 def run_wave_periodic(cm, num, seed):
-    model = _require_wave(cm)
-    if "f_inf" in num:
-        f_inf = float(num["f_inf"])
-    elif model.k >= 2:
-        f_inf = float(0.5 * (model.eigs[0] + model.eigs[1]))
-    else:
-        f_inf = float(model.eigs[0] + 1.0)
-    lambdas = [float(v) for v in num.get("lambdas", cm.lambdas)]
-    nondeg = linear_nondegeneracy(model, lambdas, f_inf=f_inf,
-                                  n=num.get("n", 512))
+    model, eigs = cm.wave, cm.wave.eigs
+    # unset: a slope between the first two eigenvalues (above the only one)
+    between = 0.5 * (eigs[0] + eigs[1]) if model.k >= 2 else eigs[0] + 1.0
+    f_inf = float(between if num["f_inf"] is None else num["f_inf"])
+    lambdas = [float(v) for v in num["lambdas"]]
+    nondeg = linear_nondegeneracy(model, lambdas, f_inf=f_inf, n=num["n"])
     rows = [["kernel", "", nondeg.kernel_sigma_min, 1e-8, nondeg.kernel_ok]]
     for r in nondeg.rows:
         rows.append(["monodromy", r.lam, r.unit_gap, 1e-8, r.ok])
-    result = find_periodic_wave(model, lam=1.0,
-                                n=num.get("grid", 1024) * 2,
-                                grid=num.get("grid", 1024))
+    result = find_periodic_wave(model, lam=1.0, n=2 * num["grid"], grid=num["grid"])
     rows.append(["periodic", 1.0, result.residual_eta, 1e-6,
                  result.residual_eta <= 1e-6])
     return {
@@ -519,7 +508,7 @@ def run_wave_periodic(cm, num, seed):
 
 
 def run_wave_energy(cm, num, seed):
-    model = _require_wave(cm)
+    model = cm.wave
     rows = []
 
     sel = select_eta(model)
@@ -528,8 +517,8 @@ def run_wave_energy(cm, num, seed):
     rows.append(["rate", "numeric", sel.rate_numeric,
                  sel.rate_analytic - 1e-9, rate_ok])
 
-    grid0 = num.get("grid", 2048)
-    n0 = num.get("n", 2 * grid0)
+    grid0 = num["grid"]
+    n0 = 2 * grid0 if num["n"] is None else num["n"]
     x0 = np.zeros(model.dim)
     x0[0] = 0.5
     x0[model.k] = -0.2
@@ -552,14 +541,12 @@ def run_wave_energy(cm, num, seed):
         (0.17, 0.0), (0.35, 0.1), (0.5, 0.25), (0.63, 0.2), (0.77, 0.4),
         (0.88, 0.3), (1.0, 0.0), (0.95, 0.6), (0.42, 0.4), (0.29, 0.05))]
     for ka, kb in ((1, 3), (3, 8)):
-        small = build_wave_model(model.ell, ka, model.beta, model.T)
-        big = build_wave_model(model.ell, kb, model.beta, model.T)
-        gap = spectral_invariance_gap(small, big, pairs, n=256)
+        gap = spectral_invariance_gap(model, ka, kb, pairs, n=256)
         good = gap <= 1e-10
         inv_ok = inv_ok and good
         rows.append(["invariance", "k=%d,k'=%d" % (ka, kb), gap, 1e-10, good])
         C = 0.1 * np.ones((kb, kb))
-        gap_c = spectral_invariance_gap(small, big, [(0.5 * model.T, 0.0)],
+        gap_c = spectral_invariance_gap(model, ka, kb, [(0.5 * model.T, 0.0)],
                                         n=256, coupling=C)
         coupled_good = gap_c > 1e-8
         inv_ok = inv_ok and coupled_good
@@ -587,16 +574,36 @@ def run_wave_energy(cm, num, seed):
     }
 
 
-RUNNERS = {
-    "chernoff": run_chernoff,
-    "evolsys": run_evolsys,
-    "branching": run_branching,
-    "degree": run_degree,
-    "averaging": run_averaging,
-    "continuation": run_continuation,
-    "wave-periodic": run_wave_periodic,
-    "wave-energy": run_wave_energy,
+@dataclass(frozen=True)
+class Experiment:
+    """A runner, its default model (None: it takes none), what the model
+    must carry ("field": a field and a region, "wave": a wave section), and
+    the numeric keys the runner reads with their defaults (None: derived).
+    """
+
+    run: Callable
+    model: str | None
+    needs: str | None
+    numeric: dict
+
+
+EXPERIMENTS = {
+    "chernoff": Experiment(run_chernoff, None, None,
+                           {"samples": 200, "ns": (16, 64, 256, 1024, 4096)}),
+    "evolsys": Experiment(run_evolsys, "wave-k3", None, {"n": 256, "n_continuity": 128}),
+    "branching": Experiment(run_branching, "scalar-linear", "field",
+                            {"lambdas": catalog.BRANCHING_LADDER, "n": 512, "grid": 1024}),
+    "degree": Experiment(run_degree, None, None, {"boundary_zero": False, "power_m": 3}),
+    "averaging": Experiment(run_averaging, "scalar-linear", "field",
+                            {"lambdas": catalog.AVERAGING_LADDER, "n": 256, "grid": 256}),
+    "continuation": Experiment(run_continuation, "rotation-damped-2d", "field",
+                               {"lambdas": catalog.AVERAGING_LADDER, "n": 256, "grid": 256}),
+    "wave-periodic": Experiment(run_wave_periodic, "wave-k3", "wave",
+                                {"lambdas": catalog.WAVE_LADDER, "n": 512, "grid": 1024,
+                                 "f_inf": None}),
+    "wave-energy": Experiment(run_wave_energy, "wave-k3", "wave", {"grid": 2048, "n": None}),
 }
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def _write_outputs(out_dir, experiment, result, summary):
@@ -631,27 +638,24 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         num, out_cfg = _validate_config(cfg, args.experiment)
-        cm = None
-        if args.experiment in DEFAULT_MODEL or "model" in cfg:
-            cm = _resolve_model(cfg, args.experiment)
+        cm = _resolve_model(cfg, args.experiment)
     except EvolverError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    seed = args.seed if args.seed is not None else int(num.get("seed", 0))
+    seed = args.seed if args.seed is not None else num["seed"]
     out_dir = args.out or out_cfg.get("dir", "out")
-    model_key = cm.key if cm is not None else None
     summary = {
         "schema": 1,
         "experiment": args.experiment,
-        "model": model_key,
+        "model": cm.key if cm is not None else None,
         "seed": seed,
         "wall_time": None,
     }
 
     t0 = time.perf_counter()
     try:
-        result = RUNNERS[args.experiment](cm, num, seed)
+        result = EXPERIMENTS[args.experiment].run(cm, num, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

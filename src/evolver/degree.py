@@ -77,12 +77,12 @@ class Region:
     def midpoint(self) -> np.ndarray:
         return self.center.copy() if self.kind == "ball" else 0.5 * (self.lo + self.hi)
 
-    def contains(self, x, margin: float = 0.0):
+    def contains(self, x):
         """Strict membership, vectorized over leading axes of x."""
         p = np.asarray(x, dtype=float)
         if self.kind == "ball":
-            return np.linalg.norm(p - self.center, axis=-1) < self.radius - margin
-        return np.all((p > self.lo + margin) & (p < self.hi - margin), axis=-1)
+            return np.linalg.norm(p - self.center, axis=-1) < self.radius
+        return np.all((p > self.lo) & (p < self.hi), axis=-1)
 
     def boundary_samples(self, m: int) -> np.ndarray:
         """(M, d) boundary points, a closed loop when d == 2; for d >= 3 drawn

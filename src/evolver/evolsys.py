@@ -23,7 +23,7 @@ continuous family at first order in 1/n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -45,6 +45,10 @@ SNAP = 1e-12
 # on each of GAP_CELLS equal cells of [0, T]
 GAP_CELLS = 64
 GAP_POINTS = 8
+# family_continuity_gap starts its pairs at about this many nodes
+GAP_STARTS = 64
+# off-grid (t, s) pairs of contraction_check
+CONTRACTION_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -341,44 +345,28 @@ def cocycle_defect(R: EvolutionSystem, t, r, s):
     return float(defect) if defect.ndim == 0 else defect
 
 
-def _default_sample_pairs(T: float, m: int) -> list[tuple[float, float]]:
-    # golden-ratio sequence: deterministic, fills (0, T)^2 off the grid
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    pairs = []
-    for i in range(m):
-        a = ((i + 1) * phi) % 1.0
-        b = ((i + 1) * np.sqrt(2.0)) % 1.0
-        lo, hi = sorted((a * T, b * T))
-        pairs.append((hi, lo))
-    return pairs
-
-
-def contraction_check(R: EvolutionSystem, omega: float,
-                      samples: int | Iterable[tuple[float, float]] = 64) -> float:
+def contraction_check(R: EvolutionSystem, omega: float) -> float:
     """Max excess of ||R(t, s)||_G e^{omega (t - s)} - 1 over sampled (t, s).
 
     A nonpositive result certifies the sampled exponential contraction
-    bound in the family's metric.  samples: a count (deterministic
-    off-grid pairs plus grid pairs) or explicit (t, s) pairs.
+    bound in the family's metric.  The samples are CONTRACTION_SAMPLES
+    deterministic off-grid pairs plus the pairs of every (n // 8)-th node.
     """
     G = R.family.metric if R.family.metric is not None else np.eye(R.dim)
-    if isinstance(samples, int):
-        pairs = _default_sample_pairs(R.T, samples)
-        stride = max(1, R.n // 8)
-        node_ids = list(range(0, R.n + 1, stride))
-        pairs += [
-            (R.nodes[b], R.nodes[a]) for a in node_ids for b in node_ids if a < b
-        ]
-    else:
-        pairs = list(samples)
-    t, s = np.array(pairs, dtype=float).reshape(-1, 2).T
+    # golden-ratio and sqrt(2) sequences: deterministic, fill (0, T)^2 off the grid
+    i = np.arange(1, CONTRACTION_SAMPLES + 1)
+    a = (i * ((np.sqrt(5.0) - 1.0) / 2.0)) % 1.0 * R.T
+    b = (i * np.sqrt(2.0)) % 1.0 * R.T
+    nodes = R.nodes[::max(1, R.n // 8)]
+    lo, hi = np.triu_indices(len(nodes), 1)
+    t = np.concatenate([np.maximum(a, b), nodes[hi]])
+    s = np.concatenate([np.minimum(a, b), nodes[lo]])
     nrm = metric_operator_norm(R.operators(t, s), G)
     return float(np.max(nrm * np.exp(omega * (t - s)) - 1.0, initial=-np.inf))
 
 
 def family_continuity_gap(F1: GeneratorFamily, perturbed: Sequence[GeneratorFamily],
-                          n: int, v, query_stride: int | None = None
-                          ) -> list[tuple[float, float]]:
+                          n: int, v) -> list[tuple[float, float]]:
     """Compare evolution systems against the integrated generator gap.
 
     Returns one (lhs, rhs) per family F2 in perturbed, with
@@ -395,8 +383,8 @@ def family_continuity_gap(F1: GeneratorFamily, perturbed: Sequence[GeneratorFami
     cell; kinks of the norm that fall on cell edges (such as those of
     |cos(2 pi r / T)| at the quarter periods) cost no accuracy.
 
-    The max is taken over node pairs subsampled at query_stride
-    (default n // 64); values of R are exact at every visited node.  All
+    The max is taken over the pairs whose start node is a multiple of
+    max(1, n // GAP_STARTS); values of R are exact at every visited node.  All
     start nodes advance together, one batched product per step.
     Raises InvalidInputError for an empty perturbed sequence.
     """
@@ -408,7 +396,7 @@ def family_continuity_gap(F1: GeneratorFamily, perturbed: Sequence[GeneratorFami
             raise PreconditionError("families must share period and dimension")
     x = as_vector(v, F1.dim)
     R1 = build_evolution(F1, n)
-    stride = query_stride or max(1, n // 64)
+    stride = max(1, n // GAP_STARTS)
     starts = range(0, n, stride)
     norm_v = float(np.linalg.norm(np.asarray(F1.A(0.0)) @ x) + np.linalg.norm(x))
     nodes, weights = leggauss(GAP_POINTS)

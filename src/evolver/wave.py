@@ -152,6 +152,11 @@ def _block_generator(eigs, beta, coupling=None):
     return A
 
 
+def _mode_eigs(ell: float, k: int) -> np.ndarray:
+    """Stiffness eigenvalues (i pi / ell)^2 of the first k sine modes."""
+    return (np.arange(1, k + 1) * np.pi / ell) ** 2
+
+
 def build_wave_model(ell: float, k: int, beta, T: float, f=None,
                      f_inf: float = 0.0, lipschitz: float = 0.0) -> WaveModel:
     """Assemble the k-mode model: eta metric, generator family, collocation.
@@ -176,7 +181,7 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
     if not (np.isfinite(T) and T > 0):
         raise InvalidInputError("period T must be positive")
     idx = np.arange(1, k + 1)
-    eigs = (idx * np.pi / ell) ** 2
+    eigs = _mode_eigs(ell, k)
 
     beta_vals = _beta_at(beta, np.linspace(0.0, T, 2049))
     if not np.all(np.isfinite(beta_vals)):
@@ -331,39 +336,37 @@ def _embed(z: np.ndarray, k_small: int, k_big: int) -> np.ndarray:
     return out
 
 
-def spectral_invariance_gap(model_k: WaveModel, model_kp: WaveModel,
+def spectral_invariance_gap(model: WaveModel, k: int, k_big: int,
                             pairs: Sequence[tuple[float, float]], n: int = 256,
                             coupling=None) -> float:
-    """How far the larger section fails to restrict to the smaller one.
+    """How far the k_big-mode section fails to restrict to the k-mode one.
 
-    Builds both evolution systems once at subdivision n, takes R(t, s) at
-    all pairs from one operators call per system, and returns the max
-    over the (t, s) pairs and the 2k basis states e of
-    || R_kp(t, s) embed(e) - embed(R_k(t, s) e) ||.
+    Both sections take the model's ell, beta and T (not its k).  Builds
+    both evolution systems once at subdivision n, takes R(t, s) at all
+    pairs from one operators call per system, and returns the max over
+    the (t, s) pairs and the 2k basis states e of
+    || R_k_big(t, s) embed(e) - embed(R_k(t, s) e) ||.
     pairs must be nonempty; the result is exactly the max of the
     single-pair gaps.  For the diagonal damped wave family the modes
-    never couple, so the gap is roundoff-level; a nonzero coupling matrix
-    (applied to the damping block of both sections) destroys the
-    invariance and serves as a negative control.
+    never couple, so the gap is roundoff-level; a nonzero k_big x k_big
+    coupling matrix (applied to the damping block of both sections)
+    destroys the invariance and serves as a negative control.
     """
-    if model_k.k >= model_kp.k:
-        raise InvalidInputError("need k < k'")
-    if abs(model_k.ell - model_kp.ell) > 1e-12 or abs(model_k.T - model_kp.T) > 1e-12:
-        raise InvalidInputError("sections must share domain length and period")
+    if not 1 <= k < k_big <= MAX_MODES:
+        raise InvalidInputError(f"need 1 <= k < k' <= {MAX_MODES}")
     pairs = list(pairs)
     if not pairs:
         raise InvalidInputError("need at least one (t, s) pair")
-    ka, kb = model_k.k, model_kp.k
-    Ca = None if coupling is None else np.asarray(coupling, dtype=float)[:ka, :ka]
-    Cb = None if coupling is None else np.asarray(coupling, dtype=float)
+    C = None if coupling is None else np.asarray(coupling, dtype=float)
+    sections = ((k, None if C is None else C[:k, :k]), (k_big, C))
     Ra, Rb = (build_evolution(GeneratorFamily(
-        dim=m.dim, A=_block_generator(m.eigs, m.beta, C), T=m.T), n)
-        for m, C in ((model_k, Ca), (model_kp, Cb)))
+        dim=2 * m, A=_block_generator(_mode_eigs(model.ell, m), model.beta, Cm),
+        T=model.T), n) for m, Cm in sections)
     t, s = np.array(pairs, dtype=float).reshape(-1, 2).T
     # row e of R(t, s)^T is R(t, s) e, the image of basis state e
     small = Ra.operators(t, s).swapaxes(-1, -2)
-    big = _embed(np.eye(2 * ka), ka, kb) @ Rb.operators(t, s).swapaxes(-1, -2)
-    diff = np.linalg.norm(big - _embed(small, ka, kb), axis=-1)
+    big = _embed(np.eye(2 * k), k, k_big) @ Rb.operators(t, s).swapaxes(-1, -2)
+    diff = np.linalg.norm(big - _embed(small, k, k_big), axis=-1)
     return float(np.max(diff))
 
 

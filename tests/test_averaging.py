@@ -198,8 +198,7 @@ def test_averaging_degree_solves_the_boundary_once_per_rung(monkeypatch):
 
     monkeypatch.setattr(mild, "mild_solve", counted)
     lambdas = [0.3, 0.1]
-    report = averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
-                                    grid=128, degree_grid=4)
+    report = averaging_degree_check(cm.family, cm.field, cm.region, lambdas, grid=128)
     assert rows["boundary"] == len(lambdas) * len(cloud)
     assert rows["all"] > rows["boundary"]
     assert report.verdict
@@ -229,12 +228,11 @@ def test_averaging_degree_flags_boundary_fixed_point():
 
 def test_averaging_report_carries_its_averaged_pair():
     cm = get_model("rotation-damped-2d")
-    report = averaging_degree_check(cm.family, cm.field, cm.region, [0.1],
-                                    grid=128, degree_grid=4)
+    report = averaging_degree_check(cm.family, cm.field, cm.region, [0.1], grid=128)
     avg = report.averaged
     assert avg.A_hat.shape == (2, 2)
     # d0 is the degree of that pair
-    d0 = brouwer_degree(averaged_map(avg.A_hat, avg.F_hat), cm.region, grid=4,
+    d0 = brouwer_degree(averaged_map(avg.A_hat, avg.F_hat), cm.region, grid=8,
                         boundary_m=128)
     assert d0.value == report.d0
     assert np.array_equal(d0.zeros, report.d0_report.zeros)

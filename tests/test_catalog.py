@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evolver import ConfigError, ExprError
+from evolver import ConfigError, ExprError, InvalidInputError
 from evolver.catalog import (
     AVERAGING_LADDER,
     BRANCHING_LADDER,
@@ -39,7 +39,6 @@ def test_scalar_linear_model():
     # forcing peaks at quarter period: 2 + sin(pi/2) = 3
     assert np.allclose(m.field(0.25, np.zeros(1)), [3.0], atol=1e-14)
     assert m.region.contains(np.array([2.0]))
-    assert m.lambdas == BRANCHING_LADDER
     assert m.wave is None
 
 
@@ -57,7 +56,6 @@ def test_wave_models():
     assert np.isclose(m1.T, 2.0 * np.pi)
     m3 = get_model("wave-k3")
     assert m3.dim == 6
-    assert m3.lambdas == WAVE_LADDER
     # a wave model carries its family and its lifted field, but no region
     # yet; the lift's bound is L w |C|_2^2, 1 + 2e-16 times L on wave-k1
     for m in (m1, m3):
@@ -118,14 +116,12 @@ def test_inline_model():
         "lipschitz": 1.0,
         "omega": 0.9,
         "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 2.0},
-        "lambdas": [1.0, 0.5],
     }
     m = model_from_config(spec)
     assert m.key == "inline" and m.dim == 2
     assert m.family.omega == 0.9
     assert np.allclose(m.family.A(0.25), [[-2.0, 0.5], [0.0, -1.0]], atol=1e-14)
     assert np.allclose(m.field(0.0, np.array([1.0, 0.0])), [2.0, 1.0], atol=1e-14)
-    assert m.lambdas == (1.0, 0.5)
     assert m.region.contains(np.zeros(2))
 
 
@@ -173,7 +169,7 @@ def test_inline_config_errors():
         model_from_config({"A": [[-1.0]], "region": {"kind": "torus"}})
     # wrong types, non-finite numbers and unknown keys are all config errors
     for bad in ({"A": [[-1.0]], "T": float("nan")}, {"A": [[None]]}, {"A": []},
-                {"A": [[-1.0]], "omega": "1"}, {"A": [[-1.0]], "lambdas": [0.5, -1]},
+                {"A": [[-1.0]], "omega": "1"}, {"A": [[-1.0]], "lambdas": [0.5]},
                 {"A": [[-1.0]], "region": {"kind": "box", "lo": [0.0]}},
                 {"A": [[-1.0]], "F": ["s"], "lipschitz": True},
                 {"A": [[-1.0]], "F": ["s"], "lipschitz": -3}):
@@ -207,3 +203,14 @@ def test_field_contract(key):
     column = F(ts[:, None], Y)                    # node i against state i
     assert column.shape == (7, d)
     assert same(column, np.stack([F(t, y) for t, y in zip(ts, Y)]))
+
+
+def test_field_rejects_times_facing_the_components():
+    # a trailing time axis that faces x's component axis may only have
+    # length 1; longer ones were cut to their first entry
+    F = compile_field(["t + 0*s"], 1.0)
+    assert np.array_equal(F(np.array([[0.1], [0.2]]), np.zeros((2, 1))), [[0.1], [0.2]])
+    with pytest.raises(InvalidInputError):
+        F(np.array([[0.1, 0.2, 0.3]]), np.zeros((2, 1)))
+    with pytest.raises(InvalidInputError):
+        F(np.array([0.1, 0.2]), np.zeros(1))

@@ -1,8 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from evolver.cli import EXPERIMENT_NAMES, main
+from evolver.cli import EXPERIMENT_NAMES, EXPERIMENTS, _validate_config, main
 
 
 def _write_cfg(tmp_path, name, obj):
@@ -54,29 +56,82 @@ def test_seed_flag_overrides_config(tmp_path):
     assert summary["seed"] == 9
 
 
+# (experiment, config); each value case goes to an experiment that reads
+# its key, so it checks the value and not just the unread-key rule
 @pytest.mark.parametrize("cfg_obj", [
-    {"expriment": "chernoff"},
-    {"numeric": {"bogus": 1}},
-    {"experiment": "degree"},
-    {"output": {"format": "json"}},
-    {"numeric": {"n": -1}},
-    {"numeric": {"ns": [0]}},
-    {"numeric": {"samples": 2.5}},
-    {"output": {"path": "x"}},
-    {"numeric": {"n": 0}},
-    {"numeric": {"grid": 0}},
-    {"numeric": {"eta": 0.5}},   # read by no experiment
-    {"numeric": {"dim": 2}},     # read by no experiment
-    {"numeric": {"ns": [16.7, 64.2, 256.9, 1024.5]}},   # not truncated to ints
-    {"numeric": {"lambdas": [True]}},                 # a boolean is not 1
-    {"numeric": {"f_inf": True}},                     # nor is it a slope
-    {"numeric": {"n_continuity": 0}},                 # it counts cells
+    ("chernoff", {"expriment": "chernoff"}),
+    ("chernoff", {"numeric": {"bogus": 1}}),
+    ("chernoff", {"experiment": "degree"}),
+    ("chernoff", {"output": {"format": "json"}}),
+    ("evolsys", {"numeric": {"n": -1}}),
+    ("chernoff", {"numeric": {"ns": [0]}}),
+    ("chernoff", {"numeric": {"samples": 2.5}}),
+    ("chernoff", {"output": {"path": "x"}}),
+    ("wave-energy", {"numeric": {"n": 0}}),
+    ("branching", {"numeric": {"grid": 0}}),
+    ("chernoff", {"numeric": {"eta": 0.5}}),   # read by no experiment
+    ("chernoff", {"numeric": {"dim": 2}}),     # read by no experiment
+    ("chernoff", {"numeric": {"ns": [16.7, 64.2, 256.9, 1024.5]}}),  # not truncated
+    ("averaging", {"numeric": {"lambdas": [True]}}),   # a boolean is not 1
+    ("wave-periodic", {"numeric": {"f_inf": True}}),   # nor is it a slope
+    ("evolsys", {"numeric": {"n_continuity": 0}}),     # it counts cells
+    ("chernoff", {"model": "scalar-linear"}),          # takes no model
+    ("degree", {"model": "wave-k3"}),                  # takes no model
+    ("degree", {"numeric": {"boundary_zero": "no"}}),
+    ("degree", {"numeric": {"boundary_zero": 1}}),
+    ("branching", {"model": "wave-k1"}),               # a wave model has no region
+    ("wave-energy", {"model": "scalar-linear"}),       # no wave section
+    ("averaging", {"model": {"A": [[-1.0]], "F": ["1-s"], "lambdas": [0.5],
+                             "region": {"center": [0.0], "radius": 1.0}}}),
 ])
 def test_config_rejection_exits_2(tmp_path, cfg_obj, capsys):
-    cfg = _write_cfg(tmp_path, "bad.json", cfg_obj)
-    rc = main(["chernoff", "--config", cfg, "--out", str(tmp_path / "o")])
+    experiment, obj = cfg_obj
+    cfg = _write_cfg(tmp_path, "bad.json", obj)
+    rc = main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# a valid value for every numeric key that some experiment reads
+_NUMERIC_SAMPLES = {
+    "n": 16, "grid": 4, "n_continuity": 8, "samples": 3, "power_m": 2, "seed": 1,
+    "f_inf": 2.5, "ns": [16], "lambdas": [0.5], "boundary_zero": False,
+}
+
+
+def test_every_numeric_key_is_read_by_some_experiment():
+    read = {"seed"}.union(*(row.numeric for row in EXPERIMENTS.values()))
+    assert read == set(_NUMERIC_SAMPLES)
+    # (experiment, key) pairs accepted, seed included
+    assert sum(len(row.numeric) + 1 for row in EXPERIMENTS.values()) == 29
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
+@pytest.mark.parametrize("key", sorted(_NUMERIC_SAMPLES))
+def test_only_the_keys_an_experiment_reads_are_accepted(tmp_path, capsys, experiment, key):
+    value = _NUMERIC_SAMPLES[key]
+    if key == "seed" or key in EXPERIMENTS[experiment].numeric:
+        num, _ = _validate_config({"numeric": {key: value}}, experiment)
+        assert num[key] == value
+        assert set(num) == {"seed"} | set(EXPERIMENTS[experiment].numeric)
+        return
+    cfg = _write_cfg(tmp_path, "k.json", {"numeric": {key: value}})
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "does not read" in err
+
+
+def test_readme_lists_the_keys_each_experiment_reads():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].strip("`") in EXPERIMENTS:
+            listed[cells[0].strip("`")] = set(re.findall(r"`(\w+)` =", cells[3]))
+    # seed, which every experiment reads, is listed once below the table
+    assert listed == {name: set(row.numeric) for name, row in EXPERIMENTS.items()}
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -127,7 +182,7 @@ def test_inline_field_failures_keep_their_exit_codes(tmp_path, capsys, component
     {"T": "abc"},
     {"region": [1, 2]},
     {"A": 5},
-    {"lambdas": "x"},
+    {"lambdas": [0.5]},                               # set by numeric.lambdas
     {"lipshitz": 1.0},                                # a typo is not ignored
     {"growth": 1.0},                                  # read by nothing
     {"region": {"kind": "ball", "center": [0.0], "radius": 1.0, "raduis": 2.0}},

@@ -25,6 +25,7 @@ from evolver import (
     validate_family,
 )
 from evolver.catalog import MODEL_KEYS
+from evolver.semigroup import metric_operator_norm
 
 from oracles import gap_integral, rk4_transition, walk_operator
 
@@ -261,6 +262,31 @@ def test_contraction_check_certifies_rate():
     assert contraction_check(R, 3.5) > 1e-3
 
 
+def _loop_contraction_pairs(R, m=64):
+    # reference: golden-ratio and sqrt(2) pairs off the grid, then every
+    # pair of every (n // 8)-th node, one at a time
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    pairs = []
+    for i in range(m):
+        a = ((i + 1) * phi) % 1.0
+        b = ((i + 1) * np.sqrt(2.0)) % 1.0
+        lo, hi = sorted((a * R.T, b * R.T))
+        pairs.append((hi, lo))
+    ids = range(0, R.n + 1, max(1, R.n // 8))
+    return pairs + [(R.nodes[b], R.nodes[a]) for a in ids for b in ids if a < b]
+
+
+@pytest.mark.parametrize("key, n", [("rotation-damped-2d", 100), ("wave-k3", 256),
+                                    ("scalar-linear", 5)])
+def test_contraction_check_samples_match_loop(key, n):
+    R = build_evolution(get_model(key).family, n)
+    G = R.family.metric if R.family.metric is not None else np.eye(R.dim)
+    t, s = np.array(_loop_contraction_pairs(R)).T
+    omega = R.family.omega
+    want = np.max(metric_operator_norm(R.operators(t, s), G) * np.exp(omega * (t - s)) - 1.0)
+    assert contraction_check(R, omega) == want
+
+
 def test_scale_and_shift_family():
     fam = _scalar_family()
     assert affine_family(fam, 0.5).A(0.25)[0, 0] == pytest.approx(-1.5)
@@ -377,18 +403,21 @@ _BUMPS = {
 
 @pytest.mark.parametrize("key", ["scalar-linear", "rotation-damped-2d", "wave-k3"])
 @pytest.mark.parametrize("bump", sorted(_BUMPS))
-@pytest.mark.parametrize("n, stride", [(128, None), (100, 7), (64, 1), (50, 64)])
-def test_continuity_gap_batched_starts_match_loop(key, bump, n, stride):
+@pytest.mark.parametrize("n, stride", [(128, None), (100, 7), (64, 1)])
+def test_continuity_gap_batched_starts_match_loop(monkeypatch, key, bump, n, stride):
     # lhs is a difference of O(1) states, so its relative roundoff grows
     # like 1/eps; bumps of size 0.1 keep the comparison at the 1e-13 level
+    if stride is not None:
+        # the stride is max(1, n // GAP_STARTS); 7 does not divide 100
+        monkeypatch.setattr(evolsys, "GAP_STARTS", n // stride)
     fam = get_model(key).family
     v = np.zeros(fam.dim)
     v[0] = 1.0
     # a bump times a fixed full matrix (a multiple of I would commute with R)
     P = np.random.default_rng(2).standard_normal((fam.dim, fam.dim))
     pert = affine_family(fam, B=lambda t: np.multiply.outer(_BUMPS[bump](t / fam.T), P))
-    [(lhs, _)] = family_continuity_gap(fam, [pert], n, v, query_stride=stride)
-    stride = stride or max(1, n // 64)
+    [(lhs, _)] = family_continuity_gap(fam, [pert], n, v)
+    stride = max(1, n // evolsys.GAP_STARTS)
     ref = _loop_continuity_lhs(fam, pert, n, v, stride)
     assert ref > 0.0
     assert abs(lhs - ref) <= 1e-13 * ref

@@ -177,31 +177,29 @@ def test_energy_identity_linear_unforced():
 
 
 def test_spectral_invariance_and_coupled_control():
-    k1 = build_wave_model(np.pi, 1, lambda t: 1.0 + 0.5 * np.cos(t), 2.0 * np.pi)
-    k2 = build_wave_model(np.pi, 2, lambda t: 1.0 + 0.5 * np.cos(t), 2.0 * np.pi)
-    gap = spectral_invariance_gap(k1, k2, [(2.0 * np.pi, 0.0)], n=128)
+    model = build_wave_model(np.pi, 1, lambda t: 1.0 + 0.5 * np.cos(t), 2.0 * np.pi)
+    gap = spectral_invariance_gap(model, 1, 2, [(2.0 * np.pi, 0.0)], n=128)
     assert gap <= 1e-10
-    coupled = spectral_invariance_gap(k1, k2, [(2.0 * np.pi, 0.0)], n=128,
+    coupled = spectral_invariance_gap(model, 1, 2, [(2.0 * np.pi, 0.0)], n=128,
                                       coupling=0.1 * np.ones((2, 2)))
     assert coupled > 1e-8
-    with pytest.raises(InvalidInputError):
-        spectral_invariance_gap(k2, k1, [(1.0, 0.0)])
+    for k, k_big in ((2, 1), (2, 2), (0, 2), (1, MAX_MODES + 1)):
+        with pytest.raises(InvalidInputError):
+            spectral_invariance_gap(model, k, k_big, [(1.0, 0.0)])
 
 
 def test_spectral_invariance_pairs():
-    beta = lambda t: 1.0 + 0.5 * np.cos(t)
-    k1 = build_wave_model(np.pi, 1, beta, 2.0 * np.pi)
-    k2 = build_wave_model(np.pi, 2, beta, 2.0 * np.pi)
+    model = build_wave_model(np.pi, 3, lambda t: 1.0 + 0.5 * np.cos(t), 2.0 * np.pi)
     C = 0.1 * np.ones((2, 2))
     pairs = [(2.0 * np.pi, 0.0), (3.1, 0.4), (1.0, 1.0), (5.5, 2.25)]
     for coupling in (None, C):
-        many = spectral_invariance_gap(k1, k2, pairs, n=128, coupling=coupling)
-        singles = [spectral_invariance_gap(k1, k2, [p], n=128, coupling=coupling)
+        many = spectral_invariance_gap(model, 1, 2, pairs, n=128, coupling=coupling)
+        singles = [spectral_invariance_gap(model, 1, 2, [p], n=128, coupling=coupling)
                    for p in pairs]
         assert many == max(singles)
     # an empty list would report a vacuous 0.0 gap
     with pytest.raises(InvalidInputError):
-        spectral_invariance_gap(k1, k2, [], n=128)
+        spectral_invariance_gap(model, 1, 2, [], n=128)
 
 
 def test_nondegeneracy_between_eigenvalues():
