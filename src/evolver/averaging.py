@@ -171,8 +171,9 @@ class BranchingReport:
 def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
                          U: Region, n: int = 1024,
                          grid: int = DEFAULT_GRID) -> BranchingReport:
-    """Track the period-map fixed point as lam decreases and measure
-    its averaged-field defect ||A_hat x_lam + F_hat(x_lam)||.
+    """Track the period-map fixed point along the ladder lambdas, in the
+    given order (the branching experiment requires it descending), and
+    measure its averaged-field defect ||A_hat x_lam + F_hat(x_lam)||.
 
     The defect decays like O(lam): fixed points accumulate on the zero
     of the averaged field.  Each rung solves ||Phi_T^lam(x) - x|| to
@@ -182,8 +183,6 @@ def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
     lams = [float(l) for l in lambdas]
     if any(l <= 0 for l in lams):
         raise InvalidInputError("lambda values must be positive")
-    if any(a <= b for a, b in zip(lams, lams[1:])):
-        raise InvalidInputError("lambda ladder must be strictly descending")
     avg = averaged_pair(family, F, probes=U.midpoint)
     rows: list[BranchingRow] = []
     x_start = U.midpoint
@@ -234,10 +233,13 @@ class AveragingRow:
 class AveragingDegreeReport:
     """Degree of I - Phi_T^lam against the averaged degree, per lam.
 
-    averaged is the pair whose degree d0 is.
+    averaged is the pair whose degree d0 is; reference = (-1)^d sign det
+    A_hat d0 = deg(-(A_hat . + F_hat), U) is what every rung is compared
+    against.
     """
 
     d0: int
+    reference: int
     d0_report: DegreeReport
     rows: list
     lambda0: float | None
@@ -248,7 +250,7 @@ class AveragingDegreeReport:
         if self.lambda0 is None:
             return False
         return all(
-            r.degree == self.d0 for r in self.rows
+            r.degree == self.reference for r in self.rows
             if r.boundary_ok and r.lam <= self.lambda0 + 1e-15
         )
 
@@ -258,7 +260,10 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
                            grid: int = 256) -> AveragingDegreeReport:
     """Compare deg(I - Phi_T^lam, U) with the averaged degree along lambdas.
 
-    d0 = deg(x + A_hat^{-1} F_hat(x), U).  For each lam, brouwer_degree
+    d0 = deg(x + A_hat^{-1} F_hat(x), U), and the averaging principle's
+    degree deg(-(A_hat x + F_hat(x)), U) = (-1)^d sign det A_hat d0 is the
+    reference of every rung (the factor is +1 when the eigenvalues of
+    A_hat have negative real parts).  For each lam, brouwer_degree
     computes the degree of x - Phi_T(x), both on a DEGREE_GRID lattice with
     DEGREE_BOUNDARY boundary samples.  Both prune Newton starts by the
     maps' Lipschitz bounds (AveragedField.map_lipschitz,
@@ -268,13 +273,15 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
     min |x - Phi_T(x)|, and a rung that fails otherwise keeps boundary_ok
     True, with boundary_min nan and the error text.  The empirical
     threshold lambda0 is the largest sampled lam such that it and every
-    smaller sampled lam yield a degree.  Equality with d0 is expected for
-    all sampled lam <= lambda0.
+    smaller sampled lam yield a degree.  Equality with the reference is
+    expected for all sampled lam <= lambda0.
     """
     avg = averaged_pair(family, F, probes=U.midpoint)
     d0_report = brouwer_degree(averaged_map(avg.A_hat, avg.F_hat), U,
                                grid=DEGREE_GRID, boundary_m=DEGREE_BOUNDARY,
                                lipschitz=avg.map_lipschitz)
+    factor = (-1) ** family.dim * int(np.linalg.slogdet(avg.A_hat)[0])
+    reference = factor * d0_report.value
     rows: list[AveragingRow] = []
     for lam in map(float, lambdas):
         phi = period_map(family, F, lam, n, grid)
@@ -293,11 +300,12 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
         else:
             rows.append(AveragingRow(lam=lam, boundary_ok=True,
                                      boundary_min=rep.boundary_min, degree=rep.value,
-                                     agrees=(rep.value == d0_report.value)))
+                                     agrees=(rep.value == reference)))
     lambda0 = None
     for row in sorted(rows, key=lambda r: r.lam):
         if not (row.boundary_ok and row.degree is not None):
             break
         lambda0 = row.lam
-    return AveragingDegreeReport(d0=d0_report.value, d0_report=d0_report,
-                                 rows=rows, lambda0=lambda0, averaged=avg)
+    return AveragingDegreeReport(d0=d0_report.value, reference=reference,
+                                 d0_report=d0_report, rows=rows, lambda0=lambda0,
+                                 averaged=avg)

@@ -335,6 +335,8 @@ def run_evolsys(cm, num, seed):
 
 def run_branching(cm, num, seed):
     lambdas = [float(v) for v in num["lambdas"]]
+    if any(a <= b for a, b in zip(lambdas, lambdas[1:])):
+        raise ConfigError("branching needs a strictly descending numeric.lambdas")
     report = branching_experiment(cm.family, cm.field, lambdas, cm.region,
                                   n=num["n"], grid=num["grid"])
     d = cm.dim
@@ -454,7 +456,7 @@ def run_continuation(cm, num, seed):
     degrees_ok = True
     for r in report.rows:
         boundary_clear = boundary_clear and r.boundary_ok
-        degrees_ok = degrees_ok and (r.degree == report.d0)
+        degrees_ok = degrees_ok and (r.degree == report.reference)
         rows.append(["sweep", r.lam, r.boundary_ok, r.degree, r.error])
     lam_top = lambdas[-1]
     phi = period_map(cm.family, cm.field, lam_top, num["n"], num["grid"])

@@ -5,7 +5,11 @@ does not vanish on the boundary and every zero is regular.  Zeros are
 located by linop.damped_newton from the centers of a lattice of cells
 covering U, skipping cells that a Lipschitz bound of g, if given, rules out,
 polished by it to the residual floor, and clustered; the boundary
-condition is screened on a sample cloud.  For planar fields
+condition is screened on a sample cloud.  g is called on batches: the
+boundary cloud with the cell centers once, then one batch per Newton
+trial holding the trial points and their central-difference probes
+(linop.fd_eval), so on a period map each call is one solve.  In d = 1 the
+zero sum is checked against the endpoint degree.  For planar fields
 winding_number_2d gives an independent value by accumulating the
 argument of g along the boundary loop.
 
@@ -27,7 +31,7 @@ from .errors import (
     OracleFailureError,
     SingularResolventError,
 )
-from .linop import COND_LIMIT, CONVERGED, SINGULAR, damped_newton, fd_jacobians
+from .linop import COND_LIMIT, CONVERGED, SINGULAR, damped_newton, fd_eval
 
 MAX_DEGREE_DIM = 4
 
@@ -148,15 +152,14 @@ class DegreeReport:
     starts: int
 
 
-def _boundary_screen(g, samples: np.ndarray):
-    """g on boundary samples, screened against the admissibility margin.
+def _boundary_screen(vals: np.ndarray, samples: np.ndarray):
+    """Values vals = g(samples) on boundary samples, screened against the
+    admissibility margin.
 
-    Returns (values, boundary_min, delta, scale): scale is max |g| on the
-    samples and delta = BOUNDARY_DELTA (1 + scale).  Raises
-    InadmissibleRegionError, carrying boundary_min = min |g|, when that
-    minimum is <= delta.
+    Returns (boundary_min, delta, scale): scale is max |g| on the samples
+    and delta = BOUNDARY_DELTA (1 + scale).  Raises InadmissibleRegionError,
+    carrying boundary_min = min |g|, when that minimum is <= delta.
     """
-    vals = np.asarray(g(samples), dtype=float)
     norms = np.linalg.norm(vals, axis=-1)
     scale = float(np.max(norms))
     delta = BOUNDARY_DELTA * (1.0 + scale)
@@ -168,7 +171,7 @@ def _boundary_screen(g, samples: np.ndarray):
             f"<= delta = {delta:.3e} at {samples[worst]}",
             point=samples[worst], value=vals[worst], boundary_min=bmin,
         )
-    return vals, bmin, delta, scale
+    return bmin, delta, scale
 
 
 def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
@@ -180,11 +183,16 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
     4 spans of U's midpoint.  Given |g(x) - g(y)| <= lipschitz |x - y| +
     slack, a cell with |g(center)| > lipschitz rho + slack + tol, rho its
     half-diagonal, holds no zero and starts no Newton (exclusion: Franek
-    and Ratschan, Math. Comp. 84, 2015).  The admissibility margin is
-    BOUNDARY_DELTA (1 + max boundary |g|) on the boundary_m samples.  Raises
-    InadmissibleRegionError on boundary (near-)zeros, DegenerateZeroError
-    when polishing a located zero meets cond(Dg) > COND_LIMIT or leaves
-    |det Dg| < DET_FLOOR, InvalidInputError for d > 4.
+    and Ratschan, Math. Comp. 84, 2015); g then sees the boundary samples
+    and the cell centers as one batch, else the samples alone.  Newton
+    evaluates g with its central-difference probes in one batch per
+    trial (fd_eval).  The admissibility margin is BOUNDARY_DELTA (1 + max
+    boundary |g|) on the boundary_m samples.  In d = 1 the samples are the
+    endpoints, and the zero sum must equal (sign g(hi) - sign g(lo)) / 2.
+    Raises InadmissibleRegionError on boundary (near-)zeros,
+    DegenerateZeroError when polishing a located zero meets cond(Dg) >
+    COND_LIMIT or leaves |det Dg| < DET_FLOOR, OracleFailureError when a
+    d = 1 zero sum contradicts the endpoints, InvalidInputError for d > 4.
     The computation is deterministic: fixed start lattice, zeros sorted
     before clustering and summation.
     """
@@ -193,36 +201,41 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
         raise InvalidInputError(
             f"degree computations are capped at d <= {MAX_DEGREE_DIM}, got {d}"
         )
-    _, boundary_min, delta, scale = _boundary_screen(g, U.boundary_samples(boundary_m))
+    samples = U.boundary_samples(boundary_m)
+    cells = U.cell_centers(grid)
+    bounded = bool(np.isfinite(lipschitz))
+    vals = np.asarray(g(np.concatenate([samples, cells]) if bounded else samples),
+                      dtype=float)
+    bvals = vals[:len(samples)]
+    boundary_min, delta, scale = _boundary_screen(bvals, samples)
     tol = ZERO_TOL * (1.0 + scale)
 
-    def jac(X):
-        return fd_jacobians(g, X, FD_STEP)
+    def Gj(X):
+        return fd_eval(g, X, FD_STEP)
 
     lo, hi = U.bounds
     span, mid = float(np.max(hi - lo)), U.midpoint
-    cells = U.cell_centers(grid)
     live = np.ones(len(cells), dtype=bool)
-    if np.isfinite(lipschitz):
+    if bounded:
         rho = 0.5 * float(np.linalg.norm(hi - lo)) / grid
-        live = np.linalg.norm(g(cells), axis=-1) <= lipschitz * rho + slack + tol
+        live = np.linalg.norm(vals[len(samples):], axis=-1) <= lipschitz * rho + slack + tol
     zeros = np.empty((0, d))
     if live.any():
         search = damped_newton(
-            g, jac, cells[live], tol=tol, max_iter=MAX_NEWTON, tries=7,
+            Gj, cells[live], tol=tol, max_iter=MAX_NEWTON, tries=7,
             keep=lambda X: np.linalg.norm(X - mid, axis=-1) <= 4.0 * span)
         hits = search.x[search.status == CONVERGED]
         zeros = _cluster(hits[U.contains(hits)])
     if zeros.size:
         # polish to the residual floor: a degenerate zero creeps on toward
         # the true zero until its Jacobian turns singular or fails DET_FLOOR
-        polish = damped_newton(g, jac, zeros, tol=0.0, max_iter=MAX_NEWTON, tries=1)
+        polish = damped_newton(Gj, zeros, tol=0.0, max_iter=MAX_NEWTON, tries=1)
         bad = polish.x[(polish.status == SINGULAR) & U.contains(polish.x)]
         if bad.size:
             raise DegenerateZeroError(f"zero at {bad[0]} has cond(Dg) > {COND_LIMIT:.0e}")
         zeros = _cluster(polish.x)
         zeros = zeros[U.contains(zeros)]
-    dets = np.linalg.det(jac(zeros)) if zeros.size else np.empty(0)
+    dets = np.linalg.det(Gj(zeros)[1]) if zeros.size else np.empty(0)
     small = np.abs(dets) < DET_FLOOR
     if np.any(small):
         z = zeros[int(np.where(small)[0][0])]
@@ -230,7 +243,17 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
             f"zero at {z} has |det Dg| = {np.abs(dets).min():.3e} < {DET_FLOOR}"
         )
     signs = np.sign(dets).astype(int)
-    return DegreeReport(value=int(signs.sum()), zeros=zeros, signs=signs,
+    value = int(signs.sum())
+    if d == 1:
+        # the samples are [lo, hi]: the degree on an interval is read off its ends
+        g_lo, g_hi = bvals[:, 0]
+        edge = int(np.sign(g_hi) - np.sign(g_lo)) // 2
+        if value != edge:
+            raise OracleFailureError(
+                f"zero sum {value} contradicts the endpoint degree {edge}: "
+                f"g(lo) = {g_lo:.6e}, g(hi) = {g_hi:.6e}"
+            )
+    return DegreeReport(value=value, zeros=zeros, signs=signs,
                         dets=dets, boundary_min=boundary_min, delta=delta,
                         cells=len(cells), starts=int(live.sum()))
 
@@ -266,7 +289,9 @@ def winding_number_2d(g, U: Region) -> int:
         raise InvalidInputError("winding numbers need d = 2")
     m = WINDING_SAMPLES
     while True:
-        vals = _boundary_screen(g, U.boundary_samples(m))[0]
+        samples = U.boundary_samples(m)
+        vals = np.asarray(g(samples), dtype=float)
+        _boundary_screen(vals, samples)
         ang = np.arctan2(vals[:, 1], vals[:, 0])
         ang = np.append(ang, ang[0])
         step = np.diff(ang)

@@ -1,5 +1,7 @@
 """Dense linear-operator substrate: exponentials, norms, resolvents, and
-damped_newton, the one Newton loop of degree and mild.fixed_point.
+damped_newton, the one Newton loop of degree and mild.fixed_point, with
+fd_eval, which evaluates a map and its central-difference Jacobian in one
+batched call, so a Newton step costs one evaluation of the map.
 
 Matrices and vectors are plain numpy arrays (float64).  Dimensions are
 capped at MAX_DIM; everything here is small and dense by design.  Norms
@@ -184,19 +186,21 @@ def resolvent(M, mu: float) -> np.ndarray:
 CONVERGED, SINGULAR, STALLED, ESCAPED, OUT_OF_ITERATIONS = range(5)
 
 
-def fd_jacobians(g, X: np.ndarray, h) -> np.ndarray:
-    """Central-difference Jacobians at each row of X: (K, d, d).
+def fd_eval(g, X: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """g at each row of X (K, d) and its central-difference Jacobians (K, d, d).
 
-    h: one step for all rows, or a (K,) step per row.
+    The rows [x, x + h e_i, x - h e_i] of every x go to g as one batch of
+    K (2d + 1) points, so a period map solves a point and its probes
+    together.  h: one step for all rows, or a (K,) step per row.
     """
     K, d = X.shape
     h = np.reshape(h, (-1, 1, 1))
-    probes = np.concatenate([
-        X[:, None, :] + h * np.eye(d)[None, :, :],
-        X[:, None, :] - h * np.eye(d)[None, :, :],
-    ], axis=1)                       # (K, 2d, d)
-    vals = np.asarray(g(probes.reshape(-1, d)), dtype=float).reshape(K, 2 * d, d)
-    return (vals[:, :d, :] - vals[:, d:, :]).transpose(0, 2, 1) / (2.0 * h)
+    shift = h * np.eye(d)[None, :, :]
+    rows = np.concatenate([X[:, None, :], X[:, None, :] + shift,
+                           X[:, None, :] - shift], axis=1)     # (K, 2d + 1, d)
+    vals = np.asarray(g(rows.reshape(-1, d)), dtype=float).reshape(K, 2 * d + 1, d)
+    J = (vals[:, 1:d + 1, :] - vals[:, d + 1:, :]).transpose(0, 2, 1) / (2.0 * h)
+    return vals[:, 0, :], J
 
 
 @dataclass
@@ -220,20 +224,23 @@ class NewtonRecord:
     history: np.ndarray
 
 
-def damped_newton(G, jac, X, tol: float, max_iter: int, tries: int,
+def damped_newton(Gj, X, tol: float, max_iter: int, tries: int,
                   keep: Callable | None = None) -> NewtonRecord:
     """Damped Newton on G(x) = 0 from each row of X (K, d), in lockstep.
 
-    G maps (k, d) rows to (k, d) values, jac to (k, d, d) Jacobians.  Each
+    Gj maps (k, d) rows to the pair (G, J) of (k, d) values and (k, d, d)
+    Jacobians, from one call (fd_eval evaluates both in one batch).  Each
     iteration solves J s = -G(x) at every running start and tries
     x + alpha s for alpha = 1, 1/2, ... (tries trials), accepting the first
-    that lowers |G|.  A start ends converged (|G(x)| <= tol), singular
-    (cond(J) > COND_LIMIT, no step taken), stalled (no trial lowered |G|),
-    escaped (an accepted step left keep) or out of iterations.  tol = 0
-    with tries = 1 polishes: full steps until |G| stops falling.
+    that lowers |G|; an accepted trial brings its own Jacobian, so every
+    iteration makes one Gj call per trial and none for J.  A start ends
+    converged (|G(x)| <= tol), singular (cond(J) > COND_LIMIT, no step
+    taken), stalled (no trial lowered |G|), escaped (an accepted step left
+    keep) or out of iterations.  tol = 0 with tries = 1 polishes: full
+    steps until |G| stops falling.
     """
     X = np.array(X, dtype=float)
-    gx = np.asarray(G(X), dtype=float)
+    gx, J = (np.array(a, dtype=float) for a in Gj(X))
     res = np.linalg.norm(gx, axis=-1)
     # a start runs while its status reads out of iterations
     status = np.where(res <= tol, CONVERGED, OUT_OF_ITERATIONS)
@@ -245,25 +252,25 @@ def damped_newton(G, jac, X, tol: float, max_iter: int, tries: int,
         idx = np.flatnonzero(status == OUT_OF_ITERATIONS)
         if idx.size == 0:
             break
-        J = np.asarray(jac(X[idx]), dtype=float)
         jacobians[idx] += 1
-        finite = np.all(np.isfinite(J), axis=(1, 2))
+        finite = np.all(np.isfinite(J[idx]), axis=(1, 2))
         cond[idx] = np.inf
-        cond[idx[finite]] = np.linalg.cond(J[finite])
+        cond[idx[finite]] = np.linalg.cond(J[idx[finite]])
         ok = cond[idx] <= COND_LIMIT
         status[idx[~ok]] = SINGULAR
         idx = idx[ok]
         if idx.size == 0:
             break
-        step = np.linalg.solve(J[ok], -gx[idx][..., None])[..., 0]
+        step = np.linalg.solve(J[idx], -gx[idx][..., None])[..., 0]
         before, pending = res[idx], idx
         for i in range(tries):
             cand = X[pending] + 0.5 ** i * step
-            cvals = np.asarray(G(cand), dtype=float)
+            cvals, cjac = (np.asarray(a, dtype=float) for a in Gj(cand))
             cres = np.linalg.norm(cvals, axis=-1)
             better = cres < res[pending]
             sel = pending[better]
-            X[sel], gx[sel], res[sel] = cand[better], cvals[better], cres[better]
+            X[sel], gx[sel], J[sel], res[sel] = (
+                cand[better], cvals[better], cjac[better], cres[better])
             halvings[pending[~better]] += 1
             pending, step = pending[~better], step[~better]
             if pending.size == 0:

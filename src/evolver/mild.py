@@ -17,8 +17,10 @@ only multiplies step operators and never inverts one, since the inverse
 of a strongly damped step would amplify roundoff.  period_map is the
 translation along trajectories Phi_T^lam of u' = lam (A u + F); its
 fixed points, the T-periodic states, are found by the one damped-Newton
-kernel (linop.damped_newton) with finite-difference Jacobians, and its
-gap_lipschitz bounds x - Phi_T^lam(x) for the degree's cell exclusion.
+kernel (linop.damped_newton) with central-difference Jacobians whose
+probes ride in the same batched solve as the point (linop.fd_eval), so a
+Newton step costs one solve; its gap_lipschitz bounds x - Phi_T^lam(x)
+for the degree's cell exclusion.
 
 All state-space operations broadcast over leading axes, so a batch of
 initial states (B, d) is propagated in one sweep.  Field callables must
@@ -41,7 +43,7 @@ from .errors import (
     InvalidInputError,
 )
 from .evolsys import EvolutionSystem, GeneratorFamily, affine_family, build_evolution
-from .linop import CONVERGED, SINGULAR, STALLED, as_vector, damped_newton, fd_jacobians
+from .linop import CONVERGED, SINGULAR, STALLED, as_vector, damped_newton, fd_eval
 
 DEFAULT_GRID = 2048
 
@@ -347,7 +349,9 @@ def fixed_point(phi: Callable, x_init, tol: float = 1e-8,
 
     damped_newton on G(x) = phi(x).final - x from x_init as a batch of
     one, with 8 trial steps and central-difference Jacobians at the step
-    1e-6 (1 + ||x||), their 2d probes solved as one batch.  Raises
+    1e-6 (1 + ||x||): every evaluation solves the point and its 2d probes
+    as one batch (fd_eval), so the solve makes 1 + accepted steps +
+    halvings calls of phi.  Raises
     DegenerateFixedPointError when DPhi - I is numerically singular
     (cond > COND_LIMIT) and ConvergenceError when ||phi(x).final - x||
     does not reach tol (the step stalled or max_iter iterations ran out).
@@ -357,10 +361,10 @@ def fixed_point(phi: Callable, x_init, tol: float = 1e-8,
     def G(X):
         return phi(X).final - X
 
-    def jac(X):
-        return fd_jacobians(G, X, 1e-6 * (1.0 + np.linalg.norm(X, axis=-1)))
+    def Gj(X):
+        return fd_eval(G, X, 1e-6 * (1.0 + np.linalg.norm(X, axis=-1)))
 
-    rec = damped_newton(G, jac, x[None], tol, max_iter, tries=8)
+    rec = damped_newton(Gj, x[None], tol, max_iter, tries=8)
     res = float(rec.residual[0])
     history = [float(r) for r in rec.history[0] if not np.isnan(r)]
     if rec.status[0] == SINGULAR:

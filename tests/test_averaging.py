@@ -19,7 +19,7 @@ from evolver import (
     period_map,
     unit_eigenvalue_gap,
 )
-from evolver.catalog import AVERAGING_LADDER
+from evolver.catalog import AVERAGING_LADDER, model_from_config
 from evolver.degree import averaged_map
 
 # the scalar catalog model u' = lam(-u + 2 + sin(2 pi t)) has averaged pair
@@ -150,9 +150,8 @@ def test_unit_eigenvalue_gap():
 
 
 def test_branching_ladder_validation():
+    # the ladder's order is checked with the config (tests/test_cli.py)
     cm = get_model("scalar-linear")
-    with pytest.raises(InvalidInputError):
-        branching_experiment(cm.family, cm.field, [0.1, 1.0], cm.region)
     with pytest.raises(InvalidInputError):
         branching_experiment(cm.family, cm.field, [1.0, -0.5], cm.region)
 
@@ -181,24 +180,31 @@ def test_averaging_degree_scalar_quick():
 
 
 def test_averaging_degree_solves_the_boundary_once_per_rung(monkeypatch):
-    # every period-map evaluation is a mild.mild_solve call, made by period_map
+    # every period-map evaluation is a mild.mild_solve call, made by period_map;
+    # a rung's first solve holds the boundary cloud, then its cell centers
     import evolver.mild as mild
 
     cm = get_model("rotation-damped-2d")
     cloud = cm.region.boundary_samples(128)
     solve = mild.mild_solve
+    systems = []
     rows = {"boundary": 0, "all": 0}
 
     def counted(R, F, x0, *args, **kwargs):
         x = np.asarray(x0)
         rows["all"] += x.size // x.shape[-1]
-        if x.shape == cloud.shape and np.array_equal(x, cloud):
-            rows["boundary"] += len(x)
+        lead = x.ndim == 2 and len(x) > len(cloud) and np.array_equal(x[:len(cloud)], cloud)
+        first = not any(R is S for S in systems)
+        assert lead == first
+        if first:
+            systems.append(R)
+            rows["boundary"] += len(cloud)
         return solve(R, F, x0, *args, **kwargs)
 
     monkeypatch.setattr(mild, "mild_solve", counted)
     lambdas = [0.3, 0.1]
     report = averaging_degree_check(cm.family, cm.field, cm.region, lambdas, grid=128)
+    assert len(systems) == len(lambdas)
     assert rows["boundary"] == len(lambdas) * len(cloud)
     assert rows["all"] > rows["boundary"]
     assert report.verdict
@@ -340,3 +346,40 @@ def test_averaged_field_of_an_empty_batch_is_empty():
     avg = averaged_pair(cm.family, cm.field)
     assert avg.F_hat(np.empty((0, 2))).shape == (0, 2)
     assert avg.F_hat(np.empty((3, 0, 2))).shape == (3, 0, 2)
+
+
+# x' = lam (-x + 3 tanh x + 0.1 sin(2 pi t / T)) on (-4, 4): zeros near 0
+# (index -1) and +-2.98 (index +1 each), degree 1 by the endpoint signs
+_TANH_MODEL = {"A": [[-1]], "F": ["3*tanh(s)+0.1*sin(2*pi*t/T)"], "lipschitz": 3,
+               "region": {"center": [0], "radius": 4}}
+
+
+def test_interval_degree_is_checked_against_the_endpoints():
+    # at lam = 1 the bound is infinite, every cell starts, and Newton finds
+    # only the outer zeros: the zero sum 2 is impossible on an interval
+    cm = model_from_config(_TANH_MODEL)
+    phi = period_map(cm.family, cm.field, 1.0, 256, 256)
+    lip, slack = phi.gap_lipschitz()
+    assert lip == np.inf
+    with pytest.raises(OracleFailureError,
+                       match=r"zero sum 2 contradicts the endpoint degree 1: "
+                             r"g\(lo\) = -6\.25\d*e-01, g\(hi\) = 6\.44\d*e-01"):
+        brouwer_degree(lambda x: x - phi(x).final, cm.region, grid=8, boundary_m=128,
+                       lipschitz=lip, slack=slack)
+    # an understated bound excludes zeros as well, here all three
+    g = lambda x: x - 3.0 * np.tanh(x)
+    with pytest.raises(OracleFailureError, match="zero sum 0 contradicts the endpoint degree 1"):
+        brouwer_degree(g, cm.region, grid=8, lipschitz=0.0)
+    rep = brouwer_degree(g, cm.region, grid=8, lipschitz=1.0 + 3.0)
+    assert rep.value == 1 and list(rep.signs) == [1, -1, 1]
+
+
+def test_rungs_are_compared_against_the_averaged_field_s_own_degree():
+    # A = 1: deg(x + A_hat^{-1} F_hat) = 1, while every rung gives
+    # deg(I - Phi) = -1 = deg(-(A_hat x + F_hat)) = (-1)^1 sign det(A_hat) d0
+    cm = model_from_config({"A": [[1]], "F": ["0.1*sin(2*pi*t/T)"], "lipschitz": 0,
+                            "region": {"center": [0], "radius": 1}})
+    report = averaging_degree_check(cm.family, cm.field, cm.region, AVERAGING_LADDER)
+    assert report.d0 == 1 and report.reference == -1
+    assert [r.degree for r in report.rows] == [-1] * len(AVERAGING_LADDER)
+    assert all(r.agrees for r in report.rows) and report.verdict

@@ -69,6 +69,8 @@ def test_seed_flag_overrides_config(tmp_path):
     ("chernoff", {"output": {"path": "x"}}),
     ("wave-energy", {"numeric": {"n": 0}}),
     ("branching", {"numeric": {"grid": 0}}),
+    ("branching", {"numeric": {"lambdas": [0.1, 0.5]}}),   # the ladder descends
+    ("branching", {"numeric": {"lambdas": [0.5, 0.5]}}),   # strictly
     ("chernoff", {"numeric": {"eta": 0.5}}),   # read by no experiment
     ("chernoff", {"numeric": {"dim": 2}}),     # read by no experiment
     ("chernoff", {"numeric": {"ns": [16.7, 64.2, 256.9, 1024.5]}}),  # not truncated
@@ -219,6 +221,29 @@ def test_degree_boundary_zero_exits_1(tmp_path, capsys):
     assert summary["error"] == "inadmissible-region"
     assert "boundary" in summary["message"]
     assert "inadmissible-region" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, degrees", [
+    # zeros near 0 (index -1) and +-2.98 (+1 each): at lam = 1 Newton finds
+    # only the outer two, and the endpoint check fails the rung, not 2
+    ({"A": [[-1]], "F": ["3*tanh(s)+0.1*sin(2*pi*t/T)"], "lipschitz": 3,
+      "region": {"center": [0], "radius": 4}}, ["", "1", "1", "1", "1"]),
+    # A = 1: every rung has deg(-(A_hat x + F_hat)) = -1, against d0 = 1
+    ({"A": [[1]], "F": ["0.1*sin(2*pi*t/T)"], "lipschitz": 0,
+      "region": {"center": [0], "radius": 1}}, ["-1"] * 5),
+])
+def test_averaging_rungs_on_an_interval(tmp_path, capsys, model, degrees):
+    cfg = _write_cfg(tmp_path, "a.json", {"model": model})
+    out = tmp_path / "o"
+    assert main(["averaging", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = (out / "averaging.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert rows[0][:5] == ["averaged", "", "true", "", "1"]
+    assert [r[4] for r in rows[1:]] == degrees
+    assert all(r[5] == "true" for r in rows[1:] if r[4])
+    if "" in degrees:
+        assert "contradicts the endpoint degree 1" in lines[2]
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path, capsys):

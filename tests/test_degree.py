@@ -201,8 +201,7 @@ def _piecewise(X):
 
 def test_damped_newton_records_every_status():
     starts = np.array([[0.0], [0.5], [2.0], [3.0], [7.0], [11.0]])
-    rec = damped_newton(lambda X: _piecewise(X)[0], lambda X: _piecewise(X)[1],
-                        starts, tol=1e-12, max_iter=3, tries=1,
+    rec = damped_newton(_piecewise, starts, tol=1e-12, max_iter=3, tries=1,
                         keep=lambda X: X[:, 0] < 15.0)
     q = (2.0 / 3.0) ** 3
     expect = [
@@ -233,8 +232,7 @@ def test_damped_newton_records_every_status():
 def test_damped_newton_halves_until_the_residual_falls():
     # from 0.5 the full step to -0.75 raises x^2 + 1; half of it lands at
     # -0.125, which lowers it
-    rec = damped_newton(lambda X: _piecewise(X)[0], lambda X: _piecewise(X)[1],
-                        np.array([[0.5]]), tol=0.0, max_iter=1, tries=2)
+    rec = damped_newton(_piecewise, np.array([[0.5]]), tol=0.0, max_iter=1, tries=2)
     assert rec.status[0] == OUT_OF_ITERATIONS
     assert rec.halvings[0] == 1
     assert rec.x[0, 0] == -0.125
@@ -243,18 +241,15 @@ def test_damped_newton_halves_until_the_residual_falls():
 
 def test_polishing_reaches_the_residual_floor():
     # zero (sqrt 2, sqrt 2) of (x^2 - 2, y - x); full steps until |G| stops falling
-    def G(X):
-        return np.stack([X[:, 0] ** 2 - 2.0, X[:, 1] - X[:, 0]], axis=-1)
-
-    def jac(X):
+    def Gj(X):
         J = np.zeros((len(X), 2, 2))
         J[:, 0, 0] = 2.0 * X[:, 0]
         J[:, 1, 0] = -1.0
         J[:, 1, 1] = 1.0
-        return J
+        return np.stack([X[:, 0] ** 2 - 2.0, X[:, 1] - X[:, 0]], axis=-1), J
 
     starts = np.sqrt(2.0) + np.array([[1e-3, -2e-3], [-5e-4, 1e-4], [0.3, 0.1]])
-    rec = damped_newton(G, jac, starts, tol=0.0, max_iter=60, tries=1)
+    rec = damped_newton(Gj, starts, tol=0.0, max_iter=60, tries=1)
     assert np.all((rec.status == CONVERGED) | (rec.status == STALLED))
     assert np.all(rec.residual <= 4.0 * np.finfo(float).eps)
     assert np.allclose(rec.x, np.sqrt(2.0), rtol=0.0, atol=4e-16)

@@ -11,7 +11,7 @@ from evolver import (
     resolvent,
 )
 from evolver.catalog import MODEL_KEYS
-from evolver.linop import MAX_DIM, PADE_THETA, as_matrix, as_vector
+from evolver.linop import MAX_DIM, PADE_THETA, as_matrix, as_vector, fd_eval
 
 from oracles import gram_norm, mp_expm_error, series_expm
 
@@ -186,3 +186,26 @@ def test_resolvent_rejects_spectrum():
         resolvent(A, 1.0)
     with pytest.raises(InvalidInputError):
         resolvent(A, np.inf)
+
+
+def test_fd_eval_returns_the_values_and_central_jacobians():
+    # g(x, y) = (sin x + x y^2, exp(y) - x^3), evaluated in one call on the
+    # K (2d + 1) rows of the points and their probes
+    calls = []
+
+    def g(P):
+        calls.append(len(P))
+        x, y = P[:, 0], P[:, 1]
+        return np.stack([np.sin(x) + x * y ** 2, np.exp(y) - x ** 3], axis=-1)
+
+    X = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 2))
+    x, y = X[:, 0], X[:, 1]
+    exact = np.stack([np.stack([np.cos(x) + y ** 2, 2.0 * x * y], axis=-1),
+                      np.stack([-3.0 * x ** 2, np.exp(y)], axis=-1)], axis=1)
+    for h in (1e-5, np.full(5, 1e-5) * (1.0 + np.arange(5))):
+        calls.clear()
+        vals, J = fd_eval(g, X, h)
+        assert calls == [5 * 5]
+        assert np.array_equal(vals, g(X))
+        assert J.shape == (5, 2, 2)
+        assert np.allclose(J, exact, rtol=0.0, atol=1e-8)

@@ -348,3 +348,39 @@ def test_mild_solve_of_an_empty_batch_is_an_empty_path():
         traj = mild_solve(R, cm.field, np.empty(shape), grid=32)
         assert traj.states.shape == (33,) + shape
         assert traj.final.shape == shape
+
+
+@pytest.mark.parametrize("model, lam, start", [
+    ("scalar-linear", 1.0, 0.0),
+    # x' = lam (-x + 3 tanh x + ...): from 1 the full step overshoots the
+    # zero near 3 and is halved three times on the way
+    ({"A": [[-1]], "F": ["3*tanh(s)+0.1*sin(2*pi*t/T)"], "lipschitz": 3,
+      "region": {"center": [0], "radius": 4}}, 0.3, 1.0),
+])
+def test_fixed_point_solves_once_per_trial(monkeypatch, model, lam, start):
+    # the probes of every Jacobian ride in the solve of its point: one solve
+    # at the start and one per trial step, accepted or halved
+    import evolver.mild as mild
+    from evolver.catalog import model_from_config
+
+    cm = model_from_config(model)
+    calls, records = [], []
+    solve, newton = mild.mild_solve, mild.damped_newton
+
+    def counted(R, F, x0, *args, **kwargs):
+        calls.append(np.shape(x0))
+        return solve(R, F, x0, *args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        records.append(newton(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(mild, "mild_solve", counted)
+    monkeypatch.setattr(mild, "damped_newton", recorded)
+    fp = fixed_point(period_map(cm.family, cm.field, lam, 128, 128), [start], tol=1e-10)
+    (rec,) = records
+    assert fp.iterations >= 2
+    assert len(calls) == 1 + (fp.iterations - 1) + int(rec.halvings[0])
+    assert rec.jacobians[0] == fp.iterations - 1
+    # every solve is a point with its 2d central-difference probes
+    assert set(calls) == {(3, 1)}
