@@ -40,7 +40,6 @@ from .semigroup import (
     chernoff_power_limit,
     chernoff_sum_limit,
     dissipativity_rate,
-    exponential_scheme,
     metric_cholesky,
     metric_norm,
     metric_operator_norm,
@@ -163,7 +162,6 @@ __all__ = [
     "energy_residual",
     "eta_metric_matrix",
     "eval_expr",
-    "exponential_scheme",
     "family_continuity_gap",
     "find_periodic_wave",
     "fixed_point",

@@ -11,8 +11,8 @@ metric is named on stderr), 2 on a config problem.
 
 A config is checked against its experiment's row of EXPERIMENTS before
 any runner starts: a numeric key the runner does not read, a model given
-to an experiment that takes none, or one that lacks what it needs is a
-config error.
+to an experiment that takes none, or one that lacks what it needs
+(degrees need d <= degree.MAX_DEGREE_DIM) is a config error.
 
 Outputs are byte-deterministic for a fixed config and seed: floats are
 printed with %.17g, JSON keys are sorted, and wall time goes to stderr
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import catalog
 from .averaging import averaging_degree_check, branching_experiment
-from .degree import Region, averaged_map, brouwer_degree, winding_number_2d
+from .degree import MAX_DEGREE_DIM, Region, averaged_map, brouwer_degree, winding_number_2d
 from .errors import ConfigError, EvolverError
 from .evolsys import (
     affine_family,
@@ -188,8 +188,11 @@ def _resolve_model(cfg, experiment):
             raise ConfigError(f"{experiment} takes no model")
         return None
     cm = catalog.model_from_config(cfg.get("model", row.model))
-    if row.needs == "field" and (cm.field is None or cm.region is None):
+    if row.needs in ("field", "degree") and (cm.field is None or cm.region is None):
         raise ConfigError(f"{experiment} needs a model with a field and a region")
+    if row.needs == "degree" and cm.dim > MAX_DEGREE_DIM:
+        raise ConfigError(f"{experiment} computes degrees, which are capped at "
+                          f"dimension {MAX_DEGREE_DIM}; the model has {cm.dim}")
     if row.needs == "wave" and cm.wave is None:
         raise ConfigError(f"{experiment} needs a wave-* catalog model")
     return cm
@@ -579,8 +582,9 @@ def run_wave_energy(cm, num, seed):
 @dataclass(frozen=True)
 class Experiment:
     """A runner, its default model (None: it takes none), what the model
-    must carry ("field": a field and a region, "wave": a wave section), and
-    the numeric keys the runner reads with their defaults (None: derived).
+    must carry ("field": a field and a region, "degree": those in at most
+    degree.MAX_DEGREE_DIM dimensions, "wave": a wave section), and the
+    numeric keys the runner reads with their defaults (None: derived).
     """
 
     run: Callable
@@ -596,9 +600,9 @@ EXPERIMENTS = {
     "branching": Experiment(run_branching, "scalar-linear", "field",
                             {"lambdas": catalog.BRANCHING_LADDER, "n": 512, "grid": 1024}),
     "degree": Experiment(run_degree, None, None, {"boundary_zero": False, "power_m": 3}),
-    "averaging": Experiment(run_averaging, "scalar-linear", "field",
+    "averaging": Experiment(run_averaging, "scalar-linear", "degree",
                             {"lambdas": catalog.AVERAGING_LADDER, "n": 256, "grid": 256}),
-    "continuation": Experiment(run_continuation, "rotation-damped-2d", "field",
+    "continuation": Experiment(run_continuation, "rotation-damped-2d", "degree",
                                {"lambdas": catalog.AVERAGING_LADDER, "n": 256, "grid": 256}),
     "wave-periodic": Experiment(run_wave_periodic, "wave-k3", "wave",
                                 {"lambdas": catalog.WAVE_LADDER, "n": 512, "grid": 1024,

@@ -9,11 +9,13 @@ frozen-coefficient exponentials,
     R(t, s) = S_k(t - t_k) S_{k-1}(h) ... S_{l+1}(h) S_l(t_{l+1} - s),
 
 where S_j(a) = exp(a A(t_j)) acts on the cell [t_j, t_{j+1}).  Each build
-computes the n whole-cell steps S_j(h) with one stacked exponential call.
-Every query goes through one batched pair kernel, EvolutionSystem.operators,
-which returns R(t_i, s_i) for a whole array of pairs with one stacked
-exponential for all their partial cells; operator, apply, step_operators
-(memoized per system and grid) and the audits below are its callers.
+computes the n whole-cell steps S_j(h) with one stacked exponential call;
+the prefix products R(t_k, 0) are formed on demand, only as far as a
+query reaches.  Every query goes through one batched pair kernel,
+EvolutionSystem.operators, which returns R(t_i, s_i) for a whole array
+of pairs with one stacked exponential for all their partial cells;
+operator, apply, step_operators (memoized per system and grid) and the
+audits below are its callers.
 The result is an exact evolution system for the piecewise-frozen family:
 it satisfies the cocycle identity R(t, s) = R(t, r) R(r, s) for every
 s <= r <= t up to roundoff, and converges to the evolution system of the
@@ -166,24 +168,32 @@ class EvolutionSystem:
     """Frozen-coefficient product evolution system on [0, T].
 
     The defining data never change once built, and queries are pure.
-    Grid-node data (step exponentials and prefix products from time 0)
-    are precomputed.  operators(t, s) answers every query for a batch of
-    pairs at once: R(t_k, 0) is a lookup, and any other pair multiplies
-    its whole steps and at most two partial cells.  operator(t, s) is
-    its one-pair case and apply(t, s, x) is x @ operator(t, s)^T.
-    step_operators memoizes each stack it assembles, keyed on the exact
-    time array; the stacks are read-only and are dropped with the system.
-    Queries are safe to call concurrently: two threads racing on the same
-    uncached grid at worst assemble an identical stack twice.
+    The step exponentials are computed at build time; the prefix
+    products R(t_k, 0) from time 0 are formed on demand, by the
+    recurrence prefix[k + 1] = steps[k] @ prefix[k], and stored only as
+    far as a query has reached.  operators(t, s) answers every query for
+    a batch of pairs at once: R(t_k, 0) is a prefix lookup, and any other
+    pair multiplies its whole steps and at most two partial cells.
+    operator(t, s) is its one-pair case and apply(t, s, x) is
+    x @ operator(t, s)^T.  step_operators memoizes each stack it
+    assembles, keyed on the exact time array; the stacks are read-only
+    and are dropped with the system.  Queries are safe to call
+    concurrently: a prefix extension is built from a snapshot of the
+    stored prefix and published with one assignment, so two threads
+    racing on the same uncached grid or prefix at worst compute an
+    identical result twice.
     """
 
     family: GeneratorFamily
     n: int
     nodes: np.ndarray
     steps: np.ndarray        # steps[j] = exp(h A(t_j))
-    prefix: np.ndarray       # prefix[k] = R(t_k, 0)
+    _prefix: np.ndarray = field(init=False, repr=False, compare=False)
     _step_stacks: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_prefix", np.eye(self.dim)[None])
 
     @property
     def T(self) -> float:
@@ -197,6 +207,31 @@ class EvolutionSystem:
     def h(self) -> float:
         return self.family.T / self.n
 
+    @property
+    def prefix(self) -> np.ndarray:
+        """The read-only (n + 1, d, d) stack prefix[k] = R(t_k, 0)."""
+        return self._prefix_to(self.n)
+
+    def _prefix_to(self, k: int) -> np.ndarray:
+        """The read-only stored prefix, first extended to node k if shorter.
+
+        The extension copies a snapshot of the stored stack, continues the
+        recurrence from its last entry, and replaces the stored stack with
+        one assignment, so every entry is the same product whichever
+        query formed it.
+        """
+        P = self._prefix
+        have = len(P)
+        if k < have:
+            return P
+        ext = np.empty((k + 1,) + P.shape[1:])
+        ext[:have] = P
+        for step, cur, nxt in zip(self.steps[have - 1:k], ext[have - 1:k], ext[have:]):
+            np.matmul(step, cur, out=nxt)
+        ext.flags.writeable = False
+        object.__setattr__(self, "_prefix", ext)
+        return ext
+
     def operators(self, t, s) -> np.ndarray:
         """The stack of R(t_i, s_i) over the broadcast arrays t and s.
 
@@ -207,11 +242,12 @@ class EvolutionSystem:
         Times are clamped to [0, T] and located on the grid with one
         searchsorted; a time within SNAP * max(1, T) of a node is on it.
         A pair with t - s inside the snap is exactly I, and R(t_k, 0) is
-        prefix[k].  Any other pair covers grid cells j0..j1, whole cells
-        come from steps, and only its first piece (starting off a node)
-        and last piece (ending off a node) are partial: their generators
-        come from one stack call on the distinct nodes and their
-        exponentials from one stacked mat_exp.  The pieces multiply onto
+        prefix[k], once the prefix is extended to the largest such k.
+        Any other pair covers grid cells j0..j1, whole cells come from
+        steps, and only its first piece (starting off a node) and last
+        piece (ending off a node) are partial: their generators come
+        from one stack call on the distinct nodes and their exponentials
+        from one stacked mat_exp.  The pieces multiply onto
         the stack one position at a time, left to right, so every slice
         is the same product the cell-by-cell walk forms.
         """
@@ -235,7 +271,8 @@ class EvolutionSystem:
         E = np.broadcast_to(np.eye(d), (len(s), d, d)).copy()
         ident = t - s <= tol
         from_prefix = ~ident & (s <= tol) & t_on
-        E[from_prefix] = self.prefix[kt[from_prefix]]
+        k = kt[from_prefix]
+        E[from_prefix] = self._prefix_to(int(k.max(initial=0)))[k]
         cell = np.flatnonzero(~ident & ~from_prefix)
         s_on, t = s_on[cell], t[cell]
         j0 = ks[cell] - ~s_on            # an off-node start lies in cell k - 1
@@ -309,7 +346,8 @@ def build_evolution(family: GeneratorFamily, n: int) -> EvolutionSystem:
 
     The n node generators come from one call A(t_0 .. t_{n-1}) and are
     exponentiated by a single stacked mat_exp call with time h; the
-    steps equal the node-by-node exponentials bit for bit.
+    steps equal the node-by-node exponentials bit for bit.  No prefix
+    product is formed here: the system forms them as queries reach them.
 
     Raises ResourceLimitError for n > 2^14 and InvalidInputError for
     n < 1, for a stack that is not (n, d, d) or for a non-finite A(t_j).
@@ -318,15 +356,9 @@ def build_evolution(family: GeneratorFamily, n: int) -> EvolutionSystem:
         raise InvalidInputError("subdivision n must be >= 1")
     if n > MAX_SUBDIVISION:
         raise ResourceLimitError(f"subdivision n = {n} exceeds {MAX_SUBDIVISION}")
-    d = family.dim
-    h = family.T / n
     nodes = np.linspace(0.0, family.T, n + 1)
-    steps = mat_exp(family.stack(nodes[:-1]), h)
-    prefix = np.empty((n + 1, d, d))
-    prefix[0] = np.eye(d)
-    for k in range(n):
-        prefix[k + 1] = steps[k] @ prefix[k]
-    return EvolutionSystem(family=family, n=n, nodes=nodes, steps=steps, prefix=prefix)
+    steps = mat_exp(family.stack(nodes[:-1]), family.T / n)
+    return EvolutionSystem(family=family, n=n, nodes=nodes, steps=steps)
 
 
 def cocycle_defect(R: EvolutionSystem, t, r, s):

@@ -12,7 +12,10 @@ operators, evaluated as a two-level chunked prefix scan: about
 2 sqrt(m) batched numpy steps instead of m Python-level ones.  Its
 state-independent half (the transposed steps and their in-chunk prefix
 products) and a workspace of scan buffers and state paths, which each
-pass and its sup-norm gap fill in place, are built once per solve.  It
+pass and its sup-norm gap fill in place, are built once per solve.  The
+steps and the scan buffer are stored position major (in-chunk position,
+then chunk), so each of the scan's local steps works on one contiguous
+slab across all chunks.  It
 only multiplies step operators and never inverts one, since the inverse
 of a strongly damped step would amplify roundoff.  period_map is the
 translation along trajectories Phi_T^lam of u' = lam (A u + F); its
@@ -128,34 +131,39 @@ def _scan_plan(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The state-independent half of _sweep for the steps E (m, d, d).
 
     Cuts the m steps into C chunks of L = round(sqrt(m)) and pads the
-    tail with identity steps.  Returns (M, P), both (C, L, d, d): M holds
-    the transposed steps E_i^T and P the in-chunk prefix products
-    P[c, j] = M[c, 0] ... M[c, j].  Only products of steps are formed, so
-    no step operator is ever inverted.
+    tail with identity steps; step i = c L + j is position j of chunk c.
+    Returns (M, P): M (L, C, d, d) holds the transposed steps position
+    major, M[j, c] = E_i^T, so the scan's step j reads one contiguous
+    slab; P (C, L, d, d) holds the in-chunk prefix products chunk major,
+    P[c, j] = M[0, c] ... M[j, c], in the path's order.  Only products of
+    steps are formed, so no step operator is ever inverted.
     """
     m, d = E.shape[0], E.shape[-1]
     L = max(1, round(m ** 0.5))
     C = -(-m // L)
-    M = np.empty((C * L, d, d))
-    M[:m] = E.transpose(0, 2, 1)
-    M[m:] = np.eye(d)
-    M = M.reshape(C, L, d, d)
-    P = np.empty_like(M)
-    P[:, 0] = M[:, 0]
+    full = (C - 1) * L
+    M = np.empty((L, C, d, d))
+    chunks = M.swapaxes(0, 1)
+    chunks[:C - 1] = E[:full].transpose(0, 2, 1).reshape(C - 1, L, d, d)
+    chunks[C - 1, :m - full] = E[full:].transpose(0, 2, 1)
+    chunks[C - 1, m - full:] = np.eye(d)
+    P = np.empty((C, L, d, d))
+    P[:, 0] = M[0]
     for j in range(1, L):
-        np.matmul(P[:, j - 1], M[:, j], out=P[:, j])
+        np.matmul(P[:, j - 1], M[j], out=P[:, j])
     return M, P
 
 
 def _workspace(plan, m: int, shape: tuple) -> tuple:
     """Buffers (U, Y, out) for _sweep over m steps of states shaped (..., d).
 
-    U (C L, B, d) is the scan buffer, Y (C, B, d) the chunk carries and out
-    (m+1,) + shape the path, for B states per node.
+    U (L, C, B, d) is the scan buffer, position major like the plan's
+    steps, Y (C, B, d) the chunk carries and out (m+1,) + shape the path,
+    for B states per node.
     """
-    C, L, _, d = plan[0].shape
+    L, C, _, d = plan[0].shape
     B = int(np.prod(shape[:-1]))
-    return np.empty((C * L, B, d)), np.empty((C, B, d)), np.empty((m + 1,) + shape)
+    return np.empty((L, C, B, d)), np.empty((C, B, d)), np.empty((m + 1,) + shape)
 
 
 def _sweep(plan: tuple[np.ndarray, np.ndarray], x: np.ndarray, w: np.ndarray,
@@ -175,7 +183,10 @@ def _sweep(plan: tuple[np.ndarray, np.ndarray], x: np.ndarray, w: np.ndarray,
     chunk-start states; one matmul against the in-chunk prefix products
     adds each carry to its chunk.  That is L + C, about 2 sqrt(m), steps
     at Python level instead of m, and since the affine maps compose
-    forwards it needs no inverse of a step.
+    forwards it needs no inverse of a step.  The scan buffer is position
+    major, so each local step adds and multiplies one contiguous (C, B, d)
+    slab; the forcing goes in and the in-chunk states come out through
+    its chunk-major (C, L) view, in the path's order.
 
     Every stage writes into the workspace with out= ufuncs and matmuls,
     overwriting what it held, so a pass allocates nothing of the path's
@@ -183,31 +194,36 @@ def _sweep(plan: tuple[np.ndarray, np.ndarray], x: np.ndarray, w: np.ndarray,
     anything but the workspace.
     """
     M, P = plan
-    C, L, d = M.shape[0], M.shape[1], M.shape[-1]
+    L, C, d = M.shape[0], M.shape[1], M.shape[-1]
     m = w.shape[0] - 1
     B = x.size // d
+    full = (C - 1) * L
     U, Y, out = _workspace(plan, m, x.shape) if work is None else work
-    # U[c, j] starts as the forcing term lam c_i w_i of step i = c L + j
-    # and becomes the state after that step, started from zero in chunk c
-    head = U[:m].reshape((m,) + x.shape)
-    np.multiply(w[:m], lam * h, out=head)
-    U[0] *= 0.5
-    U[m:] = 0.0  # identity steps that pad the last chunk carry no forcing
-    U = U.reshape(C, L, B, d)
+    # U[j, c] starts as the forcing term lam c_i w_i of step i = c L + j
+    # and becomes the state after that step, started from zero in chunk c;
+    # the identity steps that pad the last chunk carry no forcing
+    chunks = U.swapaxes(0, 1)
+    wb = w.reshape(m + 1, B, d)
+    np.multiply(wb[:full].reshape(C - 1, L, B, d), lam * h, out=chunks[:C - 1])
+    np.multiply(wb[full:m], lam * h, out=chunks[C - 1, :m - full])
+    U[0, 0] *= 0.5
+    chunks[C - 1, m - full:] = 0.0
     for j in range(L):
         if j:
-            U[:, j] += U[:, j - 1]
-        np.matmul(U[:, j], M[:, j], out=U[:, j])
+            U[j] += U[j - 1]
+        np.matmul(U[j], M[j], out=U[j])
     Y[0] = x.reshape(B, d)
     for c in range(C - 1):
         np.matmul(Y[c], P[c, L - 1], out=Y[c + 1])
-        Y[c + 1] += U[c, L - 1]
-    # out[1:] = (U + Y P) + lam (h/2) w[1:], the last chunk cut at step m
+        Y[c + 1] += U[L - 1, c]
+    # out[1:] = (Y P + U) + lam (h/2) w[1:], the last chunk cut at step m
     path = out.reshape(m + 1, B, d)
-    full = (C - 1) * L
-    np.matmul(Y[:C - 1, None], P[:C - 1], out=path[1:full + 1].reshape(C - 1, L, B, d))
-    np.matmul(Y[C - 1], P[C - 1, :m - full], out=path[full + 1:])
-    out[1:] += head
+    body, tail = path[1:full + 1].reshape(C - 1, L, B, d), path[full + 1:]
+    np.matmul(Y[:C - 1, None], P[:C - 1], out=body)
+    np.matmul(Y[C - 1], P[C - 1, :m - full], out=tail)
+    body += chunks[:C - 1]
+    tail += chunks[C - 1, :m - full]
+    head = U.reshape(-1)[:w[1:].size].reshape(w[1:].shape)
     np.multiply(w[1:], 0.5 * lam * h, out=head)
     out[1:] += head
     out[0] = x
@@ -251,6 +267,7 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
     plan = _scan_plan(R.step_operators(times))
     h = R.T / grid
     U, Y, new = _workspace(plan, grid, x.shape)
+    flat = U.reshape((-1,) + U.shape[2:])
     states = np.empty_like(new)
     states[...] = x
     w = np.empty_like(new)
@@ -259,7 +276,7 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
     for it in range(1, max_iter + 1):
         _eval_field(F, times, states, w)
         _sweep(plan, x, w, lam, h, (U, Y, new))
-        gap = _gap(new, states, U)
+        gap = _gap(new, states, flat)
         states, new = new, states
         if gap < tol:
             return Trajectory(times=times, states=states, lam=lam,

@@ -229,15 +229,6 @@ def chernoff_sum_limit(scheme: ChernoffScheme, seq: ChernoffSequence, x) -> Conv
     return table
 
 
-def exponential_scheme(A_of_mu: Callable[[float], np.ndarray], dim: int) -> ChernoffScheme:
-    """Scheme L(lam, mu) = exp(lam A^(mu))."""
-    return ChernoffScheme(
-        L=lambda lam, mu: mat_exp(as_matrix(A_of_mu(mu)), lam),
-        limit_generator=A_of_mu,
-        dim=dim,
-    )
-
-
 def resolvent_scheme(A_of_mu: Callable[[float], np.ndarray], dim: int) -> ChernoffScheme:
     """Scheme L(lam, mu) = (I - lam A^(mu))^{-1} (implicit Euler step).
 

@@ -56,6 +56,13 @@ def test_seed_flag_overrides_config(tmp_path):
     assert summary["seed"] == 9
 
 
+# a valid inline model with a field and a region, one dimension above
+# degree.MAX_DEGREE_DIM
+_MODEL_5D = {"A": [[-1.0 if i == j else 0.0 for j in range(5)] for i in range(5)],
+             "F": ["0.1*sin(2*pi*t/T)"] + ["0"] * 4,
+             "lipschitz": 0, "region": {"center": [0.0] * 5, "radius": 1.0}}
+
+
 # (experiment, config); each value case goes to an experiment that reads
 # its key, so it checks the value and not just the unread-key rule
 @pytest.mark.parametrize("cfg_obj", [
@@ -85,6 +92,8 @@ def test_seed_flag_overrides_config(tmp_path):
     ("wave-energy", {"model": "scalar-linear"}),       # no wave section
     ("averaging", {"model": {"A": [[-1.0]], "F": ["1-s"], "lambdas": [0.5],
                              "region": {"center": [0.0], "radius": 1.0}}}),
+    ("averaging", {"model": _MODEL_5D}),       # degrees stop at d = 4
+    ("continuation", {"model": _MODEL_5D}),
 ])
 def test_config_rejection_exits_2(tmp_path, cfg_obj, capsys):
     experiment, obj = cfg_obj
@@ -93,6 +102,13 @@ def test_config_rejection_exits_2(tmp_path, cfg_obj, capsys):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_the_degree_cap_is_the_only_fault_of_the_5d_model(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "m.json", {"model": _MODEL_5D})
+    assert main(["averaging", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+    assert "capped at dimension 4" in capsys.readouterr().err
+    assert main(["branching", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
 
 
 # a valid value for every numeric key that some experiment reads

@@ -22,6 +22,7 @@ from evolver import (
     get_model,
     mat_exp,
     model_from_config,
+    period_map,
     validate_family,
 )
 from evolver.catalog import MODEL_KEYS
@@ -145,6 +146,70 @@ def test_stacked_build_equals_per_node_exponentials(key):
         steps, prefix = _per_node_build(fam, n)
         assert np.array_equal(R.steps, steps)
         assert np.array_equal(R.prefix, prefix)
+
+
+@pytest.mark.parametrize("grid, reach", [
+    (64, 1),    # grid = n: the first step is R(t_1, 0)
+    (16, 4),    # each step spans four cells: the first is R(t_4, 0)
+    (128, 0),   # the first step ends off the grid: no prefix product
+])
+def test_a_period_map_solve_forms_only_the_prefix_it_reaches(grid, reach):
+    cm = get_model("rotation-damped-2d")
+    phi = period_map(cm.family, cm.field, 0.5, 64, grid=grid)
+    phi(np.array([[0.3, -0.2], [0.0, 0.1]]))
+    stored = phi.R._prefix
+    assert len(stored) == reach + 1
+    _, prefix = _per_node_build(phi.R.family, 64)
+    assert np.array_equal(stored, prefix[:reach + 1])
+
+
+def test_prefix_queries_in_either_order_give_the_same_bits():
+    fam = get_model("wave-k3").family
+    n = 256
+    _, prefix = _per_node_build(fam, n)
+    high, low = np.array([255, 200, 256]), np.array([3, 1, 40])
+    R1, R2 = build_evolution(fam, n), build_evolution(fam, n)
+    h1 = R1.operators(R1.nodes[high], 0.0)
+    l1 = R1.operators(R1.nodes[low], 0.0)
+    l2 = R2.operators(R2.nodes[low], 0.0)
+    assert len(R2._prefix) == 41
+    h2 = R2.operators(R2.nodes[high], 0.0)
+    assert np.array_equal(h1, h2) and np.array_equal(l1, l2)
+    assert np.array_equal(h1, prefix[high]) and np.array_equal(l1, prefix[low])
+
+
+def test_concurrent_prefix_queries_get_the_single_thread_bits():
+    fam = get_model("wave-k3").family
+    n = 512
+    _, prefix = _per_node_build(fam, n)
+    ks = (512, 97, 300, 5)
+    for _ in range(3):
+        R = build_evolution(fam, n)
+        results, errors = {}, []
+        start = threading.Barrier(len(ks))
+
+        def work(k):
+            try:
+                start.wait(timeout=60)
+                results[k] = R.operator(R.nodes[k], 0.0)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in ks]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors
+        for k in ks:
+            assert np.array_equal(results[k], prefix[k])
+        assert np.array_equal(R._prefix, prefix[:len(R._prefix)])
 
 
 @pytest.mark.parametrize("bad", [

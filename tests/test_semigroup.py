@@ -12,7 +12,6 @@ from evolver import (
     chernoff_power_limit,
     chernoff_sum_limit,
     dissipativity_rate,
-    exponential_scheme,
     get_model,
     mat_exp,
     metric_cholesky,
@@ -22,6 +21,12 @@ from evolver import (
 )
 
 from oracles import eigh_rate, gram_norm
+
+
+def exponential_scheme(A_of_mu, dim):
+    """The exact Chernoff scheme L(lam, mu) = exp(lam A^(mu))."""
+    return ChernoffScheme(L=lambda lam, mu: mat_exp(A_of_mu(mu), lam),
+                          limit_generator=A_of_mu, dim=dim)
 
 
 def test_metric_cholesky_validation():
