@@ -53,7 +53,6 @@ from .evolsys import (
     cocycle_defect,
     contraction_check,
     family_continuity_gap,
-    validate_family,
 )
 from .mild import (
     FixedPointResult,
@@ -84,7 +83,6 @@ from .averaging import (
 )
 from .wave import (
     EnergyReport,
-    EtaMetric,
     EtaSelection,
     NondegeneracyReport,
     NondegeneracyRow,
@@ -121,7 +119,6 @@ __all__ = [
     "DegenerateZeroError",
     "DegreeReport",
     "EnergyReport",
-    "EtaMetric",
     "EtaSelection",
     "EvolutionSystem",
     "EvolverError",
@@ -186,6 +183,5 @@ __all__ = [
     "select_eta",
     "spectral_invariance_gap",
     "unit_eigenvalue_gap",
-    "validate_family",
     "winding_number_2d",
 ]

@@ -26,6 +26,7 @@ from .errors import (
     InadmissibleRegionError,
     InvalidInputError,
     OracleFailureError,
+    ResourceLimitError,
 )
 from .evolsys import MAX_SUBDIVISION, GeneratorFamily, affine_family, build_evolution
 from .mild import DEFAULT_GRID, fixed_point, period_map
@@ -178,7 +179,7 @@ def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
     The defect decays like O(lam): fixed points accumulate on the zero
     of the averaged field.  Each rung solves ||Phi_T^lam(x) - x|| to
     1e-10; a failed solve marks its row and the sweep continues (warm
-    starts skip the failed rung).
+    starts skip the failed rung); a ResourceLimitError ends the sweep.
     """
     lams = [float(l) for l in lambdas]
     if any(l <= 0 for l in lams):
@@ -189,6 +190,8 @@ def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
     for lam in lams:
         try:
             fp = fixed_point(period_map(family, F, lam, n, grid), x_start, tol=1e-10)
+        except ResourceLimitError:
+            raise
         except EvolverError as exc:
             rows.append(BranchingRow(lam=lam, ok=False, error=str(exc)))
             continue

@@ -148,8 +148,7 @@ def compile_field(exprs, T: float):
 
 def _scalar_linear() -> CatalogModel:
     T = 1.0
-    family = GeneratorFamily(dim=1, A=lambda t: np.full(np.shape(t) + (1, 1), -1.0),
-                             T=T, omega=1.0, periodic=True)
+    family = GeneratorFamily(dim=1, A=lambda t: np.full(np.shape(t) + (1, 1), -1.0), T=T)
     F = compile_field(["2+sin(2*pi*t/T)"], T)
     field = NonlinearField(F=F, lipschitz=0.0)
     region = Region.ball(np.array([2.0]), 1.5)
@@ -163,8 +162,7 @@ def _rotation_damped() -> CatalogModel:
         [["-(1+0.3*sin(2*pi*t/T))", "-1"],
          ["1", "-(1+0.3*sin(2*pi*t/T))"]], T,
     )
-    # dissipativity rate of the rotation block is the damping itself
-    family = GeneratorFamily(dim=d, A=A, T=T, omega=0.7, periodic=True)
+    family = GeneratorFamily(dim=d, A=A, T=T)
     F = compile_field(
         ["1+0.2*cos(2*pi*t/T)+0.1*tanh(s)",
          "0.5+0.2*sin(2*pi*t/T)+0.1*tanh(s)"], T,
@@ -213,7 +211,7 @@ def get_model(key: str) -> CatalogModel:
     return _BUILDERS[key]()
 
 
-_INLINE_KEYS = {"A", "T", "F", "lipschitz", "omega", "region"}
+_INLINE_KEYS = {"A", "T", "F", "lipschitz", "region"}
 _REGION_KEYS = {"ball": {"center", "radius"}, "box": {"lo", "hi"}}
 
 
@@ -243,8 +241,8 @@ def model_from_config(spec) -> CatalogModel:
 
     Inline schema: {"A": matrix spec, "T": period (default 1), optional
     "F": [expr per component], "lipschitz" (a bound >= 0 for F, none if
-    absent: the degree then keeps every Newton start), "omega" (default
-    0), "region": {"kind": "ball", "center": [...], "radius": r} or
+    absent: the degree then keeps every Newton start), "region":
+    {"kind": "ball", "center": [...], "radius": r} or
     {"kind": "box", "lo": [...], "hi": [...]}}.
     Unknown keys, wrong types and non-finite numbers raise ConfigError.
     """
@@ -261,8 +259,7 @@ def model_from_config(spec) -> CatalogModel:
     if T <= 0:
         raise ConfigError("model period T must be positive")
     A, d = compile_matrix(spec["A"], T)
-    omega = _number(spec.get("omega", 0.0), "omega")
-    family = GeneratorFamily(dim=d, A=A, T=T, omega=omega, periodic=True)
+    family = GeneratorFamily(dim=d, A=A, T=T)
     lip = _number(spec["lipschitz"], "lipschitz") if "lipschitz" in spec else np.inf
     if lip < 0:
         raise ConfigError(f"lipschitz must be nonnegative, got {lip}")

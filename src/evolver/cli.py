@@ -289,8 +289,7 @@ def run_evolsys(cm, num, seed):
     order = float(-np.polyfit(np.log(ref_ns), np.log(errs), 1)[0])
     rows.append(["order", "", order, 0.9, order >= 0.9])
 
-    G = fam.metric if fam.metric is not None else np.eye(fam.dim)
-    rate_min = float(np.min(dissipativity_rate(fam.stack(R.nodes), G)))
+    rate_min = float(np.min(dissipativity_rate(fam.stack(R.nodes), fam.metric)))
     excess = contraction_check(R, rate_min)
     rows.append(["contraction", "omega=%.6g" % rate_min, excess, 1e-9, excess <= 1e-9])
 

@@ -36,7 +36,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .linop import as_matrix, as_vector, mat_exp
-from .semigroup import dissipativity_rate, metric_cholesky, metric_operator_norm
+from .semigroup import metric_cholesky, metric_operator_norm
 
 MAX_SUBDIVISION = 2 ** 14
 
@@ -62,9 +62,8 @@ class GeneratorFamily:
        scalar t gives the (dim, dim) matrix, a 1-d array ts gives the
        (len(ts), dim, dim) stack whose slice i equals A(ts[i]) exactly
     T: period (length of the time window)
-    omega: claimed uniform dissipativity rate (0 means no claim)
-    metric: SPD matrix of the inner product the rate refers to (None = Euclidean)
-    periodic: whether A(0) = A(T) is part of the family's contract
+    metric: SPD matrix of the inner product the family is dissipative in
+       (None = Euclidean); every rate is computed in it, where it is read
 
     Construction checks both shapes, A(0) and the stack A([0, T]), and
     raises InvalidInputError for a family that ignores an array t.
@@ -73,9 +72,7 @@ class GeneratorFamily:
     dim: int
     A: Callable[[float], np.ndarray]
     T: float
-    omega: float = 0.0
     metric: np.ndarray | None = None
-    periodic: bool = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -112,7 +109,7 @@ def affine_family(family: GeneratorFamily, a: float = 1.0,
     """The family t -> a (A(t) + B(t)) for a >= 0, or t -> a A(t) without B.
 
     B broadcasts over time like A, or is one (dim, dim) matrix for all t.
-    The rate claim scales to a * omega without B; a shift voids it (0).
+    The result keeps the family's metric.
     """
     if a < 0 or not np.isfinite(a):
         raise InvalidInputError("scale factor must be nonnegative and finite")
@@ -121,46 +118,7 @@ def affine_family(family: GeneratorFamily, a: float = 1.0,
         A = lambda t: a * base(t)
     else:
         A = lambda t: a * (base(t) + np.asarray(B(t), dtype=float))
-    omega = a * family.omega if B is None else 0.0
-    return GeneratorFamily(dim=family.dim, A=A, T=family.T, omega=omega,
-                           metric=family.metric, periodic=family.periodic)
-
-
-def validate_family(family: GeneratorFamily, samples: int = 129) -> dict:
-    """Sampled invariant report: periodicity, claimed rate, continuity.
-
-    Returns a dict with the measured quantities and a 'passed' flag.
-    Continuity is judged by comparing the largest adjacent-node jump of
-    A at two resolutions; a genuine discontinuity keeps the jump from
-    shrinking.
-    """
-    if samples < 2:
-        raise InvalidInputError("need at least 2 samples")
-    gens = family.stack(np.linspace(0.0, family.T, samples))
-    rate_min = float(np.min(dissipativity_rate(gens, family.metric)))
-    periodic_defect = float(np.linalg.norm(gens[0] - gens[-1], 2))
-
-    def max_jump(m):
-        vals = family.stack(np.linspace(0.0, family.T, m + 1))
-        return float(np.max(np.linalg.norm(np.diff(vals, axis=0), 2, axis=(1, 2))))
-
-    jump_c = max_jump(256)
-    jump_f = max_jump(512)
-    continuity_ok = jump_f <= max(0.75 * jump_c, 1e-9)
-    passed = (
-        rate_min >= family.omega - 1e-10
-        and (not family.periodic or periodic_defect <= 1e-12)
-        and continuity_ok
-    )
-    return {
-        "rate_min": float(rate_min),
-        "claimed_omega": family.omega,
-        "periodic_defect": periodic_defect,
-        "jump_coarse": jump_c,
-        "jump_fine": jump_f,
-        "continuity_ok": continuity_ok,
-        "passed": bool(passed),
-    }
+    return GeneratorFamily(dim=family.dim, A=A, T=family.T, metric=family.metric)
 
 
 @dataclass(frozen=True)
@@ -218,7 +176,8 @@ class EvolutionSystem:
         The extension copies a snapshot of the stored stack, continues the
         recurrence from its last entry, and replaces the stored stack with
         one assignment, so every entry is the same product whichever
-        query formed it.
+        query formed it.  Raises InvalidInputError, and stores nothing,
+        when a new product is not finite.
         """
         P = self._prefix
         have = len(P)
@@ -226,8 +185,11 @@ class EvolutionSystem:
             return P
         ext = np.empty((k + 1,) + P.shape[1:])
         ext[:have] = P
-        for step, cur, nxt in zip(self.steps[have - 1:k], ext[have - 1:k], ext[have:]):
-            np.matmul(step, cur, out=nxt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step, cur, nxt in zip(self.steps[have - 1:k], ext[have - 1:k], ext[have:]):
+                np.matmul(step, cur, out=nxt)
+        if not np.all(np.isfinite(ext[have:])):
+            raise InvalidInputError(f"a product R(t_j, 0), j <= {k}, overflows")
         ext.flags.writeable = False
         object.__setattr__(self, "_prefix", ext)
         return ext
@@ -341,6 +303,13 @@ class EvolutionSystem:
         return E
 
 
+def uniform_nodes(T: float, m: int) -> np.ndarray:
+    """The m + 1 uniform nodes of [0, T]; ResourceLimitError for m > MAX_SUBDIVISION."""
+    if m > MAX_SUBDIVISION:
+        raise ResourceLimitError(f"subdivision {m} of [0, T] exceeds {MAX_SUBDIVISION}")
+    return np.linspace(0.0, T, m + 1)
+
+
 def build_evolution(family: GeneratorFamily, n: int) -> EvolutionSystem:
     """Build the frozen-coefficient product system at subdivision n.
 
@@ -350,14 +319,15 @@ def build_evolution(family: GeneratorFamily, n: int) -> EvolutionSystem:
     product is formed here: the system forms them as queries reach them.
 
     Raises ResourceLimitError for n > 2^14 and InvalidInputError for
-    n < 1, for a stack that is not (n, d, d) or for a non-finite A(t_j).
+    n < 1, for a stack that is not (n, d, d), for a non-finite A(t_j) or
+    for a step exponential that overflows.
     """
     if n < 1:
         raise InvalidInputError("subdivision n must be >= 1")
-    if n > MAX_SUBDIVISION:
-        raise ResourceLimitError(f"subdivision n = {n} exceeds {MAX_SUBDIVISION}")
-    nodes = np.linspace(0.0, family.T, n + 1)
+    nodes = uniform_nodes(family.T, n)
     steps = mat_exp(family.stack(nodes[:-1]), family.T / n)
+    if not np.all(np.isfinite(steps)):
+        raise InvalidInputError(f"a step exp(h A(t_j)) overflows at subdivision n = {n}")
     return EvolutionSystem(family=family, n=n, nodes=nodes, steps=steps)
 
 

@@ -45,7 +45,13 @@ from .errors import (
     DegenerateFixedPointError,
     InvalidInputError,
 )
-from .evolsys import EvolutionSystem, GeneratorFamily, affine_family, build_evolution
+from .evolsys import (
+    EvolutionSystem,
+    GeneratorFamily,
+    affine_family,
+    build_evolution,
+    uniform_nodes,
+)
 from .linop import CONVERGED, SINGULAR, STALLED, as_vector, damped_newton, fd_eval
 
 DEFAULT_GRID = 2048
@@ -256,12 +262,13 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
     until the sup-norm update is below tol; every pass evaluates the field
     into one forcing path and runs in one workspace whose two state paths
     swap roles.  Raises ConvergenceError (with the last update size) after
-    max_iter sweeps or on blow-up.
+    max_iter sweeps or on blow-up, and ResourceLimitError for a grid above
+    MAX_SUBDIVISION, the cap that uniform_nodes shares with n.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape[-1] != R.dim:
         raise InvalidInputError("state dimension mismatch")
-    times = np.linspace(0.0, R.T, grid + 1)
+    times = uniform_nodes(R.T, grid)
     if x.size == 0:
         return Trajectory(times=times, states=np.empty((grid + 1,) + x.shape), lam=lam)
     plan = _scan_plan(R.step_operators(times))
@@ -324,7 +331,7 @@ class PeriodMap:
         q = 0.5 * self.lam * h * getattr(self.F, "lipschitz", np.inf)
         if not q < 1.0:
             return np.inf, 0.0
-        E = self.R.step_operators(np.linspace(0.0, self.R.T, self.grid + 1))
+        E = self.R.step_operators(uniform_nodes(self.R.T, self.grid))
         a = np.linalg.norm(E, 2, axis=(1, 2)).tolist()
         b = np.linalg.norm(E - np.eye(E.shape[-1]), 2, axis=(1, 2)).tolist()
         r = (1.0 + q) / (1.0 - q)

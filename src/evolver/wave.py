@@ -19,9 +19,9 @@ F(t, (u, v)) = (0, -N_f(t, u)), with N_f projected onto the modes by
 sine collocation at 4k interior nodes (exact on the resolved modes).
 
 build_wave_model assembles a WaveModel once: it selects eta, builds the
-eta metric and the one generator family, certifies its decay rate as the
-family's omega, and sets up the collocation.  Everything else reads that
-model: select_eta reports the rates, nonlinear_field lifts f, and
+one generator family with the eta metric G as family.metric, and sets up
+the collocation.  Everything else reads that model: select_eta computes
+the family's decay rates in G, nonlinear_field lifts f, and
 energy_residual audits the energy balance with the model's own forcing.
 The module also checks the eigenmode invariance of the evolution system,
 runs linearized nondegeneracy diagnostics, and locates T-periodic states
@@ -37,7 +37,7 @@ import numpy as np
 
 from .averaging import average_generator, monodromy, unit_eigenvalue_gap
 from .errors import ConfigError, InvalidInputError
-from .evolsys import GeneratorFamily, build_evolution
+from .evolsys import GeneratorFamily, affine_family, build_evolution
 from .mild import (
     DEFAULT_GRID,
     FixedPointResult,
@@ -51,42 +51,11 @@ from .semigroup import dissipativity_rate, metric_norm
 MAX_MODES = 64
 
 
-@dataclass(frozen=True)
-class EtaMetric:
-    """Shifted energy metric in mode coordinates.
-
-    G realizes the eta-inner product; c_lo/c_hi are the equivalence
-    constants to the plain energy norm |u|_{1/2}^2 + |v|_0^2:
-    c_lo ||z||_E <= ||z||_eta <= c_hi ||z||_E.
-    """
-
-    eta: float
-    G: np.ndarray
-    c_lo: float
-    c_hi: float
-
-
 def eta_metric_matrix(eigs, eta: float) -> np.ndarray:
     """G with z^T G z = sum_i lam_i a_i^2 + sum_i (b_i + eta a_i)^2."""
     lam = np.asarray(eigs, dtype=float)
-    k = len(lam)
-    G = np.zeros((2 * k, 2 * k))
-    G[:k, :k] = np.diag(lam + eta ** 2)
-    G[:k, k:] = eta * np.eye(k)
-    G[k:, :k] = eta * np.eye(k)
-    G[k:, k:] = np.eye(k)
-    return G
-
-
-def _eta_metric(eigs, eta: float) -> EtaMetric:
-    lam = np.asarray(eigs, dtype=float)
-    G = eta_metric_matrix(lam, eta)
-    # G0 = diag(lam, 1) is diagonal, so the pencil (G, G0) has the
-    # eigenvalues of D^{-1/2} G D^{-1/2}, D = diag(G0)
-    r = 1.0 / np.sqrt(np.concatenate([lam, np.ones(len(lam))]))
-    gen = np.linalg.eigvalsh(r[:, None] * G * r[None, :])
-    return EtaMetric(eta=float(eta), G=G, c_lo=float(np.sqrt(gen[0])),
-                     c_hi=float(np.sqrt(gen[-1])))
+    eye = np.eye(len(lam))
+    return np.block([[np.diag(lam + eta ** 2), eta * eye], [eta * eye, eye]])
 
 
 @dataclass(frozen=True)
@@ -103,7 +72,7 @@ class WaveModel:
     lipschitz: float
     beta0: float
     gamma: float
-    eta_metric: EtaMetric
+    eta: float
     family: GeneratorFamily
     colloc_matrix: np.ndarray
     colloc_weight: float
@@ -132,8 +101,8 @@ def _beta_at(beta, t) -> np.ndarray:
     return np.broadcast_to(vals, np.shape(t))
 
 
-def _block_generator(eigs, beta, coupling=None):
-    """A(t) = [[0, I], [-Lam, -(beta(t) I + coupling)]], batched over t."""
+def _block_generator(eigs, beta):
+    """A(t) = [[0, I], [-Lam, -beta(t) I]], batched over t."""
     lam = np.asarray(eigs, dtype=float)
     k = len(lam)
     eye = np.eye(k)
@@ -143,8 +112,6 @@ def _block_generator(eigs, beta, coupling=None):
 
     def A(t):
         damp = _beta_at(beta, t)[..., None, None] * eye
-        if coupling is not None:
-            damp = damp + coupling
         out = np.broadcast_to(base, damp.shape[:-2] + base.shape).copy()
         out[..., k:, k:] = -damp
         return out
@@ -170,9 +137,8 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
 
     beta is screened for positivity on 2049 uniform nodes of [0, T], which
     also give beta0 = min beta and gamma = max(beta + 1) / sqrt(lam_1).
-    eta maximizes the analytic rate (see select_eta).  The family carries
-    the eta metric G and, as omega, the numeric rate: the minimum of the
-    dissipativity rate of A(t) in G over 257 uniform nodes of [0, T].
+    eta maximizes the analytic rate (see select_eta) and is kept as
+    model.eta; the eta metric G is kept only as family.metric.
     """
     if not (np.isfinite(ell) and ell > 0):
         raise InvalidInputError("domain length ell must be positive")
@@ -180,7 +146,6 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
         raise InvalidInputError(f"mode count k must lie in [1, {MAX_MODES}]")
     if not (np.isfinite(T) and T > 0):
         raise InvalidInputError("period T must be positive")
-    idx = np.arange(1, k + 1)
     eigs = _mode_eigs(ell, k)
 
     beta_vals = _beta_at(beta, np.linspace(0.0, T, 2049))
@@ -204,39 +169,37 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
     eta = min(1.0, beta0 / (1.5 + gamma ** 2 / 2.0))
     if not (np.isfinite(eta) and eta > 0):
         raise ConfigError(f"no admissible damping shift: beta0 = {beta0}")
-    metric = _eta_metric(eigs, eta)
-    A = _block_generator(eigs, beta)
-    omega = np.min(dissipativity_rate(A(np.linspace(0.0, T, 257)), metric.G))
-    family = GeneratorFamily(dim=2 * k, A=A, T=T, omega=float(omega),
-                             metric=metric.G, periodic=True)
+    family = GeneratorFamily(dim=2 * k, A=_block_generator(eigs, beta), T=T,
+                             metric=eta_metric_matrix(eigs, eta))
 
     M = 4 * k
     Phi = np.sqrt(2.0 / ell) * np.sin(
-        np.outer(np.arange(1, M + 1), idx) * np.pi / (M + 1)
+        np.outer(np.arange(1, M + 1), np.arange(1, k + 1)) * np.pi / (M + 1)
     )
     return WaveModel(
         ell=float(ell), k=int(k), eigs=eigs, beta=beta, T=float(T), f=f,
         f_inf=float(f_inf), lipschitz=float(lipschitz), beta0=beta0,
-        gamma=gamma, eta_metric=metric, family=family, colloc_matrix=Phi,
+        gamma=gamma, eta=float(eta), family=family, colloc_matrix=Phi,
         colloc_weight=ell / (M + 1),
     )
 
 
 def select_eta(model: WaveModel) -> EtaSelection:
-    """Optimal damping shift for the model's beta profile.
+    """The model's damping shift eta and its two decay rates in the eta metric.
 
     The analytic rate min(eta/2, beta0 - eta - eta gamma^2/2) is the
     minimum of a rising and a falling line, so its maximum over (0, 1] is
     at eta = min(1, beta0 / (3/2 + gamma^2/2)), in closed form; the model
-    is built in that metric.  Reports that rate and the numerically exact
-    rate of the family in the same metric, which build_wave_model stored
-    as family.omega.  The numeric rate is authoritative; the analytic
-    one is its certified lower bound.
+    is built in that metric.  The numeric rate, the least dissipativity
+    rate of the family's generators at 257 uniform nodes of [0, T], is
+    computed here.  It is authoritative; the analytic one is its certified
+    lower bound.
     """
-    eta = model.eta_metric.eta
+    eta = model.eta
     rate = min(eta / 2.0, model.beta0 - eta - eta * model.gamma ** 2 / 2.0)
-    return EtaSelection(eta=eta, rate_analytic=float(rate),
-                        rate_numeric=model.family.omega)
+    gens = model.family.stack(np.linspace(0.0, model.family.T, 257))
+    rate_numeric = float(np.min(dissipativity_rate(gens, model.family.metric)))
+    return EtaSelection(eta=eta, rate_analytic=float(rate), rate_numeric=rate_numeric)
 
 
 def project_nonlinearity(model: WaveModel, t, a):
@@ -349,23 +312,28 @@ def spectral_invariance_gap(model: WaveModel, k: int, k_big: int,
     pairs must be nonempty; the result is exactly the max of the
     single-pair gaps.  For the diagonal damped wave family the modes
     never couple, so the gap is roundoff-level; a nonzero k_big x k_big
-    coupling matrix (applied to the damping block of both sections)
-    destroys the invariance and serves as a negative control.
+    coupling matrix C, whose leading block -C[:m, :m] shifts the damping
+    block of the m-mode section through affine_family, destroys the
+    invariance and serves as a negative control.
     """
     if not 1 <= k < k_big <= MAX_MODES:
         raise InvalidInputError(f"need 1 <= k < k' <= {MAX_MODES}")
     pairs = list(pairs)
     if not pairs:
         raise InvalidInputError("need at least one (t, s) pair")
-    C = None if coupling is None else np.asarray(coupling, dtype=float)
-    sections = ((k, None if C is None else C[:k, :k]), (k_big, C))
-    Ra, Rb = (build_evolution(GeneratorFamily(
-        dim=2 * m, A=_block_generator(_mode_eigs(model.ell, m), model.beta, Cm),
-        T=model.T), n) for m, Cm in sections)
+
+    def system(m):
+        family = GeneratorFamily(dim=2 * m, T=model.T,
+                                 A=_block_generator(_mode_eigs(model.ell, m), model.beta))
+        if coupling is not None:
+            shift = np.pad(-np.asarray(coupling, dtype=float)[:m, :m], ((m, 0), (m, 0)))
+            family = affine_family(family, B=lambda t: shift)
+        return build_evolution(family, n)
+
     t, s = np.array(pairs, dtype=float).reshape(-1, 2).T
     # row e of R(t, s)^T is R(t, s) e, the image of basis state e
-    small = Ra.operators(t, s).swapaxes(-1, -2)
-    big = _embed(np.eye(2 * k), k, k_big) @ Rb.operators(t, s).swapaxes(-1, -2)
+    small = system(k).operators(t, s).swapaxes(-1, -2)
+    big = _embed(np.eye(2 * k), k, k_big) @ system(k_big).operators(t, s).swapaxes(-1, -2)
     diff = np.linalg.norm(big - _embed(small, k, k_big), axis=-1)
     return float(np.max(diff))
 
@@ -445,6 +413,6 @@ def find_periodic_wave(model: WaveModel, lam: float = 1.0, n: int = 2048,
     phi = period_map(model.family, nonlinear_field(model), lam, n, grid)
     fp = fixed_point(phi, np.zeros(model.dim), tol=fp_tol)
     traj = phi(fp.x)
-    residual = metric_norm(traj.final - fp.x, model.eta_metric.G)
+    residual = metric_norm(traj.final - fp.x, model.family.metric)
     return WavePeriodicResult(trajectory=traj, fixed_point=fp,
                               residual_eta=residual)

@@ -130,8 +130,7 @@ def test_parameter_continuity():
             return np.asarray(base_A(t), dtype=float) + np.multiply.outer(
                 _e * np.cos(2.0 * np.pi * t / T), np.eye(fam.dim))
 
-        fam2 = GeneratorFamily(dim=fam.dim, A=A2, T=T, omega=0.0,
-                               metric=fam.metric, periodic=True)
+        fam2 = GeneratorFamily(dim=fam.dim, A=A2, T=T, metric=fam.metric)
         [(lhs, rhs)] = family_continuity_gap(fam, [fam2], 128, v)
         lhss.append(lhs)
         bound_ok = bound_ok and lhs <= rhs

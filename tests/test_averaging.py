@@ -45,7 +45,7 @@ def test_average_generator_matches_quad_oracle():
             np.stack([np.exp(-t), np.full_like(t, -1.0)], axis=-1),
         ], axis=-2)
 
-    fam = GeneratorFamily(dim=2, A=A, T=1.0, periodic=False)
+    fam = GeneratorFamily(dim=2, A=A, T=1.0)
     got = average_generator(fam)
     for i in range(2):
         for j in range(2):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evolver import ConfigError, ExprError, InvalidInputError
+from evolver import ConfigError, ExprError, InvalidInputError, dissipativity_rate
 from evolver.catalog import (
     AVERAGING_LADDER,
     BRANCHING_LADDER,
@@ -35,7 +35,6 @@ def test_scalar_linear_model():
     m = get_model("scalar-linear")
     assert m.kind == "ode" and m.dim == 1 and m.T == 1.0
     assert np.array_equal(m.family.A(0.37), [[-1.0]])
-    assert m.family.omega == 1.0
     # forcing peaks at quarter period: 2 + sin(pi/2) = 3
     assert np.allclose(m.field(0.25, np.zeros(1)), [3.0], atol=1e-14)
     assert m.region.contains(np.array([2.0]))
@@ -44,10 +43,26 @@ def test_scalar_linear_model():
 
 def test_rotation_model_frozen():
     m = get_model("rotation-damped-2d")
-    assert m.dim == 2 and m.family.omega == 0.7
+    assert m.dim == 2
     assert np.allclose(m.family.A(0.25), [[-1.3, -1.0], [1.0, -1.3]], atol=1e-14)
     assert np.allclose(m.field(0.0, np.zeros(2)), [1.2, 0.5], atol=1e-14)
     assert m.region.contains(np.array([0.25, 0.75]))
+
+
+@pytest.mark.parametrize("key", MODEL_KEYS)
+def test_catalog_family_contracts_and_is_periodic(key):
+    # the rate is computed where it is read, at the nodes build_evolution
+    # freezes, in the family's metric; the rotation model's is its least
+    # damping 0.7 and scalar-linear's is 1
+    family = get_model(key).family
+    nodes = np.linspace(0.0, family.T, 257)[:-1]
+    rate = float(np.min(dissipativity_rate(family.stack(nodes), family.metric)))
+    assert rate > 0.0
+    want = {"scalar-linear": 1.0, "rotation-damped-2d": 0.7}
+    if key in want:
+        assert rate == pytest.approx(want[key], abs=1e-12)
+    # periodic up to the roundoff of sin(2 pi)
+    assert np.linalg.norm(family.A(0.0) - family.A(family.T), 2) <= 1e-12
 
 
 def test_wave_models():
@@ -114,12 +129,10 @@ def test_inline_model():
         "T": 1.0,
         "F": ["1+s", "cos(2*pi*t)"],
         "lipschitz": 1.0,
-        "omega": 0.9,
         "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 2.0},
     }
     m = model_from_config(spec)
-    assert m.key == "inline" and m.dim == 2
-    assert m.family.omega == 0.9
+    assert m.key == "inline" and m.dim == 2 and m.family.metric is None
     assert np.allclose(m.family.A(0.25), [[-2.0, 0.5], [0.0, -1.0]], atol=1e-14)
     assert np.allclose(m.field(0.0, np.array([1.0, 0.0])), [2.0, 1.0], atol=1e-14)
     assert m.region.contains(np.zeros(2))
@@ -169,7 +182,7 @@ def test_inline_config_errors():
         model_from_config({"A": [[-1.0]], "region": {"kind": "torus"}})
     # wrong types, non-finite numbers and unknown keys are all config errors
     for bad in ({"A": [[-1.0]], "T": float("nan")}, {"A": [[None]]}, {"A": []},
-                {"A": [[-1.0]], "omega": "1"}, {"A": [[-1.0]], "lambdas": [0.5]},
+                {"A": [[-1.0]], "omega": 1}, {"A": [[-1.0]], "lambdas": [0.5]},
                 {"A": [[-1.0]], "region": {"kind": "box", "lo": [0.0]}},
                 {"A": [[-1.0]], "F": ["s"], "lipschitz": True},
                 {"A": [[-1.0]], "F": ["s"], "lipschitz": -3}):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from evolver.catalog import _INLINE_KEYS
 from evolver.cli import EXPERIMENT_NAMES, EXPERIMENTS, _validate_config, main
 
 
@@ -152,6 +153,22 @@ def test_readme_lists_the_keys_each_experiment_reads():
     assert listed == {name: set(row.numeric) for name, row in EXPERIMENTS.items()}
 
 
+def test_readme_lists_the_inline_model_keys():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullets = text.split("An\ninline model accepts exactly these keys:", 1)[1].split("\n\n", 2)[1]
+    listed = set(re.findall(r"^\* `(\w+)`", bullets, flags=re.M))
+    assert listed == _INLINE_KEYS
+
+
+def test_inline_omega_is_an_unknown_key(tmp_path, capsys):
+    # a family carries no rate claim; every rate is computed where it is read
+    cfg = _write_cfg(tmp_path, "o.json", {"model": {"A": [[-1.0]], "omega": 1.0}})
+    assert main(["evolsys", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: unknown inline model keys: ['omega']" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{'not': json}", encoding="utf-8")
@@ -223,6 +240,36 @@ def test_energy_audit_on_a_two_node_path_exits_1(tmp_path, capsys):
     rc = main(["wave-energy", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "numeric failure: invalid-input" in capsys.readouterr().err
+
+
+def _failure_summary(out, experiment):
+    # a numeric failure writes the summary and no CSV
+    assert not (out / f"{experiment}.csv").exists()
+    return json.loads((out / f"{experiment}.summary.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("experiment", ["averaging", "branching", "continuation"])
+def test_oversized_grid_is_a_resource_guard_failure(tmp_path, capsys, experiment):
+    # grid subdivides [0, T] like n and shares its cap, 2^14
+    cfg = _write_cfg(tmp_path, "g.json", {"numeric": {"grid": 2 ** 62}})
+    out = tmp_path / "o"
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"numeric failure: resource-guard: subdivision {2 ** 62} of [0, T] exceeds 16384" in err
+    summary = _failure_summary(out, experiment)
+    assert (summary["verdict"], summary["error"]) == ("fail", "resource-guard")
+
+
+def test_overflowing_step_products_exit_1(tmp_path, capsys):
+    # at f_inf = 1e20 every step exp(h lam (A + B)) is finite, but their
+    # products toward the monodromy overflow
+    cfg = _write_cfg(tmp_path, "w.json", {"numeric": {"f_inf": 1e20}})
+    out = tmp_path / "o"
+    assert main(["wave-periodic", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "numeric failure: invalid-input" in err and "overflows" in err
+    summary = _failure_summary(out, "wave-periodic")
+    assert (summary["verdict"], summary["error"]) == ("fail", "invalid-input")
 
 
 def test_degree_boundary_zero_exits_1(tmp_path, capsys):

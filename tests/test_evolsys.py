@@ -23,10 +23,9 @@ from evolver import (
     mat_exp,
     model_from_config,
     period_map,
-    validate_family,
 )
 from evolver.catalog import MODEL_KEYS
-from evolver.semigroup import metric_operator_norm
+from evolver.semigroup import dissipativity_rate, metric_operator_norm
 
 from oracles import gap_integral, rk4_transition, walk_operator
 
@@ -37,7 +36,6 @@ def _scalar_family():
         dim=1,
         A=lambda t: -(2.0 + np.sin(2.0 * np.pi * t))[..., None, None],
         T=1.0,
-        omega=1.0,
     )
 
 
@@ -64,9 +62,12 @@ def _swirl(t):
 
 
 def _coupled_wave():
+    # the negative control of spectral_invariance_gap: damping block -(beta I + C)
     model = get_model("wave-k3").wave
-    A = wave._block_generator(model.eigs, model.beta, coupling=0.1 * np.ones((3, 3)))
-    return GeneratorFamily(dim=model.dim, A=A, T=model.T)
+    shift = np.zeros((6, 6))
+    shift[3:, 3:] = -0.1 * np.ones((3, 3))
+    return affine_family(GeneratorFamily(dim=model.dim, A=wave._block_generator(
+        model.eigs, model.beta), T=model.T), B=lambda t: shift)
 
 
 _CONTRACT_FAMILIES = {
@@ -125,6 +126,26 @@ def test_build_guards():
         build_evolution(fam, 0)
     with pytest.raises(ResourceLimitError):
         build_evolution(fam, 2 ** 14 + 1)
+
+
+def test_build_rejects_overflowing_steps():
+    # exp(h A) = e^1000 is not a float, though A itself is finite
+    fam = GeneratorFamily(dim=1, A=lambda t: np.full(np.shape(t) + (1, 1), 1000.0), T=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInputError, match="overflow"):
+            build_evolution(fam, 1)
+
+
+def test_overflowing_prefix_raises_and_stores_nothing():
+    # each step is e^400 and finite, but R(t_2, 0) = e^800 is not
+    fam = GeneratorFamily(dim=1, A=lambda t: np.full(np.shape(t) + (1, 1), 400.0), T=4.0)
+    R = build_evolution(fam, 4)
+    assert np.all(np.isfinite(R.steps))
+    assert R.operator(1.0, 0.0)[0, 0] == R.steps[0, 0, 0]
+    for query in (lambda: R.prefix, lambda: R.operator(4.0, 0.0)):
+        with pytest.raises(InvalidInputError, match="overflow"):
+            query()
+    assert len(R._prefix) == 2
 
 
 def _per_node_build(family, n):
@@ -231,7 +252,7 @@ def test_build_rejects_bad_interior_node(bad):
             return good
         return np.broadcast_to(bad, np.shape(t) + np.shape(bad))
 
-    fam = GeneratorFamily(dim=2, A=A, T=1.0, periodic=False)
+    fam = GeneratorFamily(dim=2, A=A, T=1.0)
     with pytest.raises(InvalidInputError):
         build_evolution(fam, 16)
 
@@ -347,7 +368,7 @@ def test_contraction_check_samples_match_loop(key, n):
     R = build_evolution(get_model(key).family, n)
     G = R.family.metric if R.family.metric is not None else np.eye(R.dim)
     t, s = np.array(_loop_contraction_pairs(R)).T
-    omega = R.family.omega
+    omega = float(np.min(dissipativity_rate(R.family.stack(R.nodes), G)))
     want = np.max(metric_operator_norm(R.operators(t, s), G) * np.exp(omega * (t - s)) - 1.0)
     assert contraction_check(R, omega) == want
 
@@ -365,39 +386,21 @@ def test_scale_and_shift_family():
     assert np.array_equal(affine_family(fam, 0.3, B).A(ts), 0.3 * (fam.A(ts) + B(ts)))
 
 
-def test_affine_family_rate_claim():
+def test_affine_family_scales_the_computed_rate():
+    # the rate of a A(t) in the family's metric is a times the rate of A(t),
+    # up to roundoff; the metric is kept, and a negative or non-finite a is refused
     for key in MODEL_KEYS:
         fam = get_model(key).family
-        assert fam.omega > 0.0
+        ts = np.linspace(0.0, fam.T, 33)
+        rate = dissipativity_rate(fam.stack(ts), fam.metric)
         for a in (0.0, 0.3, 1.0, 2.5):
             scaled = affine_family(fam, a)
-            assert scaled.omega == a * fam.omega
-            assert validate_family(scaled)["passed"]
-        # a shift can destroy dissipativity, so it claims no rate
-        shifted = affine_family(fam, 0.5, lambda t: 0.1 * np.eye(fam.dim))
-        assert shifted.omega == 0.0
-        assert validate_family(shifted)["passed"]
+            assert scaled.metric is fam.metric
+            got = dissipativity_rate(scaled.stack(ts), scaled.metric)
+            assert np.allclose(got, a * rate, rtol=1e-12, atol=1e-12)
         for bad in (-1.0, -1e-300, np.inf, np.nan):
             with pytest.raises(InvalidInputError):
                 affine_family(fam, bad)
-
-
-def test_validate_family_report():
-    rep = validate_family(_scalar_family())
-    assert rep["passed"]
-    assert rep["rate_min"] == pytest.approx(1.0, abs=1e-9)
-    assert rep["periodic_defect"] <= 1e-12
-    # a genuinely discontinuous family is flagged
-    jump = GeneratorFamily(
-        dim=1,
-        A=lambda t: np.where(np.asarray(t) < 0.5, -1.0, -2.0)[..., None, None],
-        T=1.0,
-        omega=0.0,
-        periodic=False,
-    )
-    rep = validate_family(jump)
-    assert not rep["continuity_ok"]
-    assert not rep["passed"]
 
 
 def test_continuity_gap_inequality_and_scaling():

@@ -26,9 +26,6 @@ def test_import_loads_no_scipy():
 # exports that library and demo code never use, kept as references for tests
 # and tools, with the reason each stays public
 TEST_REFERENCE_EXPORTS = {
-    "validate_family": "checks a family's claimed rate, periodicity and "
-                       "continuity; the family contract tests run it on "
-                       "every catalog and combined family",
     "eval_expr": "the one-shot evaluator of a parsed expression, which "
                  "perfbench traces as the expression layer",
 }

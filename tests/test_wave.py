@@ -18,7 +18,7 @@ from evolver import (
     select_eta,
     spectral_invariance_gap,
 )
-from evolver.wave import MAX_MODES, _eta_metric, project_nonlinearity
+from evolver.wave import MAX_MODES, project_nonlinearity
 
 from oracles import pencil_extremes
 
@@ -61,19 +61,25 @@ def test_eta_metric_matrix_frozen():
 @pytest.mark.parametrize("ell, k", [(np.pi, 1), (np.pi, 3), (2.0, 8), (np.pi, MAX_MODES)])
 @pytest.mark.parametrize("eta", [0.05, 0.5, 1.0])
 def test_eta_metric_constants_match_generalized_eigh(ell, k, eta):
+    # c_lo ||z||_E <= ||z||_eta <= c_hi ||z||_E against the energy norm
+    # G0 = diag(lam, 1): mode i contributes the 2 x 2 pencil with trace
+    # 2 + eta^2 / lam_i and determinant 1, so the extremes come from lam_1
+    # and c_lo = 1 / c_hi
     eigs = (np.arange(1, k + 1) * np.pi / ell) ** 2
-    m = _eta_metric(eigs, eta)
-    lo, hi = pencil_extremes(m.G, np.diag(np.concatenate([eigs, np.ones(k)])))
-    assert abs(m.c_lo - np.sqrt(lo)) <= 1e-14
-    assert abs(m.c_hi - np.sqrt(hi)) <= 1e-14
+    G = eta_metric_matrix(eigs, eta)
+    lo, hi = pencil_extremes(G, np.diag(np.concatenate([eigs, np.ones(k)])))
+    tr = 2.0 + eta ** 2 / eigs[0]
+    c_hi2 = 0.5 * (tr + np.sqrt(tr * tr - 4.0))
+    assert hi == pytest.approx(c_hi2, rel=1e-14)
+    assert lo == pytest.approx(1.0 / c_hi2, rel=1e-14)
 
 
 def test_eta_inner_first_mode():
     # |(a, b)|_eta^2 = lam_1 a^2 + (b + eta a)^2 = 1 + eta^2 at (1, 0)
     model = build_wave_model(np.pi, 1, lambda t: 1.0, 2.0 * np.pi)
-    eta = model.eta_metric.eta
+    eta = model.eta
     e1 = np.array([1.0, 0.0])
-    assert metric_norm(e1, model.eta_metric.G) == pytest.approx(np.sqrt(1.0 + eta ** 2))
+    assert metric_norm(e1, model.family.metric) == pytest.approx(np.sqrt(1.0 + eta ** 2))
 
 
 def test_select_eta_closed_form_k1_constant_damping():
@@ -100,8 +106,9 @@ def test_select_eta_matches_grid_scan():
 @pytest.mark.parametrize("beta", [lambda t: 1.0, lambda t: 1.0 + 0.5 * np.cos(t)],
                          ids=["constant", "cos"])
 def test_select_eta_and_omega_match_the_closed_forms(k, beta):
-    # recompute eta, both rates and the family's omega from their formulas:
-    # beta0, gamma on 2049 nodes, the numeric rate on 257 nodes of [0, T]
+    # recompute eta and both rates, the numeric one the rate omega of the
+    # family, from their formulas: beta0, gamma on 2049 nodes, the numeric
+    # rate on 257 nodes of [0, T]
     T = 2.0 * np.pi
     model = build_wave_model(np.pi, k, beta, T)
     eigs = (np.arange(1, k + 1) * np.pi / np.pi) ** 2
@@ -117,9 +124,9 @@ def test_select_eta_and_omega_match_the_closed_forms(k, beta):
     rate = float(np.min(dissipativity_rate(A, eta_metric_matrix(eigs, eta))))
     sel = select_eta(model)
     assert (model.beta0, model.gamma) == (beta0, gamma)
-    assert sel.eta == eta == model.eta_metric.eta
+    assert sel.eta == eta == model.eta
     assert sel.rate_analytic == min(eta / 2.0, beta0 - eta - eta * gamma ** 2 / 2.0)
-    assert sel.rate_numeric == rate == model.family.omega
+    assert sel.rate_numeric == rate
     assert np.array_equal(model.family.metric, eta_metric_matrix(eigs, eta))
 
 
@@ -229,7 +236,7 @@ def test_find_periodic_wave_small_residual():
     zT = result.trajectory.states[-1]
     # the eta norm from its definition: sum lam_i a_i^2 + (b_i + eta a_i)^2
     a, b = (zT - z0)[:model.k], (zT - z0)[model.k:]
-    eta = model.eta_metric.eta
+    eta = model.eta
     ref = np.sqrt(model.eigs @ a ** 2 + np.sum((b + eta * a) ** 2))
     assert result.residual_eta == pytest.approx(ref, rel=1e-12)
 
