@@ -31,7 +31,7 @@ from .errors import (
     ResourceLimitError,
     SingularResolventError,
 )
-from .linop import as_matrix, as_vector, mat_exp, operator_norm, resolvent
+from .linop import as_matrix, as_vector, mat_exp, mat_power, operator_norm, resolvent
 from .semigroup import (
     ChernoffScheme,
     ChernoffSequence,
@@ -167,6 +167,7 @@ __all__ = [
     "get_model",
     "linear_nondegeneracy",
     "mat_exp",
+    "mat_power",
     "metric_cholesky",
     "metric_norm",
     "metric_operator_norm",

@@ -157,9 +157,56 @@ def mat_exp(M, t: float = 1.0) -> np.ndarray:
     return _expm_stack(B) if stacked else _expm_stack(B[None])[0]
 
 
-def operator_norm(M) -> float:
-    """Spectral norm: the largest singular value, from the SVD."""
-    return float(np.linalg.svd(as_matrix(M), compute_uv=False)[0])
+def mat_power(M, n) -> np.ndarray:
+    """M^n by binary powering: one matrix, or an (m, d, d) stack with one
+    exponent for all slices or an (m,) array of per-slice exponents.
+
+    All slices advance in lockstep over the bits of their exponents, so a
+    stack costs O(log max n) batched products.  Each slice multiplies in
+    the order of np.linalg.matrix_power (result @ square, least
+    significant bit first); M^0 = I.  Raises InvalidInputError unless
+    every exponent is an integer >= 0.
+    """
+    stacked = np.ndim(M) == 3
+    A = as_matrix(M, stack=stacked)
+    A = A if stacked else A[None]
+    e = np.asarray(n)
+    if e.dtype.kind not in "iu":
+        raise InvalidInputError(f"powers must be integers, got {e.dtype}")
+    e = e.astype(np.int64)
+    if e.ndim > int(stacked) or (e.ndim == 1 and e.shape[0] != A.shape[0]):
+        raise InvalidInputError(f"expected one power or {A.shape[0]}, got shape {e.shape}")
+    if np.any(e < 0):
+        raise InvalidInputError("powers must be nonnegative")
+    e = np.broadcast_to(e, A.shape[:1]).copy()
+    out = np.broadcast_to(np.eye(A.shape[-1]), A.shape).copy()
+    Z, live = A.copy(), np.flatnonzero(e > 0)
+    while live.size:
+        odd = live[e[live] & 1 == 1]
+        out[odd] = out[odd] @ Z[odd]
+        e[live] >>= 1
+        live = live[e[live] > 0]
+        Z[live] = Z[live] @ Z[live]
+    return out if stacked else out[0]
+
+
+def operator_norm(M):
+    """Spectral norm, the largest singular value from the SVD: a float for
+    one matrix, the (m,) norms from one batched SVD for an (m, d, d) stack."""
+    stacked = np.ndim(M) == 3
+    norms = np.linalg.svd(as_matrix(M, stack=stacked), compute_uv=False)[..., 0]
+    return norms if stacked else float(norms)
+
+
+def row_norms(X) -> np.ndarray:
+    """Euclidean norms of the rows of an (m, d) array.
+
+    Each row takes one dot product with itself, as np.linalg.norm of a
+    single vector does, so every norm equals its one-vector result bit
+    for bit (an axis reduction can round differently).
+    """
+    X = np.asarray(X, dtype=float)
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
 
 
 def resolvent(M, mu: float) -> np.ndarray:

@@ -5,7 +5,8 @@ derivative at lam = 0 is a generator A^(mu).  Powers L(lam_n, mu_n)^{k_n}
 approximate the limit semigroup exp(t A^(mu0)) when k_n -> infinity,
 k_n * lam_n -> t and mu_n -> mu0; the matching Riemann sums approximate
 the time integral of the semigroup orbit.  This module tabulates both
-limits and the square-root defect bound for single contractions.
+limits and the square-root defect bound for contractions, one at a
+time or a whole stack at once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, InvalidMetricError, PreconditionError
-from .linop import as_matrix, as_vector, mat_exp, operator_norm, resolvent
+from .linop import (
+    as_matrix,
+    as_vector,
+    mat_exp,
+    mat_power,
+    operator_norm,
+    resolvent,
+    row_norms,
+)
 
 CONTRACTION_SLACK = 1e-12
 
@@ -103,8 +112,8 @@ class ChernoffSequence:
             raise InvalidInputError(f"unknown sequence kind {self.kind!r}")
         if self.t <= 0 or not np.isfinite(self.t):
             raise InvalidInputError("sequence time must be positive and finite")
-        if any(n < 1 for n in self.ns):
-            raise InvalidInputError("sequence indices must be >= 1")
+        if not self.ns or any(n < 1 for n in self.ns):
+            raise InvalidInputError("sequence indices must be a nonempty list of n >= 1")
 
     @property
     def effective_time(self) -> float:
@@ -151,56 +160,73 @@ class ConvergenceTable:
         return float(-np.polyfit(ln, le, 1)[0])
 
 
-def chernoff_defect(T_op, x, n: int) -> tuple[float, float]:
-    """Square-root defect bound for a single contraction T.
+def chernoff_defect(T_op, x, n):
+    """Square-root defect bound for one contraction T or a stack of them.
 
     Returns (lhs, rhs) with
         lhs = ||exp(n (T - I)) x - T^n x||,
         rhs = sqrt(n) ||x - T x||.
     The bound lhs <= rhs holds for every contraction; callers get both
-    sides so tests can assert it.  Raises PreconditionError when
-    ||T|| > 1 + 1e-12 and InvalidInputError for n < 0.
+    sides so tests can assert it.  T_op is one (d, d) matrix with x (d,)
+    and an integer n (returns two floats), or an (m, d, d) stack with x
+    (m, d) and n (m,) per slice (returns two (m,) arrays).  The stack
+    takes one batched spectral norm, one stacked mat_exp and one
+    mat_power, and every slice equals its single call bit for bit.
+    Raises PreconditionError, naming the first slice, when some
+    ||T_i|| > 1 + 1e-12, and InvalidInputError for an n that is not an
+    integer >= 0.
     """
-    T = as_matrix(T_op)
-    v = as_vector(x, T.shape[0])
-    if n < 0:
-        raise InvalidInputError("power n must be nonnegative")
-    if operator_norm(T) > 1.0 + CONTRACTION_SLACK:
-        raise PreconditionError("T is not a contraction")
-    E = mat_exp(n * (T - np.eye(T.shape[0])), 1.0)
-    Tn = np.linalg.matrix_power(T, n)
-    lhs = float(np.linalg.norm(E @ v - Tn @ v))
-    rhs = float(np.sqrt(n) * np.linalg.norm(v - T @ v))
-    return lhs, rhs
+    stacked = np.ndim(T_op) == 3
+    T = as_matrix(T_op, stack=stacked)
+    if stacked:
+        v = np.asarray(x, dtype=float)
+        if v.shape != T.shape[:-1] or not np.all(np.isfinite(v)):
+            raise InvalidInputError(f"expected finite vectors of shape {T.shape[:-1]}, "
+                                    f"got shape {v.shape}")
+    else:
+        T, v = T[None], as_vector(x, T.shape[0])[None]
+    norms = operator_norm(T)
+    bad = np.flatnonzero(norms > 1.0 + CONTRACTION_SLACK)
+    if bad.size:
+        raise PreconditionError(f"T[{bad[0]}] is not a contraction: norm {norms[bad[0]]:.17g}")
+    Tn = mat_power(T, n)
+    k = np.broadcast_to(np.asarray(n), T.shape[:1])
+    E = mat_exp(k[:, None, None] * (T - np.eye(T.shape[-1])))
+    col = v[..., None]
+    lhs = row_norms((E @ col - Tn @ col)[..., 0])
+    rhs = np.sqrt(k) * row_norms(v - (T @ col)[..., 0])
+    return (lhs, rhs) if stacked else (float(lhs[0]), float(rhs[0]))
 
 
-def _contraction(scheme: ChernoffScheme, lam: float, mu: float) -> np.ndarray:
-    """The matrix L(lam, mu); raises PreconditionError unless it is a contraction."""
-    Lm = as_matrix(scheme.L(lam, mu))
-    if operator_norm(Lm) > 1.0 + CONTRACTION_SLACK:
+def _contractions(scheme: ChernoffScheme, seq: ChernoffSequence):
+    """The (len(ns), d, d) stack of L(lam_n, mu_n) along seq, with the
+    arrays of n, k_n and lam_n; raises PreconditionError at the first
+    L(lam_n, mu_n) that is not a contraction."""
+    triples = list(seq.triples())
+    Ls = as_matrix([scheme.L(lam, mu) for _, _, lam, mu in triples], stack=True)
+    norms = operator_norm(Ls)
+    bad = np.flatnonzero(norms > 1.0 + CONTRACTION_SLACK)
+    if bad.size:
+        _, _, lam, mu = triples[bad[0]]
         raise PreconditionError(f"scheme is not contractive at lam={lam}, mu={mu}")
-    return Lm
+    ns, ks, lams, _ = zip(*triples)
+    return Ls, list(ns), np.array(ks), np.array(lams)
 
 
 def chernoff_power_limit(scheme: ChernoffScheme, seq: ChernoffSequence, x) -> ConvergenceTable:
     """Tabulate ||L(lam_n, mu_n)^{k_n} x - exp(t A^(mu0)) x|| along seq.
 
     t is the sequence's effective time.  Each L(lam_n, mu_n) is checked
-    to be a contraction (PreconditionError otherwise).
+    to be a contraction (PreconditionError otherwise).  All powers come
+    from one mat_power call, O(log max k_n) batched products.
     """
     v = as_vector(x, scheme.dim)
     t = seq.effective_time
     A0 = as_matrix(scheme.limit_generator(seq.mu0))
     target = mat_exp(A0, t) @ v
-    table = ConvergenceTable(target=target)
-    for n, k, lam, mu in seq.triples():
-        Lm = _contraction(scheme, lam, mu)
-        approx = v.copy()
-        for _ in range(k):
-            approx = Lm @ approx
-        table.ns.append(n)
-        table.errors.append(float(np.linalg.norm(approx - target)))
-    return table
+    Ls, ns, ks, _ = _contractions(scheme, seq)
+    errors = np.linalg.norm(mat_power(Ls, ks) @ v - target, axis=-1)
+    return ConvergenceTable(ns=ns, errors=errors.tolist(), target=target)
 
 
 def chernoff_sum_limit(scheme: ChernoffScheme, seq: ChernoffSequence, x) -> ConvergenceTable:
@@ -209,24 +235,20 @@ def chernoff_sum_limit(scheme: ChernoffScheme, seq: ChernoffSequence, x) -> Conv
     Compares lam_n * sum_{k < k_n} L(lam_n, mu_n)^k x against
     integral_0^t exp(tau A^(mu0)) x dtau, computed exactly (up to the
     exponential's roundoff) as the top-right column of
-    exp(t [[A^(mu0), x], [0, 0]]) (Van Loan, 1978).
+    exp(t [[A^(mu0), x], [0, 0]]) (Van Loan, 1978).  The sums are the
+    top-right blocks of [[L, I], [0, I]]^{k_n}, from one mat_power call.
     """
     v = as_vector(x, scheme.dim)
+    d = scheme.dim
     t = seq.effective_time
     A0 = as_matrix(scheme.limit_generator(seq.mu0))
-    block = np.block([[A0, v[:, None]], [np.zeros((1, scheme.dim + 1))]])
+    block = np.block([[A0, v[:, None]], [np.zeros((1, d + 1))]])
     target = mat_exp(block, t)[:-1, -1]
-    table = ConvergenceTable(target=target)
-    for n, k, lam, mu in seq.triples():
-        Lm = _contraction(scheme, lam, mu)
-        acc = np.zeros_like(v)
-        w = v.copy()
-        for _ in range(k):
-            acc += w
-            w = Lm @ w
-        table.ns.append(n)
-        table.errors.append(float(np.linalg.norm(lam * acc - target)))
-    return table
+    Ls, ns, ks, lams = _contractions(scheme, seq)
+    eye = np.broadcast_to(np.eye(d), Ls.shape)
+    sums = mat_power(np.block([[Ls, eye], [np.zeros_like(Ls), eye]]), ks)[:, :d, d:]
+    errors = np.linalg.norm(lams[:, None] * (sums @ v) - target, axis=-1)
+    return ConvergenceTable(ns=ns, errors=errors.tolist(), target=target)
 
 
 def resolvent_scheme(A_of_mu: Callable[[float], np.ndarray], dim: int) -> ChernoffScheme:

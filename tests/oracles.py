@@ -23,7 +23,10 @@ oracles may use scipy and mpmath:
 * expressions: a recursive walk of the AST on every evaluation (the
   library compiles each AST once into a tree of closures);
 * fixed points of a contractive period map: direct iteration
-  x <- Phi(x) (the library runs damped Newton on Phi(x) - x).
+  x <- Phi(x) (the library runs damped Newton on Phi(x) - x);
+* product-formula tables and matrix powers: k_n matrix-vector products
+  in a loop, and numpy's matrix_power (the library powers a whole stack
+  by lockstep binary squaring, the sums through a block matrix).
 """
 
 import mpmath
@@ -136,6 +139,32 @@ def loop_sweep(E, x, w, lam, h):
         z = z @ E[i].T
         out[i + 1] = z + lam * (J + 0.5 * h * w[i + 1])
     return out
+
+
+def loop_power_limit(L, triples, x, target):
+    """||L(lam, mu)^k x - target|| per (n, k, lam, mu), applying L k times."""
+    errors = []
+    for _, k, lam, mu in triples:
+        Lm = np.asarray(L(lam, mu), dtype=float)
+        approx = np.asarray(x, dtype=float).copy()
+        for _ in range(k):
+            approx = Lm @ approx
+        errors.append(float(np.linalg.norm(approx - target)))
+    return errors
+
+
+def loop_sum_limit(L, triples, x, target):
+    """||lam sum_{j < k} L(lam, mu)^j x - target|| per (n, k, lam, mu), term by term."""
+    errors = []
+    for _, k, lam, mu in triples:
+        Lm = np.asarray(L(lam, mu), dtype=float)
+        w = np.asarray(x, dtype=float).copy()
+        acc = np.zeros_like(w)
+        for _ in range(k):
+            acc += w
+            w = Lm @ w
+        errors.append(float(np.linalg.norm(lam * acc - target)))
+    return errors
 
 
 def walk_operator(R, t, s, expm, snap):

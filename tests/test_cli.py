@@ -1,9 +1,14 @@
 import json
 import re
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import evolver.cli as cli
+import evolver.semigroup as semigroup
+from evolver import chernoff_defect
 from evolver.catalog import _INLINE_KEYS
 from evolver.cli import EXPERIMENT_NAMES, EXPERIMENTS, _validate_config, main
 
@@ -57,6 +62,55 @@ def test_seed_flag_overrides_config(tmp_path):
     assert summary["seed"] == 9
 
 
+def _loop_defect_rows(seed, samples):
+    # reference: one draw, one normalisation and one single-matrix call per sample
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(samples):
+        d = int(rng.integers(1, 7))
+        G = rng.standard_normal((d, d))
+        T = G * (rng.uniform(0.3, 0.999) / np.linalg.norm(G, 2))
+        x = rng.standard_normal(d)
+        x /= np.linalg.norm(x)
+        n = int(rng.integers(1, 65))
+        rows.append((i, d, n) + chernoff_defect(T, x, n))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 3, 101])
+def test_chernoff_stacks_its_defect_samples_per_dimension(monkeypatch, seed):
+    calls = {"chernoff_defect": 0, "mat_exp": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "chernoff_defect",
+                        counted("chernoff_defect", semigroup.chernoff_defect))
+    monkeypatch.setattr(semigroup, "mat_exp", counted("mat_exp", semigroup.mat_exp))
+    num, _ = _validate_config({}, "chernoff")
+    result = cli.run_chernoff(None, num, seed)
+    # against 200 defect calls and 202 exponentials with a call per sample
+    assert calls["chernoff_defect"] <= 6
+    assert calls["mat_exp"] <= 12
+    rows = [r for r in result["rows"] if r[0] == "defect"]
+    ref = _loop_defect_rows(seed, num["samples"])
+    assert [tuple(r[1:4]) for r in rows] == [r[:3] for r in ref]   # sample order
+    got = np.array([r[4:6] for r in rows])
+    want = np.array([r[3:] for r in ref])
+    assert np.all(np.abs(got - want) <= 4e-15 * want)
+
+
+def test_chernoff_long_ladder_takes_log_many_products(tmp_path):
+    # 10^7 steps: a loop of matrix-vector products took about a minute
+    cfg = _write_cfg(tmp_path, "c.json", {"numeric": {"ns": [16, 64, 10000000]}})
+    t0 = time.perf_counter()
+    assert main(["chernoff", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert time.perf_counter() - t0 < 1.0
+
+
 # a valid inline model with a field and a region, one dimension above
 # degree.MAX_DEGREE_DIM
 _MODEL_5D = {"A": [[-1.0 if i == j else 0.0 for j in range(5)] for i in range(5)],
@@ -95,6 +149,11 @@ _MODEL_5D = {"A": [[-1.0 if i == j else 0.0 for j in range(5)] for i in range(5)
                              "region": {"center": [0.0], "radius": 1.0}}}),
     ("averaging", {"model": _MODEL_5D}),       # degrees stop at d = 4
     ("continuation", {"model": _MODEL_5D}),
+    ("chernoff", {"numeric": {"samples": 0}}),        # no defect is checked
+    ("chernoff", {"numeric": {"ns": [10000000]}}),    # one error is no trend
+    ("chernoff", {"numeric": {"ns": [16, 64]}}),      # converged reads three
+    ("chernoff", {"numeric": {"ns": [16, 256, 64]}}),  # increasing
+    ("chernoff", {"numeric": {"ns": [16, 64, 64]}}),   # strictly
 ])
 def test_config_rejection_exits_2(tmp_path, cfg_obj, capsys):
     experiment, obj = cfg_obj
@@ -115,7 +174,7 @@ def test_the_degree_cap_is_the_only_fault_of_the_5d_model(tmp_path, capsys):
 # a valid value for every numeric key that some experiment reads
 _NUMERIC_SAMPLES = {
     "n": 16, "grid": 4, "n_continuity": 8, "samples": 3, "power_m": 2, "seed": 1,
-    "f_inf": 2.5, "ns": [16], "lambdas": [0.5], "boundary_zero": False,
+    "f_inf": 2.5, "ns": [16, 64, 256], "lambdas": [0.5], "boundary_zero": False,
 }
 
 

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evolver import (
     InvalidInputError,
     SingularResolventError,
     get_model,
     mat_exp,
+    mat_power,
     operator_norm,
     resolvent,
 )
@@ -162,6 +165,58 @@ def test_operator_norm_clustered_top_pair():
             M = scale * (U * sig) @ V.T
             ref = gram_norm(M)
             assert abs(operator_norm(M) - ref) <= 1e-13 * ref
+
+
+def test_operator_norm_stack_matches_single_calls():
+    rng = np.random.default_rng(16)
+    M = rng.standard_normal((7, 4, 4))
+    norms = operator_norm(M)
+    assert norms.shape == (7,)
+    assert norms.tolist() == [operator_norm(S) for S in M]
+
+
+def _unit_norm_matrix(seed, d):
+    G = np.random.default_rng(seed).standard_normal((d, d))
+    return G / gram_norm(G)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(d=st.integers(1, 6), n=st.integers(0, 4096), seed=st.integers(0, 2 ** 32 - 1))
+def test_mat_power_matches_numpy_matrix_power(d, n, seed):
+    M = _unit_norm_matrix(seed, d)
+    ref = np.linalg.matrix_power(M, n)
+    got = mat_power(M, n)
+    assert got.shape == (d, d)
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(d=st.integers(1, 6), ns=st.lists(st.integers(0, 4096), min_size=1, max_size=9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mat_power_stack_equals_single_calls(d, ns, seed):
+    # lockstep powering: each slice is its own single call, bit for bit
+    M = np.stack([_unit_norm_matrix(seed + i, d) for i in range(len(ns))])
+    got = mat_power(M, np.array(ns))
+    for S, n, P in zip(M, ns, got):
+        assert np.array_equal(P, mat_power(S, n))
+    # one exponent for the whole stack
+    assert np.array_equal(mat_power(M, ns[0]), np.stack([mat_power(S, ns[0]) for S in M]))
+
+
+def test_mat_power_zero_is_identity_and_huge_powers_are_cheap():
+    M = np.array([[0.5, 0.2], [-0.1, 0.9]])
+    assert np.array_equal(mat_power(M, 0), np.eye(2))
+    assert np.array_equal(mat_power(np.stack([M, M]), [0, 1]), np.stack([np.eye(2), M]))
+    # 10^7 is 24 squarings; the scalar case has a closed form
+    got = mat_power(np.array([[1.0 - 1e-7]]), 10 ** 7)
+    assert got[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-7)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, 2.0, True, "3", [1, 2, 3], [[1]], [1, -2]])
+def test_mat_power_rejects_bad_powers(n):
+    M = np.stack([np.eye(2), 0.5 * np.eye(2)])
+    with pytest.raises(InvalidInputError):
+        mat_power(M if np.ndim(n) == 1 else M[0], n)
 
 
 def test_resolvent_diagonal_closed_form():

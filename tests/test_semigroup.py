@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evolver import (
     ChernoffScheme,
@@ -20,7 +22,7 @@ from evolver import (
     resolvent_scheme,
 )
 
-from oracles import eigh_rate, gram_norm
+from oracles import eigh_rate, gram_norm, loop_power_limit, loop_sum_limit
 
 
 def exponential_scheme(A_of_mu, dim):
@@ -153,6 +155,51 @@ def test_chernoff_defect_preconditions():
         chernoff_defect(np.array([[0.5]]), np.array([1.0]), -1)
 
 
+def _contraction_stack(seed, d, m):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((m, d, d))
+    scale = rng.uniform(0.2, 0.999, size=m) / np.linalg.norm(G, 2, axis=(1, 2))
+    return G * scale[:, None, None], rng.standard_normal((m, d))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(d=st.integers(1, 6), ns=st.lists(st.integers(0, 64), min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_chernoff_defect_stack_equals_single_calls(d, ns, seed):
+    T, X = _contraction_stack(seed, d, len(ns))
+    lhs, rhs = chernoff_defect(T, X, np.array(ns))
+    assert lhs.shape == rhs.shape == (len(ns),)
+    single = [chernoff_defect(Ti, xi, n) for Ti, xi, n in zip(T, X, ns)]
+    assert lhs.tolist() == [a for a, _ in single]
+    assert rhs.tolist() == [b for _, b in single]
+    assert all(isinstance(v, float) for pair in single for v in pair)
+    assert np.all(lhs <= rhs + 1e-9)
+
+
+def test_chernoff_defect_names_the_non_contractive_slice():
+    T, X = _contraction_stack(3, 2, 5)
+    T[3] *= 1.5 / np.linalg.norm(T[3], 2)
+    with pytest.raises(PreconditionError, match=r"T\[3\]"):
+        chernoff_defect(T, X, np.full(5, 4))
+
+
+def test_chernoff_defect_rejects_bad_powers():
+    T, X = _contraction_stack(4, 3, 2)
+    for n in (-1, 2.5, True, None, "4"):
+        with pytest.raises(InvalidInputError):
+            chernoff_defect(T[0], X[0], n)
+    for ns in ([-1, 3], [2.5, 3], [None, 3], np.array([1.0, 3.0]), [1, 2, 3]):
+        with pytest.raises(InvalidInputError):
+            chernoff_defect(T, X, ns)
+
+
+def test_chernoff_defect_stack_rejects_mismatched_vectors():
+    T, X = _contraction_stack(5, 3, 4)
+    for bad in (X[0], X[:, :2], X[:3], np.where(X > 0, np.inf, X)):
+        with pytest.raises(InvalidInputError):
+            chernoff_defect(T, bad, np.full(4, 2))
+
+
 def _scalar_scheme():
     # L(lam) = 1 - lam: the classic Euler factor with limit generator -1
     return ChernoffScheme(
@@ -232,6 +279,8 @@ def test_sequence_validation():
     with pytest.raises(InvalidInputError):
         ChernoffSequence(t=0.0, mu0=0.0, ns=(4,))
     with pytest.raises(InvalidInputError):
+        ChernoffSequence(t=1.0, mu0=0.0, ns=())
+    with pytest.raises(InvalidInputError):
         ChernoffSequence(t=1.0, mu0=0.0, ns=(0,))
     with pytest.raises(InvalidInputError):
         ChernoffSequence(t=1.0, mu0=0.0, ns=(4,), kind="bogus")
@@ -243,3 +292,33 @@ def test_sequence_ceil_kind_effective_time():
     for n, k, lam, mu in seq.triples():
         assert k == int(np.ceil(n / 0.25))
         assert lam == pytest.approx(0.25 / n)
+
+
+def _stable_generator(seed, d):
+    B = np.random.default_rng(seed).standard_normal((d, d))
+    return B - 1.1 * gram_norm(B) * np.eye(d)
+
+
+_LIMIT_CASES = {
+    "euler": (_scalar_scheme(), ChernoffSequence(t=1.0, mu0=0.0, ns=(16, 64, 256, 4096))),
+    "resolvent-3": (resolvent_scheme(lambda mu, A=_stable_generator(8, 3): A, 3),
+                    ChernoffSequence(t=1.0, mu0=0.0, ns=(16, 64, 256, 1024, 4096))),
+    "resolvent-5-ceil": (resolvent_scheme(lambda mu, A=_stable_generator(9, 5): A, 5),
+                         ChernoffSequence(t=0.7, mu0=0.0, ns=(4, 16, 64, 250), kind="kn=ceil")),
+    "exponential-drift": (exponential_scheme(
+        lambda mu: np.array([[-(1.0 + mu), 0.3], [-0.3, -1.0]]), 2),
+        ChernoffSequence(t=1.0, mu0=0.5, ns=(16, 64, 256, 1024), mu_drift=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIMIT_CASES))
+def test_limit_tables_match_the_step_by_step_loops(case):
+    scheme, seq = _LIMIT_CASES[case]
+    x = np.random.default_rng(1).standard_normal(scheme.dim)
+    for table_of, loop in ((chernoff_power_limit, loop_power_limit),
+                           (chernoff_sum_limit, loop_sum_limit)):
+        table = table_of(scheme, seq, x)
+        ref = loop(scheme.L, seq.triples(), x, table.target)
+        assert table.ns == list(seq.ns)
+        assert all(isinstance(e, float) for e in table.errors)
+        assert np.all(np.abs(np.array(table.errors) - ref) <= 1e-9 * np.array(ref))
