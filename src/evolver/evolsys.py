@@ -386,9 +386,8 @@ def family_continuity_gap(F1: GeneratorFamily, perturbed: Sequence[GeneratorFami
     |cos(2 pi r / T)| at the quarter periods) cost no accuracy.
 
     The max is taken over the pairs whose start node is a multiple of
-    max(1, n // GAP_STARTS); values of R are exact at every visited node.
-    R1 and every perturbed system walk all their start nodes together in
-    one stacked batch, one product and one max reduction per step.
+    max(1, n // GAP_STARTS); values of R are exact at every visited node.  All
+    start nodes advance together, one batched product per step.
     Raises InvalidInputError for an empty perturbed sequence.
     """
     perturbed = list(perturbed)
@@ -398,7 +397,9 @@ def family_continuity_gap(F1: GeneratorFamily, perturbed: Sequence[GeneratorFami
         if abs(F1.T - F2.T) > SNAP or F1.dim != F2.dim:
             raise PreconditionError("families must share period and dimension")
     x = as_vector(v, F1.dim)
+    R1 = build_evolution(F1, n)
     stride = max(1, n // GAP_STARTS)
+    starts = range(0, n, stride)
     norm_v = float(np.linalg.norm(np.asarray(F1.A(0.0)) @ x) + np.linalg.norm(x))
     nodes, weights = leggauss(GAP_POINTS)
     width = F1.T / GAP_CELLS
@@ -406,31 +407,18 @@ def family_continuity_gap(F1: GeneratorFamily, perturbed: Sequence[GeneratorFami
     ws = np.tile(0.5 * width * weights, GAP_CELLS)
     A1s = F1.stack(rs)
 
-    systems = [build_evolution(F, n) for F in [F1] + perturbed]
-    lhs = _walk_gaps(np.stack([R.steps for R in systems], axis=1), x, stride)
     gaps = []
-    for gap, F2 in zip(lhs.tolist(), perturbed):
+    for F2 in perturbed:
+        R2 = build_evolution(F2, n)
+        # row i of W[0] (W[1]) follows R1 (R2) from node starts[i]; the
+        # starts ascend, so the rows under way at step j are a prefix
+        steps_T = np.stack([R1.steps, R2.steps], axis=1).swapaxes(-1, -2)
+        W = np.broadcast_to(x, (2, len(starts), F1.dim)).copy()
+        lhs = 0.0
+        for j in range(n):
+            c = j // stride + 1
+            W[:, :c] = W[:, :c] @ steps_T[j]
+            lhs = max(lhs, float(np.max(np.linalg.norm(W[0, :c] - W[1, :c], axis=-1))))
         total = ws @ np.linalg.norm(A1s - F2.stack(rs), 2, axis=(1, 2))
-        gaps.append((gap, norm_v * float(total)))
+        gaps.append((lhs, norm_v * float(total)))
     return gaps
-
-
-def _walk_gaps(steps: np.ndarray, x: np.ndarray, stride: int) -> np.ndarray:
-    """Max over the walk of ||W_f - W_0|| for each system f >= 1.
-
-    steps is the (n, F + 1, d, d) stack of the step matrices of F + 1
-    systems on one grid.  Every system starts x at each node that is a
-    multiple of stride and walks it to the end; row i of W_f follows
-    system f from start i.  All systems advance with one batched product
-    per step, and the running maxima of all F gaps take one reduction.
-    """
-    n = len(steps)
-    steps_T = steps.swapaxes(-1, -2)
-    W = np.broadcast_to(x, (steps.shape[1], len(range(0, n, stride)), len(x))).copy()
-    lhs = np.zeros(steps.shape[1] - 1)
-    for j in range(n):
-        # the starts ascend, so the rows under way at step j are a prefix
-        c = j // stride + 1
-        W[:, :c] = W[:, :c] @ steps_T[j]
-        np.maximum(lhs, np.linalg.norm(W[1:, :c] - W[0, :c], axis=-1).max(axis=-1), out=lhs)
-    return lhs

@@ -162,10 +162,10 @@ def mat_power(M, n) -> np.ndarray:
     exponent for all slices or an (m,) array of per-slice exponents.
 
     All slices advance in lockstep over the bits of their exponents, so a
-    stack costs O(log max n) batched products.  Each slice multiplies in
-    the order of np.linalg.matrix_power (result @ square, least
-    significant bit first); M^0 = I.  Raises InvalidInputError unless
-    every exponent is an integer >= 0.
+    stack costs O(log max n) batched products.  Each slice forms
+    result @ square, least significant bit first; for n = 3 that is
+    T (T T), where np.linalg.matrix_power forms (T T) T.  M^0 = I.
+    Raises InvalidInputError unless every exponent is an integer >= 0.
     """
     stacked = np.ndim(M) == 3
     A = as_matrix(M, stack=stacked)

@@ -206,17 +206,14 @@ def project_nonlinearity(model: WaveModel, t, a):
     """Mode coefficients of x -> f(t, u(x)) for u = sum a_i phi_i.
 
     Collocation at the 4k sine nodes; exact for integrands in the span
-    of the resolved modes.  Batched over leading axes of a, which are
-    flattened so each direction is one 2-d product.
+    of the resolved modes.  Batched over leading axes of a.
     """
     if model.f is None:
         raise InvalidInputError("model has no nonlinearity")
     a = np.asarray(a, dtype=float)
-    C = model.colloc_matrix
-    u_vals = (a.reshape(-1, a.shape[-1]) @ C.T).reshape(a.shape[:-1] + C.shape[:1])
+    u_vals = a @ model.colloc_matrix.T
     f_vals = np.asarray(model.f(t, u_vals), dtype=float)
-    c = f_vals.reshape(-1, f_vals.shape[-1]) @ C
-    return model.colloc_weight * c.reshape(f_vals.shape[:-1] + C.shape[1:])
+    return model.colloc_weight * (f_vals @ model.colloc_matrix)
 
 
 def nonlinear_field(model: WaveModel) -> NonlinearField:

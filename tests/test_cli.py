@@ -1,6 +1,5 @@
 import json
 import re
-import time
 from pathlib import Path
 
 import numpy as np
@@ -77,9 +76,11 @@ def _loop_defect_rows(seed, samples):
     return rows
 
 
-@pytest.mark.parametrize("seed", [0, 3, 101])
-def test_chernoff_stacks_its_defect_samples_per_dimension(monkeypatch, seed):
-    calls = {"chernoff_defect": 0, "mat_exp": 0}
+@pytest.mark.parametrize("seed, ns", [(0, None), (3, None), (101, None),
+                                      (0, [16, 64, 10000000])])
+def test_chernoff_stacks_its_defect_samples_per_dimension(monkeypatch, seed, ns):
+    calls = {"chernoff_defect": 0, "mat_exp": 0, "mat_power": 0}
+    powers = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -87,28 +88,30 @@ def test_chernoff_stacks_its_defect_samples_per_dimension(monkeypatch, seed):
             return fn(*args, **kwargs)
         return wrapper
 
+    def recorded_power(M, n):
+        powers.append(int(np.max(n)))
+        return linop_mat_power(M, n)
+
+    linop_mat_power = semigroup.mat_power
     monkeypatch.setattr(cli, "chernoff_defect",
                         counted("chernoff_defect", semigroup.chernoff_defect))
     monkeypatch.setattr(semigroup, "mat_exp", counted("mat_exp", semigroup.mat_exp))
-    num, _ = _validate_config({}, "chernoff")
+    monkeypatch.setattr(semigroup, "mat_power", counted("mat_power", recorded_power))
+    num, _ = _validate_config({} if ns is None else {"numeric": {"ns": ns}}, "chernoff")
     result = cli.run_chernoff(None, num, seed)
     # against 200 defect calls and 202 exponentials with a call per sample
     assert calls["chernoff_defect"] <= 6
     assert calls["mat_exp"] <= 12
+    # every power, 10^7 steps included, is one binary-powering call: one
+    # per defect stack and one per limit table, no k-fold product loop
+    assert calls["mat_power"] == calls["chernoff_defect"] + 2
+    assert max(powers[-2:]) == max(num["ns"])
     rows = [r for r in result["rows"] if r[0] == "defect"]
     ref = _loop_defect_rows(seed, num["samples"])
     assert [tuple(r[1:4]) for r in rows] == [r[:3] for r in ref]   # sample order
     got = np.array([r[4:6] for r in rows])
     want = np.array([r[3:] for r in ref])
     assert np.all(np.abs(got - want) <= 4e-15 * want)
-
-
-def test_chernoff_long_ladder_takes_log_many_products(tmp_path):
-    # 10^7 steps: a loop of matrix-vector products took about a minute
-    cfg = _write_cfg(tmp_path, "c.json", {"numeric": {"ns": [16, 64, 10000000]}})
-    t0 = time.perf_counter()
-    assert main(["chernoff", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert time.perf_counter() - t0 < 1.0
 
 
 # a valid inline model with a field and a region, one dimension above

@@ -512,28 +512,6 @@ def test_continuity_gap_batch_equals_single_calls():
         family_continuity_gap(fam, [], 128, [1.0])
 
 
-def test_continuity_gap_walks_all_families_at_once(monkeypatch):
-    fam = get_model("wave-k3").family
-    v = np.zeros(fam.dim)
-    v[0] = 1.0
-    perts = [affine_family(fam, B=lambda t, e=eps: np.multiply.outer(
-        e * np.cos(2.0 * np.pi * t / fam.T), np.eye(fam.dim))) for eps in (1e-1, 1e-2, 1e-3, 1e-4)]
-    shapes = []
-    walk = evolsys._walk_gaps
-
-    def counted_walk(steps, x, stride):
-        shapes.append(steps.shape)
-        return walk(steps, x, stride)
-
-    monkeypatch.setattr(evolsys, "_walk_gaps", counted_walk)
-    gaps = family_continuity_gap(fam, perts, 128, v)
-    # one n-step walk carries R1 and all four perturbed systems
-    assert shapes == [(128, 5, fam.dim, fam.dim)]
-    # and each family's gap is the one its own call finds, bit for bit
-    assert gaps == [family_continuity_gap(fam, [p], 128, v)[0] for p in perts]
-    assert len(shapes) == 1 + len(perts)
-
-
 def _per_cell_stack(R, times):
     return np.stack([walk_operator(R, b, a, mat_exp, evolsys.SNAP)
                      for a, b in zip(times[:-1], times[1:])])

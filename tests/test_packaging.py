@@ -52,9 +52,7 @@ def test_every_export_is_used_outside_the_tests():
     assert unused == sorted(TEST_REFERENCE_EXPORTS)
 
 
-def test_perfbench_instrument_finds_every_traced_function():
-    # perfbench/layers.py wraps evolver functions by name; a renamed or
-    # deleted one would silently drop out of the benchmark's layer metrics
+def _perfbench_modules():
     import evolver.cli  # noqa: F401  (Instrument patches the loaded modules)
 
     bench = str(SRC.parent / "perfbench")
@@ -62,9 +60,48 @@ def test_perfbench_instrument_finds_every_traced_function():
     try:
         import layers
         import spans
-
-        with layers.Instrument(spans.Recorder()) as inst:
-            pass
     finally:
         sys.path.remove(bench)
+    return layers, spans
+
+
+def test_perfbench_instrument_finds_every_traced_function():
+    # perfbench/layers.py wraps evolver functions by name; a renamed or
+    # deleted one would silently drop out of the benchmark's layer metrics
+    layers, spans = _perfbench_modules()
+    with layers.Instrument(spans.Recorder()) as inst:
+        pass
     assert inst.missing == []
+
+
+def test_perfbench_trace_keeps_outputs_and_counts_stacked_chernoff(tmp_path):
+    # a traced chernoff run makes one chernoff_defect call per drawn
+    # dimension, and the traced outputs equal the plain ones
+    from evolver.cli import main
+
+    layers, spans = _perfbench_modules()
+    cases = [("averaging", {"numeric": {"lambdas": [0.5, 0.05]}}),
+             ("chernoff", {"numeric": {"samples": 20, "seed": 3}})]
+
+    def run(tag):
+        outs = []
+        for experiment, cfg in cases:
+            path = tmp_path / f"{tag}-{experiment}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            out = tmp_path / f"{tag}-{experiment}"
+            assert main([experiment, "--config", str(path), "--out", str(out)]) == 0
+            outs.append([(out / f"{experiment}{ext}").read_bytes()
+                         for ext in (".csv", ".summary.json")])
+        return outs
+
+    plain = run("plain")
+    rec = spans.Recorder()
+    with layers.Instrument(rec) as inst:
+        traced = run("traced")
+    assert inst.missing == [] and traced == plain
+    m = layers.layer_metrics(rec, pass_wall=1.0)
+    rows = [line.split(",") for line in plain[1][0].decode().splitlines()]
+    dims = {r[2] for r in rows if r[0] == "defect"}
+    assert len([r for r in rows if r[0] == "defect"]) == 20
+    assert m["semigroup.chernoff_defect.calls"] == len(dims) <= 6
+    assert m["averaging.simpson_nodes"] > 0
