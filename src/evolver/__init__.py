@@ -7,12 +7,13 @@ Layers, bottom up:
                damped-Newton kernel
     semigroup  contraction semigroups and product-formula limits
     evolsys    frozen-coefficient evolution systems R(t, s)
-    mild       variation-of-constants solver, the period map Phi_T^lam and
-               its fixed points
+    mild       variation-of-constants solver, the period map Phi_T^lam with
+               its Jacobian from one solve, and its fixed points
     degree     Brouwer degree, winding oracle
     averaging  averaged pairs, branching sweeps, degree equality
     wave       damped wave Galerkin sections, eta metrics, energy law
-    exprlang   arithmetic expressions for config-supplied coefficients
+    exprlang   arithmetic expressions for config-supplied coefficients,
+               and their derivatives
     catalog    shipped example models
     cli        experiment runner (the `evolver` entry point)
 """
@@ -98,7 +99,15 @@ from .wave import (
     select_eta,
     spectral_invariance_gap,
 )
-from .exprlang import ExprError, compile_expr, eval_expr, format_expr, free_vars, parse_expr
+from .exprlang import (
+    ExprError,
+    compile_expr,
+    diff_expr,
+    eval_expr,
+    format_expr,
+    free_vars,
+    parse_expr,
+)
 from .catalog import CatalogModel, get_model, model_from_config
 
 __version__ = "0.1.0"
@@ -155,6 +164,7 @@ __all__ = [
     "cocycle_defect",
     "compile_expr",
     "contraction_check",
+    "diff_expr",
     "dissipativity_rate",
     "energy_residual",
     "eta_metric_matrix",

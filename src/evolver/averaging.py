@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .degree import DegreeReport, Region, averaged_map, brouwer_degree
+from .degree import FD_STEP, DegreeReport, Region, averaged_map, brouwer_degree
 from .errors import (
     EvolverError,
     InadmissibleRegionError,
@@ -268,7 +268,9 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
     reference of every rung (the factor is +1 when the eigenvalues of
     A_hat have negative real parts).  For each lam, brouwer_degree
     computes the degree of x - Phi_T(x), both on a DEGREE_GRID lattice with
-    DEGREE_BOUNDARY boundary samples.  Both prune Newton starts by the
+    DEGREE_BOUNDARY boundary samples; the rungs' Newton steps take each
+    trial's values and Jacobians from one PeriodMap.linearize solve.  Both
+    prune Newton starts by the
     maps' Lipschitz bounds (AveragedField.map_lipschitz,
     PeriodMap.gap_lipschitz), sound when F honours F.lipschitz.  A rung
     whose boundary fails its screen (a suspected fixed point of Phi_T on
@@ -289,10 +291,15 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
     for lam in map(float, lambdas):
         phi = period_map(family, F, lam, n, grid)
         lip, slack = phi.gap_lipschitz()
+
+        def evaluate(X):
+            traj, J = phi.linearize(X, FD_STEP)
+            return X - traj.final, np.eye(X.shape[-1]) - J
+
         try:
             rep = brouwer_degree(lambda x: x - phi(x).final, U,
                                  grid=DEGREE_GRID, boundary_m=DEGREE_BOUNDARY,
-                                 lipschitz=lip, slack=slack)
+                                 lipschitz=lip, slack=slack, evaluate=evaluate)
         except InadmissibleRegionError as exc:
             rows.append(AveragingRow(lam=lam, boundary_ok=False,
                                      boundary_min=exc.boundary_min,

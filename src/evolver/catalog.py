@@ -13,7 +13,8 @@ Four shipped models:
 
 Time coefficients and nonlinearities are expression-language strings
 compiled once, when the model is built, to numpy callables; inline JSON
-configs take the same path.
+configs take the same path.  Fields carry the Jacobians compiled from
+the derivatives of their expressions in s (exprlang.diff_expr).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .degree import Region
 from .errors import ConfigError, InvalidInputError
 from .evolsys import GeneratorFamily
-from .exprlang import compile_expr, free_vars, parse_expr
+from .exprlang import ExprError, compile_expr, diff_expr, free_vars, parse_expr
 from .mild import NonlinearField
 from .wave import WaveModel, build_wave_model, nonlinear_field
 
@@ -111,14 +112,17 @@ def compile_matrix(entries, T: float):
     return A, d
 
 
-def compile_field(exprs, T: float):
-    """Componentwise field spec -> batched callable F(t, x).
+def compile_field(exprs, T: float, lipschitz: float = np.inf) -> NonlinearField:
+    """Componentwise field spec -> NonlinearField with the batched F(t, x).
 
     Component i is an expression in t, T and s, where s binds to x[..., i].
     t broadcasts against the leading axes of x, and the result is shaped
     broadcast_shapes(t, x.shape[:-1]) + (d,) once trailing axes of t that
     face x's component axis are dropped.  Those axes must have length 1;
-    any other length raises InvalidInputError.
+    any other length raises InvalidInputError.  Component i depends on
+    x_i alone, so the Jacobian is diagonal, with entry i the compiled
+    diff_expr of component i in s; a component whose exponent depends on
+    s has no derivative expression, and then the field has no jacobian.
     """
     asts = [parse_expr(src) for src in exprs]
     for ast in asts:
@@ -126,8 +130,14 @@ def compile_field(exprs, T: float):
         if extra:
             raise ConfigError(f"field components may only use t, s, T, got {sorted(extra)}")
     components = [compile_expr(ast) for ast in asts]
+    try:
+        slopes = [compile_expr(diff_expr(ast, "s")) for ast in asts]
+    except ExprError:
+        slopes = None
+    d = len(asts)
 
-    def F(t, x):
+    def over_nodes(values, t, x, tail):
+        """values(env) for each component i, s = x[..., i], into (..., d) + tail."""
         x = np.asarray(x, dtype=float)
         tt = np.asarray(t, dtype=float)
         # drop trailing broadcast axes so t aligns with component slices
@@ -138,19 +148,26 @@ def compile_field(exprs, T: float):
                     f"states of shape {x.shape}"
                 )
             tt = tt[..., 0]
-        out = np.empty(np.broadcast_shapes(tt.shape, x.shape[:-1]) + x.shape[-1:])
-        for i, value in enumerate(components):
-            out[..., i] = value({"t": tt, "s": x[..., i], "T": T})
+        shape = np.broadcast_shapes(tt.shape, x.shape[:-1]) + x.shape[-1:] + tail
+        out = np.zeros(shape) if tail else np.empty(shape)
+        for i, value in enumerate(values):
+            out[(..., i) + (i,) * len(tail)] = value({"t": tt, "s": x[..., i], "T": T})
         return out
 
-    return F
+    def F(t, x):
+        return over_nodes(components, t, x, ())
+
+    def jacobian(t, x):
+        return over_nodes(slopes, t, x, (d,))
+
+    return NonlinearField(F=F, lipschitz=lipschitz,
+                          jacobian=None if slopes is None else jacobian)
 
 
 def _scalar_linear() -> CatalogModel:
     T = 1.0
     family = GeneratorFamily(dim=1, A=lambda t: np.full(np.shape(t) + (1, 1), -1.0), T=T)
-    F = compile_field(["2+sin(2*pi*t/T)"], T)
-    field = NonlinearField(F=F, lipschitz=0.0)
+    field = compile_field(["2+sin(2*pi*t/T)"], T, lipschitz=0.0)
     region = Region.ball(np.array([2.0]), 1.5)
     return CatalogModel(key="scalar-linear", kind="ode", dim=1, T=T,
                         family=family, field=field, region=region)
@@ -163,11 +180,10 @@ def _rotation_damped() -> CatalogModel:
          ["1", "-(1+0.3*sin(2*pi*t/T))"]], T,
     )
     family = GeneratorFamily(dim=d, A=A, T=T)
-    F = compile_field(
+    field = compile_field(
         ["1+0.2*cos(2*pi*t/T)+0.1*tanh(s)",
-         "0.5+0.2*sin(2*pi*t/T)+0.1*tanh(s)"], T,
+         "0.5+0.2*sin(2*pi*t/T)+0.1*tanh(s)"], T, lipschitz=0.1,
     )
-    field = NonlinearField(F=F, lipschitz=0.1)
     region = Region.ball(np.array([0.25, 0.75]), 1.5)
     return CatalogModel(key="rotation-damped-2d", kind="ode", dim=d, T=T,
                         family=family, field=field, region=region)
@@ -185,13 +201,17 @@ def _wave(key: str) -> CatalogModel:
         beta = compile_time_coefficient("1+0.5*cos(t)", T)
         f_src = "tanh(s)+cos(t)"
         f_inf, lip = 0.0, 1.0
-    f_value = compile_expr(parse_expr(f_src))
+    f_ast = parse_expr(f_src)
+    f_value, f_slope = compile_expr(f_ast), compile_expr(diff_expr(f_ast, "s"))
 
     def f(t, s):
         return f_value({"t": t, "s": s, "T": T})
 
+    def f_s(t, s):
+        return f_slope({"t": t, "s": s, "T": T})
+
     model = build_wave_model(ell=np.pi, k=k, beta=beta, T=T, f=f,
-                             f_inf=f_inf, lipschitz=lip)
+                             f_inf=f_inf, lipschitz=lip, f_s=f_s)
     return CatalogModel(key=key, kind="wave", dim=model.dim, T=T,
                         family=model.family, field=nonlinear_field(model),
                         region=None, wave=model)
@@ -268,7 +288,7 @@ def model_from_config(spec) -> CatalogModel:
         exprs = spec["F"]
         if not isinstance(exprs, list) or len(exprs) != d:
             raise ConfigError(f"F must list {d} component expressions")
-        field = NonlinearField(F=compile_field(exprs, T), lipschitz=lip)
+        field = compile_field(exprs, T, lipschitz=lip)
     region = _region(spec["region"], d) if "region" in spec else None
     return CatalogModel(key="inline", kind="ode", dim=d, T=T, family=family,
                         field=field, region=region)

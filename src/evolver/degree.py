@@ -6,8 +6,10 @@ located by linop.damped_newton from the centers of a lattice of cells
 covering U, skipping cells that a Lipschitz bound of g, if given, rules out,
 polished by it to the residual floor, and clustered; the boundary
 condition is screened on a sample cloud.  g is called on batches: the
-boundary cloud with the cell centers once, then one batch per Newton
-trial holding the trial points and their central-difference probes
+boundary cloud with the cell centers once, then each Newton trial
+evaluates its points with their Jacobians in one call, through the
+caller's evaluator (a period map passes PeriodMap.linearize, whose
+Jacobians are exact when the field has one) or else central differences
 (linop.fd_eval), so on a period map each call is one solve.  In d = 1 the
 zero sum is checked against the endpoint degree.  For planar fields
 winding_number_2d gives an independent value by accumulating the
@@ -175,7 +177,8 @@ def _boundary_screen(vals: np.ndarray, samples: np.ndarray):
 
 
 def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
-                   lipschitz: float = np.inf, slack: float = 0.0) -> DegreeReport:
+                   lipschitz: float = np.inf, slack: float = 0.0,
+                   evaluate=None) -> DegreeReport:
     """Degree of g on U by multi-start damped Newton and sign-summed Jacobians.
 
     grid: lattice cells per axis over U.bounds; a start finds a zero when
@@ -185,8 +188,10 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
     half-diagonal, holds no zero and starts no Newton (exclusion: Franek
     and Ratschan, Math. Comp. 84, 2015); g then sees the boundary samples
     and the cell centers as one batch, else the samples alone.  Newton
-    evaluates g with its central-difference probes in one batch per
-    trial (fd_eval).  The admissibility margin is BOUNDARY_DELTA (1 + max
+    makes one call per trial of evaluate: (k, d) points -> the pair
+    (g, Dg) of (k, d) values and (k, d, d) Jacobians; by default
+    fd_eval(g, X, FD_STEP), g with its central-difference probes in one
+    batch.  The admissibility margin is BOUNDARY_DELTA (1 + max
     boundary |g|) on the boundary_m samples.  In d = 1 the samples are the
     endpoints, and the zero sum must equal (sign g(hi) - sign g(lo)) / 2.
     Raises InadmissibleRegionError on boundary (near-)zeros,
@@ -211,7 +216,7 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
     tol = ZERO_TOL * (1.0 + scale)
 
     def Gj(X):
-        return fd_eval(g, X, FD_STEP)
+        return fd_eval(g, X, FD_STEP) if evaluate is None else evaluate(X)
 
     lo, hi = U.bounds
     span, mid = float(np.max(hi - lo)), U.midpoint
@@ -219,23 +224,25 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
     if bounded:
         rho = 0.5 * float(np.linalg.norm(hi - lo)) / grid
         live = np.linalg.norm(vals[len(samples):], axis=-1) <= lipschitz * rho + slack + tol
-    zeros = np.empty((0, d))
+    zeros, dets = np.empty((0, d)), np.empty(0)
     if live.any():
         search = damped_newton(
             Gj, cells[live], tol=tol, max_iter=MAX_NEWTON, tries=7,
             keep=lambda X: np.linalg.norm(X - mid, axis=-1) <= 4.0 * span)
-        hits = search.x[search.status == CONVERGED]
-        zeros = _cluster(hits[U.contains(hits)])
-    if zeros.size:
-        # polish to the residual floor: a degenerate zero creeps on toward
-        # the true zero until its Jacobian turns singular or fails DET_FLOOR
-        polish = damped_newton(Gj, zeros, tol=0.0, max_iter=MAX_NEWTON, tries=1)
-        bad = polish.x[(polish.status == SINGULAR) & U.contains(polish.x)]
-        if bad.size:
-            raise DegenerateZeroError(f"zero at {bad[0]} has cond(Dg) > {COND_LIMIT:.0e}")
-        zeros = _cluster(polish.x)
-        zeros = zeros[U.contains(zeros)]
-    dets = np.linalg.det(Gj(zeros)[1]) if zeros.size else np.empty(0)
+        hits = np.flatnonzero((search.status == CONVERGED) & U.contains(search.x))
+        hits = hits[_cluster(search.x[hits])]
+        if hits.size:
+            # polish to the residual floor: a degenerate zero creeps on toward
+            # the true zero until its Jacobian turns singular or fails DET_FLOOR;
+            # it starts from the values and Jacobians the search ended with
+            polish = damped_newton(Gj, search.x[hits], tol=0.0, max_iter=MAX_NEWTON,
+                                   tries=1, start=(search.gx[hits], search.jac[hits]))
+            bad = polish.x[(polish.status == SINGULAR) & U.contains(polish.x)]
+            if bad.size:
+                raise DegenerateZeroError(f"zero at {bad[0]} has cond(Dg) > {COND_LIMIT:.0e}")
+            kept = _cluster(polish.x)
+            kept = kept[U.contains(polish.x[kept])]
+            zeros, dets = polish.x[kept], np.linalg.det(polish.jac[kept])
     small = np.abs(dets) < DET_FLOOR
     if np.any(small):
         z = zeros[int(np.where(small)[0][0])]
@@ -262,17 +269,17 @@ def _cluster(points: np.ndarray) -> np.ndarray:
     """Greedy clustering with radius CLUSTER_RADIUS; deterministic order.
 
     In lexicographic order, each unlabelled point founds a cluster of the
-    unlabelled points within the radius; clusters return as their means.
+    unlabelled points within the radius; returns the founders' row indices
+    into points, in that order, so a caller keeps what it holds at them.
     """
-    if len(points) == 0:
-        return points
-    pts = points[np.lexsort(points.T[::-1])]
+    order = np.lexsort(points.T[::-1])
+    pts = points[order]
     label = np.full(len(pts), -1)
     for i in range(len(pts)):
         if label[i] < 0:
             near = np.linalg.norm(pts - pts[i], axis=1) <= CLUSTER_RADIUS
             label[near & (label < 0)] = i
-    return np.array([pts[label == i].mean(axis=0) for i in np.unique(label)])
+    return order[np.unique(label)]
 
 
 def winding_number_2d(g, U: Region) -> int:

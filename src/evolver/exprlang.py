@@ -9,7 +9,7 @@ Grammar (recursive descent, standard precedence):
     atom   := NUMBER | VAR | FUNC '(' expr (',' expr)* ')' | '(' expr ')'
 
 Variables are t, s, T plus the constant pi; functions are sin, cos,
-exp, tanh, abs (one argument) and min, max (two).  '^' binds tighter
+exp, tanh, abs, sign (one argument) and min, max (two).  '^' binds tighter
 than unary minus, so -2^2 = -(2^2); exponents may carry their own sign
 (2^-3 is valid).  No user-defined names, so configs stay data.
 
@@ -28,6 +28,13 @@ models build when they are assembled; eval_expr compiles and calls.
 Evaluation is pure IEEE double arithmetic, vectorized over numpy array
 bindings.  Division by zero (including 0^negative) and fractional
 powers of negative bases raise; everything else is total.
+
+diff_expr(e, var) returns the derivative of e in one variable as another
+AST: abs differentiates through sign (its derivative at 0 is taken as
+0), min and max take the derivative of the branch that sign(a - b)
+picks (their mean where a = b), and '^' takes the power rule c a^(c-1) a'
+when the exponent c is free of the variable; an exponent that depends on
+it raises ExprError.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ FUNCTIONS = {
     "exp": (1, np.exp),
     "tanh": (1, np.tanh),
     "abs": (1, np.abs),
+    "sign": (1, np.sign),
     "min": (2, np.minimum),
     "max": (2, np.maximum),
 }
@@ -286,7 +294,7 @@ def _divide(a, b):
 def _power(a, b):
     aa = np.asarray(a, dtype=float)
     bb = np.asarray(b, dtype=float)
-    if np.any((aa == 0) & (bb < 0)):
+    if np.any(bb < 0) and np.any((aa == 0) & (bb < 0)):
         raise ExprError("division by zero (zero base, negative exponent)")
     with np.errstate(invalid="ignore"):
         res = np.power(aa, bb)
@@ -384,3 +392,89 @@ def free_vars(e: Expr) -> set:
             out |= free_vars(a)
         return out
     return set()
+
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _neg(a):
+    return Num(-a.value) if isinstance(a, Num) else a.arg if isinstance(a, Neg) else Neg(a)
+
+
+def _add(a, b):
+    return b if a == _ZERO else a if b == _ZERO else Bin("+", a, b)
+
+
+def _sub(a, b):
+    return _neg(b) if a == _ZERO else a if b == _ZERO else Bin("-", a, b)
+
+
+def _mul(a, b):
+    if _ZERO in (a, b):
+        return _ZERO
+    if Num(-1.0) in (a, b):
+        return _neg(b if a == Num(-1.0) else a)
+    return b if a == _ONE else a if b == _ONE else Bin("*", a, b)
+
+
+def _div(a, b):
+    return _ZERO if a == _ZERO else a if b == _ONE else Bin("/", a, b)
+
+
+def diff_expr(e: Expr, var: str) -> Expr:
+    """d e / d var as an AST, with trivial 0 and 1 nodes simplified away.
+
+    The rules are the usual ones, applied to the five node types and the
+    eight functions (see the module docstring for abs, sign, min, max and
+    '^'); any other variable and pi are constants.  Raises ExprError for
+    an exponent that depends on var, and for a malformed AST.
+    """
+    if isinstance(e, Num):
+        return _ZERO
+    if isinstance(e, Var):
+        return _ONE if e.name == var else _ZERO
+    if isinstance(e, Neg):
+        return _neg(diff_expr(e.arg, var))
+    if isinstance(e, Bin) and e.op in _BINARY:
+        a, b = e.lhs, e.rhs
+        if e.op == "^":
+            if var in free_vars(b):
+                raise ExprError(f"cannot differentiate a power whose exponent "
+                                f"depends on {var!r}: {format_expr(e)}")
+            c = Num(b.value - 1.0) if isinstance(b, Num) else Bin("-", b, _ONE)
+            return _mul(_mul(b, a if c == _ONE else Bin("^", a, c)), diff_expr(a, var))
+        da, db = diff_expr(a, var), diff_expr(b, var)
+        if e.op == "+":
+            return _add(da, db)
+        if e.op == "-":
+            return _sub(da, db)
+        if e.op == "*":
+            return _add(_mul(da, b), _mul(a, db))
+        # (a'b - ab') / b^2, or a'/b when b is free of var
+        if db == _ZERO:
+            return _div(da, b)
+        return _div(_sub(_mul(da, b), _mul(a, db)), Bin("^", b, Num(2.0)))
+    if isinstance(e, Call) and e.fn in FUNCTIONS:
+        if e.fn in ("min", "max"):
+            a, b = e.args
+            da, db = diff_expr(a, var), diff_expr(b, var)
+            if da == db:
+                return da
+            # (1 + pick) / 2 weighs a' and (1 - pick) / 2 weighs b', where
+            # pick = sign(a - b) for max and sign(b - a) for min
+            pick = Call("sign", (Bin("-", a, b) if e.fn == "max" else Bin("-", b, a),))
+            half = Num(0.5)
+            return _add(_mul(_mul(half, Bin("+", _ONE, pick)), da),
+                        _mul(_mul(half, Bin("-", _ONE, pick)), db))
+        (a,) = e.args
+        da = diff_expr(a, var)
+        outer = {
+            "sin": lambda: Call("cos", (a,)),
+            "cos": lambda: Neg(Call("sin", (a,))),
+            "exp": lambda: e,
+            "tanh": lambda: Bin("-", _ONE, Bin("^", Call("tanh", (a,)), Num(2.0))),
+            "abs": lambda: Call("sign", (a,)),
+            "sign": lambda: _ZERO,
+        }[e.fn]
+        return _mul(outer(), da) if da != _ZERO else _ZERO
+    raise ExprError(f"not an expression node: {e!r}")

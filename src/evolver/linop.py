@@ -1,7 +1,10 @@
 """Dense linear-operator substrate: exponentials, norms, resolvents, and
 damped_newton, the one Newton loop of degree and mild.fixed_point, with
 fd_eval, which evaluates a map and its central-difference Jacobian in one
-batched call, so a Newton step costs one evaluation of the map.
+batched call.  Period maps take their Jacobians from the variational
+rows of their own solve (mild.PeriodMap.linearize); fd_eval is the path
+for fields without a Jacobian and the oracle that tests check exact
+Jacobians against.
 
 Matrices and vectors are plain numpy arrays (float64).  Dimensions are
 capped at MAX_DIM; everything here is small and dense by design.  Norms
@@ -165,14 +168,16 @@ def mat_power(M, n) -> np.ndarray:
     stack costs O(log max n) batched products.  Each slice forms
     result @ square, least significant bit first; for n = 3 that is
     T (T T), where np.linalg.matrix_power forms (T T) T.  M^0 = I.
-    Raises InvalidInputError unless every exponent is an integer >= 0.
+    Raises InvalidInputError unless every exponent is an integer >= 0; a
+    boolean is not one, alone or in a list that numpy would coerce to int.
     """
     stacked = np.ndim(M) == 3
     A = as_matrix(M, stack=stacked)
     A = A if stacked else A[None]
     e = np.asarray(n)
-    if e.dtype.kind not in "iu":
-        raise InvalidInputError(f"powers must be integers, got {e.dtype}")
+    if e.dtype.kind not in "iu" or any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(n, dtype=object).flat):
+        raise InvalidInputError(f"powers must be integers, got {n!r}")
     e = e.astype(np.int64)
     if e.ndim > int(stacked) or (e.ndim == 1 and e.shape[0] != A.shape[0]):
         raise InvalidInputError(f"expected one power or {A.shape[0]}, got shape {e.shape}")
@@ -238,7 +243,9 @@ def fd_eval(g, X: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
 
     The rows [x, x + h e_i, x - h e_i] of every x go to g as one batch of
     K (2d + 1) points, so a period map solves a point and its probes
-    together.  h: one step for all rows, or a (K,) step per row.
+    together.  h: one step for all rows, or a (K,) step per row.  Period
+    maps of fields with a Jacobian do not come here: their solve carries
+    1 + d exact rows per point instead (mild.PeriodMap.linearize).
     """
     K, d = X.shape
     h = np.reshape(h, (-1, 1, 1))
@@ -254,15 +261,17 @@ def fd_eval(g, X: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
 class NewtonRecord:
     """Per-start outcome of damped_newton: row k of each array is start k.
 
-    x, gx: final iterates and G there; residual: |G(x)|; status: CONVERGED,
-    SINGULAR, STALLED, ESCAPED or OUT_OF_ITERATIONS; jacobians, halvings
-    (rejected trial steps): counts; cond: cond(J) of the last Jacobian (nan
-    before any); history: (K, iterations + 1) residuals at the start and
-    after each accepted step, nan where a start took no step.
+    x, gx, jac: final iterates, G and its Jacobian there; residual: |G(x)|;
+    status: CONVERGED, SINGULAR, STALLED, ESCAPED or OUT_OF_ITERATIONS;
+    jacobians, halvings (rejected trial steps): counts; cond: cond(J) of
+    the last Jacobian (nan before any); history: (K, iterations + 1)
+    residuals at the start and after each accepted step, nan where a start
+    took no step.
     """
 
     x: np.ndarray
     gx: np.ndarray
+    jac: np.ndarray
     residual: np.ndarray
     status: np.ndarray
     jacobians: np.ndarray
@@ -272,7 +281,7 @@ class NewtonRecord:
 
 
 def damped_newton(Gj, X, tol: float, max_iter: int, tries: int,
-                  keep: Callable | None = None) -> NewtonRecord:
+                  keep: Callable | None = None, start=None) -> NewtonRecord:
     """Damped Newton on G(x) = 0 from each row of X (K, d), in lockstep.
 
     Gj maps (k, d) rows to the pair (G, J) of (k, d) values and (k, d, d)
@@ -284,10 +293,11 @@ def damped_newton(Gj, X, tol: float, max_iter: int, tries: int,
     converged (|G(x)| <= tol), singular (cond(J) > COND_LIMIT, no step
     taken), stalled (no trial lowered |G|), escaped (an accepted step left
     keep) or out of iterations.  tol = 0 with tries = 1 polishes: full
-    steps until |G| stops falling.
+    steps until |G| stops falling.  start: the pair (G, J) at X when the
+    caller already holds it, in place of the first Gj call.
     """
     X = np.array(X, dtype=float)
-    gx, J = (np.array(a, dtype=float) for a in Gj(X))
+    gx, J = (np.array(a, dtype=float) for a in (Gj(X) if start is None else start))
     res = np.linalg.norm(gx, axis=-1)
     # a start runs while its status reads out of iterations
     status = np.where(res <= tol, CONVERGED, OUT_OF_ITERATIONS)
@@ -329,6 +339,6 @@ def damped_newton(Gj, X, tol: float, max_iter: int, tries: int,
             status[moved[~keep(X[moved])]] = ESCAPED
         history.append(np.full(len(X), np.nan))
         history[-1][moved] = res[moved]
-    return NewtonRecord(x=X, gx=gx, residual=res, status=status,
+    return NewtonRecord(x=X, gx=gx, jac=J, residual=res, status=status,
                         jacobians=jacobians, halvings=halvings, cond=cond,
                         history=np.stack(history, axis=1))

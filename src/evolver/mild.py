@@ -20,10 +20,15 @@ only multiplies step operators and never inverts one, since the inverse
 of a strongly damped step would amplify roundoff.  period_map is the
 translation along trajectories Phi_T^lam of u' = lam (A u + F); its
 fixed points, the T-periodic states, are found by the one damped-Newton
-kernel (linop.damped_newton) with central-difference Jacobians whose
-probes ride in the same batched solve as the point (linop.fd_eval), so a
-Newton step costs one solve; its gap_lipschitz bounds x - Phi_T^lam(x)
-for the degree's cell exclusion.
+kernel (linop.damped_newton).  PeriodMap.linearize returns Phi_T^lam and
+its Jacobian from one solve: for a field with a jacobian, each point
+rides with d tangent rows that start at the identity and follow the
+variational equation V' = lam (A V + DF(t, u) V) through the same
+trapezoid passes, which gives the exact derivative of the discrete map
+up to Picard tolerance (1 + d rows per point); a field without one takes
+central differences whose 2d probes ride in the point's solve
+(linop.fd_eval, 2d + 1 rows).  Each map builds its scan plan once.  Its
+gap_lipschitz bounds x - Phi_T^lam(x) for the degree's cell exclusion.
 
 All state-space operations broadcast over leading axes, so a batch of
 initial states (B, d) is propagated in one sweep.  Field callables must
@@ -35,7 +40,8 @@ wrong shape raises InvalidInputError).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -74,7 +80,8 @@ up to 208 states: 0.94 s against 0.46 s).
 
 @dataclass(frozen=True)
 class NonlinearField:
-    """Nonlinearity F(t, x) with its Lipschitz constant.
+    """Nonlinearity F(t, x) with its Lipschitz constant and, optionally,
+    its Jacobian in x.
 
     F: (t, x) -> array shaped broadcast_shapes(t, x.shape[:-1]) + (d,),
        once trailing axes of t that face x's component axis are dropped
@@ -83,10 +90,15 @@ class NonlinearField:
        against states x_i, the value at node i depends only on t_i and
        x_i, since a solve evaluates F in blocks of whole nodes.
     lipschitz: L with ||F(t, x) - F(t, y)|| <= L ||x - y||
+    jacobian: (t, x) -> DF(t, x), shaped like F(t, x) with one more axis
+       of length d (entry [..., i, j] is dF_i / dx_j), broadcasting and
+       node-local like F; None when the field has none, and then period
+       maps differentiate it by central differences.
     """
 
     F: Callable
     lipschitz: float
+    jacobian: Callable | None = None
 
     def __call__(self, t, x):
         return self.F(t, x)
@@ -253,9 +265,30 @@ def _gap(new: np.ndarray, old: np.ndarray, scratch: np.ndarray) -> float:
     return float(np.sqrt(total.max()))
 
 
+def _variational(F: Callable, jacobian: Callable) -> Callable:
+    """The field of the variational system on states Z (..., 1 + d, d).
+
+    Row 0 of Z is a state u and rows 1..d tangent vectors V; the field is
+    F(t, u) on row 0 and V DF(t, u)^T on the rest, node-local like F.
+    Times come as the solve's column, whose last axis faces Z's row axis
+    and is dropped before F and jacobian see them.
+    """
+    def G(t, Z):
+        t = t[..., 0]
+        u = Z[..., 0, :]
+        out = np.empty(Z.shape)
+        out[..., 0, :] = F(t, u)
+        # a contiguous DF^T keeps every small product on the BLAS path
+        DFt = np.swapaxes(jacobian(t, u), -1, -2).copy()
+        np.matmul(Z[..., 1:, :], DFt, out=out[..., 1:, :])
+        return out
+
+    return G
+
+
 def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
                grid: int = DEFAULT_GRID, tol: float = PICARD_TOL,
-               max_iter: int = PICARD_MAX_ITER) -> Trajectory:
+               max_iter: int = PICARD_MAX_ITER, *, _plan=None) -> Trajectory:
     """Picard iteration for the mild solution on [0, T].
 
     Starts from the constant path and iterates u <- Sigma(x0, F(., u), lam)
@@ -263,7 +296,9 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
     into one forcing path and runs in one workspace whose two state paths
     swap roles.  Raises ConvergenceError (with the last update size) after
     max_iter sweeps or on blow-up, and ResourceLimitError for a grid above
-    MAX_SUBDIVISION, the cap that uniform_nodes shares with n.
+    MAX_SUBDIVISION, the cap that uniform_nodes shares with n.  _plan is
+    the _scan_plan of R's steps on this grid when the caller holds it
+    (a PeriodMap builds its own once); None builds it here.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape[-1] != R.dim:
@@ -271,7 +306,7 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
     times = uniform_nodes(R.T, grid)
     if x.size == 0:
         return Trajectory(times=times, states=np.empty((grid + 1,) + x.shape), lam=lam)
-    plan = _scan_plan(R.step_operators(times))
+    plan = _scan_plan(R.step_operators(times)) if _plan is None else _plan
     h = R.T / grid
     U, Y, new = _workspace(plan, grid, x.shape)
     flat = U.reshape((-1,) + U.shape[2:])
@@ -303,15 +338,54 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
 @dataclass(frozen=True)
 class PeriodMap:
     """Phi_T^lam on the system R of lam A: phi(x) = mild_solve(R, F, x, lam=lam,
-    grid=grid), whose .final is Phi_T^lam(x) for a state or a batch (..., d)."""
+    grid=grid), whose .final is Phi_T^lam(x) for a state or a batch (..., d).
+    Every solve of the map runs on one scan plan, built at its first solve."""
 
     R: EvolutionSystem
     F: Callable
     lam: float
     grid: int
 
+    @cached_property
+    def _plan(self):
+        return _scan_plan(self.R.step_operators(uniform_nodes(self.R.T, self.grid)))
+
     def __call__(self, x) -> Trajectory:
-        return mild_solve(self.R, self.F, x, lam=self.lam, grid=self.grid)
+        return mild_solve(self.R, self.F, x, lam=self.lam, grid=self.grid,
+                          _plan=self._plan)
+
+    def linearize(self, X, fd_step) -> tuple[Trajectory, np.ndarray]:
+        """Phi_T^lam at each row of X (K, d) and its Jacobians (K, d, d), from
+        one solve.
+
+        With F.jacobian, the solve carries states (K, 1 + d, d): row 0 is
+        the point and rows 1..d start at the identity under the tangent
+        field V DF(t, u)^T, so row 1 + j ends at DPhi e_j, the derivative of
+        the discrete trapezoid map in direction e_j up to Picard tolerance.
+        Without one, linop.fd_eval solves each point with its 2d central
+        probes at the step fd_step (a scalar or one per row).  Returns the
+        path of the points, states (m + 1, K, d), and DPhi.
+        """
+        X = np.asarray(X, dtype=float)
+        K, d = X.shape
+        jacobian = getattr(self.F, "jacobian", None)
+        if jacobian is None:
+            solves = []
+
+            def final(rows):
+                solves.append(self(rows))
+                return solves[-1].final
+
+            _, J = fd_eval(final, X, fd_step)
+            (traj,) = solves
+            rows = traj.states.reshape(-1, K, 2 * d + 1, d)
+        else:
+            Z = np.concatenate([X[:, None, :], np.broadcast_to(np.eye(d), (K, d, d))], axis=1)
+            traj = mild_solve(self.R, _variational(self.F, jacobian), Z, lam=self.lam,
+                              grid=self.grid, _plan=self._plan)
+            rows = traj.states
+            J = traj.final[:, 1:].swapaxes(-1, -2)
+        return replace(traj, states=rows[:, :, 0]), J
 
     def gap_lipschitz(self) -> tuple[float, float]:
         """(Lip, slack): |g(x) - g(y)| <= Lip |x - y| + slack for the computed
@@ -359,34 +433,38 @@ def period_map(family: GeneratorFamily, F, lam: float, n: int,
 @dataclass
 class FixedPointResult:
     """Outcome of a period-map fixed-point solve: history holds the residual
-    at each of the iterations iterates (accepted Newton steps plus one)."""
+    at each of the iterations iterates (accepted Newton steps plus one),
+    trajectory the path from x over [0, T] that the last solve computed."""
 
     x: np.ndarray
     residual: float
     iterations: int
     history: list
+    trajectory: Trajectory
 
 
-def fixed_point(phi: Callable, x_init, tol: float = 1e-8,
+def fixed_point(phi: PeriodMap, x_init, tol: float = 1e-8,
                 max_iter: int = 60) -> FixedPointResult:
     """Fixed point of a period map phi (see period_map): a T-periodic state.
 
     damped_newton on G(x) = phi(x).final - x from x_init as a batch of
-    one, with 8 trial steps and central-difference Jacobians at the step
-    1e-6 (1 + ||x||): every evaluation solves the point and its 2d probes
-    as one batch (fd_eval), so the solve makes 1 + accepted steps +
-    halvings calls of phi.  Raises
+    one, with 8 trial steps; every evaluation is one phi.linearize solve
+    of the point with its Jacobian (exact for a field with a jacobian,
+    else central differences at the step 1e-6 (1 + ||x||)), so the solve
+    makes 1 + accepted steps + halvings solves.  Newton ends on an
+    evaluation of its last iterate, whose path is kept as the result's
+    trajectory.  Raises
     DegenerateFixedPointError when DPhi - I is numerically singular
     (cond > COND_LIMIT) and ConvergenceError when ||phi(x).final - x||
     does not reach tol (the step stalled or max_iter iterations ran out).
     """
     x = as_vector(x_init)
-
-    def G(X):
-        return phi(X).final - X
+    last = []
 
     def Gj(X):
-        return fd_eval(G, X, 1e-6 * (1.0 + np.linalg.norm(X, axis=-1)))
+        traj, J = phi.linearize(X, 1e-6 * (1.0 + np.linalg.norm(X, axis=-1)))
+        last[:] = [X, traj]
+        return traj.final - X, J - np.eye(X.shape[-1])
 
     rec = damped_newton(Gj, x[None], tol, max_iter, tries=8)
     res = float(rec.residual[0])
@@ -402,5 +480,7 @@ def fixed_point(phi: Callable, x_init, tol: float = 1e-8,
                if rec.status[0] == STALLED else f"did not reach {tol:.1e} in "
                f"{max_iter} iterations (residual {res:.3e})")
         raise ConvergenceError(f"newton-on-map {why}", residual=res)
+    X, traj = last
+    assert np.array_equal(X[0], rec.x[0]), "Newton ended off its last evaluation"
     return FixedPointResult(x=rec.x[0], residual=res, iterations=len(history),
-                            history=history)
+                            history=history, trajectory=replace(traj, states=traj.states[:, 0]))

@@ -76,6 +76,7 @@ class WaveModel:
     family: GeneratorFamily
     colloc_matrix: np.ndarray
     colloc_weight: float
+    f_s: Callable | None = None
 
     @property
     def dim(self) -> int:
@@ -125,7 +126,8 @@ def _mode_eigs(ell: float, k: int) -> np.ndarray:
 
 
 def build_wave_model(ell: float, k: int, beta, T: float, f=None,
-                     f_inf: float = 0.0, lipschitz: float = 0.0) -> WaveModel:
+                     f_inf: float = 0.0, lipschitz: float = 0.0,
+                     f_s=None) -> WaveModel:
     """Assemble the k-mode model: eta metric, generator family, collocation.
 
     beta: callable t -> damping coefficient, must stay positive on [0, T];
@@ -134,6 +136,8 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
     f_inf: asymptotic slope of f; must keep distance > 1e-6 from both
     {lam_i} and {-lam_i}, else the linearized problem can be resonant
     lipschitz: Lipschitz constant of f in s, carried to the lifted field
+    f_s: callable (t, s) -> df/ds, broadcasting like f, or None; with it the
+    lifted field carries its exact Jacobian
 
     beta is screened for positivity on 2049 uniform nodes of [0, T], which
     also give beta0 = min beta and gamma = max(beta + 1) / sqrt(lam_1).
@@ -180,7 +184,7 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
         ell=float(ell), k=int(k), eigs=eigs, beta=beta, T=float(T), f=f,
         f_inf=float(f_inf), lipschitz=float(lipschitz), beta0=beta0,
         gamma=gamma, eta=float(eta), family=family, colloc_matrix=Phi,
-        colloc_weight=ell / (M + 1),
+        colloc_weight=ell / (M + 1), f_s=f_s,
     )
 
 
@@ -217,8 +221,18 @@ def project_nonlinearity(model: WaveModel, t, a):
 
 
 def nonlinear_field(model: WaveModel) -> NonlinearField:
-    """The state-space lift F(t, (a, b)) = (0, -N_f(t, a)) of the nonlinearity."""
+    """The state-space lift F(t, (a, b)) = (0, -N_f(t, a)) of the nonlinearity.
+
+    N_f(t, a) = w C^T f(t, C a) for the collocation matrix C and weight w,
+    so with model.f_s the field's Jacobian is -w C^T diag(f_s(t, C a)) C in
+    the velocity rows and position columns, and zero elsewhere; without
+    f_s the field has no jacobian.
+    """
     k = model.k
+    C, w = model.colloc_matrix, model.colloc_weight
+    # row m of CC holds -w C[m, i] C[m, j] over (i, j): one product with the
+    # slopes at all nodes gives every -w C^T diag(f_s) C
+    CC = (-w * C[:, :, None] * C[:, None, :]).reshape(len(C), k * k)
 
     def F(t, z):
         z = np.asarray(z, dtype=float)
@@ -228,9 +242,19 @@ def nonlinear_field(model: WaveModel) -> NonlinearField:
         np.negative(c, out=out[..., k:])
         return out
 
+    def jacobian(t, z):
+        u = np.asarray(z, dtype=float)[..., :k] @ C.T
+        fs = np.asarray(model.f_s(t, u), dtype=float)
+        lead = np.broadcast_shapes(fs.shape, u.shape)[:-1]
+        out = np.zeros(lead + (2 * k, 2 * k))
+        slopes = np.broadcast_to(fs, lead + (len(C),)).reshape(-1, len(C))
+        out[..., k:, :k] = (slopes @ CC).reshape(lead + (k, k))
+        return out
+
     # |N_f(a) - N_f(b)| <= L w |C|_2^2 |a - b| for N_f(a) = w C^T f(t, C a)
-    lip = model.lipschitz * model.colloc_weight * np.linalg.norm(model.colloc_matrix, 2) ** 2
-    return NonlinearField(F=F, lipschitz=float(lip))
+    lip = model.lipschitz * w * np.linalg.norm(C, 2) ** 2
+    return NonlinearField(F=F, lipschitz=float(lip),
+                          jacobian=None if model.f_s is None else jacobian)
 
 
 @dataclass
@@ -406,13 +430,14 @@ def find_periodic_wave(model: WaveModel, lam: float = 1.0, n: int = 2048,
     """Locate a T-periodic state of z' = lam (A(t) z + F(t, z)) by shooting.
 
     Newton on the period map Phi_T^lam from the origin; the reported
-    residual is ||z(T) - z(0)|| in the eta metric.
+    residual is ||z(T) - z(0)|| in the eta metric, on the path of the
+    Newton solve's last evaluation (no further solve).
     """
     if model.f is None:
         raise InvalidInputError("model has no nonlinearity to solve with")
     phi = period_map(model.family, nonlinear_field(model), lam, n, grid)
     fp = fixed_point(phi, np.zeros(model.dim), tol=fp_tol)
-    traj = phi(fp.x)
+    traj = fp.trajectory
     residual = metric_norm(traj.final - fp.x, model.family.metric)
     return WavePeriodicResult(trajectory=traj, fixed_point=fp,
                               residual_eta=residual)

@@ -383,3 +383,27 @@ def test_rungs_are_compared_against_the_averaged_field_s_own_degree():
     assert report.d0 == 1 and report.reference == -1
     assert [r.degree for r in report.rows] == [-1] * len(AVERAGING_LADDER)
     assert all(r.agrees for r in report.rows) and report.verdict
+
+
+def test_averaging_rungs_take_their_jacobians_from_the_tangent_rows(monkeypatch):
+    # after a rung's boundary-and-centers solve, every solve is Newton's:
+    # points with d tangent rows; a field without a jacobian gets the same
+    # degree and zeros from central differences
+    import evolver.mild as mild
+
+    cm = get_model("rotation-damped-2d")
+    shapes = []
+    solve = mild.mild_solve
+
+    def counted(R, F, x0, *args, **kwargs):
+        shapes.append(np.shape(x0))
+        return solve(R, F, x0, *args, **kwargs)
+
+    monkeypatch.setattr(mild, "mild_solve", counted)
+    exact = averaging_degree_check(cm.family, cm.field, cm.region, [0.3], grid=128)
+    assert len(shapes[0]) == 2 and len(shapes) > 2
+    assert all(len(s) == 3 and s[1:] == (3, 2) for s in shapes[1:])
+    bare = NonlinearField(F=cm.field.F, lipschitz=cm.field.lipschitz)
+    fd = averaging_degree_check(cm.family, bare, cm.region, [0.3], grid=128)
+    assert exact.rows[0].degree == fd.rows[0].degree == 1
+    assert exact.rows[0].boundary_min == fd.rows[0].boundary_min

@@ -123,6 +123,33 @@ def test_field_broadcast_shapes():
         compile_field(["q+1"], 1.0)  # parser rejects unknown identifiers
 
 
+def test_field_jacobian_is_the_diagonal_of_slopes():
+    rng = np.random.default_rng(62)
+    field = compile_field(["s^3+t", "tanh(2*s)*cos(t)", "abs(s)+T"], 1.0, lipschitz=np.inf)
+    t = np.linspace(0.0, 1.0, 4).reshape(4, 1, 1)
+    x = rng.uniform(0.2, 1.5, size=(4, 5, 3)) * rng.choice([-1.0, 1.0], size=(4, 5, 3))
+    J = field.jacobian(t, x)
+    assert J.shape == (4, 5, 3, 3)
+    slopes = np.stack([3.0 * x[..., 0] ** 2,
+                       2.0 * (1.0 - np.tanh(2.0 * x[..., 1]) ** 2) * np.cos(t[..., 0]),
+                       np.sign(x[..., 2])], axis=-1)
+    assert np.allclose(J, slopes[..., None] * np.eye(3), rtol=1e-14, atol=0.0)
+    # a scalar time against one state, and a component free of s
+    J1 = compile_field(["2+sin(t)", "s*s"], 1.0).jacobian(0.5, np.array([0.0, -3.0]))
+    assert np.array_equal(J1, [[0.0, 0.0], [0.0, -6.0]])
+
+
+def test_field_with_an_exponent_in_s_has_no_jacobian():
+    # such a component has no derivative expression; the field still evaluates
+    field = compile_field(["2^s", "s"], 1.0, lipschitz=2.0)
+    assert field.jacobian is None and field.lipschitz == 2.0
+    assert np.allclose(field(0.0, np.array([3.0, 1.0])), [8.0, 1.0])
+    inline = model_from_config({"A": [[-1]], "F": ["0.5^(s*s)"]})
+    assert inline.field.jacobian is None
+    for key in MODEL_KEYS:
+        assert get_model(key).field.jacobian is not None
+
+
 def test_inline_model():
     spec = {
         "A": [[-2.0, "0.5*sin(2*pi*t/T)"], [0.0, -1.0]],

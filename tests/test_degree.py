@@ -256,13 +256,77 @@ def test_polishing_reaches_the_residual_floor():
     assert np.all(rec.halvings == (rec.status == STALLED))
 
 
+def test_damped_newton_takes_a_start_the_caller_holds():
+    # (G, J) at X in place of the first call: same record, one call fewer
+    calls = []
+
+    def Gj(X):
+        calls.append(len(X))
+        return _two_opposite_zeros(X), np.stack(
+            [np.diag([2.0 * x[0], 1.0]) for x in np.atleast_2d(X)])
+
+    X = np.array([[0.7, 0.2], [-0.3, -0.1]])
+    plain = damped_newton(Gj, X, tol=1e-12, max_iter=20, tries=4)
+    n_plain = len(calls)
+    started = damped_newton(Gj, X, tol=1e-12, max_iter=20, tries=4, start=Gj(X))
+    assert len(calls) == 2 * n_plain
+    for name in ("x", "gx", "jac", "residual", "status", "jacobians", "halvings"):
+        assert np.array_equal(getattr(started, name), getattr(plain, name))
+    assert np.array_equal(plain.jac, Gj(plain.x)[1])
+
+
+@pytest.mark.parametrize("lipschitz", [np.inf, 2.0])
+def test_degree_evaluates_only_inside_newton_and_polishes_from_the_search(
+        monkeypatch, lipschitz):
+    # polishing starts from the values and Jacobians the search ended with,
+    # and the signs come from polishing's own last Jacobians: every
+    # evaluation is a trial of one of the two Newton runs
+    import evolver.degree as degree
+
+    def pair(X):
+        return _two_opposite_zeros(X), np.stack(
+            [np.diag([2.0 * x[0], 1.0]) for x in np.atleast_2d(X)])
+
+    evaluated, runs = [], []
+    newton = degree.damped_newton
+
+    def evaluate(X):
+        evaluated.append(np.array(X))
+        return pair(X)
+
+    def recorded(Gj, X, *args, **kwargs):
+        calls = []
+        runs.append((np.array(X), calls, kwargs.get("start")))
+
+        def counted(Y):
+            calls.append(np.array(Y))
+            return Gj(Y)
+
+        return newton(counted, X, *args, **kwargs)
+
+    monkeypatch.setattr(degree, "damped_newton", recorded)
+    U = Region.ball([0.0, 0.0], 1.0)
+    rep = brouwer_degree(_two_opposite_zeros, U, grid=8, lipschitz=lipschitz,
+                         evaluate=evaluate)
+    assert rep.value == 0 and list(rep.signs) == [-1, 1]
+    assert np.array_equal(rep.dets, [-1.0, 1.0])
+    (search_x, search_calls, none), (polish_x, polish_calls, start) = runs
+    assert none is None and len(evaluated) == len(search_calls) + len(polish_calls)
+    assert np.array_equal(search_calls[0], search_x)
+    # the polish's first call is already a trial step away from its starts
+    assert start is not None and not np.array_equal(polish_calls[0], polish_x)
+    monkeypatch.setattr(degree, "damped_newton", newton)
+    fd = brouwer_degree(_two_opposite_zeros, U, grid=8, lipschitz=lipschitz)
+    assert fd.value == rep.value and np.allclose(fd.zeros, rep.zeros, rtol=0.0, atol=1e-15)
+
+
 def test_cluster_is_greedy_in_lexicographic_order():
     # a chain of points 0.9e-6 apart: 0 founds a cluster that takes 0.9e-6;
-    # 1.8e-6 is too far from 0 and founds the next, which takes 2.7e-6
+    # 1.8e-6 is too far from 0 and founds the next, which takes 2.7e-6; the
+    # founders come back as row indices, in lexicographic order
     pts = np.array([[2.7e-6, 1.0], [0.0, 1.0], [1.8e-6, 1.0], [0.9e-6, 1.0]])
-    assert np.allclose(_cluster(pts), [[0.45e-6, 1.0], [2.25e-6, 1.0]],
-                       rtol=0.0, atol=1e-15)
-    assert _cluster(np.empty((0, 2))).shape == (0, 2)
+    assert _cluster(pts).tolist() == [1, 2]
+    assert _cluster(np.empty((0, 2))).shape == (0,)
 
 
 def _two_opposite_zeros(x):

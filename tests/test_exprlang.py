@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evolver import ExprError, compile_expr, eval_expr, format_expr, free_vars, parse_expr
-from evolver.exprlang import MAX_DEPTH, Bin, Call, Neg, Num, Var
+from evolver.exprlang import MAX_DEPTH, Bin, Call, Neg, Num, Var, diff_expr
 
 from oracles import walk_expr
 
@@ -223,3 +223,96 @@ def test_random_ast_round_trip():
         checked += 1
     assert checked >= 900
     assert skipped <= 100
+
+
+def test_diff_expr_rules_and_simplification():
+    cases = {
+        "tanh(s)+cos(t)": "1.0-tanh(s)^2.0",
+        "0.2*s+0.3*cos(t)": "0.2",
+        "s^2": "2.0*s",
+        "s^t": "t*s^(t-1.0)",
+        "-s": "-1.0",
+        "cos(-s)": "sin(-s)",
+        "t/s": "-t/s^2.0",
+        "exp(2*s)": "exp(2.0*s)*2.0",
+        "abs(s)": "sign(s)",
+        "sign(s)+t*T": "0.0",
+        "max(s,t)": "0.5*(1.0+sign(s-t))",
+        "min(s,t)": "0.5*(1.0+sign(t-s))",
+        "min(s,2*s)": "0.5*(1.0+sign(2.0*s-s))+0.5*(1.0-sign(2.0*s-s))*2.0",
+    }
+    for src, want in cases.items():
+        d = diff_expr(parse_expr(src), "s")
+        assert format_expr(d) == want, src
+        assert parse_expr(format_expr(d)) == d
+    # t, T and pi are constants in s, and s is one in t
+    assert diff_expr(parse_expr("sin(t)*T+pi"), "s") == Num(0.0)
+    assert diff_expr(parse_expr("s*t"), "t") == Var("s")
+    # at a kink abs and min/max take the mean slope of the two sides
+    assert eval_expr(diff_expr(parse_expr("abs(s)"), "s"), {"s": 0.0}) == 0.0
+    assert eval_expr(diff_expr(parse_expr("max(s,-s)"), "s"), {"s": 0.0}) == 0.0
+    for src in ("2^s", "s^s", "t^(1+0*s)"):
+        with pytest.raises(ExprError) as info:
+            diff_expr(parse_expr(src), "s")
+        assert "exponent" in str(info.value)
+    with pytest.raises(ExprError):
+        diff_expr(object(), "s")
+
+
+def _powers_with_s_in_the_exponent(e):
+    if isinstance(e, Neg):
+        return _powers_with_s_in_the_exponent(e.arg)
+    if isinstance(e, Bin):
+        return ((e.op == "^" and "s" in free_vars(e.rhs))
+                or _powers_with_s_in_the_exponent(e.lhs)
+                or _powers_with_s_in_the_exponent(e.rhs))
+    if isinstance(e, Call):
+        return any(_powers_with_s_in_the_exponent(a) for a in e.args)
+    return False
+
+
+def _value(value, env):
+    try:
+        with np.errstate(all="ignore"):
+            out = value(env)
+    except ExprError:
+        return None
+    return out if np.isfinite(out) else None
+
+
+# the round-trip generator (every function but exp, min and max; integer
+# exponents) and the hypothesis trees (all functions, any exponent)
+_DIFF_ASTS = st.one_of(
+    st.integers(0, 2 ** 32 - 1).map(lambda seed: _random_ast(np.random.default_rng(seed), 4)),
+    st.recursive(_LEAVES, _branches, max_leaves=10),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(ast=_DIFF_ASTS, s=st.floats(-2.5, 2.5), t=st.floats(-2.0, 2.0))
+def test_diff_expr_matches_a_central_difference(ast, s, t):
+    if _powers_with_s_in_the_exponent(ast):
+        with pytest.raises(ExprError):
+            diff_expr(ast, "s")
+        return
+    d = diff_expr(ast, "s")
+    if parse_expr(format_expr(ast)) == ast:
+        # a parser-produced tree has a derivative that prints and reparses
+        assert parse_expr(format_expr(d)) == d
+    value, slope = compile_expr(ast), compile_expr(d)
+    env = {"t": t, "T": 1.7}
+    f0 = _value(value, {**env, "s": s})
+    got = _value(slope, {**env, "s": s})
+    # central differences at h and h/2 must agree, and the derivative must
+    # barely move within h of s, before the difference is trusted: that
+    # skips kinks, poles and steep spots near s
+    fd = []
+    for h in (1e-5, 5e-6):
+        hi, lo = _value(value, {**env, "s": s + h}), _value(value, {**env, "s": s - h})
+        fd.append(None if hi is None or lo is None else (hi - lo) / (2.0 * h))
+    near = [_value(slope, {**env, "s": s + h}) for h in (-1e-5, 1e-5)]
+    assume(f0 is not None and got is not None and None not in fd + near)
+    scale = 1.0 + abs(f0) + abs(fd[1])
+    assume(abs(fd[0] - fd[1]) <= 1e-6 * scale)
+    assume(all(abs(v - got) <= 1e-3 * (1.0 + abs(got)) for v in near))
+    assert abs(got - fd[1]) <= 1e-5 * scale

@@ -212,7 +212,8 @@ def test_mat_power_zero_is_identity_and_huge_powers_are_cheap():
     assert got[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-7)
 
 
-@pytest.mark.parametrize("n", [-1, 2.5, 2.0, True, "3", [1, 2, 3], [[1]], [1, -2]])
+@pytest.mark.parametrize("n", [-1, 2.5, 2.0, True, "3", [1, 2, 3], [[1]], [1, -2],
+                               [True, 3], [3, np.True_]])
 def test_mat_power_rejects_bad_powers(n):
     M = np.stack([np.eye(2), 0.5 * np.eye(2)])
     with pytest.raises(InvalidInputError):

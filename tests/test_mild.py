@@ -20,6 +20,7 @@ from evolver import (
     mild_solve,
     period_map,
 )
+from evolver.linop import fd_eval
 from evolver.mild import _FIELD_BLOCK, _eval_field, _gap, _scan_plan, _sweep, _workspace
 
 from oracles import loop_sweep, picard_fixed_point, rk4_path
@@ -284,6 +285,60 @@ def test_period_map_is_the_scaled_system_solve(key):
         assert got.lam == lam
 
 
+@pytest.mark.parametrize("key, lam", [("rotation-damped-2d", 1.0), ("rotation-damped-2d", 0.03),
+                                      ("wave-k3", 1.0), ("wave-k3", 0.4)])
+def test_exact_jacobians_match_central_differences(key, lam):
+    # one solve of each point with its d tangent rows against fd_eval's
+    # 2d probes of the plain map; both see the same discrete map
+    cm = get_model(key)
+    phi = period_map(cm.family, cm.field, lam, 256, 256)
+    X = np.random.default_rng(12).uniform(-1.0, 1.0, size=(3, cm.dim))
+    traj, J = phi.linearize(X, 1e-6)
+    vals, ref = fd_eval(lambda rows: phi(rows).final, X, 1e-5)
+    assert traj.states.shape == (257, 3, cm.dim) and J.shape == (3, cm.dim, cm.dim)
+    assert np.abs(J - ref).max() <= 1e-6 * np.abs(ref).max()
+    # the path of the points is the plain solve's, to Picard tolerance
+    assert np.array_equal(traj.states[0], X)
+    assert np.abs(traj.final - vals).max() <= 1e-9
+    assert np.abs(traj.states - phi(X).states).max() <= 1e-9
+
+
+def test_linearize_without_a_jacobian_is_central_differences():
+    cm = get_model("rotation-damped-2d")
+    bare = NonlinearField(F=cm.field.F, lipschitz=cm.field.lipschitz)
+    phi = period_map(cm.family, bare, 0.5, 64, 128)
+    X = np.array([[0.2, 0.4], [-0.3, 1.1]])
+    h = np.array([1e-6, 2e-6])
+    traj, J = phi.linearize(X, h)
+    vals, ref = fd_eval(lambda rows: phi(rows).final, X, h)
+    assert np.array_equal(J, ref) and np.array_equal(traj.final, vals)
+    assert traj.states.shape == (129, 2, 2)
+
+
+def test_a_period_map_builds_its_scan_plan_once(monkeypatch):
+    import evolver.mild as mild
+
+    built = []
+    plan = mild._scan_plan
+
+    def counted(E):
+        built.append(E.shape)
+        return plan(E)
+
+    monkeypatch.setattr(mild, "_scan_plan", counted)
+    cm = get_model("rotation-damped-2d")
+    phi = period_map(cm.family, cm.field, 0.5, 64, 128)
+    X = np.array([[0.2, 0.4]])
+    phi(X)
+    phi(X[0])
+    phi.linearize(X, 1e-6)
+    fixed_point(phi, cm.region.midpoint)
+    assert built == [(128, 2, 2)]
+    # a direct solve still builds its own
+    mild_solve(phi.R, cm.field, X, lam=0.5, grid=128)
+    assert len(built) == 2
+
+
 def test_fixed_point_scalar_closed_form():
     cm = get_model("scalar-linear")
     fp = fixed_point(period_map(cm.family, cm.field, 1.0, 1024), [0.0], tol=1e-10)
@@ -359,9 +414,11 @@ def test_mild_solve_of_an_empty_batch_is_an_empty_path():
     # zero near 3 and is halved three times on the way
     ({"A": [[-1]], "F": ["3*tanh(s)+0.1*sin(2*pi*t/T)"], "lipschitz": 3,
       "region": {"center": [0], "radius": 4}}, 0.3, 1.0),
+    # an exponent in s leaves the field without a jacobian: central differences
+    ({"A": [[-1]], "F": ["2+sin(2*pi*t/T)+0.5^(s*s)"]}, 1.0, 0.0),
 ])
 def test_fixed_point_solves_once_per_trial(monkeypatch, model, lam, start):
-    # the probes of every Jacobian ride in the solve of its point: one solve
+    # the Jacobian of every point rides in the solve of its point: one solve
     # at the start and one per trial step, accepted or halved
     import evolver.mild as mild
     from evolver.catalog import model_from_config
@@ -385,5 +442,10 @@ def test_fixed_point_solves_once_per_trial(monkeypatch, model, lam, start):
     assert fp.iterations >= 2
     assert len(calls) == 1 + (fp.iterations - 1) + int(rec.halvings[0])
     assert rec.jacobians[0] == fp.iterations - 1
-    # every solve is a point with its 2d central-difference probes
-    assert set(calls) == {(3, 1)}
+    # every solve is a point with its d tangent rows, or else with its 2d
+    # central-difference probes
+    d = cm.dim
+    assert set(calls) == {(1, 1 + d, d) if cm.field.jacobian else (2 * d + 1, d)}
+    # the kept path is the one the last solve computed from the fixed point
+    assert np.array_equal(fp.trajectory.states[0], fp.x)
+    assert np.array_equal(fp.trajectory.final - fp.x, rec.gx[0])

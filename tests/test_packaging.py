@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import evolver
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -105,3 +106,24 @@ def test_perfbench_trace_keeps_outputs_and_counts_stacked_chernoff(tmp_path):
     assert len([r for r in rows if r[0] == "defect"]) == 20
     assert m["semigroup.chernoff_defect.calls"] == len(dims) <= 6
     assert m["averaging.simpson_nodes"] > 0
+
+
+def test_wave_periodic_solves_each_newton_point_with_its_tangent_rows(tmp_path, monkeypatch):
+    # a default wave-periodic run (wave-k3, d = 6) makes one solve per Newton
+    # evaluation, each of 1 + d rows, and no further solve at the fixed point
+    # to report its residual; 2d + 1 = 13 rows would mean central differences
+    import evolver.mild as mild
+    from evolver.cli import main
+
+    solve, rows = mild.mild_solve, []
+
+    def counted(R, F, x0, *args, **kwargs):
+        x = np.asarray(x0)
+        rows.append(x.size // x.shape[-1])
+        return solve(R, F, x0, *args, **kwargs)
+
+    monkeypatch.setattr(mild, "mild_solve", counted)
+    assert main(["wave-periodic", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "wave-periodic.summary.json").read_text(encoding="utf-8"))
+    assert summary["metrics"]["newton_iterations"] == 4
+    assert rows == [7, 7, 7, 7]

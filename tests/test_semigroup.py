@@ -188,7 +188,8 @@ def test_chernoff_defect_rejects_bad_powers():
     for n in (-1, 2.5, True, None, "4"):
         with pytest.raises(InvalidInputError):
             chernoff_defect(T[0], X[0], n)
-    for ns in ([-1, 3], [2.5, 3], [None, 3], np.array([1.0, 3.0]), [1, 2, 3]):
+    # numpy would coerce [True, 3] to the integers [1, 3]
+    for ns in ([-1, 3], [2.5, 3], [None, 3], np.array([1.0, 3.0]), [1, 2, 3], [True, 3]):
         with pytest.raises(InvalidInputError):
             chernoff_defect(T, X, ns)
 

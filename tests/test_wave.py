@@ -3,6 +3,7 @@ import pytest
 
 from evolver import (
     InvalidInputError,
+    NonlinearField,
     build_evolution,
     build_wave_model,
     dissipativity_rate,
@@ -18,6 +19,8 @@ from evolver import (
     select_eta,
     spectral_invariance_gap,
 )
+from evolver.averaging import monodromy
+from evolver.linop import fd_eval
 from evolver.wave import MAX_MODES, project_nonlinearity
 
 from oracles import pencil_extremes
@@ -239,6 +242,64 @@ def test_find_periodic_wave_small_residual():
     eta = model.eta
     ref = np.sqrt(model.eigs @ a ** 2 + np.sum((b + eta * a) ** 2))
     assert result.residual_eta == pytest.approx(ref, rel=1e-12)
+
+
+def _wave_jacobian_gap(field, lam=1.0):
+    # max |exact - central difference| / max |central difference| of DPhi_T
+    cm = get_model("wave-k3")
+    phi = period_map(cm.family, field, lam, 256, 256)
+    X = np.random.default_rng(13).uniform(-0.8, 0.8, size=(2, cm.dim))
+    _, J = phi.linearize(X, 1e-6)
+    _, ref = fd_eval(lambda rows: phi(rows).final, X, 1e-5)
+    return np.abs(J - ref).max() / np.abs(ref).max()
+
+
+def test_wave_field_jacobian_needs_its_slope_factor():
+    # -w C^T diag(f_s(t, C a)) C in the velocity rows; dropping f_s leaves
+    # -w C^T C, the Jacobian of f(s) = s, which the period map exposes
+    cm = get_model("wave-k3")
+    model = cm.wave
+    C, w, k = model.colloc_matrix, model.colloc_weight, model.k
+
+    def without_slope(t, z):
+        out = np.zeros(np.shape(z)[:-1] + (2 * k, 2 * k))
+        out[..., k:, :k] = -w * C.T @ C
+        return out
+
+    assert _wave_jacobian_gap(cm.field) <= 1e-6
+    mutant = NonlinearField(F=cm.field.F, lipschitz=cm.field.lipschitz, jacobian=without_slope)
+    assert _wave_jacobian_gap(mutant) > 1e-2
+    # the field's own Jacobian against central differences of the field
+    z = np.random.default_rng(14).uniform(-1.0, 1.0, size=(3, 2 * k))
+    t = np.array([[0.3], [1.7], [4.0]])
+    _, ref = fd_eval(lambda rows: cm.field(np.repeat(t, 2 * model.dim + 1, axis=0), rows), z, 1e-6)
+    assert np.allclose(cm.field.jacobian(t, z), ref, rtol=0.0, atol=1e-8)
+    # a model built without f_s carries no Jacobian
+    assert nonlinear_field(build_wave_model(np.pi, 3, lambda t: 1.0, 2.0 * np.pi,
+                                            f=model.f)).jacobian is None
+
+
+def test_wave_k1_jacobian_is_the_monodromy_to_second_order():
+    # f is affine, so DPhi_T is the monodromy of the linearization, up to the
+    # trapezoid rule's O(h^2); beta is constant, so R itself is exact
+    cm = get_model("wave-k1")
+    x = np.array([[0.3, -0.2]])
+    B = cm.field.jacobian(0.0, x[0])
+    errs = []
+    for grid in (256, 512):
+        phi = period_map(cm.family, cm.field, 1.0, 256, grid)
+        errs.append(np.abs(phi.linearize(x, 1e-6)[1][0]
+                           - monodromy(cm.family, lambda t: B, 1.0, n=256)).max())
+    assert errs[0] <= 1e-6
+    assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+
+def test_periodic_wave_newton_converges_quadratically():
+    result = find_periodic_wave(get_model("wave-k3").wave, lam=1.0, n=1024, grid=512)
+    h = result.fixed_point.history
+    assert len(h) == 4 and h[-1] <= 1e-13
+    # each step squares the residual, up to a constant
+    assert all(b <= 0.1 * a ** 2 for a, b in zip(h[1:], h[2:]))
 
 
 def test_find_periodic_wave_affine_matches_linear_oracle():
