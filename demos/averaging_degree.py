@@ -9,15 +9,9 @@ each coupling strength on the ladder. A planar winding-number count
 double-checks the averaged degree.
 """
 
-import numpy as np
-
-from evolver import (
-    averaged_pair,
-    averaging_degree_check,
-    get_model,
-    winding_number_2d,
-)
+from evolver import averaging_degree_check, get_model, winding_number_2d
 from evolver.catalog import BRANCHING_LADDER
+from evolver.degree import averaged_map
 
 model = get_model("rotation-damped-2d")
 
@@ -36,14 +30,7 @@ print(f"degree equality holds for every lambda <= {report.lambda0}")
 print()
 
 # independent planar check: winding of the averaged field on the boundary
-avg = averaged_pair(model.family, model.field)
-
-
-def g_hat(x):
-    x = np.asarray(x, dtype=float)
-    shift = np.linalg.solve(avg.A_hat, avg.F_hat(x).T).T
-    return x + shift
-
-
+avg = report.averaged
+g_hat, _ = averaged_map(avg.A_hat, avg.F_hat, avg.DF_hat)
 w = winding_number_2d(g_hat, model.region)
 print(f"winding number of the averaged field: {w} (matches d0 = {report.d0})")

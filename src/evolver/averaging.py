@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .degree import FD_STEP, DegreeReport, Region, averaged_map, brouwer_degree
+from .degree import DegreeReport, Region, averaged_map, brouwer_degree
 from .errors import (
     EvolverError,
     InadmissibleRegionError,
@@ -29,7 +29,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .evolsys import MAX_SUBDIVISION, GeneratorFamily, affine_family, build_evolution
-from .mild import DEFAULT_GRID, fixed_point, period_map
+from .mild import DEFAULT_GRID, field_jacobian, fixed_point, period_map
 
 QUAD_TOL = 1e-10    # Simpson doubling stops when two levels agree this closely
 QUAD_START = 16     # intervals of the first Simpson level
@@ -86,11 +86,14 @@ class AveragedField:
 
     The Simpson node count is fixed at construction (doubled until two
     levels agree at the probe states), so F_hat is pure and deterministic.
-    F_hat has F's Lipschitz bound (inf for none): Simpson weights are positive.
+    DF_hat is F_hat's exact Jacobian, the mean of F.jacobian on the same
+    nodes and weights.  F_hat has F's Lipschitz bound (inf for none):
+    Simpson weights are positive.
     """
 
     A_hat: np.ndarray
     F_hat: Callable
+    DF_hat: Callable
     T: float
     nodes: int
     lipschitz: float
@@ -102,40 +105,43 @@ class AveragedField:
 
 
 def averaged_pair(family: GeneratorFamily, F, probes=None) -> AveragedField:
-    """Build the averaged pair (A_hat, F_hat) for a family and field."""
+    """Build the averaged pair (A_hat, F_hat) and DF_hat for a family and
+    field; DF_hat raises InvalidInputError when F has no jacobian."""
     A_hat = average_generator(family)
     if probes is None:
         probes = np.zeros((1, family.dim))
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
 
-    def sample(ts, x):
-        # F at every node ts[i] and state x, one broadcast call: (len(ts),) + x.shape
-        vals = np.asarray(F(ts.reshape((-1,) + (1,) * x.ndim), x[None, ...]), dtype=float)
-        if vals.shape != (len(ts),) + x.shape:
-            raise InvalidInputError(
-                f"field returned shape {vals.shape}, expected {(len(ts),) + x.shape}"
-            )
+    def sample(fn, ts, x, tail=()):
+        # fn at every node ts[i] and state x, one broadcast call:
+        # (len(ts),) + x.shape + tail
+        vals = np.asarray(fn(ts.reshape((-1,) + (1,) * x.ndim), x[None, ...]), dtype=float)
+        if vals.shape != (len(ts),) + x.shape + tail:
+            raise InvalidInputError(f"field returned shape {vals.shape}, "
+                                    f"expected {(len(ts),) + x.shape + tail}")
         return vals
 
-    _, m = _simpson_doubling(lambda ts: sample(ts, probes), family.T)
+    _, m = _simpson_doubling(lambda ts: sample(F, ts, probes), family.T)
     ts = np.linspace(0.0, family.T, m + 1)
     w = _simpson_weights(m) / (3.0 * m)
 
-    def _mean_at(x):
-        return np.tensordot(w, sample(ts, x), axes=(0, 0))
+    def mean(fn, x, tail=()):
+        # chunk batches so the (nodes, batch, d) + tail intermediate stays
+        # small; an empty batch is its own (empty) mean
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1, x.shape[-1])
+        step = max(1, 2_000_000 // (len(ts) * x.shape[-1] * int(np.prod(tail))))
+        parts = [np.tensordot(w, sample(fn, ts, flat[i:i + step], tail), axes=(0, 0))
+                 for i in range(0, len(flat), step)]
+        return np.concatenate(parts or [flat]).reshape(x.shape + tail)
 
     def F_hat(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim <= 1:
-            return _mean_at(x)
-        # chunk large batches so the (nodes, batch, d) intermediate stays
-        # small; an empty batch is its own (empty) mean
-        flat = x.reshape(-1, x.shape[-1])
-        step = max(1, 2_000_000 // (len(ts) * x.shape[-1]))
-        parts = [_mean_at(flat[i:i + step]) for i in range(0, len(flat), step)]
-        return np.concatenate(parts or [flat]).reshape(x.shape)
+        return mean(F, x)
 
-    return AveragedField(A_hat=A_hat, F_hat=F_hat, T=family.T, nodes=m,
+    def DF_hat(x):
+        return mean(field_jacobian(F), x, (family.dim,))
+
+    return AveragedField(A_hat=A_hat, F_hat=F_hat, DF_hat=DF_hat, T=family.T, nodes=m,
                          lipschitz=getattr(F, "lipschitz", np.inf))
 
 
@@ -268,10 +274,10 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
     reference of every rung (the factor is +1 when the eigenvalues of
     A_hat have negative real parts).  For each lam, brouwer_degree
     computes the degree of x - Phi_T(x), both on a DEGREE_GRID lattice with
-    DEGREE_BOUNDARY boundary samples; the rungs' Newton steps take each
-    trial's values and Jacobians from one PeriodMap.linearize solve.  Both
-    prune Newton starts by the
-    maps' Lipschitz bounds (AveragedField.map_lipschitz,
+    DEGREE_BOUNDARY boundary samples.  Newton takes exact Jacobians: d0's
+    from averaged_map, each rung's from one PeriodMap.linearize solve per
+    trial, so F needs its jacobian.  Both prune Newton starts by the maps'
+    Lipschitz bounds (AveragedField.map_lipschitz,
     PeriodMap.gap_lipschitz), sound when F honours F.lipschitz.  A rung
     whose boundary fails its screen (a suspected fixed point of Phi_T on
     the boundary) is recorded with boundary_ok False and the screened
@@ -282,9 +288,9 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
     expected for all sampled lam <= lambda0.
     """
     avg = averaged_pair(family, F, probes=U.midpoint)
-    d0_report = brouwer_degree(averaged_map(avg.A_hat, avg.F_hat), U,
-                               grid=DEGREE_GRID, boundary_m=DEGREE_BOUNDARY,
-                               lipschitz=avg.map_lipschitz)
+    g, evaluate = averaged_map(avg.A_hat, avg.F_hat, avg.DF_hat)
+    d0_report = brouwer_degree(g, U, grid=DEGREE_GRID, boundary_m=DEGREE_BOUNDARY,
+                               lipschitz=avg.map_lipschitz, evaluate=evaluate)
     factor = (-1) ** family.dim * int(np.linalg.slogdet(avg.A_hat)[0])
     reference = factor * d0_report.value
     rows: list[AveragingRow] = []
@@ -293,7 +299,7 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
         lip, slack = phi.gap_lipschitz()
 
         def evaluate(X):
-            traj, J = phi.linearize(X, FD_STEP)
+            traj, J = phi.linearize(X)
             return X - traj.final, np.eye(X.shape[-1]) - J
 
         try:

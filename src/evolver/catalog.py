@@ -26,7 +26,7 @@ import numpy as np
 from .degree import Region
 from .errors import ConfigError, InvalidInputError
 from .evolsys import GeneratorFamily
-from .exprlang import ExprError, compile_expr, diff_expr, free_vars, parse_expr
+from .exprlang import compile_expr, diff_expr, free_vars, parse_expr
 from .mild import NonlinearField
 from .wave import WaveModel, build_wave_model, nonlinear_field
 
@@ -121,8 +121,7 @@ def compile_field(exprs, T: float, lipschitz: float = np.inf) -> NonlinearField:
     face x's component axis are dropped.  Those axes must have length 1;
     any other length raises InvalidInputError.  Component i depends on
     x_i alone, so the Jacobian is diagonal, with entry i the compiled
-    diff_expr of component i in s; a component whose exponent depends on
-    s has no derivative expression, and then the field has no jacobian.
+    diff_expr of component i in s.
     """
     asts = [parse_expr(src) for src in exprs]
     for ast in asts:
@@ -130,10 +129,7 @@ def compile_field(exprs, T: float, lipschitz: float = np.inf) -> NonlinearField:
         if extra:
             raise ConfigError(f"field components may only use t, s, T, got {sorted(extra)}")
     components = [compile_expr(ast) for ast in asts]
-    try:
-        slopes = [compile_expr(diff_expr(ast, "s")) for ast in asts]
-    except ExprError:
-        slopes = None
+    slopes = [compile_expr(diff_expr(ast, "s")) for ast in asts]
     d = len(asts)
 
     def over_nodes(values, t, x, tail):
@@ -160,8 +156,7 @@ def compile_field(exprs, T: float, lipschitz: float = np.inf) -> NonlinearField:
     def jacobian(t, x):
         return over_nodes(slopes, t, x, (d,))
 
-    return NonlinearField(F=F, lipschitz=lipschitz,
-                          jacobian=None if slopes is None else jacobian)
+    return NonlinearField(F=F, lipschitz=lipschitz, jacobian=jacobian)
 
 
 def _scalar_linear() -> CatalogModel:

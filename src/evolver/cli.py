@@ -387,30 +387,47 @@ def run_branching(cm, num, seed):
     }
 
 
+def _scaled_identity(c):
+    """x -> c x with its Jacobians c I, as (g, evaluate)."""
+    def g(x):
+        return c * np.asarray(x, dtype=float)
+
+    def evaluate(X):
+        return g(X), np.broadcast_to(c * np.eye(X.shape[-1]), X.shape + X.shape[-1:])
+
+    return g, evaluate
+
+
 def _power_field(m):
+    """z -> z^m - 0.1 on R^2 = C with its Jacobians, as (g, evaluate)."""
     def g(x):
         x = np.asarray(x, dtype=float)
         z = x[..., 0] + 1j * x[..., 1]
         w = z ** m - 0.1
         return np.stack([w.real, w.imag], axis=-1)
 
-    return g
+    def evaluate(X):
+        # the Cauchy-Riemann matrix of dw/dz = m z^(m-1) = p + iq
+        dw = m * (X[..., 0] + 1j * X[..., 1]) ** (m - 1)
+        p, q = dw.real, dw.imag
+        return g(X), np.stack([np.stack([p, -q], -1), np.stack([q, p], -1)], -2)
+
+    return g, evaluate
 
 
 def run_degree(cm, num, seed):
     if num["boundary_zero"]:
         U = Region.ball(np.array([1.0, 0.0]), 1.0)
-        brouwer_degree(lambda x: np.asarray(x, dtype=float), U)
+        g, evaluate = _scaled_identity(1.0)
+        brouwer_degree(g, U, evaluate=evaluate)
         raise ConfigError("boundary-zero run unexpectedly passed the screen")
     rows = []
     all_ok = True
     for d in (1, 2, 3):
         U = Region.ball(np.zeros(d), 1.0)
-        for name, g, expected in (
-            ("identity", lambda x: np.asarray(x, dtype=float), 1),
-            ("antipodal", lambda x: -np.asarray(x, dtype=float), (-1) ** d),
-        ):
-            rep = brouwer_degree(g, U, grid=8)
+        for name, c, expected in (("identity", 1.0, 1), ("antipodal", -1.0, (-1) ** d)):
+            g, evaluate = _scaled_identity(c)
+            rep = brouwer_degree(g, U, grid=8, evaluate=evaluate)
             wind = ""
             ok = rep.value == expected
             if d == 2:
@@ -420,8 +437,8 @@ def run_degree(cm, num, seed):
             rows.append([name, d, "", rep.value, expected, wind, ok])
     U2 = Region.ball(np.zeros(2), 1.0)
     for m in (2, num["power_m"]):
-        g = _power_field(m)
-        rep = brouwer_degree(g, U2, grid=12)
+        g, evaluate = _power_field(m)
+        rep = brouwer_degree(g, U2, grid=12, evaluate=evaluate)
         wind = winding_number_2d(g, U2)
         ok = rep.value == m and wind == m
         all_ok = all_ok and ok
@@ -447,7 +464,8 @@ def run_averaging(cm, num, seed):
     wind_ok = True
     if cm.dim == 2:
         avg = report.averaged
-        wind = winding_number_2d(averaged_map(avg.A_hat, avg.F_hat), cm.region)
+        g, _ = averaged_map(avg.A_hat, avg.F_hat, avg.DF_hat)
+        wind = winding_number_2d(g, cm.region)
         wind_ok = wind == report.d0
         rows.append(["winding", "", True, "", wind, wind_ok, ""])
     return {

@@ -7,13 +7,12 @@ covering U, skipping cells that a Lipschitz bound of g, if given, rules out,
 polished by it to the residual floor, and clustered; the boundary
 condition is screened on a sample cloud.  g is called on batches: the
 boundary cloud with the cell centers once, then each Newton trial
-evaluates its points with their Jacobians in one call, through the
-caller's evaluator (a period map passes PeriodMap.linearize, whose
-Jacobians are exact when the field has one) or else central differences
-(linop.fd_eval), so on a period map each call is one solve.  In d = 1 the
-zero sum is checked against the endpoint degree.  For planar fields
-winding_number_2d gives an independent value by accumulating the
-argument of g along the boundary loop.
+evaluates its points with their exact Jacobians in one call of the
+caller's evaluator (a period map passes PeriodMap.linearize, so each call
+is one solve; averaged_map returns its own).  In d = 1 the zero sum is
+checked against the endpoint degree.  For planar fields winding_number_2d
+gives an independent value by accumulating the argument of g along the
+boundary loop.
 
 Fields must be vectorized: g applied to an (..., d) array of points
 returns an (..., d) array of values.  Degree computations are capped at
@@ -33,12 +32,11 @@ from .errors import (
     OracleFailureError,
     SingularResolventError,
 )
-from .linop import COND_LIMIT, CONVERGED, SINGULAR, damped_newton, fd_eval
+from .linop import COND_LIMIT, CONVERGED, SINGULAR, damped_newton
 
 MAX_DEGREE_DIM = 4
 
 CLUSTER_RADIUS = 1e-6
-FD_STEP = 1e-6
 DET_FLOOR = 1e-8
 MAX_NEWTON = 60
 # both relative to 1 + max |g| on the boundary samples
@@ -177,8 +175,8 @@ def _boundary_screen(vals: np.ndarray, samples: np.ndarray):
 
 
 def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
-                   lipschitz: float = np.inf, slack: float = 0.0,
-                   evaluate=None) -> DegreeReport:
+                   lipschitz: float = np.inf, slack: float = 0.0, *,
+                   evaluate) -> DegreeReport:
     """Degree of g on U by multi-start damped Newton and sign-summed Jacobians.
 
     grid: lattice cells per axis over U.bounds; a start finds a zero when
@@ -189,11 +187,10 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
     and Ratschan, Math. Comp. 84, 2015); g then sees the boundary samples
     and the cell centers as one batch, else the samples alone.  Newton
     makes one call per trial of evaluate: (k, d) points -> the pair
-    (g, Dg) of (k, d) values and (k, d, d) Jacobians; by default
-    fd_eval(g, X, FD_STEP), g with its central-difference probes in one
-    batch.  The admissibility margin is BOUNDARY_DELTA (1 + max
-    boundary |g|) on the boundary_m samples.  In d = 1 the samples are the
-    endpoints, and the zero sum must equal (sign g(hi) - sign g(lo)) / 2.
+    (g, Dg) of (k, d) values and (k, d, d) Jacobians.  The admissibility
+    margin is BOUNDARY_DELTA (1 + max boundary |g|) on the boundary_m
+    samples.  In d = 1 the samples are the endpoints, and the zero sum
+    must equal (sign g(hi) - sign g(lo)) / 2.
     Raises InadmissibleRegionError on boundary (near-)zeros,
     DegenerateZeroError when polishing a located zero meets cond(Dg) >
     COND_LIMIT or leaves |det Dg| < DET_FLOOR, OracleFailureError when a
@@ -214,10 +211,6 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
     bvals = vals[:len(samples)]
     boundary_min, delta, scale = _boundary_screen(bvals, samples)
     tol = ZERO_TOL * (1.0 + scale)
-
-    def Gj(X):
-        return fd_eval(g, X, FD_STEP) if evaluate is None else evaluate(X)
-
     lo, hi = U.bounds
     span, mid = float(np.max(hi - lo)), U.midpoint
     live = np.ones(len(cells), dtype=bool)
@@ -227,7 +220,7 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
     zeros, dets = np.empty((0, d)), np.empty(0)
     if live.any():
         search = damped_newton(
-            Gj, cells[live], tol=tol, max_iter=MAX_NEWTON, tries=7,
+            evaluate, cells[live], tol=tol, max_iter=MAX_NEWTON, tries=7,
             keep=lambda X: np.linalg.norm(X - mid, axis=-1) <= 4.0 * span)
         hits = np.flatnonzero((search.status == CONVERGED) & U.contains(search.x))
         hits = hits[_cluster(search.x[hits])]
@@ -235,7 +228,7 @@ def brouwer_degree(g, U: Region, grid: int = 16, boundary_m: int = 256,
             # polish to the residual floor: a degenerate zero creeps on toward
             # the true zero until its Jacobian turns singular or fails DET_FLOOR;
             # it starts from the values and Jacobians the search ended with
-            polish = damped_newton(Gj, search.x[hits], tol=0.0, max_iter=MAX_NEWTON,
+            polish = damped_newton(evaluate, search.x[hits], tol=0.0, max_iter=MAX_NEWTON,
                                    tries=1, start=(search.gx[hits], search.jac[hits]))
             bad = polish.x[(polish.status == SINGULAR) & U.contains(polish.x)]
             if bad.size:
@@ -318,11 +311,14 @@ def winding_number_2d(g, U: Region) -> int:
             )
 
 
-def averaged_map(A_hat, F_hat):
-    """The averaged map x -> x + A_hat^{-1} F_hat(x), vectorized over x.
+def averaged_map(A_hat, F_hat, DF_hat):
+    """The averaged map g(x) = x + A_hat^{-1} F_hat(x) with its evaluator.
 
-    Its zeros are those of A_hat x + F_hat(x).  Raises
-    SingularResolventError when A_hat is too ill conditioned to invert.
+    Returns (g, evaluate): g is vectorized over x, and evaluate maps (k, d)
+    points to (g, I + A_hat^{-1} DF_hat), DF_hat(x) being the (..., d, d)
+    Jacobian of F_hat.  The zeros of g are those of A_hat x + F_hat(x).
+    Raises SingularResolventError when A_hat is too ill conditioned to
+    invert.
     """
     A = np.asarray(A_hat, dtype=float)
     cond = np.linalg.cond(A)
@@ -336,5 +332,7 @@ def averaged_map(A_hat, F_hat):
         fx = np.asarray(F_hat(x), dtype=float)
         return x + np.linalg.solve(A, fx.reshape(-1, fx.shape[-1]).T).T.reshape(fx.shape)
 
-    return g
+    def evaluate(X):
+        return g(X), np.eye(len(A)) + np.linalg.solve(A, DF_hat(X))
 
+    return g, evaluate

@@ -9,9 +9,10 @@ Grammar (recursive descent, standard precedence):
     atom   := NUMBER | VAR | FUNC '(' expr (',' expr)* ')' | '(' expr ')'
 
 Variables are t, s, T plus the constant pi; functions are sin, cos,
-exp, tanh, abs, sign (one argument) and min, max (two).  '^' binds tighter
-than unary minus, so -2^2 = -(2^2); exponents may carry their own sign
-(2^-3 is valid).  No user-defined names, so configs stay data.
+exp, log (natural), tanh, abs, sign (one argument) and min, max (two).
+'^' binds tighter than unary minus, so -2^2 = -(2^2); exponents may carry
+their own sign (2^-3 is valid).  No user-defined names, so configs stay
+data.
 
 Parsing folds a unary minus applied to a literal into the literal
 (normal form: Neg never wraps Num directly); with that convention
@@ -26,15 +27,16 @@ parser and tree walkers.
 Expressions compile once (compile_expr) into a tree of closures that
 models build when they are assembled; eval_expr compiles and calls.
 Evaluation is pure IEEE double arithmetic, vectorized over numpy array
-bindings.  Division by zero (including 0^negative) and fractional
-powers of negative bases raise; everything else is total.
+bindings.  Division by zero (including 0^negative), fractional powers
+of negative bases and log of a number <= 0 raise; everything else is
+total.
 
 diff_expr(e, var) returns the derivative of e in one variable as another
 AST: abs differentiates through sign (its derivative at 0 is taken as
 0), min and max take the derivative of the branch that sign(a - b)
-picks (their mean where a = b), and '^' takes the power rule c a^(c-1) a'
-when the exponent c is free of the variable; an exponent that depends on
-it raises ExprError.
+picks (their mean where a = b), and a^b takes the power rule
+b a^(b-1) a' when b' = 0, else a^b (b' log a + b a'/a), the second term
+dropped when a' = 0, so its derivative raises where log a does.
 """
 
 from __future__ import annotations
@@ -50,16 +52,6 @@ from .errors import EvolverError
 
 VARIABLES = ("t", "s", "T", "pi")
 MAX_DEPTH = 100
-FUNCTIONS = {
-    "sin": (1, np.sin),
-    "cos": (1, np.cos),
-    "exp": (1, np.exp),
-    "tanh": (1, np.tanh),
-    "abs": (1, np.abs),
-    "sign": (1, np.sign),
-    "min": (2, np.minimum),
-    "max": (2, np.maximum),
-}
 
 
 class ExprError(EvolverError):
@@ -70,6 +62,25 @@ class ExprError(EvolverError):
             message = f"{message} at offset {position}"
         super().__init__(message)
         self.position = position
+
+
+def _log(a):
+    if np.any(np.asarray(a) <= 0):
+        raise ExprError("log of a number <= 0")
+    return np.log(a)
+
+
+FUNCTIONS = {
+    "sin": (1, np.sin),
+    "cos": (1, np.cos),
+    "exp": (1, np.exp),
+    "log": (1, _log),
+    "tanh": (1, np.tanh),
+    "abs": (1, np.abs),
+    "sign": (1, np.sign),
+    "min": (2, np.minimum),
+    "max": (2, np.maximum),
+}
 
 
 @dataclass(frozen=True)
@@ -425,9 +436,9 @@ def diff_expr(e: Expr, var: str) -> Expr:
     """d e / d var as an AST, with trivial 0 and 1 nodes simplified away.
 
     The rules are the usual ones, applied to the five node types and the
-    eight functions (see the module docstring for abs, sign, min, max and
+    nine functions (see the module docstring for abs, sign, min, max and
     '^'); any other variable and pi are constants.  Raises ExprError for
-    an exponent that depends on var, and for a malformed AST.
+    a malformed AST.
     """
     if isinstance(e, Num):
         return _ZERO
@@ -437,13 +448,13 @@ def diff_expr(e: Expr, var: str) -> Expr:
         return _neg(diff_expr(e.arg, var))
     if isinstance(e, Bin) and e.op in _BINARY:
         a, b = e.lhs, e.rhs
-        if e.op == "^":
-            if var in free_vars(b):
-                raise ExprError(f"cannot differentiate a power whose exponent "
-                                f"depends on {var!r}: {format_expr(e)}")
-            c = Num(b.value - 1.0) if isinstance(b, Num) else Bin("-", b, _ONE)
-            return _mul(_mul(b, a if c == _ONE else Bin("^", a, c)), diff_expr(a, var))
         da, db = diff_expr(a, var), diff_expr(b, var)
+        if e.op == "^":
+            if db == _ZERO:
+                c = Num(b.value - 1.0) if isinstance(b, Num) else Bin("-", b, _ONE)
+                return _mul(_mul(b, a if c == _ONE else Bin("^", a, c)), da)
+            # a^b (b' log a + b a'/a)
+            return _mul(e, _add(_mul(db, Call("log", (a,))), _div(_mul(b, da), a)))
         if e.op == "+":
             return _add(da, db)
         if e.op == "-":
@@ -472,6 +483,7 @@ def diff_expr(e: Expr, var: str) -> Expr:
             "sin": lambda: Call("cos", (a,)),
             "cos": lambda: Neg(Call("sin", (a,))),
             "exp": lambda: e,
+            "log": lambda: Bin("/", _ONE, a),
             "tanh": lambda: Bin("-", _ONE, Bin("^", Call("tanh", (a,)), Num(2.0))),
             "abs": lambda: Call("sign", (a,)),
             "sign": lambda: _ZERO,

@@ -1,10 +1,6 @@
 """Dense linear-operator substrate: exponentials, norms, resolvents, and
-damped_newton, the one Newton loop of degree and mild.fixed_point, with
-fd_eval, which evaluates a map and its central-difference Jacobian in one
-batched call.  Period maps take their Jacobians from the variational
-rows of their own solve (mild.PeriodMap.linearize); fd_eval is the path
-for fields without a Jacobian and the oracle that tests check exact
-Jacobians against.
+damped_newton, the one Newton loop of degree and mild.fixed_point, which
+takes each map's values and exact Jacobians from one evaluator call.
 
 Matrices and vectors are plain numpy arrays (float64).  Dimensions are
 capped at MAX_DIM; everything here is small and dense by design.  Norms
@@ -238,25 +234,6 @@ def resolvent(M, mu: float) -> np.ndarray:
 CONVERGED, SINGULAR, STALLED, ESCAPED, OUT_OF_ITERATIONS = range(5)
 
 
-def fd_eval(g, X: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
-    """g at each row of X (K, d) and its central-difference Jacobians (K, d, d).
-
-    The rows [x, x + h e_i, x - h e_i] of every x go to g as one batch of
-    K (2d + 1) points, so a period map solves a point and its probes
-    together.  h: one step for all rows, or a (K,) step per row.  Period
-    maps of fields with a Jacobian do not come here: their solve carries
-    1 + d exact rows per point instead (mild.PeriodMap.linearize).
-    """
-    K, d = X.shape
-    h = np.reshape(h, (-1, 1, 1))
-    shift = h * np.eye(d)[None, :, :]
-    rows = np.concatenate([X[:, None, :], X[:, None, :] + shift,
-                           X[:, None, :] - shift], axis=1)     # (K, 2d + 1, d)
-    vals = np.asarray(g(rows.reshape(-1, d)), dtype=float).reshape(K, 2 * d + 1, d)
-    J = (vals[:, 1:d + 1, :] - vals[:, d + 1:, :]).transpose(0, 2, 1) / (2.0 * h)
-    return vals[:, 0, :], J
-
-
 @dataclass
 class NewtonRecord:
     """Per-start outcome of damped_newton: row k of each array is start k.
@@ -285,8 +262,8 @@ def damped_newton(Gj, X, tol: float, max_iter: int, tries: int,
     """Damped Newton on G(x) = 0 from each row of X (K, d), in lockstep.
 
     Gj maps (k, d) rows to the pair (G, J) of (k, d) values and (k, d, d)
-    Jacobians, from one call (fd_eval evaluates both in one batch).  Each
-    iteration solves J s = -G(x) at every running start and tries
+    Jacobians, from one call.  Each iteration solves J s = -G(x) at every
+    running start and tries
     x + alpha s for alpha = 1, 1/2, ... (tries trials), accepting the first
     that lowers |G|; an accepted trial brings its own Jacobian, so every
     iteration makes one Gj call per trial and none for J.  A start ends

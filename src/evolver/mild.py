@@ -21,13 +21,11 @@ of a strongly damped step would amplify roundoff.  period_map is the
 translation along trajectories Phi_T^lam of u' = lam (A u + F); its
 fixed points, the T-periodic states, are found by the one damped-Newton
 kernel (linop.damped_newton).  PeriodMap.linearize returns Phi_T^lam and
-its Jacobian from one solve: for a field with a jacobian, each point
-rides with d tangent rows that start at the identity and follow the
-variational equation V' = lam (A V + DF(t, u) V) through the same
-trapezoid passes, which gives the exact derivative of the discrete map
-up to Picard tolerance (1 + d rows per point); a field without one takes
-central differences whose 2d probes ride in the point's solve
-(linop.fd_eval, 2d + 1 rows).  Each map builds its scan plan once.  Its
+its Jacobian from one solve: each point rides with d tangent rows that
+start at the identity and follow the variational equation
+V' = lam (A V + DF(t, u) V) through the same trapezoid passes, which
+gives the exact derivative of the discrete map up to Picard tolerance
+(1 + d rows per point).  Each map builds its scan plan once.  Its
 gap_lipschitz bounds x - Phi_T^lam(x) for the degree's cell exclusion.
 
 All state-space operations broadcast over leading axes, so a batch of
@@ -58,7 +56,7 @@ from .evolsys import (
     build_evolution,
     uniform_nodes,
 )
-from .linop import CONVERGED, SINGULAR, STALLED, as_vector, damped_newton, fd_eval
+from .linop import CONVERGED, SINGULAR, STALLED, as_vector, damped_newton
 
 DEFAULT_GRID = 2048
 
@@ -80,8 +78,7 @@ up to 208 states: 0.94 s against 0.46 s).
 
 @dataclass(frozen=True)
 class NonlinearField:
-    """Nonlinearity F(t, x) with its Lipschitz constant and, optionally,
-    its Jacobian in x.
+    """Nonlinearity F(t, x) with its Lipschitz constant and its Jacobian in x.
 
     F: (t, x) -> array shaped broadcast_shapes(t, x.shape[:-1]) + (d,),
        once trailing axes of t that face x's component axis are dropped
@@ -92,16 +89,23 @@ class NonlinearField:
     lipschitz: L with ||F(t, x) - F(t, y)|| <= L ||x - y||
     jacobian: (t, x) -> DF(t, x), shaped like F(t, x) with one more axis
        of length d (entry [..., i, j] is dF_i / dx_j), broadcasting and
-       node-local like F; None when the field has none, and then period
-       maps differentiate it by central differences.
+       node-local like F.
     """
 
     F: Callable
     lipschitz: float
-    jacobian: Callable | None = None
+    jacobian: Callable
 
     def __call__(self, t, x):
         return self.F(t, x)
+
+
+def field_jacobian(F) -> Callable:
+    """F.jacobian; raises InvalidInputError for a field that carries none."""
+    jacobian = getattr(F, "jacobian", None)
+    if not callable(jacobian):
+        raise InvalidInputError("the field carries no jacobian")
+    return jacobian
 
 
 @dataclass
@@ -354,38 +358,24 @@ class PeriodMap:
         return mild_solve(self.R, self.F, x, lam=self.lam, grid=self.grid,
                           _plan=self._plan)
 
-    def linearize(self, X, fd_step) -> tuple[Trajectory, np.ndarray]:
+    def linearize(self, X) -> tuple[Trajectory, np.ndarray]:
         """Phi_T^lam at each row of X (K, d) and its Jacobians (K, d, d), from
         one solve.
 
-        With F.jacobian, the solve carries states (K, 1 + d, d): row 0 is
-        the point and rows 1..d start at the identity under the tangent
-        field V DF(t, u)^T, so row 1 + j ends at DPhi e_j, the derivative of
-        the discrete trapezoid map in direction e_j up to Picard tolerance.
-        Without one, linop.fd_eval solves each point with its 2d central
-        probes at the step fd_step (a scalar or one per row).  Returns the
-        path of the points, states (m + 1, K, d), and DPhi.
+        The solve carries states (K, 1 + d, d): row 0 is the point and rows
+        1..d start at the identity under the tangent field V DF(t, u)^T, so
+        row 1 + j ends at DPhi e_j, the derivative of the discrete trapezoid
+        map in direction e_j up to Picard tolerance.  Returns the path of
+        the points, states (m + 1, K, d), and DPhi.  Raises
+        InvalidInputError when F carries no jacobian.
         """
         X = np.asarray(X, dtype=float)
         K, d = X.shape
-        jacobian = getattr(self.F, "jacobian", None)
-        if jacobian is None:
-            solves = []
-
-            def final(rows):
-                solves.append(self(rows))
-                return solves[-1].final
-
-            _, J = fd_eval(final, X, fd_step)
-            (traj,) = solves
-            rows = traj.states.reshape(-1, K, 2 * d + 1, d)
-        else:
-            Z = np.concatenate([X[:, None, :], np.broadcast_to(np.eye(d), (K, d, d))], axis=1)
-            traj = mild_solve(self.R, _variational(self.F, jacobian), Z, lam=self.lam,
-                              grid=self.grid, _plan=self._plan)
-            rows = traj.states
-            J = traj.final[:, 1:].swapaxes(-1, -2)
-        return replace(traj, states=rows[:, :, 0]), J
+        G = _variational(self.F, field_jacobian(self.F))
+        Z = np.concatenate([X[:, None, :], np.broadcast_to(np.eye(d), (K, d, d))], axis=1)
+        traj = mild_solve(self.R, G, Z, lam=self.lam, grid=self.grid, _plan=self._plan)
+        J = traj.final[:, 1:].swapaxes(-1, -2)
+        return replace(traj, states=traj.states[:, :, 0]), J
 
     def gap_lipschitz(self) -> tuple[float, float]:
         """(Lip, slack): |g(x) - g(y)| <= Lip |x - y| + slack for the computed
@@ -449,20 +439,19 @@ def fixed_point(phi: PeriodMap, x_init, tol: float = 1e-8,
 
     damped_newton on G(x) = phi(x).final - x from x_init as a batch of
     one, with 8 trial steps; every evaluation is one phi.linearize solve
-    of the point with its Jacobian (exact for a field with a jacobian,
-    else central differences at the step 1e-6 (1 + ||x||)), so the solve
-    makes 1 + accepted steps + halvings solves.  Newton ends on an
-    evaluation of its last iterate, whose path is kept as the result's
-    trajectory.  Raises
-    DegenerateFixedPointError when DPhi - I is numerically singular
-    (cond > COND_LIMIT) and ConvergenceError when ||phi(x).final - x||
-    does not reach tol (the step stalled or max_iter iterations ran out).
+    of the point with its exact Jacobian, so the solve makes
+    1 + accepted steps + halvings solves.  Newton ends on an evaluation of
+    its last iterate, whose path is kept as the result's trajectory.
+    Raises DegenerateFixedPointError when DPhi - I is numerically singular
+    (cond > COND_LIMIT), ConvergenceError when ||phi(x).final - x|| does
+    not reach tol (the step stalled or max_iter iterations ran out), and
+    InvalidInputError when phi's field has no jacobian.
     """
     x = as_vector(x_init)
     last = []
 
     def Gj(X):
-        traj, J = phi.linearize(X, 1e-6 * (1.0 + np.linalg.norm(X, axis=-1)))
+        traj, J = phi.linearize(X)
         last[:] = [X, traj]
         return traj.final - X, J - np.eye(X.shape[-1])
 

@@ -136,8 +136,8 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
     f_inf: asymptotic slope of f; must keep distance > 1e-6 from both
     {lam_i} and {-lam_i}, else the linearized problem can be resonant
     lipschitz: Lipschitz constant of f in s, carried to the lifted field
-    f_s: callable (t, s) -> df/ds, broadcasting like f, or None; with it the
-    lifted field carries its exact Jacobian
+    f_s: callable (t, s) -> df/ds, broadcasting like f; required with f,
+    since the lifted field carries its exact Jacobian
 
     beta is screened for positivity on 2049 uniform nodes of [0, T], which
     also give beta0 = min beta and gamma = max(beta + 1) / sqrt(lam_1).
@@ -150,6 +150,8 @@ def build_wave_model(ell: float, k: int, beta, T: float, f=None,
         raise InvalidInputError(f"mode count k must lie in [1, {MAX_MODES}]")
     if not (np.isfinite(T) and T > 0):
         raise InvalidInputError("period T must be positive")
+    if f is not None and f_s is None:
+        raise InvalidInputError("a nonlinearity f needs its derivative f_s")
     eigs = _mode_eigs(ell, k)
 
     beta_vals = _beta_at(beta, np.linspace(0.0, T, 2049))
@@ -224,9 +226,8 @@ def nonlinear_field(model: WaveModel) -> NonlinearField:
     """The state-space lift F(t, (a, b)) = (0, -N_f(t, a)) of the nonlinearity.
 
     N_f(t, a) = w C^T f(t, C a) for the collocation matrix C and weight w,
-    so with model.f_s the field's Jacobian is -w C^T diag(f_s(t, C a)) C in
-    the velocity rows and position columns, and zero elsewhere; without
-    f_s the field has no jacobian.
+    so the field's Jacobian is -w C^T diag(f_s(t, C a)) C in the velocity
+    rows and position columns, and zero elsewhere.
     """
     k = model.k
     C, w = model.colloc_matrix, model.colloc_weight
@@ -245,16 +246,16 @@ def nonlinear_field(model: WaveModel) -> NonlinearField:
     def jacobian(t, z):
         u = np.asarray(z, dtype=float)[..., :k] @ C.T
         fs = np.asarray(model.f_s(t, u), dtype=float)
-        lead = np.broadcast_shapes(fs.shape, u.shape)[:-1]
-        out = np.zeros(lead + (2 * k, 2 * k))
-        slopes = np.broadcast_to(fs, lead + (len(C),)).reshape(-1, len(C))
-        out[..., k:, :k] = (slopes @ CC).reshape(lead + (k, k))
+        # t broadcasts as it does in F, also when f_s is free of t and s
+        shape = np.broadcast_shapes(np.shape(t), fs.shape, u.shape)
+        out = np.zeros(shape[:-1] + (2 * k, 2 * k))
+        slopes = np.broadcast_to(fs, shape).reshape(-1, len(C))
+        out[..., k:, :k] = (slopes @ CC).reshape(shape[:-1] + (k, k))
         return out
 
     # |N_f(a) - N_f(b)| <= L w |C|_2^2 |a - b| for N_f(a) = w C^T f(t, C a)
     lip = model.lipschitz * w * np.linalg.norm(C, 2) ** 2
-    return NonlinearField(F=F, lipschitz=float(lip),
-                          jacobian=None if model.f_s is None else jacobian)
+    return NonlinearField(F=F, lipschitz=float(lip), jacobian=jacobian)
 
 
 @dataclass

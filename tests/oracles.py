@@ -26,7 +26,10 @@ oracles may use scipy and mpmath:
   x <- Phi(x) (the library runs damped Newton on Phi(x) - x);
 * product-formula tables and matrix powers: k_n matrix-vector products
   in a loop, and numpy's matrix_power (the library powers a whole stack
-  by lockstep binary squaring, the sums through a block matrix).
+  by lockstep binary squaring, the sums through a block matrix);
+* Jacobians: central differences (fd_eval; every library field and map
+  carries its exact derivative, from exprlang.diff_expr, closed forms or
+  the variational rows of a period-map solve).
 """
 
 import mpmath
@@ -223,9 +226,37 @@ def picard_fixed_point(phi, x, tol, max_iter=200):
     raise AssertionError(f"direct iteration stalled at update {step:.3e}")
 
 
+def fd_eval(g, X, h):
+    """g at each row of X (K, d) and its central-difference Jacobians (K, d, d).
+
+    The rows [x, x + h e_i, x - h e_i] of every x go to g as one batch of
+    K (2d + 1) points.  h: one step for all rows, or a (K,) step per row.
+    """
+    K, d = X.shape
+    h = np.reshape(h, (-1, 1, 1))
+    shift = h * np.eye(d)[None, :, :]
+    rows = np.concatenate([X[:, None, :], X[:, None, :] + shift,
+                           X[:, None, :] - shift], axis=1)     # (K, 2d + 1, d)
+    vals = np.asarray(g(rows.reshape(-1, d)), dtype=float).reshape(K, 2 * d + 1, d)
+    J = (vals[:, 1:d + 1, :] - vals[:, d + 1:, :]).transpose(0, 2, 1) / (2.0 * h)
+    return vals[:, 0, :], J
+
+
+def fd_pair(g, h=1e-6):
+    """The evaluator X -> fd_eval(g, X, h), the pair a degree's Newton takes."""
+    return lambda X: fd_eval(g, X, h)
+
+
+def _walk_log(a):
+    if np.any(np.asarray(a) <= 0):
+        raise ValueError("log of a number <= 0")
+    return np.log(a)
+
+
 _WALK_FUNCTIONS = {
-    "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
-    "abs": np.abs, "min": np.minimum, "max": np.maximum,
+    "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": _walk_log,
+    "tanh": np.tanh, "abs": np.abs, "sign": np.sign,
+    "min": np.minimum, "max": np.maximum,
 }
 
 
@@ -235,7 +266,7 @@ def walk_expr(e, bindings=None):
     Dispatches on node class names (Num, Var, Neg, Bin, Call), so it needs
     nothing from the library, and raises ValueError where evaluation is
     undefined: division by zero, zero to a negative power, a fractional
-    power of a negative base, an unbound variable.
+    power of a negative base, log of a number <= 0, an unbound variable.
     """
     env = {"pi": np.pi}
     if bindings:

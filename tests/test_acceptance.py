@@ -37,7 +37,7 @@ from evolver import (
 )
 from evolver.catalog import AVERAGING_LADDER, BRANCHING_LADDER, WAVE_LADDER, get_model
 
-from oracles import rk4_transition
+from oracles import fd_pair, rk4_transition
 
 
 def _verdict(name, ok):
@@ -186,16 +186,18 @@ def test_degree_fields():
     ok = True
     for d in (1, 2, 3):
         U = Region.ball(np.zeros(d), 1.0)
-        ident = brouwer_degree(lambda x: np.asarray(x, dtype=float), U, grid=8)
-        antip = brouwer_degree(lambda x: -np.asarray(x, dtype=float), U, grid=8)
-        ok = ok and ident.value == 1 and antip.value == (-1) ** d
+        ident = lambda x: np.asarray(x, dtype=float)
+        antip = lambda x: -np.asarray(x, dtype=float)
+        ident_deg = brouwer_degree(ident, U, grid=8, evaluate=fd_pair(ident)).value
+        antip_deg = brouwer_degree(antip, U, grid=8, evaluate=fd_pair(antip)).value
+        ok = ok and ident_deg == 1 and antip_deg == (-1) ** d
         if d == 2:
-            ok = ok and winding_number_2d(lambda x: np.asarray(x, dtype=float), U) == 1
-            ok = ok and winding_number_2d(lambda x: -np.asarray(x, dtype=float), U) == 1
+            ok = ok and winding_number_2d(ident, U) == 1
+            ok = ok and winding_number_2d(antip, U) == 1
     U2 = Region.ball(np.zeros(2), 1.0)
     for m in (2, 3, 4):
         g = _complex_power(m)
-        ok = ok and brouwer_degree(g, U2, grid=12).value == m
+        ok = ok and brouwer_degree(g, U2, grid=12, evaluate=fd_pair(g)).value == m
         ok = ok and winding_number_2d(g, U2) == m
     assert _verdict("degree-fields", ok)
 

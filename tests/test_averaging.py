@@ -22,11 +22,22 @@ from evolver import (
 from evolver.catalog import AVERAGING_LADDER, model_from_config
 from evolver.degree import averaged_map
 
+from oracles import fd_pair
+
 # the scalar catalog model u' = lam(-u + 2 + sin(2 pi t)) has averaged pair
 # A_hat = -1, F_hat = 2, zero x* = 2, and periodic starts
 # x_lam = 2 - 2 pi lam / (lam^2 + 4 pi^2)
 def _defect_closed_form(lam):
     return 2.0 * np.pi * lam / (lam ** 2 + 4.0 * np.pi ** 2)
+
+
+def _gap_pair(phi):
+    # x - Phi_T(x) and its Jacobians from phi's variational rows
+    def evaluate(X):
+        traj, J = phi.linearize(X)
+        return X - traj.final, np.eye(X.shape[-1]) - J
+
+    return evaluate
 
 
 def test_average_generator_scalar():
@@ -105,7 +116,8 @@ def test_averaged_pair_on_the_wave_field():
 def test_averaged_field_with_wrong_shape_is_rejected():
     cm = get_model("scalar-linear")
     # right at single times, wrong over the node column the Simpson rule samples
-    bad = NonlinearField(F=lambda t, x: np.zeros(np.shape(x)), lipschitz=0.0)
+    bad = NonlinearField(F=lambda t, x: np.zeros(np.shape(x)), lipschitz=0.0,
+                         jacobian=lambda t, x: np.zeros(np.shape(x) + (1,)))
     with pytest.raises(InvalidInputError, match="expected"):
         averaged_pair(cm.family, bad)
 
@@ -123,7 +135,10 @@ def test_mu_rescale_fixed_points_match_at_endpoints():
         flat = fx.reshape(-1, fx.shape[-1])
         return -np.linalg.solve(avg.A_hat, flat.T).T.reshape(fx.shape)
 
-    comparison = NonlinearField(F=comp, lipschitz=0.0)
+    def comp_jacobian(t, x):
+        return -np.linalg.solve(avg.A_hat, avg.DF_hat(np.asarray(x, dtype=float)))
+
+    comparison = NonlinearField(F=comp, lipschitz=0.0, jacobian=comp_jacobian)
     fp1 = fixed_point(period_map(cm.family, comparison, 0.5, 256, 512), [0.0], tol=1e-10)
     assert fp1.x[0] == pytest.approx(2.0, abs=1e-5)
     lam = 0.01
@@ -238,8 +253,8 @@ def test_averaging_report_carries_its_averaged_pair():
     avg = report.averaged
     assert avg.A_hat.shape == (2, 2)
     # d0 is the degree of that pair
-    d0 = brouwer_degree(averaged_map(avg.A_hat, avg.F_hat), cm.region, grid=8,
-                        boundary_m=128)
+    g, evaluate = averaged_map(avg.A_hat, avg.F_hat, avg.DF_hat)
+    d0 = brouwer_degree(g, cm.region, grid=8, boundary_m=128, evaluate=evaluate)
     assert d0.value == report.d0
     assert np.array_equal(d0.zeros, report.d0_report.zeros)
     assert d0.boundary_min == report.d0_report.boundary_min
@@ -284,8 +299,8 @@ def test_averaged_map_lipschitz_bound_holds(key):
     cm = get_model(key)
     avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
     assert avg.lipschitz == cm.field.lipschitz
-    _assert_bound_holds(averaged_map(avg.A_hat, avg.F_hat), cm.region,
-                        avg.map_lipschitz, 0.0, seed=6)
+    g, _ = averaged_map(avg.A_hat, avg.F_hat, avg.DF_hat)
+    _assert_bound_holds(g, cm.region, avg.map_lipschitz, 0.0, seed=6)
 
 
 def test_a_field_without_a_bound_prunes_nothing():
@@ -297,7 +312,7 @@ def test_a_field_without_a_bound_prunes_nothing():
     # nor does a bound under which a trapezoid step (q >= 1, at 1e4) or the
     # Picard pass (kappa >= 1, at 10) does not contract
     for lip in (1e4, 10.0):
-        steep = NonlinearField(F=cm.field.F, lipschitz=lip)
+        steep = NonlinearField(F=cm.field.F, lipschitz=lip, jacobian=cm.field.jacobian)
         assert period_map(cm.family, steep, 1.0, 64, 64).gap_lipschitz() == (np.inf, 0.0)
 
 
@@ -309,10 +324,13 @@ def test_pruned_and_unpruned_degrees_agree(key, lam):
     phi = period_map(cm.family, cm.field, lam, 256, 256)
     avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
     lip, slack = phi.gap_lipschitz()
-    for g, bound in ((lambda x: x - phi(x).final, dict(lipschitz=lip, slack=slack)),
-                     (averaged_map(avg.A_hat, avg.F_hat), dict(lipschitz=avg.map_lipschitz))):
-        full = brouwer_degree(g, cm.region, grid=8, boundary_m=128)
-        pruned = brouwer_degree(g, cm.region, grid=8, boundary_m=128, **bound)
+    pairs = (((lambda x: x - phi(x).final, _gap_pair(phi)), dict(lipschitz=lip, slack=slack)),
+             (averaged_map(avg.A_hat, avg.F_hat, avg.DF_hat),
+              dict(lipschitz=avg.map_lipschitz)))
+    for (g, evaluate), bound in pairs:
+        full = brouwer_degree(g, cm.region, grid=8, boundary_m=128, evaluate=evaluate)
+        pruned = brouwer_degree(g, cm.region, grid=8, boundary_m=128, evaluate=evaluate,
+                                **bound)
         assert full.starts == full.cells and pruned.starts < pruned.cells
         assert pruned.value == full.value == 1
         assert pruned.zeros.shape == full.zeros.shape
@@ -365,12 +383,13 @@ def test_interval_degree_is_checked_against_the_endpoints():
                        match=r"zero sum 2 contradicts the endpoint degree 1: "
                              r"g\(lo\) = -6\.25\d*e-01, g\(hi\) = 6\.44\d*e-01"):
         brouwer_degree(lambda x: x - phi(x).final, cm.region, grid=8, boundary_m=128,
-                       lipschitz=lip, slack=slack)
+                       lipschitz=lip, slack=slack, evaluate=_gap_pair(phi))
     # an understated bound excludes zeros as well, here all three
     g = lambda x: x - 3.0 * np.tanh(x)
+    evaluate = lambda X: (g(X), (1.0 - 3.0 / np.cosh(X) ** 2)[..., None])
     with pytest.raises(OracleFailureError, match="zero sum 0 contradicts the endpoint degree 1"):
-        brouwer_degree(g, cm.region, grid=8, lipschitz=0.0)
-    rep = brouwer_degree(g, cm.region, grid=8, lipschitz=1.0 + 3.0)
+        brouwer_degree(g, cm.region, grid=8, lipschitz=0.0, evaluate=evaluate)
+    rep = brouwer_degree(g, cm.region, grid=8, lipschitz=1.0 + 3.0, evaluate=evaluate)
     assert rep.value == 1 and list(rep.signs) == [1, -1, 1]
 
 
@@ -387,8 +406,8 @@ def test_rungs_are_compared_against_the_averaged_field_s_own_degree():
 
 def test_averaging_rungs_take_their_jacobians_from_the_tangent_rows(monkeypatch):
     # after a rung's boundary-and-centers solve, every solve is Newton's:
-    # points with d tangent rows; a field without a jacobian gets the same
-    # degree and zeros from central differences
+    # points with d tangent rows; central differences of the same map give
+    # the same degree, and a field without a jacobian is refused
     import evolver.mild as mild
 
     cm = get_model("rotation-damped-2d")
@@ -403,7 +422,16 @@ def test_averaging_rungs_take_their_jacobians_from_the_tangent_rows(monkeypatch)
     exact = averaging_degree_check(cm.family, cm.field, cm.region, [0.3], grid=128)
     assert len(shapes[0]) == 2 and len(shapes) > 2
     assert all(len(s) == 3 and s[1:] == (3, 2) for s in shapes[1:])
-    bare = NonlinearField(F=cm.field.F, lipschitz=cm.field.lipschitz)
-    fd = averaging_degree_check(cm.family, bare, cm.region, [0.3], grid=128)
-    assert exact.rows[0].degree == fd.rows[0].degree == 1
-    assert exact.rows[0].boundary_min == fd.rows[0].boundary_min
+    monkeypatch.setattr(mild, "mild_solve", solve)
+    phi = period_map(cm.family, cm.field, 0.3, 256, 128)
+    g = lambda x: x - phi(x).final
+    lip, slack = phi.gap_lipschitz()
+    fd = brouwer_degree(g, cm.region, grid=8, boundary_m=128, lipschitz=lip, slack=slack,
+                        evaluate=fd_pair(g))
+    assert exact.rows[0].degree == fd.value == 1
+    assert exact.rows[0].boundary_min == fd.boundary_min
+    bare = lambda t, x: cm.field(t, x)
+    with pytest.raises(InvalidInputError, match="no jacobian"):
+        period_map(cm.family, bare, 0.3, 256, 128).linearize(cm.region.midpoint[None])
+    with pytest.raises(InvalidInputError, match="no jacobian"):
+        averaging_degree_check(cm.family, bare, cm.region, [0.3], grid=128)

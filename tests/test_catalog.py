@@ -139,15 +139,19 @@ def test_field_jacobian_is_the_diagonal_of_slopes():
     assert np.array_equal(J1, [[0.0, 0.0], [0.0, -6.0]])
 
 
-def test_field_with_an_exponent_in_s_has_no_jacobian():
-    # such a component has no derivative expression; the field still evaluates
+def test_field_with_an_exponent_in_s_has_its_jacobian():
+    # a^b with s in b differentiates to a^b (b' log a + b a'/a)
     field = compile_field(["2^s", "s"], 1.0, lipschitz=2.0)
-    assert field.jacobian is None and field.lipschitz == 2.0
+    assert field.lipschitz == 2.0
     assert np.allclose(field(0.0, np.array([3.0, 1.0])), [8.0, 1.0])
+    J = field.jacobian(0.0, np.array([3.0, 1.0]))
+    assert np.allclose(J, [[8.0 * np.log(2.0), 0.0], [0.0, 1.0]], rtol=1e-15, atol=0.0)
     inline = model_from_config({"A": [[-1]], "F": ["0.5^(s*s)"]})
-    assert inline.field.jacobian is None
+    s = np.array([[-0.7], [0.0], [1.3]])
+    want = 0.5 ** (s * s) * 2.0 * s * np.log(0.5)
+    assert np.allclose(inline.field.jacobian(0.0, s)[..., 0], want, rtol=1e-14, atol=0.0)
     for key in MODEL_KEYS:
-        assert get_model(key).field.jacobian is not None
+        assert callable(get_model(key).field.jacobian)
 
 
 def test_inline_model():

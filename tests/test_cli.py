@@ -297,6 +297,19 @@ def test_malformed_inline_model_exits_2(tmp_path, capsys, override):
     assert "config error" in err and "Traceback" not in err
 
 
+def test_an_exponent_in_s_outside_its_domain_exits_1(tmp_path, capsys):
+    # s^s and its derivative s^s (log s + 1) need s > 0; around s = -0.5 the
+    # averaged field fails in the expression language, a numeric failure
+    model = {"A": [[-1]], "F": ["s^s"], "lipschitz": 2,
+             "region": {"kind": "ball", "center": [-0.5], "radius": 0.25}}
+    cfg = _write_cfg(tmp_path, "s.json", {"model": model})
+    out = tmp_path / "o"
+    assert main(["branching", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "numeric failure: expression" in err and "Traceback" not in err
+    assert _failure_summary(out, "branching")["error"] == "expression"
+
+
 def test_energy_audit_on_a_two_node_path_exits_1(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "w.json", {"numeric": {"grid": 1}})
     rc = main(["wave-energy", "--config", cfg, "--out", str(tmp_path / "o")])

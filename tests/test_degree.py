@@ -7,9 +7,12 @@ from evolver import (
     InvalidInputError,
     Region,
     SingularResolventError,
+    averaged_pair,
     brouwer_degree,
+    get_model,
     winding_number_2d,
 )
+from evolver.cli import _power_field, _scaled_identity
 from evolver.degree import _cluster, averaged_map
 from evolver.linop import (
     CONVERGED,
@@ -19,6 +22,16 @@ from evolver.linop import (
     STALLED,
     damped_newton,
 )
+
+from oracles import fd_eval, fd_pair
+
+
+def _identity(x):
+    return np.asarray(x, dtype=float)
+
+
+def _antipodal(x):
+    return -np.asarray(x, dtype=float)
 
 
 def _complex_power(m, c=0.1):
@@ -64,7 +77,7 @@ def test_boundary_samples_on_circle():
 def test_identity_field_degree_one():
     for d in (1, 2, 3):
         U = Region.ball(np.zeros(d), 1.0)
-        rep = brouwer_degree(lambda x: np.asarray(x, dtype=float), U, grid=6)
+        rep = brouwer_degree(_identity, U, grid=6, evaluate=fd_pair(_identity))
         assert rep.value == 1
         assert len(rep.zeros) == 1
         assert np.allclose(rep.zeros[0], np.zeros(d), atol=1e-6)
@@ -73,14 +86,15 @@ def test_identity_field_degree_one():
 def test_antipodal_field_degree():
     for d in (1, 2, 3):
         U = Region.ball(np.zeros(d), 1.0)
-        rep = brouwer_degree(lambda x: -np.asarray(x, dtype=float), U, grid=6)
+        rep = brouwer_degree(_antipodal, U, grid=6, evaluate=fd_pair(_antipodal))
         assert rep.value == (-1) ** d
 
 
 def test_complex_power_degrees():
     U = Region.ball([0.0, 0.0], 1.0)
     for m in (2, 3, 4):
-        rep = brouwer_degree(_complex_power(m), U, grid=12)
+        g = _complex_power(m)
+        rep = brouwer_degree(g, U, grid=12, evaluate=fd_pair(g))
         assert rep.value == m
         assert len(rep.zeros) == m
         assert winding_number_2d(_complex_power(m), U) == m
@@ -106,7 +120,7 @@ def test_winding_matches_newton_degree_on_random_products():
                 w = w * (z - r)
             return np.stack([w.real, w.imag], axis=-1)
 
-        rep = brouwer_degree(g, U, grid=14)
+        rep = brouwer_degree(g, U, grid=14, evaluate=fd_pair(g))
         assert rep.value == k
         assert np.all(rep.signs == 1)
         assert winding_number_2d(g, U) == k
@@ -114,32 +128,37 @@ def test_winding_matches_newton_degree_on_random_products():
 
 def test_degree_on_box_region():
     U = Region.box([-1.0, -1.0], [1.0, 1.0])
-    assert brouwer_degree(_complex_power(2), U, grid=12).value == 2
-    assert winding_number_2d(_complex_power(2), U) == 2
+    g = _complex_power(2)
+    assert brouwer_degree(g, U, grid=12, evaluate=fd_pair(g)).value == 2
+    assert winding_number_2d(g, U) == 2
 
 
 def test_homotopy_invariance():
     # moving the target value never crosses zero on the boundary
     U = Region.ball([0.0, 0.0], 1.0)
     for tau in np.linspace(0.0, 1.0, 5):
-        rep = brouwer_degree(_complex_power(2, c=0.1 + 0.4 * tau), U, grid=12)
+        g = _complex_power(2, c=0.1 + 0.4 * tau)
+        rep = brouwer_degree(g, U, grid=12, evaluate=fd_pair(g))
         assert rep.value == 2
 
 
 def test_additivity_over_subregions():
     g = _complex_power(2, c=0.25)  # zeros at +-0.5
-    whole = brouwer_degree(g, Region.ball([0.0, 0.0], 1.0), grid=12).value
-    left = brouwer_degree(g, Region.ball([-0.5, 0.0], 0.2), grid=8).value
-    right = brouwer_degree(g, Region.ball([0.5, 0.0], 0.2), grid=8).value
+    whole = brouwer_degree(g, Region.ball([0.0, 0.0], 1.0), grid=12,
+                           evaluate=fd_pair(g)).value
+    left = brouwer_degree(g, Region.ball([-0.5, 0.0], 0.2), grid=8,
+                          evaluate=fd_pair(g)).value
+    right = brouwer_degree(g, Region.ball([0.5, 0.0], 0.2), grid=8,
+                           evaluate=fd_pair(g)).value
     assert whole == left + right == 2
 
 
 def test_boundary_zero_raises():
     U = Region.ball([1.0, 0.0], 1.0)  # boundary passes through the origin
     with pytest.raises(InadmissibleRegionError):
-        brouwer_degree(lambda x: np.asarray(x, dtype=float), U)
+        brouwer_degree(_identity, U, evaluate=fd_pair(_identity))
     with pytest.raises(InadmissibleRegionError):
-        winding_number_2d(lambda x: np.asarray(x, dtype=float), U)
+        winding_number_2d(_identity, U)
 
 
 def test_degenerate_zero_raises():
@@ -147,7 +166,7 @@ def test_degenerate_zero_raises():
         return np.asarray(x, dtype=float) ** 2
 
     with pytest.raises(DegenerateZeroError):
-        brouwer_degree(g, Region.ball([0.1], 0.5), grid=8)
+        brouwer_degree(g, Region.ball([0.1], 0.5), grid=8, evaluate=fd_pair(g))
 
     # planar fields whose only zero, the origin, is degenerate
     U = Region.ball([0.1, 0.05], 0.5)
@@ -162,13 +181,13 @@ def test_degenerate_zero_raises():
             return np.stack(h(p[..., 0], p[..., 1]), axis=-1)
 
         with pytest.raises(DegenerateZeroError):
-            brouwer_degree(g2, U, grid=8)
+            brouwer_degree(g2, U, grid=8, evaluate=fd_pair(g2))
 
 
 def test_dimension_cap():
     U = Region.ball(np.zeros(5), 1.0)
     with pytest.raises(InvalidInputError):
-        brouwer_degree(lambda x: np.asarray(x, dtype=float), U)
+        brouwer_degree(_identity, U, evaluate=fd_pair(_identity))
     with pytest.raises(InvalidInputError):
         winding_number_2d(_complex_power(2), Region.ball(np.zeros(3), 1.0))
 
@@ -177,16 +196,51 @@ def test_deg_hat_linearized_field():
     # x + A^{-1} F with A = diag(-1,-2), F = const: single zero, degree 1
     A = np.diag([-1.0, -2.0])
     F = lambda x: np.broadcast_to([0.3, -0.4], np.asarray(x).shape).copy()
-    rep = brouwer_degree(averaged_map(A, F), Region.ball([0.0, 0.0], 2.0), grid=8)
+    DF = lambda x: np.zeros(np.shape(x) + (2,))
+    g, evaluate = averaged_map(A, F, DF)
+    rep = brouwer_degree(g, Region.ball([0.0, 0.0], 2.0), grid=8, evaluate=evaluate)
     assert rep.value == 1
     assert np.allclose(rep.zeros[0], [0.3, -0.2], atol=1e-6)
+    # its Jacobian I + A^{-1} DF is the identity
+    X = np.array([[0.1, 0.2], [-1.0, 0.5]])
+    assert np.array_equal(evaluate(X)[1], np.broadcast_to(np.eye(2), (2, 2, 2)))
 
 
 def test_deg_hat_singular_generator():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularResolventError):
-        brouwer_degree(averaged_map(A, lambda x: np.asarray(x)),
-                       Region.ball([0.0, 0.0], 1.0))
+        averaged_map(A, lambda x: np.asarray(x), lambda x: np.eye(2))
+
+
+def _averaged(key):
+    cm = get_model(key)
+    avg = averaged_pair(cm.family, cm.field)
+    return averaged_map(avg.A_hat, avg.F_hat, avg.DF_hat)
+
+
+# the averaged maps of two catalog models and the degree experiment's fields,
+# each as (g, evaluate), with the dimension of the points they are checked at
+_EXACT_PAIRS = {
+    "averaged-rotation-damped-2d": (lambda: _averaged("rotation-damped-2d"), 2),
+    "averaged-wave-k1": (lambda: _averaged("wave-k1"), 2),
+    "identity": (lambda: _scaled_identity(1.0), 3),
+    "antipodal": (lambda: _scaled_identity(-1.0), 3),
+    "complex-power": (lambda: _power_field(5), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXACT_PAIRS))
+def test_exact_evaluators_match_central_differences(name):
+    # evaluate returns g itself and its exact Jacobian; the averaged map's is
+    # I + A_hat^{-1} DF_hat, on the Simpson nodes and weights of F_hat
+    make, d = _EXACT_PAIRS[name]
+    g, evaluate = make()
+    X = np.random.default_rng(17).uniform(-1.0, 1.0, size=(6, d))
+    vals, J = evaluate(X)
+    _, ref = fd_eval(g, X, 1e-6)
+    assert np.array_equal(vals, g(X))
+    assert J.shape == (6, d, d)
+    assert np.abs(J - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
 
 
 def _piecewise(X):
@@ -316,7 +370,8 @@ def test_degree_evaluates_only_inside_newton_and_polishes_from_the_search(
     # the polish's first call is already a trial step away from its starts
     assert start is not None and not np.array_equal(polish_calls[0], polish_x)
     monkeypatch.setattr(degree, "damped_newton", newton)
-    fd = brouwer_degree(_two_opposite_zeros, U, grid=8, lipschitz=lipschitz)
+    fd = brouwer_degree(_two_opposite_zeros, U, grid=8, lipschitz=lipschitz,
+                        evaluate=fd_pair(_two_opposite_zeros))
     assert fd.value == rep.value and np.allclose(fd.zeros, rep.zeros, rtol=0.0, atol=1e-15)
 
 
@@ -338,8 +393,10 @@ def _two_opposite_zeros(x):
 
 def test_exclusion_keeps_the_degree_of_opposite_zeros():
     U = Region.ball([0.0, 0.0], 1.0)
-    full = brouwer_degree(_two_opposite_zeros, U, grid=8)
-    pruned = brouwer_degree(_two_opposite_zeros, U, grid=8, lipschitz=2.0)
+    evaluate = fd_pair(_two_opposite_zeros)
+    full = brouwer_degree(_two_opposite_zeros, U, grid=8, evaluate=evaluate)
+    pruned = brouwer_degree(_two_opposite_zeros, U, grid=8, lipschitz=2.0,
+                            evaluate=evaluate)
     assert full.value == pruned.value == 0
     assert np.allclose(pruned.zeros, [[-0.5, 0.0], [0.5, 0.0]], atol=1e-12)
     assert np.array_equal(pruned.zeros, full.zeros)
@@ -355,7 +412,8 @@ def test_exclusion_finds_a_zero_beside_the_boundary(angle):
     z = 0.97 * np.array([np.cos(angle), np.sin(angle)])
     U = Region.ball([0.0, 0.0], 1.0)
     g = lambda x: np.asarray(x, dtype=float) - z
-    rep = brouwer_degree(g, U, grid=8, boundary_m=128, lipschitz=1.0)
+    rep = brouwer_degree(g, U, grid=8, boundary_m=128, lipschitz=1.0,
+                         evaluate=lambda X: (g(X), np.broadcast_to(np.eye(2), X.shape + (2,))))
     assert rep.value == 1 and 1 <= rep.starts <= 4
     assert np.allclose(rep.zeros, [z], atol=1e-12)
 
@@ -388,7 +446,7 @@ def test_every_cell_excluded_means_degree_zero_without_newton(monkeypatch):
 
     monkeypatch.setattr(degree, "damped_newton", no_newton)
     U = Region.ball([0.0, 0.0], 1.0)
-    rep = brouwer_degree(lambda x: np.asarray(x, dtype=float) - 5.0, U, grid=8,
-                         lipschitz=1.0)
+    g = lambda x: np.asarray(x, dtype=float) - 5.0
+    rep = brouwer_degree(g, U, grid=8, lipschitz=1.0, evaluate=fd_pair(g))
     assert rep.value == 0 and rep.starts == 0 and rep.cells == 60
     assert rep.zeros.shape == (0, 2) and rep.signs.size == 0

@@ -14,9 +14,9 @@ from evolver import (
     resolvent,
 )
 from evolver.catalog import MODEL_KEYS
-from evolver.linop import MAX_DIM, PADE_THETA, as_matrix, as_vector, fd_eval
+from evolver.linop import MAX_DIM, PADE_THETA, as_matrix, as_vector
 
-from oracles import gram_norm, mp_expm_error, series_expm
+from oracles import fd_eval, gram_norm, mp_expm_error, series_expm
 
 
 def test_as_matrix_rejects_bad_shapes():

@@ -20,10 +20,9 @@ from evolver import (
     mild_solve,
     period_map,
 )
-from evolver.linop import fd_eval
 from evolver.mild import _FIELD_BLOCK, _eval_field, _gap, _scan_plan, _sweep, _workspace
 
-from oracles import loop_sweep, picard_fixed_point, rk4_path
+from oracles import fd_eval, loop_sweep, picard_fixed_point, rk4_path
 
 # periodic solution of u' = lam(-u + 2 + sin(2 pi t)) starts at
 # x_lam = 2 - 2 pi lam / (lam^2 + 4 pi^2)
@@ -134,10 +133,8 @@ def test_mild_field_may_return_a_view_of_the_path():
     cm = get_model("scalar-linear")
     R = build_evolution(cm.family, 128)
     X = np.array([[0.5], [1.5], [-2.0]])
-    views = NonlinearField(F=lambda t, x: x[...], lipschitz=1.0)
-    copies = NonlinearField(F=lambda t, x: x.copy(), lipschitz=1.0)
-    a = mild_solve(R, views, X, lam=0.5, grid=128)
-    b = mild_solve(R, copies, X, lam=0.5, grid=128)
+    a = mild_solve(R, lambda t, x: x[...], X, lam=0.5, grid=128)
+    b = mild_solve(R, lambda t, x: x.copy(), X, lam=0.5, grid=128)
     assert a.iterations == b.iterations > 2
     assert np.array_equal(a.states, b.states)
     assert a.residual == b.residual
@@ -197,16 +194,14 @@ def test_mild_gronwall_contraction():
 def test_mild_divergence_guard():
     fam = GeneratorFamily(dim=1, A=lambda t: np.zeros(np.shape(t) + (1, 1)), T=1.0)
     R = build_evolution(fam, 64)
-    explosive = NonlinearField(F=lambda t, x: x ** 3, lipschitz=np.inf)
     with pytest.raises(ConvergenceError):
-        mild_solve(R, explosive, np.array([4.0]), grid=128, max_iter=50)
+        mild_solve(R, lambda t, x: x ** 3, np.array([4.0]), grid=128, max_iter=50)
 
 
 def test_field_with_wrong_shape_is_rejected():
     R = build_evolution(get_model("rotation-damped-2d").family, 64)
     # sums over the state axis instead of returning one vector per state
-    bad = NonlinearField(F=lambda t, x: np.sum(x, axis=-1) * np.cos(t),
-                         lipschitz=1.0)
+    bad = lambda t, x: np.sum(x, axis=-1) * np.cos(t)
     with pytest.raises(InvalidInputError, match="expected"):
         mild_solve(R, bad, np.array([0.1, 0.2]), grid=64)
 
@@ -246,8 +241,7 @@ def test_field_with_wrong_shape_in_its_last_block_is_rejected():
         return x[..., :1] if np.max(t) == cm.T else cm.field(t, x)
 
     with pytest.raises(InvalidInputError, match="expected"):
-        mild_solve(R, NonlinearField(F=last_block_bad, lipschitz=1.0),
-                   X, grid=grid)
+        mild_solve(R, last_block_bad, X, grid=grid)
 
 
 def test_mild_solve_allocates_no_path_sized_field_temporaries():
@@ -288,12 +282,12 @@ def test_period_map_is_the_scaled_system_solve(key):
 @pytest.mark.parametrize("key, lam", [("rotation-damped-2d", 1.0), ("rotation-damped-2d", 0.03),
                                       ("wave-k3", 1.0), ("wave-k3", 0.4)])
 def test_exact_jacobians_match_central_differences(key, lam):
-    # one solve of each point with its d tangent rows against fd_eval's
-    # 2d probes of the plain map; both see the same discrete map
+    # one solve of each point with its d tangent rows against the oracle's
+    # 2d central probes of the plain map; both see the same discrete map
     cm = get_model(key)
     phi = period_map(cm.family, cm.field, lam, 256, 256)
     X = np.random.default_rng(12).uniform(-1.0, 1.0, size=(3, cm.dim))
-    traj, J = phi.linearize(X, 1e-6)
+    traj, J = phi.linearize(X)
     vals, ref = fd_eval(lambda rows: phi(rows).final, X, 1e-5)
     assert traj.states.shape == (257, 3, cm.dim) and J.shape == (3, cm.dim, cm.dim)
     assert np.abs(J - ref).max() <= 1e-6 * np.abs(ref).max()
@@ -303,16 +297,20 @@ def test_exact_jacobians_match_central_differences(key, lam):
     assert np.abs(traj.states - phi(X).states).max() <= 1e-9
 
 
-def test_linearize_without_a_jacobian_is_central_differences():
+def test_linearize_without_a_jacobian_is_refused():
+    # a field without its derivative has no second path through differences:
+    # the map still solves, while linearize and fixed_point raise
     cm = get_model("rotation-damped-2d")
-    bare = NonlinearField(F=cm.field.F, lipschitz=cm.field.lipschitz)
-    phi = period_map(cm.family, bare, 0.5, 64, 128)
     X = np.array([[0.2, 0.4], [-0.3, 1.1]])
-    h = np.array([1e-6, 2e-6])
-    traj, J = phi.linearize(X, h)
-    vals, ref = fd_eval(lambda rows: phi(rows).final, X, h)
-    assert np.array_equal(J, ref) and np.array_equal(traj.final, vals)
-    assert traj.states.shape == (129, 2, 2)
+    want = period_map(cm.family, cm.field, 0.5, 64, 128)(X).final
+    for bare in (lambda t, x: cm.field(t, x),
+                 NonlinearField(F=cm.field.F, lipschitz=cm.field.lipschitz, jacobian=None)):
+        phi = period_map(cm.family, bare, 0.5, 64, 128)
+        assert np.array_equal(phi(X).final, want)
+        with pytest.raises(InvalidInputError, match="no jacobian"):
+            phi.linearize(X)
+        with pytest.raises(InvalidInputError, match="no jacobian"):
+            fixed_point(phi, X[0])
 
 
 def test_a_period_map_builds_its_scan_plan_once(monkeypatch):
@@ -331,7 +329,7 @@ def test_a_period_map_builds_its_scan_plan_once(monkeypatch):
     X = np.array([[0.2, 0.4]])
     phi(X)
     phi(X[0])
-    phi.linearize(X, 1e-6)
+    phi.linearize(X)
     fixed_point(phi, cm.region.midpoint)
     assert built == [(128, 2, 2)]
     # a direct solve still builds its own
@@ -374,7 +372,8 @@ def test_fixed_point_degenerate_jacobian():
     # eigenvalue, so DPhi - I has an exactly-zero column and Newton must refuse
     A = np.array([[0.0, 0.0], [0.0, -1.0]])
     fam = GeneratorFamily(dim=2, A=lambda t: np.broadcast_to(A, np.shape(t) + A.shape), T=1.0)
-    zero = NonlinearField(F=lambda t, x: np.zeros_like(x), lipschitz=0.0)
+    zero = NonlinearField(F=lambda t, x: np.zeros_like(x), lipschitz=0.0,
+                          jacobian=lambda t, x: np.zeros(np.shape(x) + (2,)))
     phi = period_map(fam, zero, 1.0, 64, grid=128)
     assert np.allclose(phi(np.eye(2)).final, np.diag([1.0, np.exp(-1.0)]), atol=1e-14)
     with pytest.raises(DegenerateFixedPointError):
@@ -384,7 +383,8 @@ def test_fixed_point_degenerate_jacobian():
 def test_fixed_point_free_translation_map_fails_loudly():
     # Phi(x) = x + 1 has no fixed point; the solver must raise, not return
     fam = GeneratorFamily(dim=1, A=lambda t: np.zeros(np.shape(t) + (1, 1)), T=1.0)
-    const = NonlinearField(F=lambda t, x: np.ones_like(x), lipschitz=0.0)
+    const = NonlinearField(F=lambda t, x: np.ones_like(x), lipschitz=0.0,
+                           jacobian=lambda t, x: np.zeros(np.shape(x) + (1,)))
     with pytest.raises((ConvergenceError, DegenerateFixedPointError)):
         fixed_point(period_map(fam, const, 1.0, 64, grid=128), [0.0])
 
@@ -414,7 +414,7 @@ def test_mild_solve_of_an_empty_batch_is_an_empty_path():
     # zero near 3 and is halved three times on the way
     ({"A": [[-1]], "F": ["3*tanh(s)+0.1*sin(2*pi*t/T)"], "lipschitz": 3,
       "region": {"center": [0], "radius": 4}}, 0.3, 1.0),
-    # an exponent in s leaves the field without a jacobian: central differences
+    # an exponent in s: its jacobian carries 0.5^(s s) (2 s log 0.5)
     ({"A": [[-1]], "F": ["2+sin(2*pi*t/T)+0.5^(s*s)"]}, 1.0, 0.0),
 ])
 def test_fixed_point_solves_once_per_trial(monkeypatch, model, lam, start):
@@ -442,10 +442,9 @@ def test_fixed_point_solves_once_per_trial(monkeypatch, model, lam, start):
     assert fp.iterations >= 2
     assert len(calls) == 1 + (fp.iterations - 1) + int(rec.halvings[0])
     assert rec.jacobians[0] == fp.iterations - 1
-    # every solve is a point with its d tangent rows, or else with its 2d
-    # central-difference probes
+    # every solve is a point with its d tangent rows
     d = cm.dim
-    assert set(calls) == {(1, 1 + d, d) if cm.field.jacobian else (2 * d + 1, d)}
+    assert set(calls) == {(1, 1 + d, d)}
     # the kept path is the one the last solve computed from the fixed point
     assert np.array_equal(fp.trajectory.states[0], fp.x)
     assert np.array_equal(fp.trajectory.final - fp.x, rec.gx[0])

@@ -20,10 +20,9 @@ from evolver import (
     spectral_invariance_gap,
 )
 from evolver.averaging import monodromy
-from evolver.linop import fd_eval
 from evolver.wave import MAX_MODES, project_nonlinearity
 
-from oracles import pencil_extremes
+from oracles import fd_eval, pencil_extremes
 
 
 def test_build_validation():
@@ -45,7 +44,8 @@ def test_build_rejects_resonant_f_inf():
     for bad in (1.0, -1.0, 1.0 + 1e-9):
         with pytest.raises(InvalidInputError):
             build_wave_model(np.pi, 1, lambda t: 1.0, 2.0 * np.pi,
-                             f=lambda t, u: bad * u, f_inf=bad, lipschitz=abs(bad))
+                             f=lambda t, u: bad * u, f_inf=bad, lipschitz=abs(bad),
+                             f_s=lambda t, u: np.full(np.shape(u), bad))
 
 
 def test_eigenvalues_frozen():
@@ -158,7 +158,8 @@ def test_energy_residual_takes_the_models_own_forcing():
 
 def test_collocation_projection_is_exact_on_modes():
     model = build_wave_model(np.pi, 3, lambda t: 1.0, 2.0 * np.pi,
-                             f=lambda t, u: u, f_inf=0.5, lipschitz=1.0)
+                             f=lambda t, u: u, f_inf=0.5, lipschitz=1.0,
+                             f_s=lambda t, u: np.ones(np.shape(u)))
     rng = np.random.default_rng(51)
     a = rng.standard_normal((5, 3))
     assert np.allclose(project_nonlinearity(model, 0.0, a), a, atol=1e-12)
@@ -249,7 +250,7 @@ def _wave_jacobian_gap(field, lam=1.0):
     cm = get_model("wave-k3")
     phi = period_map(cm.family, field, lam, 256, 256)
     X = np.random.default_rng(13).uniform(-0.8, 0.8, size=(2, cm.dim))
-    _, J = phi.linearize(X, 1e-6)
+    _, J = phi.linearize(X)
     _, ref = fd_eval(lambda rows: phi(rows).final, X, 1e-5)
     return np.abs(J - ref).max() / np.abs(ref).max()
 
@@ -274,9 +275,9 @@ def test_wave_field_jacobian_needs_its_slope_factor():
     t = np.array([[0.3], [1.7], [4.0]])
     _, ref = fd_eval(lambda rows: cm.field(np.repeat(t, 2 * model.dim + 1, axis=0), rows), z, 1e-6)
     assert np.allclose(cm.field.jacobian(t, z), ref, rtol=0.0, atol=1e-8)
-    # a model built without f_s carries no Jacobian
-    assert nonlinear_field(build_wave_model(np.pi, 3, lambda t: 1.0, 2.0 * np.pi,
-                                            f=model.f)).jacobian is None
+    # a model with f must be built with f_s
+    with pytest.raises(InvalidInputError, match="f_s"):
+        build_wave_model(np.pi, 3, lambda t: 1.0, 2.0 * np.pi, f=model.f)
 
 
 def test_wave_k1_jacobian_is_the_monodromy_to_second_order():
@@ -288,7 +289,7 @@ def test_wave_k1_jacobian_is_the_monodromy_to_second_order():
     errs = []
     for grid in (256, 512):
         phi = period_map(cm.family, cm.field, 1.0, 256, grid)
-        errs.append(np.abs(phi.linearize(x, 1e-6)[1][0]
+        errs.append(np.abs(phi.linearize(x)[1][0]
                            - monodromy(cm.family, lambda t: B, 1.0, n=256)).max())
     assert errs[0] <= 1e-6
     assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -308,6 +309,7 @@ def test_find_periodic_wave_affine_matches_linear_oracle():
     model = build_wave_model(
         np.pi, 1, lambda t: 1.0, 2.0 * np.pi,
         f=lambda t, u: 0.2 * u + 0.3 * np.cos(t), f_inf=0.2, lipschitz=0.2,
+        f_s=lambda t, u: np.full(np.shape(u), 0.2),
     )
     n = 256
     R = build_evolution(model.family, n)
