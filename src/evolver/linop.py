@@ -2,6 +2,10 @@
 damped_newton, the one Newton loop of degree and mild.fixed_point, which
 takes each map's values and exact Jacobians from one evaluator call.
 
+The exponential is a truncated Taylor polynomial, evaluated by Horner's
+rule with scaling and squaring; it takes matrix products alone, no
+linear solve.
+
 Matrices and vectors are plain numpy arrays (float64).  Dimensions are
 capped at MAX_DIM; everything here is small and dense by design.  Norms
 are Euclidean/spectral; weighted metrics live with the modules that own
@@ -11,6 +15,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable
 
 import numpy as np
@@ -54,96 +59,71 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-# Higham (2005), Table 2.3: theta_m is the largest 1-norm for which the
-# unscaled degree-m Pade approximant of exp is accurate to unit roundoff
-PADE_DEGREES = (3, 5, 7, 9, 13)
-PADE_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1,
-                       9.504178996162932e-1, 2.097847961257068e0,
-                       5.371920351148152e0])
-# coefficients b_0 .. b_m of the degree-m Pade numerator p_m(x) = sum b_k x^k
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
+# Taylor degrees m and theta_m, the largest x with sum_{j>m} x^j / j! <= 2^-53,
+# truncated toward zero: on ||B||_1 <= theta_m the truncation error
+# ||exp(B) - T_m(B)||_1 <= sum_{j>m} ||B||_1^j / j! is at most 2^-53
+# (Al-Mohy and Higham, 2011)
+TAYLOR_DEGREES = (4, 6, 9, 12, 16, 20, 25, 30)
+TAYLOR_THETA = np.array([1.678e-3, 1.776e-2, 0.1148, 0.3352, 0.8246, 1.504, 2.558, 3.781])
 
 
-def _pade(A: np.ndarray, m: int) -> np.ndarray:
-    """Degree-m Pade approximant r_m(A) = q_m(A)^{-1} p_m(A) on an (k, d, d) stack.
+def _taylor(B: np.ndarray, s: np.ndarray, m: int) -> np.ndarray:
+    """T_m(B_i / 2^s_i)^(2^s_i) for every slice i of a (k, d, d) stack.
 
-    p_m(A) = V + U and q_m(A) = V - U, with U the odd and V the even part.
+    Horner X <- (X + I/j!) B from X = B/m! gives T_m - I in m - 1
+    products, alternating between two buffers.  I is added once, after
+    the polynomial and before squaring; this correction form keeps
+    near-identity steps accurate.  No linear solve.
     """
-    b = _PADE_COEFFS[m]
-    eye = np.eye(A.shape[-1])
-    A2 = A @ A
-    if m == 13:
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-    else:
-        powers = [A2]   # A^2, A^4, ..., A^(m - 1)
-        while len(powers) < m // 2:
-            powers.append(powers[-1] @ A2)
-        U = A @ sum((b[2 * k + 3] * P for k, P in enumerate(powers)), b[1] * eye)
-        V = sum((b[2 * k + 2] * P for k, P in enumerate(powers)), b[0] * eye)
-    # q^{-1} p = I + 2 q^{-1} U: adding the small correction to I keeps
-    # the result accurate near the identity
-    return 2.0 * np.linalg.solve(V - U, U) + eye
-
-
-def _scaled_pade(A: np.ndarray, s: np.ndarray, m: int) -> np.ndarray:
-    """r_m(A_i / 2^s_i)^(2^s_i) for every slice i of an (k, d, d) stack."""
+    k, d = B.shape[:2]
     if s.any():
-        A = A * np.exp2(-s)[:, None, None]   # exact: a power of two
-    X = _pade(A, m)
-    for k in range(1, s.max() + 1):
-        sel = s >= k
-        if sel.all():
-            X = X @ X
-        else:
-            X[sel] = X[sel] @ X[sel]
+        B = B * np.exp2(-s)[:, None, None]   # exact: a power of two
+    X, Y = np.empty((k, d, d)), np.empty((k, d, d))
+    np.multiply(B, 1 / factorial(m), out=X)
+    diag_X, diag_Y = X.reshape(k, -1)[:, ::d + 1], Y.reshape(k, -1)[:, ::d + 1]
+    for j in range(m - 1, 0, -1):
+        diag_X += 1 / factorial(j)
+        np.matmul(X, B, out=Y)
+        X, Y, diag_X, diag_Y = Y, X, diag_Y, diag_X
+    diag_X += 1.0
+    for i in range(1, s.max() + 1):
+        sel = s >= i
+        X[sel] = X[sel] @ X[sel]
     return X
 
 
 def _expm_stack(A: np.ndarray) -> np.ndarray:
     """exp of every slice of an (m, d, d) stack, each with its own degree and scaling."""
     norms = np.abs(A).sum(axis=-2).max(axis=-1)
-    # level i: the smallest degree PADE_DEGREES[i] whose theta bounds the norm
-    level = np.searchsorted(PADE_THETA[:-1], norms)
-    squarings = np.ceil(np.log2(np.maximum(norms, PADE_THETA[-1]) / PADE_THETA[-1])).astype(int)
+    # level i: the smallest degree TAYLOR_DEGREES[i] whose theta bounds the norm
+    level = np.searchsorted(TAYLOR_THETA[:-1], norms)
+    squarings = np.ceil(np.log2(np.maximum(norms, TAYLOR_THETA[-1]) / TAYLOR_THETA[-1])).astype(int)
     levels = set(level.tolist())
     if len(levels) == 1:
-        return _scaled_pade(A, squarings, PADE_DEGREES[level[0]])
+        return _taylor(A, squarings, TAYLOR_DEGREES[level[0]])
     out = np.empty_like(A)
     for i in levels:
         idx = np.flatnonzero(level == i)
-        out[idx] = _scaled_pade(A[idx], squarings[idx], PADE_DEGREES[i])
+        out[idx] = _taylor(A[idx], squarings[idx], TAYLOR_DEGREES[i])
     return out
 
 
 def mat_exp(M, t: float = 1.0) -> np.ndarray:
-    """exp(t*M) by scaling and squaring with a Pade kernel (Higham, 2005).
+    """exp(t*M) by scaling and squaring with a truncated Taylor kernel.
 
     M may be one matrix or an (m, d, d) stack; a stack is validated once
     and exponentiated in one batched pass.  Each slice B = t*M_i gets the
-    smallest degree m in (3, 5, 7, 9, 13) whose theta_m bounds ||B||_1;
-    above theta_13 it gets degree 13 on B / 2^s, s = ceil(log2(||B||_1 /
-    theta_13)), squared back s times.  Slices are grouped by degree and
-    each is squared only as often as its own scaling needs.  Because the
-    degree and scaling depend on the slice alone, every slice equals its
-    single-matrix result bit for bit, and small-norm step stacks stay on
-    the cheap low degrees.  Satisfies the semigroup law
-    mat_exp(M, s + t) = mat_exp(M, t) @ mat_exp(M, s) up to roundoff and
-    mat_exp(M, 0) = I exactly.
+    smallest degree m in TAYLOR_DEGREES whose theta_m bounds ||B||_1, so
+    the truncated tail sum_{j>m} ||B||_1^j / j! is at most 2^-53 (Al-Mohy
+    and Higham, 2011); above theta_30 it gets degree 30 on B / 2^s,
+    s = ceil(log2(||B||_1 / theta_30)), squared back s times.  The
+    polynomial is evaluated by Horner's rule in matrix products alone.
+    Slices are grouped by degree and each is squared only as often as its
+    own scaling needs.  Because the degree and scaling depend on the slice
+    alone, every slice equals its single-matrix result bit for bit, and
+    small-norm step stacks stay on the cheap low degrees.  Satisfies the
+    semigroup law mat_exp(M, s + t) = mat_exp(M, t) @ mat_exp(M, s) up to
+    roundoff and mat_exp(M, 0) = I exactly.
     """
     stacked = np.ndim(M) == 3
     A = as_matrix(M, stack=stacked)

@@ -5,7 +5,8 @@ nothing here imports the library.  The library is numpy-only; the
 oracles may use scipy and mpmath:
 
 * the exponential: a truncated power series, scipy's expm, and mpmath's
-  expm at 40 digits (the library runs a batched Pade kernel in numpy);
+  expm at 40 digits (the library runs a batched truncated-Taylor kernel
+  in numpy);
 * operator norms: the top eigenvalue of the Gram matrix M^T M (the
   library takes the SVD);
 * dissipativity rates and metric constants: scipy's generalized

@@ -336,9 +336,11 @@ def test_oversized_grid_is_a_resource_guard_failure(tmp_path, capsys, experiment
 
 
 def test_overflowing_step_products_exit_1(tmp_path, capsys):
-    # at f_inf = 1e20 every step exp(h lam (A + B)) is finite, but their
-    # products toward the monodromy overflow
-    cfg = _write_cfg(tmp_path, "w.json", {"numeric": {"f_inf": 1e20}})
+    # a negative slope f_inf = -1e5 makes the lift B = (0, -f_inf u) grow
+    # at rate sqrt(1e5): every step exp(h lam (A + B)) grows by about e^3.9
+    # and is finite, but the product toward the monodromy grows by about
+    # e^1987, so it overflows for any accurate exponential
+    cfg = _write_cfg(tmp_path, "w.json", {"numeric": {"f_inf": -1e5}})
     out = tmp_path / "o"
     assert main(["wave-periodic", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err

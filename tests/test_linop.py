@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +17,7 @@ from evolver import (
     resolvent,
 )
 from evolver.catalog import MODEL_KEYS
-from evolver.linop import MAX_DIM, PADE_THETA, as_matrix, as_vector
+from evolver.linop import MAX_DIM, TAYLOR_DEGREES, TAYLOR_THETA, as_matrix, as_vector
 
 from oracles import fd_eval, gram_norm, mp_expm_error, series_expm
 
@@ -65,7 +68,7 @@ def test_mat_exp_stack_matches_slices():
         stack = rng.standard_normal((9, d, d))
         stack[3] = np.diag(rng.standard_normal(d))   # diagonal slice
         stack[4] = np.triu(stack[4])                 # triangular slice
-        # mixed norms: every Pade degree and different squaring counts
+        # mixed norms: every Taylor degree and different squaring counts
         # within one stack
         mixed = rng.standard_normal((12, d, d))
         mixed[5] = 0.0
@@ -116,19 +119,69 @@ def test_mat_exp_catalog_period_exponential_matches_mpmath(key):
 
 
 def test_mat_exp_accuracy_against_mpmath_within_10x_scipy():
-    # 1-norms from below theta_3 to about 10 theta_13: every degree is the
+    # 1-norms from below theta_4 to about 10 theta_30: every degree is the
     # chosen one somewhere, and the top norms go through squaring
-    targets = np.geomspace(PADE_THETA[0] / 4.0, 10.0 * PADE_THETA[-1], 16)
-    bins = np.searchsorted(PADE_THETA, targets)
-    assert set(bins.tolist()) == {0, 1, 2, 3, 4, 5}
+    targets = np.geomspace(TAYLOR_THETA[0] / 4.0, 10.0 * TAYLOR_THETA[-1], 40)
+    bins = np.searchsorted(TAYLOR_THETA, targets)
+    assert set(bins.tolist()) == set(range(len(TAYLOR_DEGREES) + 1))
     rng = np.random.default_rng(21)
     for d in (2, 4, 6):
+        cases = []
         for nrm in targets:
             A = rng.standard_normal((d, d))
-            A *= nrm / np.abs(A).sum(axis=0).max()
+            cases.append(A * nrm / np.abs(A).sum(axis=0).max())
+        # nonnormal cases at 1-norms up to 60, where squaring amplifies
+        # the kernel's rounding: upper triangles with large off-diagonals,
+        # and a Jordan-like -I + 50 N.  scipy forms the diagonal and
+        # superdiagonal of a triangle exactly, so at d = 2 its error is
+        # below unit roundoff and the bound is a few ulps
+        for nrm in np.geomspace(1.0, 60.0, 6):
+            U = np.triu(rng.standard_normal((d, d)))
+            U[np.triu_indices(d, 1)] *= 30.0
+            cases.append(U * nrm / np.abs(U).sum(axis=0).max())
+        cases.append(-np.eye(d) + 50.0 * np.eye(d, k=1))
+        for A in cases:
             ours = mp_expm_error(mat_exp(A), A)
             theirs = mp_expm_error(scipy.linalg.expm(A), A)
-            assert ours <= 10.0 * theirs, (d, nrm, ours, theirs)
+            assert ours <= 10.0 * theirs, (d, np.abs(A).sum(axis=0).max(), ours, theirs)
+
+
+def _taylor_tail(theta, m, terms=80):
+    """sum_{j=m+1}^{m+terms} theta^j / j! in exact rational arithmetic."""
+    x = Fraction(theta)
+    term = x ** m / math.factorial(m)
+    total = Fraction(0)
+    for j in range(m + 1, m + terms + 1):
+        term = term * x / j
+        total += term
+    return total
+
+
+def test_taylor_theta_table_bounds_the_truncation_tail():
+    # theta_m as stored (a float) must keep the degree-m tail within 2^-53;
+    # beyond the 80 summed terms the tail is below 1e-60 for every entry
+    unit = Fraction(1, 2 ** 53)
+    assert len(TAYLOR_DEGREES) == len(TAYLOR_THETA)
+    for m, theta in zip(TAYLOR_DEGREES, TAYLOR_THETA.tolist()):
+        assert _taylor_tail(theta, m) <= unit, (m, theta)
+    # the check is sharp: theta_25 rounded up to 2.559 exceeds the bound
+    assert _taylor_tail(2.559, 25) > unit
+
+
+def test_mat_exp_takes_no_linear_solve(monkeypatch):
+    rng = np.random.default_rng(22)
+    S = rng.standard_normal((12, 4, 4))
+    norms = np.abs(S).sum(axis=-2).max(axis=-1)
+    S *= (np.geomspace(1e-4, 100.0, 12) / norms)[:, None, None]   # low to top degrees, squarings
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mat_exp called a linear solver")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    E = mat_exp(S)
+    monkeypatch.undo()
+    assert max(mp_expm_error(X, A) for X, A in zip(E, S)) <= 1e-14
 
 
 def test_mat_exp_semigroup_law():
