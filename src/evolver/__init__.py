@@ -104,7 +104,6 @@ from .exprlang import (
     compile_expr,
     diff_expr,
     eval_expr,
-    format_expr,
     free_vars,
     parse_expr,
 )
@@ -172,7 +171,6 @@ __all__ = [
     "family_continuity_gap",
     "find_periodic_wave",
     "fixed_point",
-    "format_expr",
     "free_vars",
     "get_model",
     "linear_nondegeneracy",

@@ -6,8 +6,8 @@ Usage:
 Experiments: chernoff, evolsys, branching, degree, averaging,
 continuation, wave-periodic, wave-energy.  Each writes
 <out>/<experiment>.csv and <out>/<experiment>.summary.json, prints a
-verdict line, and exits 0 on pass, 1 on a numeric failure (the failing
-metric is named on stderr), 2 on a config problem.
+verdict line, and exits 0 on pass, 1 on a numeric failure (the first
+failing check is named on stderr), 2 on a config problem.
 
 A config is checked against its experiment's row of EXPERIMENTS before
 any runner starts: a numeric key the runner does not read, a model given
@@ -26,7 +26,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -109,7 +109,6 @@ _ERROR_SLUGS = {
     "DegenerateZeroError": "degenerate-zero",
     "OracleFailureError": "oracle-failure",
     "ExprError": "expression",
-    "ConfigError": "config",
 }
 
 
@@ -208,8 +207,30 @@ def _resolve_model(cfg, experiment):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns a dict with header, rows, metrics,
-# thresholds and checks, the (metric, passed) pairs in verdict order
+# experiment runners: each returns a Report
+
+
+@dataclass
+class Report:
+    """A runner's CSV header and rows, summary metrics and thresholds, and
+    its checks: name -> passed, in order of first use, which is the order
+    in which the verdict names the first failing one."""
+
+    header: list
+    thresholds: dict
+    rows: list = field(default_factory=list)
+    metrics: dict = field(default_factory=dict)
+    checks: dict = field(default_factory=dict)
+
+    def row(self, *cells, check=None):
+        """Append a CSV row; with check, fold its last cell, the row's ok,
+        into that check."""
+        self.rows.append(list(cells))
+        if check is not None:
+            self.check(check, cells[-1])
+
+    def check(self, name, ok):
+        self.checks[name] = bool(self.checks.get(name, True) and ok)
 
 
 def run_chernoff(cm, num, seed):
@@ -232,41 +253,34 @@ def run_chernoff(cm, num, seed):
         T_op = G * (us[idx] / np.linalg.norm(G, 2, axis=(1, 2)))[:, None, None]
         X /= row_norms(X)[:, None]
         lhs[idx], rhs[idx] = chernoff_defect(T_op, X, ns_drawn[idx])
+    # a NaN defect fails its comparison, so it counts as a violation
     ok = lhs <= rhs + 1e-9
-    violations = int(np.count_nonzero(~ok))
-    min_margin = float(np.min(rhs + 1e-9 - lhs))
-    rows = [["defect", i, d, n, lo, hi, good] for i, (d, n, lo, hi, good) in enumerate(
-        zip(dims.tolist(), ns_drawn.tolist(), lhs.tolist(), rhs.tolist(), ok.tolist()))]
+    report = Report(["section", "sample", "dim", "n", "lhs_or_error", "rhs", "ok"],
+                    {"defect_slack": 1e-9, "convergence_tol": 1e-3})
+    for i, cells in enumerate(zip(dims.tolist(), ns_drawn.tolist(), lhs.tolist(),
+                                  rhs.tolist(), ok.tolist())):
+        report.row("defect", i, *cells, check="defect_violations")
     B = rng.standard_normal((3, 3))
     A = B - 1.1 * np.linalg.norm(B, 2) * np.eye(3)
     scheme = resolvent_scheme(lambda mu: A, 3)
     x3 = rng.standard_normal(3)
     x3 /= np.linalg.norm(x3)
-    ns = tuple(num["ns"])
-    seq = ChernoffSequence(t=1.0, mu0=0.0, ns=ns)
+    seq = ChernoffSequence(t=1.0, mu0=0.0, ns=tuple(num["ns"]))
     power = chernoff_power_limit(scheme, seq, x3)
     total = chernoff_sum_limit(scheme, seq, x3)
-    for n, e in zip(power.ns, power.errors):
-        rows.append(["power", "", 3, n, e, "", ""])
-    for n, e in zip(total.ns, total.errors):
-        rows.append(["sum", "", 3, n, e, "", ""])
-    return {
-        "header": ["section", "sample", "dim", "n", "lhs_or_error", "rhs", "ok"],
-        "rows": rows,
-        "metrics": {
-            "defect_violations": violations,
-            "defect_min_margin": min_margin,
-            "power_final_error": power.errors[-1],
-            "power_rate": power.rate,
-            "sum_final_error": total.errors[-1],
-        },
-        "thresholds": {"defect_slack": 1e-9, "convergence_tol": 1e-3},
-        "checks": [
-            ("defect_violations", violations == 0),
-            ("power_convergence", power.converged),
-            ("sum_convergence", total.converged),
-        ],
+    for section, table in (("power", power), ("sum", total)):
+        for n, e in zip(table.ns, table.errors):
+            report.row(section, "", 3, n, e, "", "")
+    report.check("power_convergence", power.converged)
+    report.check("sum_convergence", total.converged)
+    report.metrics = {
+        "defect_violations": int(np.count_nonzero(~ok)),
+        "defect_min_margin": float(np.min(rhs + 1e-9 - lhs)),
+        "power_final_error": power.errors[-1],
+        "power_rate": power.rate,
+        "sum_final_error": total.errors[-1],
     }
+    return report
 
 
 def run_evolsys(cm, num, seed):
@@ -276,7 +290,8 @@ def run_evolsys(cm, num, seed):
     if n < 16:
         raise ConfigError("evolsys needs numeric.n >= 16")
     R = build_evolution(fam, n)
-    rows = []
+    report = Report(["section", "label", "value", "bound", "ok"],
+                    {"cocycle": 1e-12, "order": 0.9, "contraction": 1e-9})
     fractions = [
         (1.0, 0.5, 0.0), (1.0, 0.75, 0.25), (0.9, 0.6, 0.3),
         (0.8, 0.5, 0.1), (2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0),
@@ -288,9 +303,9 @@ def run_evolsys(cm, num, seed):
         (R.nodes[7 * n // 8], R.nodes[n // 2], R.nodes[n // 8]),
     ]
     defects = cocycle_defect(R, *np.array(triples).T)
-    coc_max = float(np.max(defects, initial=0.0))
     for (t, r, s), d in zip(triples, defects.tolist()):
-        rows.append(["cocycle", "%.6g,%.6g,%.6g" % (t, r, s), d, 1e-12, d <= 1e-12])
+        report.row("cocycle", "%.6g,%.6g,%.6g" % (t, r, s), d, 1e-12, d <= 1e-12,
+                   check="cocycle_defect")
 
     ref = build_evolution(fam, min(16 * n, 2 ** 14))
     M_ref = ref.operator(T, 0.0)
@@ -298,15 +313,15 @@ def run_evolsys(cm, num, seed):
     errs = []
     for m in ref_ns:
         M = (R if m == n else build_evolution(fam, m)).operator(T, 0.0)
-        e = float(np.linalg.norm(M - M_ref, 2))
-        errs.append(e)
-        rows.append(["refine", str(m), e, "", ""])
+        errs.append(float(np.linalg.norm(M - M_ref, 2)))
+        report.row("refine", str(m), errs[-1], "", "")
     order = float(-np.polyfit(np.log(ref_ns), np.log(errs), 1)[0])
-    rows.append(["order", "", order, 0.9, order >= 0.9])
+    report.row("order", "", order, 0.9, order >= 0.9, check="refinement_order")
 
     rate_min = float(np.min(dissipativity_rate(fam.stack(R.nodes), fam.metric)))
     excess = contraction_check(R, rate_min)
-    rows.append(["contraction", "omega=%.6g" % rate_min, excess, 1e-9, excess <= 1e-9])
+    report.row("contraction", "omega=%.6g" % rate_min, excess, 1e-9, excess <= 1e-9,
+               check="contraction_excess")
 
     eps_sweep = [1e-1, 1e-2, 1e-3, 1e-4]
     v = np.zeros(fam.dim)
@@ -317,74 +332,48 @@ def run_evolsys(cm, num, seed):
         for eps in eps_sweep
     ]
     gaps = family_continuity_gap(fam, perturbed, num["n_continuity"], v)
-    lhss = []
-    cont_ok = True
     for eps, (lhs, rhs) in zip(eps_sweep, gaps):
-        lhss.append(lhs)
-        cont_ok = cont_ok and lhs <= rhs
-        rows.append(["continuity", "eps=%g" % eps, lhs, rhs, lhs <= rhs])
-    scaling_ok = True
+        report.row("continuity", "eps=%g" % eps, lhs, rhs, lhs <= rhs,
+                   check="continuity_bound")
+    lhss = [lhs for lhs, _ in gaps]
     for a, b in zip(lhss, lhss[1:]):
         ratio = a / b if b > 0 else np.inf
-        good = 10.0 / 3.0 <= ratio <= 30.0
-        scaling_ok = scaling_ok and good
-        rows.append(["continuity-scaling", "", ratio, "10/3..30", good])
-
-    return {
-        "header": ["section", "label", "value", "bound", "ok"],
-        "rows": rows,
-        "metrics": {
-            "cocycle_defect_max": coc_max,
-            "refinement_order": order,
-            "contraction_excess": excess,
-            "continuity_lhs": lhss,
-        },
-        "thresholds": {"cocycle": 1e-12, "order": 0.9, "contraction": 1e-9},
-        "checks": [
-            ("cocycle_defect", coc_max <= 1e-12),
-            ("refinement_order", order >= 0.9),
-            ("contraction_excess", excess <= 1e-9),
-            ("continuity_bound", cont_ok),
-            ("continuity_scaling", scaling_ok),
-        ],
+        report.row("continuity-scaling", "", ratio, "10/3..30", 10.0 / 3.0 <= ratio <= 30.0,
+                   check="continuity_scaling")
+    report.metrics = {
+        "cocycle_defect_max": float(np.max(defects, initial=0.0)),
+        "refinement_order": order,
+        "contraction_excess": excess,
+        "continuity_lhs": lhss,
     }
+    return report
 
 
 def run_branching(cm, num, seed):
     lambdas = [float(v) for v in num["lambdas"]]
     if any(a <= b for a, b in zip(lambdas, lambdas[1:])):
         raise ConfigError("branching needs a strictly descending numeric.lambdas")
-    report = branching_experiment(cm.family, cm.field, lambdas, cm.region,
+    result = branching_experiment(cm.family, cm.field, lambdas, cm.region,
                                   n=num["n"], grid=num["grid"])
     d = cm.dim
-    header = (["lambda"] + ["x_star_%d" % i for i in range(d)]
-              + ["defect", "newton_iters", "residual", "ok", "error"])
-    rows = []
-    for r in report.rows:
+    report = Report(["lambda"] + ["x_star_%d" % i for i in range(d)]
+                    + ["defect", "newton_iters", "residual", "ok", "error"],
+                    {"defect_ratio": 1e-2})
+    for r in result.rows:
         xs = list(r.x) if r.x is not None else [""] * d
-        rows.append([r.lam] + xs + [r.defect, r.iterations, r.residual, r.ok, r.error])
-    defects = report.defects
-    trend_ok = all(
-        b <= a * (1.0 + 1e-6) + 1e-12 for a, b in zip(defects, defects[1:])
-    )
-    ratio = report.defect_ratio
-    all_ok = all(r.ok for r in report.rows)
-    return {
-        "header": header,
-        "rows": rows,
-        "metrics": {
-            "defect_ratio": ratio,
-            "defect_first": defects[0] if defects else None,
-            "defect_last": defects[-1] if defects else None,
-            "x_star_last": report.rows[-1].x if report.rows and report.rows[-1].ok else None,
-        },
-        "thresholds": {"defect_ratio": 1e-2},
-        "checks": [
-            ("fixed_point_failures", all_ok),
-            ("defect_ratio", bool(ratio <= 1e-2)),
-            ("defect_trend", trend_ok),
-        ],
+        report.row(r.lam, *xs, r.defect, r.iterations, r.residual, r.ok, r.error)
+        report.check("fixed_point_failures", r.ok)
+    defects = result.defects
+    report.check("defect_ratio", result.defect_ratio <= 1e-2)
+    report.check("defect_trend", all(
+        b <= a * (1.0 + 1e-6) + 1e-12 for a, b in zip(defects, defects[1:])))
+    report.metrics = {
+        "defect_ratio": result.defect_ratio,
+        "defect_first": defects[0] if defects else None,
+        "defect_last": defects[-1] if defects else None,
+        "x_star_last": result.rows[-1].x if result.rows and result.rows[-1].ok else None,
     }
+    return report
 
 
 def _scaled_identity(c):
@@ -421,96 +410,68 @@ def run_degree(cm, num, seed):
         g, evaluate = _scaled_identity(1.0)
         brouwer_degree(g, U, evaluate=evaluate)
         raise ConfigError("boundary-zero run unexpectedly passed the screen")
-    rows = []
-    all_ok = True
+    report = Report(["field", "dim", "param", "degree", "expected", "winding", "ok"], {})
     for d in (1, 2, 3):
         U = Region.ball(np.zeros(d), 1.0)
         for name, c, expected in (("identity", 1.0, 1), ("antipodal", -1.0, (-1) ** d)):
             g, evaluate = _scaled_identity(c)
             rep = brouwer_degree(g, U, grid=8, evaluate=evaluate)
-            wind = ""
-            ok = rep.value == expected
-            if d == 2:
-                wind = winding_number_2d(g, U)
-                ok = ok and wind == expected
-            all_ok = all_ok and ok
-            rows.append([name, d, "", rep.value, expected, wind, ok])
+            wind = winding_number_2d(g, U) if d == 2 else ""
+            ok = rep.value == expected and (d != 2 or wind == expected)
+            report.row(name, d, "", rep.value, expected, wind, ok, check="degree_mismatch")
     U2 = Region.ball(np.zeros(2), 1.0)
     for m in (2, num["power_m"]):
         g, evaluate = _power_field(m)
         rep = brouwer_degree(g, U2, grid=12, evaluate=evaluate)
         wind = winding_number_2d(g, U2)
-        ok = rep.value == m and wind == m
-        all_ok = all_ok and ok
-        rows.append(["complex-power", 2, m, rep.value, m, wind, ok])
-    return {
-        "header": ["field", "dim", "param", "degree", "expected", "winding", "ok"],
-        "rows": rows,
-        "metrics": {"fields_checked": len(rows)},
-        "thresholds": {},
-        "checks": [("degree_mismatch", all_ok)],
-    }
+        report.row("complex-power", 2, m, rep.value, m, wind, rep.value == m and wind == m,
+                   check="degree_mismatch")
+    report.metrics = {"fields_checked": len(report.rows)}
+    return report
 
 
 def run_averaging(cm, num, seed):
     lambdas = [float(v) for v in num["lambdas"]]
-    report = averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
+    result = averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
                                     n=num["n"], grid=num["grid"])
-    rows = [["averaged", "", True, "", report.d0, "", ""]]
-    for r in report.rows:
-        rows.append(["period-map", r.lam, r.boundary_ok, r.boundary_min,
-                     r.degree, r.agrees, r.error])
+    report = Report(["section", "lambda", "boundary_ok", "boundary_min",
+                     "degree", "agrees", "error"], {})
+    report.row("averaged", "", True, "", result.d0, "", "")
+    for r in result.rows:
+        report.row("period-map", r.lam, r.boundary_ok, r.boundary_min,
+                   r.degree, r.agrees, r.error)
+    report.check("degree_equality", result.verdict)
     wind = None
-    wind_ok = True
     if cm.dim == 2:
-        avg = report.averaged
+        avg = result.averaged
         g, _ = averaged_map(avg.A_hat, avg.F_hat, avg.DF_hat)
         wind = winding_number_2d(g, cm.region)
-        wind_ok = wind == report.d0
-        rows.append(["winding", "", True, "", wind, wind_ok, ""])
-    return {
-        "header": ["section", "lambda", "boundary_ok", "boundary_min",
-                   "degree", "agrees", "error"],
-        "rows": rows,
-        "metrics": {"d0": report.d0, "lambda0": report.lambda0,
-                    "winding_d0": wind},
-        "thresholds": {},
-        "checks": [
-            ("degree_equality", report.verdict),
-            ("winding_crosscheck", wind_ok),
-        ],
-    }
+        agrees = wind == result.d0
+        report.row("winding", "", True, "", wind, agrees, "")
+        report.check("winding_crosscheck", agrees)
+    report.metrics = {"d0": result.d0, "lambda0": result.lambda0, "winding_d0": wind}
+    return report
 
 
 def run_continuation(cm, num, seed):
     lambdas = sorted(float(v) for v in num["lambdas"])
-    report = averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
+    result = averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
                                     n=num["n"], grid=num["grid"])
-    rows = [["averaged", "", True, report.d0, ""]]
-    boundary_clear = True
-    degrees_ok = True
-    for r in report.rows:
-        boundary_clear = boundary_clear and r.boundary_ok
-        degrees_ok = degrees_ok and (r.degree == report.reference)
-        rows.append(["sweep", r.lam, r.boundary_ok, r.degree, r.error])
+    report = Report(["section", "lambda", "ok", "value", "error"], {"fp_residual": 1e-8})
+    report.row("averaged", "", True, result.d0, "")
+    report.check("averaged_degree_nonzero", result.d0 != 0)
+    for r in result.rows:
+        report.row("sweep", r.lam, r.boundary_ok, r.degree, r.error)
+        report.check("boundary_clear", r.boundary_ok)
+        report.check("degree_constant", r.degree == result.reference)
     lam_top = lambdas[-1]
     phi = period_map(cm.family, cm.field, lam_top, num["n"], num["grid"])
     fp = fixed_point(phi, cm.region.midpoint, tol=1e-8)
     inside = bool(cm.region.contains(fp.x))
-    rows.append(["fixed-point", lam_top, inside, fp.residual, ""])
-    return {
-        "header": ["section", "lambda", "ok", "value", "error"],
-        "rows": rows,
-        "metrics": {"d0": report.d0, "x_star": fp.x,
-                    "fp_residual": fp.residual},
-        "thresholds": {"fp_residual": 1e-8},
-        "checks": [
-            ("averaged_degree_nonzero", report.d0 != 0),
-            ("boundary_clear", boundary_clear),
-            ("degree_constant", degrees_ok),
-            ("endpoint_fixed_point", inside and fp.residual <= 1e-8),
-        ],
-    }
+    report.row("fixed-point", lam_top, inside, fp.residual, "")
+    report.check("endpoint_fixed_point", inside and fp.residual <= 1e-8)
+    report.metrics = {"d0": result.d0, "x_star": fp.x, "fp_residual": fp.residual}
+    return report
 
 
 def run_wave_periodic(cm, num, seed):
@@ -520,39 +481,35 @@ def run_wave_periodic(cm, num, seed):
     f_inf = float(between if num["f_inf"] is None else num["f_inf"])
     lambdas = [float(v) for v in num["lambdas"]]
     nondeg = linear_nondegeneracy(model, lambdas, f_inf=f_inf, n=num["n"])
-    rows = [["kernel", "", nondeg.kernel_sigma_min, 1e-8, nondeg.kernel_ok]]
+    report = Report(["section", "lambda", "value", "bound", "ok"],
+                    {"unit_gap": 1e-8, "residual": 1e-6})
+    report.row("kernel", "", nondeg.kernel_sigma_min, 1e-8, nondeg.kernel_ok,
+               check="nondegeneracy")
     for r in nondeg.rows:
-        rows.append(["monodromy", r.lam, r.unit_gap, 1e-8, r.ok])
+        report.row("monodromy", r.lam, r.unit_gap, 1e-8, r.ok, check="nondegeneracy")
     result = find_periodic_wave(model, lam=1.0, n=2 * num["grid"], grid=num["grid"])
-    rows.append(["periodic", 1.0, result.residual_eta, 1e-6,
-                 result.residual_eta <= 1e-6])
-    return {
-        "header": ["section", "lambda", "value", "bound", "ok"],
-        "rows": rows,
-        "metrics": {
-            "f_inf_checked": f_inf,
-            "kernel_sigma_min": nondeg.kernel_sigma_min,
-            "unit_gap_min": min(r.unit_gap for r in nondeg.rows),
-            "periodic_residual_eta": result.residual_eta,
-            "newton_iterations": result.fixed_point.iterations,
-        },
-        "thresholds": {"unit_gap": 1e-8, "residual": 1e-6},
-        "checks": [
-            ("nondegeneracy", nondeg.verdict),
-            ("periodic_residual", result.residual_eta <= 1e-6),
-        ],
+    report.row("periodic", 1.0, result.residual_eta, 1e-6, result.residual_eta <= 1e-6,
+               check="periodic_residual")
+    report.metrics = {
+        "f_inf_checked": f_inf,
+        "kernel_sigma_min": nondeg.kernel_sigma_min,
+        "unit_gap_min": min(r.unit_gap for r in nondeg.rows),
+        "det_defect_max": max(r.det_defect for r in nondeg.rows),
+        "periodic_residual_eta": result.residual_eta,
+        "newton_iterations": result.fixed_point.iterations,
     }
+    return report
 
 
 def run_wave_energy(cm, num, seed):
     model = cm.wave
-    rows = []
+    report = Report(["section", "label", "value", "bound", "ok"],
+                    {"energy": 1e-3, "halving": [0.3, 0.7], "invariance": 1e-10})
 
     sel = select_eta(model)
-    rate_ok = sel.rate_numeric >= sel.rate_analytic - 1e-9
-    rows.append(["rate", "analytic", sel.rate_analytic, "", ""])
-    rows.append(["rate", "numeric", sel.rate_numeric,
-                 sel.rate_analytic - 1e-9, rate_ok])
+    report.row("rate", "analytic", sel.rate_analytic, "", "")
+    report.row("rate", "numeric", sel.rate_numeric, sel.rate_analytic - 1e-9,
+               sel.rate_numeric >= sel.rate_analytic - 1e-9, check="dissipativity_rate")
 
     grid0 = num["grid"]
     n0 = 2 * grid0 if num["n"] is None else num["n"]
@@ -567,48 +524,34 @@ def run_wave_energy(cm, num, seed):
     res0, pos0 = residual_at(grid0, n0)
     res1, _ = residual_at(2 * grid0, 2 * n0)
     factor = res1 / res0 if res0 > 0 else 0.0
-    halving_ok = (0.3 <= factor <= 0.7) or res1 <= 1e-6
-    rows.append(["energy", "grid=%d,n=%d" % (grid0, n0), res0, 1e-3, res0 < 1e-3])
-    rows.append(["energy", "grid=%d,n=%d" % (2 * grid0, 2 * n0), res1, "", ""])
-    rows.append(["energy-halving", "", factor, "0.3..0.7", halving_ok])
-    rows.append(["position", "grid=%d,n=%d" % (grid0, n0), pos0, "", ""])
+    report.row("energy", "grid=%d,n=%d" % (grid0, n0), res0, 1e-3, res0 < 1e-3,
+               check="energy_residual")
+    report.row("energy", "grid=%d,n=%d" % (2 * grid0, 2 * n0), res1, "", "")
+    report.row("energy-halving", "", factor, "0.3..0.7",
+               (0.3 <= factor <= 0.7) or res1 <= 1e-6, check="energy_halving")
+    report.row("position", "grid=%d,n=%d" % (grid0, n0), pos0, "", "")
 
-    inv_ok = True
     pairs = [(ft * model.T, fs * model.T) for ft, fs in (
         (0.17, 0.0), (0.35, 0.1), (0.5, 0.25), (0.63, 0.2), (0.77, 0.4),
         (0.88, 0.3), (1.0, 0.0), (0.95, 0.6), (0.42, 0.4), (0.29, 0.05))]
     for ka, kb in ((1, 3), (3, 8)):
+        label = "k=%d,k'=%d" % (ka, kb)
         gap = spectral_invariance_gap(model, ka, kb, pairs, n=256)
-        good = gap <= 1e-10
-        inv_ok = inv_ok and good
-        rows.append(["invariance", "k=%d,k'=%d" % (ka, kb), gap, 1e-10, good])
+        report.row("invariance", label, gap, 1e-10, gap <= 1e-10,
+                   check="eigenmode_invariance")
         C = 0.1 * np.ones((kb, kb))
         gap_c = spectral_invariance_gap(model, ka, kb, [(0.5 * model.T, 0.0)],
                                         n=256, coupling=C)
-        coupled_good = gap_c > 1e-8
-        inv_ok = inv_ok and coupled_good
-        rows.append(["invariance-coupled", "k=%d,k'=%d" % (ka, kb),
-                     gap_c, "> 1e-8", coupled_good])
-
-    return {
-        "header": ["section", "label", "value", "bound", "ok"],
-        "rows": rows,
-        "metrics": {
-            "eta": sel.eta,
-            "rate_analytic": sel.rate_analytic,
-            "rate_numeric": sel.rate_numeric,
-            "energy_residual": res0,
-            "energy_halving_factor": factor,
-        },
-        "thresholds": {"energy": 1e-3, "halving": [0.3, 0.7],
-                       "invariance": 1e-10},
-        "checks": [
-            ("dissipativity_rate", rate_ok),
-            ("energy_residual", bool(res0 < 1e-3)),
-            ("energy_halving", halving_ok),
-            ("eigenmode_invariance", inv_ok),
-        ],
+        report.row("invariance-coupled", label, gap_c, "> 1e-8", gap_c > 1e-8,
+                   check="eigenmode_invariance")
+    report.metrics = {
+        "eta": sel.eta,
+        "rate_analytic": sel.rate_analytic,
+        "rate_numeric": sel.rate_numeric,
+        "energy_residual": res0,
+        "energy_halving_factor": factor,
     }
+    return report
 
 
 @dataclass(frozen=True)
@@ -644,15 +587,15 @@ EXPERIMENTS = {
 EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
-def _write_outputs(out_dir, experiment, result, summary):
+def _write_outputs(out_dir, experiment, report, summary):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{experiment}.csv"
-    if result is not None:
+    if report is not None:
         with csv_path.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(result["header"])
-            for row in result["rows"]:
+            writer.writerow(report.header)
+            for row in report.rows:
                 writer.writerow([_fmt(c) for c in row])
     json_path = out / f"{experiment}.summary.json"
     json_path.write_text(
@@ -693,7 +636,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        result = EXPERIMENTS[args.experiment].run(cm, num, seed)
+        report = EXPERIMENTS[args.experiment].run(cm, num, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -707,14 +650,14 @@ def main(argv=None) -> int:
         print(f"[timing] {args.experiment}: {time.perf_counter() - t0:.2f}s",
               file=sys.stderr)
 
-    failing = next((name for name, good in result["checks"] if not good), None)
+    failing = next((name for name, ok in report.checks.items() if not ok), None)
     summary.update({
         "verdict": "pass" if failing is None else "fail",
-        "metrics": result["metrics"],
-        "thresholds": result["thresholds"],
+        "metrics": report.metrics,
+        "thresholds": report.thresholds,
         "failing": failing,
     })
-    csv_path, json_path = _write_outputs(out_dir, args.experiment, result, summary)
+    csv_path, json_path = _write_outputs(out_dir, args.experiment, report, summary)
     print(f"{args.experiment}: {summary['verdict']} ({csv_path}, {json_path})")
     if failing is not None:
         print(f"numeric failure: {failing}", file=sys.stderr)

@@ -15,9 +15,8 @@ their own sign (2^-3 is valid).  No user-defined names, so configs stay
 data.
 
 Parsing folds a unary minus applied to a literal into the literal
-(normal form: Neg never wraps Num directly); with that convention
-parse(format_expr(e)) == e for every parser-produced AST and
-format_expr is idempotent through a reparse.
+(normal form: Neg never wraps Num directly), so every parser-produced
+AST has one minimally parenthesized source that reparses to it.
 
 Expressions may nest at most MAX_DEPTH levels (parentheses, unary minus,
 exponents, and the left-leaning chains of + - * /); deeper input raises
@@ -338,54 +337,6 @@ def _compile(e):
     if isinstance(e, Call) and e.fn in FUNCTIONS:
         fn, args = FUNCTIONS[e.fn][1], [_compile(a) for a in e.args]
         return lambda env: fn(*[a(env) for a in args])
-    raise ExprError(f"not an expression node: {e!r}")
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _prec(e):
-    if isinstance(e, Bin):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    if isinstance(e, Num) and e.value < 0:
-        return _PREC["neg"]
-    return _PREC["atom"]
-
-
-def format_expr(e: Expr) -> str:
-    """Print an AST to minimally parenthesized source that reparses to it."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        inner = format_expr(e.arg)
-        if _prec(e.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Bin):
-        p = _PREC[e.op]
-        lhs = format_expr(e.lhs)
-        rhs = format_expr(e.rhs)
-        if e.op == "^":
-            # right-assoc: wrap equal precedence on the left, and the
-            # exponent only when it is looser than a signed factor
-            if _prec(e.lhs) <= p:
-                lhs = f"({lhs})"
-            if _prec(e.rhs) < _PREC["neg"]:
-                rhs = f"({rhs})"
-        else:
-            # left-assoc: an equal-precedence right child must keep its
-            # parens or the reparse would rebalance the tree
-            if _prec(e.lhs) < p:
-                lhs = f"({lhs})"
-            if _prec(e.rhs) <= p:
-                rhs = f"({rhs})"
-        return f"{lhs}{e.op}{rhs}"
-    if isinstance(e, Call):
-        return f"{e.fn}({','.join(format_expr(a) for a in e.args)})"
     raise ExprError(f"not an expression node: {e!r}")
 
 

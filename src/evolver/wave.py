@@ -37,7 +37,7 @@ import numpy as np
 
 from .averaging import average_generator, monodromy, unit_eigenvalue_gap
 from .errors import ConfigError, InvalidInputError
-from .evolsys import GeneratorFamily, affine_family, build_evolution
+from .evolsys import GeneratorFamily, affine_family, build_evolution, uniform_nodes
 from .mild import (
     DEFAULT_GRID,
     FixedPointResult,
@@ -367,6 +367,7 @@ def spectral_invariance_gap(model: WaveModel, k: int, k_big: int,
 class NondegeneracyRow:
     lam: float
     unit_gap: float
+    det_defect: float
     ok: bool
 
 
@@ -376,7 +377,9 @@ class NondegeneracyReport:
 
     kernel_sigma_min is the smallest singular value of A_hat + F_inf_hat
     (zero means the averaged linearization has a kernel); each row holds
-    the distance of the monodromy spectrum from 1 at one lam.
+    the distance of the monodromy spectrum from 1 at one lam, and how far
+    log |det M| is from Liouville's lam h sum_j tr A(t_j), which the
+    frozen product satisfies exactly since tr F_inf = 0.
     """
 
     f_inf: float
@@ -396,22 +399,27 @@ def linear_nondegeneracy(model: WaveModel, lambdas: Sequence[float],
 
     The lift of the asymptotic slope is F_inf(u, v) = (0, -f_inf u).
     A smallest singular value or unit-eigenvalue gap at or below 1e-8 is
-    a detected resonance; it yields a failing verdict, not an exception.
+    a detected resonance, and a det_defect above 1e-8 (1 + lam |S|), with
+    S = h sum_j tr A(t_j), a monodromy lost to roundoff; either yields a
+    failing verdict, not an exception.
     """
     fi = model.f_inf if f_inf is None else float(f_inf)
-    k = model.k
+    fam, k = model.family, model.k
     B = np.zeros((2 * k, 2 * k))
     B[k:, :k] = -fi * np.eye(k)
-    A_hat = average_generator(model.family)
-    sig = np.linalg.svd(A_hat + B, compute_uv=False)
+    sig = np.linalg.svd(average_generator(fam) + B, compute_uv=False)
     kernel_sigma_min = float(sig[-1])
     kernel_ok = kernel_sigma_min > 1e-8
+    traces = np.trace(fam.stack(uniform_nodes(fam.T, n)[:-1]), axis1=1, axis2=2)
+    S = fam.T / n * float(np.sum(traces))
     rows = []
     for lam in lambdas:
-        M = monodromy(model.family, lambda t: B, float(lam), n=n)
+        M = monodromy(fam, lambda t: B, float(lam), n=n)
         gap = unit_eigenvalue_gap(M)
-        rows.append(NondegeneracyRow(lam=float(lam), unit_gap=gap,
-                                     ok=gap > 1e-8))
+        det_defect = float(abs(np.linalg.slogdet(M)[1] - lam * S))
+        rows.append(NondegeneracyRow(
+            lam=float(lam), unit_gap=gap, det_defect=det_defect,
+            ok=gap > 1e-8 and det_defect <= 1e-8 * (1.0 + lam * abs(S))))
     return NondegeneracyReport(f_inf=fi, kernel_sigma_min=kernel_sigma_min,
                                kernel_ok=kernel_ok, rows=rows)
 

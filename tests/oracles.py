@@ -22,7 +22,8 @@ oracles may use scipy and mpmath:
   multiplying one piece per cell (the library locates a whole batch of
   pairs at once and multiplies them in lockstep);
 * expressions: a recursive walk of the AST on every evaluation (the
-  library compiles each AST once into a tree of closures);
+  library compiles each AST once into a tree of closures), and a
+  printer back to source for roundtrip tests (the library only parses);
 * fixed points of a contractive period map: direct iteration
   x <- Phi(x) (the library runs damped Newton on Phi(x) - x);
 * product-formula tables and matrix powers: k_n matrix-vector products
@@ -309,3 +310,47 @@ def _walk(e, env):
     if np.any(np.isnan(res)):
         raise ValueError("invalid power (negative base, fractional exponent)")
     return res if res.ndim else float(res)
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
+
+def _prec(e):
+    kind = type(e).__name__
+    if kind == "Bin":
+        return _PREC[e.op]
+    if kind == "Neg" or (kind == "Num" and e.value < 0):
+        return _PREC["neg"]
+    return _PREC["atom"]
+
+
+def format_expr(e):
+    """Minimally parenthesized source of an expression AST that reparses to it.
+
+    The printer the roundtrip and diff_expr tests read their ASTs back
+    through; like walk_expr it dispatches on node class names.
+    """
+    kind = type(e).__name__
+    if kind == "Num":
+        return repr(e.value)
+    if kind == "Var":
+        return e.name
+    if kind == "Neg":
+        inner = format_expr(e.arg)
+        return f"-({inner})" if _prec(e.arg) < _PREC["neg"] else f"-{inner}"
+    if kind == "Call":
+        return f"{e.fn}({','.join(format_expr(a) for a in e.args)})"
+    p = _PREC[e.op]
+    lhs = format_expr(e.lhs)
+    rhs = format_expr(e.rhs)
+    if e.op == "^":
+        # right-assoc: wrap equal precedence on the left, and the exponent
+        # only when it is looser than a signed factor
+        wrap_lhs, wrap_rhs = _prec(e.lhs) <= p, _prec(e.rhs) < _PREC["neg"]
+    else:
+        # left-assoc: an equal-precedence right child must keep its parens
+        # or the reparse would rebalance the tree
+        wrap_lhs, wrap_rhs = _prec(e.lhs) < p, _prec(e.rhs) <= p
+    lhs = f"({lhs})" if wrap_lhs else lhs
+    rhs = f"({rhs})" if wrap_rhs else rhs
+    return f"{lhs}{e.op}{rhs}"

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from pathlib import Path
@@ -9,7 +10,7 @@ import evolver.cli as cli
 import evolver.semigroup as semigroup
 from evolver import chernoff_defect
 from evolver.catalog import _INLINE_KEYS
-from evolver.cli import EXPERIMENT_NAMES, EXPERIMENTS, _validate_config, main
+from evolver.cli import EXPERIMENT_NAMES, EXPERIMENTS, _resolve_model, _validate_config, main
 
 
 def _write_cfg(tmp_path, name, obj):
@@ -106,7 +107,7 @@ def test_chernoff_stacks_its_defect_samples_per_dimension(monkeypatch, seed, ns)
     # per defect stack and one per limit table, no k-fold product loop
     assert calls["mat_power"] == calls["chernoff_defect"] + 2
     assert max(powers[-2:]) == max(num["ns"])
-    rows = [r for r in result["rows"] if r[0] == "defect"]
+    rows = [r for r in result.rows if r[0] == "defect"]
     ref = _loop_defect_rows(seed, num["samples"])
     assert [tuple(r[1:4]) for r in rows] == [r[:3] for r in ref]   # sample order
     got = np.array([r[4:6] for r in rows])
@@ -213,6 +214,65 @@ def test_readme_lists_the_keys_each_experiment_reads():
             listed[cells[0].strip("`")] = set(re.findall(r"`(\w+)` =", cells[3]))
     # seed, which every experiment reads, is listed once below the table
     assert listed == {name: set(row.numeric) for name, row in EXPERIMENTS.items()}
+
+
+# the model under which a run records every check its experiment has
+_ALL_CHECKS_MODEL = {"averaging": "rotation-damped-2d"}
+
+
+def test_readme_lists_the_checks_each_experiment_records():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].strip("`") in EXPERIMENTS:
+            listed[cells[0].strip("`")] = re.findall(r"`(\w+)`", cells[2])
+    recorded = {}
+    for name, row in EXPERIMENTS.items():
+        cfg = {"model": _ALL_CHECKS_MODEL[name]} if name in _ALL_CHECKS_MODEL else {}
+        num, _ = _validate_config(cfg, name)
+        report = row.run(_resolve_model(cfg, name), num, num["seed"])
+        recorded[name] = list(report.checks)
+    assert listed == recorded
+
+
+def _run_cli(tmp_path, experiment, numeric):
+    cfg = _write_cfg(tmp_path, f"{experiment}.json", {"numeric": numeric})
+    out = tmp_path / experiment
+    rc = main([experiment, "--config", cfg, "--out", str(out)])
+    with (out / f"{experiment}.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return rc, rows, json.loads((out / f"{experiment}.summary.json").read_text(encoding="utf-8"))
+
+
+# experiments whose every check is backed by rows: (numeric, section of the
+# first row with ok = false, the check the verdict names)
+@pytest.mark.parametrize("experiment, numeric, section, failing", [
+    ("evolsys", {}, None, None),
+    ("degree", {}, None, None),
+    ("wave-periodic", {}, None, None),
+    ("wave-energy", {}, None, None),
+    ("wave-energy", {"grid": 16}, "energy", "energy_residual"),
+    # every monodromy is roundoff: its unit gap passes, Liouville's formula fails
+    ("wave-periodic", {"f_inf": 1e20}, "monodromy", "nondegeneracy"),
+])
+def test_the_verdict_agrees_with_the_csv(tmp_path, capsys, experiment, numeric,
+                                         section, failing):
+    rc, rows, summary = _run_cli(tmp_path, experiment, numeric)
+    capsys.readouterr()
+    false_rows = [r for r in rows if r["ok"] == "false"]
+    assert (summary["failing"] is None) == (not false_rows)
+    assert (rc, summary["failing"]) == (0 if failing is None else 1, failing)
+    assert (false_rows[0]["section"] if false_rows else None) == section
+
+
+def test_wave_periodic_reports_the_liouville_defect(tmp_path, capsys):
+    _, _, summary = _run_cli(tmp_path, "wave-periodic", {})
+    assert summary["metrics"]["det_defect_max"] < 1e-13
+    _, _, summary = _run_cli(tmp_path, "wave-periodic", {"f_inf": 1e20})
+    capsys.readouterr()
+    assert summary["metrics"]["det_defect_max"] > 1e2
 
 
 def test_readme_lists_the_inline_model_keys():

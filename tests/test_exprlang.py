@@ -3,10 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from evolver import ExprError, compile_expr, eval_expr, format_expr, free_vars, parse_expr
+from evolver import ExprError, compile_expr, eval_expr, free_vars, parse_expr
 from evolver.exprlang import MAX_DEPTH, Bin, Call, Neg, Num, Var, diff_expr
 
-from oracles import walk_expr
+from oracles import format_expr, walk_expr
 
 
 def test_basic_values():

@@ -33,14 +33,17 @@ TEST_REFERENCE_EXPORTS = {
 
 
 def _used_names(paths):
-    """Names that code loads or reads as attributes (not definitions or imports)."""
+    """Names that code loads or reads as attributes (not definitions or
+    imports); a top-level function's calls to itself do not count."""
     used = set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(stmt, ast.FunctionDef):
+                names.discard(stmt.name)
+            used |= names
     return used
 
 

@@ -231,6 +231,22 @@ def test_nondegeneracy_detects_resonance():
     assert not report.verdict
 
 
+def test_nondegeneracy_fails_monodromies_that_break_liouville():
+    # the frozen product keeps det M = exp(lam h sum_j tr A(t_j)) exactly;
+    # at f_inf = 1e20 roundoff swamps M while its unit gap still passes
+    model = get_model("wave-k3").wave
+    for f_inf, ok in ((2.5, True), (1e6, True), (1e20, False)):
+        rows = linear_nondegeneracy(model, [0.1, 1.0], f_inf=f_inf, n=512).rows
+        assert [r.ok for r in rows] == [ok, ok]
+        assert all(r.unit_gap > 1e-8 for r in rows)
+    assert max(r.det_defect for r in rows) > 1e2
+    # tr A = -k beta(t) with beta = 1 + 0.5 cos t, whose node sum is n: S = -k T
+    B = np.zeros((6, 6))
+    B[3:, :3] = -2.5 * np.eye(3)
+    M = monodromy(model.family, lambda t: B, 1.0, n=512)
+    assert np.log(abs(np.linalg.det(M))) == pytest.approx(-3 * model.family.T, abs=1e-12)
+
+
 def test_find_periodic_wave_small_residual():
     model = get_model("wave-k3").wave
     result = find_periodic_wave(model, lam=1.0, n=512, grid=512)
