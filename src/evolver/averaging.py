@@ -35,6 +35,7 @@ QUAD_TOL = 1e-10    # Simpson doubling stops when two levels agree this closely
 QUAD_START = 16     # intervals of the first Simpson level
 DEGREE_GRID = 8     # start lattice per axis of averaging_degree_check's degrees
 DEGREE_BOUNDARY = 128   # boundary samples of those degrees
+RUNG_TOL = 1e-10    # each branching rung solves ||Phi_T^lam(x) - x|| to this
 
 
 def _simpson_weights(m: int) -> np.ndarray:
@@ -167,13 +168,6 @@ class BranchingReport:
     def defects(self) -> list[float]:
         return [r.defect for r in self.rows if r.ok]
 
-    @property
-    def defect_ratio(self) -> float:
-        ds = self.defects
-        if len(ds) < 2 or ds[0] == 0:
-            return float("nan")
-        return ds[-1] / ds[0]
-
 
 def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
                          U: Region, n: int = 1024,
@@ -184,7 +178,7 @@ def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
 
     The defect decays like O(lam): fixed points accumulate on the zero
     of the averaged field.  Each rung solves ||Phi_T^lam(x) - x|| to
-    1e-10; a failed solve marks its row and the sweep continues (warm
+    RUNG_TOL; a failed solve marks its row and the sweep continues (warm
     starts skip the failed rung); a ResourceLimitError ends the sweep.
     """
     lams = [float(l) for l in lambdas]
@@ -195,7 +189,7 @@ def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
     x_start = U.midpoint
     for lam in lams:
         try:
-            fp = fixed_point(period_map(family, F, lam, n, grid), x_start, tol=1e-10)
+            fp = fixed_point(period_map(family, F, lam, n, grid), x_start, tol=RUNG_TOL)
         except ResourceLimitError:
             raise
         except EvolverError as exc:

@@ -33,10 +33,11 @@ from typing import Callable
 import numpy as np
 
 from . import catalog
-from .averaging import averaging_degree_check, branching_experiment
+from .averaging import RUNG_TOL, averaging_degree_check, branching_experiment
 from .degree import MAX_DEGREE_DIM, Region, averaged_map, brouwer_degree, winding_number_2d
 from .errors import ConfigError, EvolverError
 from .evolsys import (
+    ORDER,
     affine_family,
     build_evolution,
     cocycle_defect,
@@ -46,7 +47,9 @@ from .evolsys import (
 from .linop import row_norms
 from .mild import fixed_point, period_map
 from .semigroup import (
+    ORDER_SHARE,
     ChernoffSequence,
+    ConvergenceTable,
     chernoff_defect,
     chernoff_power_limit,
     chernoff_sum_limit,
@@ -291,7 +294,7 @@ def run_evolsys(cm, num, seed):
         raise ConfigError("evolsys needs numeric.n >= 16")
     R = build_evolution(fam, n)
     report = Report(["section", "label", "value", "bound", "ok"],
-                    {"cocycle": 1e-12, "order": 0.9, "contraction": 1e-9})
+                    {"cocycle": 1e-12, "order": ORDER_SHARE * ORDER, "contraction": 1e-9})
     fractions = [
         (1.0, 0.5, 0.0), (1.0, 0.75, 0.25), (0.9, 0.6, 0.3),
         (0.8, 0.5, 0.1), (2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0),
@@ -307,16 +310,22 @@ def run_evolsys(cm, num, seed):
         report.row("cocycle", "%.6g,%.6g,%.6g" % (t, r, s), d, 1e-12, d <= 1e-12,
                    check="cocycle_defect")
 
+    # R(T, 0), and R(T/4, 0) for families exact only over a whole period;
+    # the floor is the roundoff of the reference's products
     ref = build_evolution(fam, min(16 * n, 2 ** 14))
-    M_ref = ref.operator(T, 0.0)
+    M_ref = ref.operators([T, T / 4], 0.0)
+    floor = fam.dim * ref.n * np.finfo(float).eps * max(1.0, np.linalg.norm(M_ref[0], 2))
     ref_ns = [n // 4, n // 2, n, 2 * n]
-    errs = []
-    for m in ref_ns:
-        M = (R if m == n else build_evolution(fam, m)).operator(T, 0.0)
-        errs.append(float(np.linalg.norm(M - M_ref, 2)))
-        report.row("refine", str(m), errs[-1], "", "")
-    order = float(-np.polyfit(np.log(ref_ns), np.log(errs), 1)[0])
-    report.row("order", "", order, 0.9, order >= 0.9, check="refinement_order")
+    errs = np.array([np.linalg.norm((R if m == n else build_evolution(fam, m))
+                                    .operators([T, T / 4], 0.0) - M_ref, 2, axis=(1, 2))
+                     for m in ref_ns])
+    tables = [ConvergenceTable(ref_ns, col.tolist()) for col in errs.T]
+    for suffix, table in zip(("", "-T/4"), tables):
+        for m, e in zip(ref_ns, table.errors):
+            report.row("refine" + suffix, str(m), e, "", "")
+        how = table.shows_order(ORDER, floor)
+        report.row("order" + suffix, how, table.rate, ORDER_SHARE * ORDER, how is not None,
+                   check="refinement_order")
 
     rate_min = float(np.min(dissipativity_rate(fam.stack(R.nodes), fam.metric)))
     excess = contraction_check(R, rate_min)
@@ -342,7 +351,7 @@ def run_evolsys(cm, num, seed):
                    check="continuity_scaling")
     report.metrics = {
         "cocycle_defect_max": float(np.max(defects, initial=0.0)),
-        "refinement_order": order,
+        "refinement_order": tables[0].rate,
         "contraction_excess": excess,
         "continuity_lhs": lhss,
     }
@@ -356,19 +365,22 @@ def run_branching(cm, num, seed):
     result = branching_experiment(cm.family, cm.field, lambdas, cm.region,
                                   n=num["n"], grid=num["grid"])
     d = cm.dim
+    # the defect is O(lam), order 1 in 1/lam; a rung's residual RUNG_TOL
+    # moves it by about RUNG_TOL / (lam T), most at the smallest lam
+    floor = RUNG_TOL / (lambdas[-1] * cm.family.T)
     report = Report(["lambda"] + ["x_star_%d" % i for i in range(d)]
                     + ["defect", "newton_iters", "residual", "ok", "error"],
-                    {"defect_ratio": 1e-2})
+                    {"defect_order": {"order": ORDER_SHARE, "floor": floor}})
     for r in result.rows:
         xs = list(r.x) if r.x is not None else [""] * d
         report.row(r.lam, *xs, r.defect, r.iterations, r.residual, r.ok, r.error)
         report.check("fixed_point_failures", r.ok)
     defects = result.defects
-    report.check("defect_ratio", result.defect_ratio <= 1e-2)
-    report.check("defect_trend", all(
-        b <= a * (1.0 + 1e-6) + 1e-12 for a, b in zip(defects, defects[1:])))
+    table = ConvergenceTable([1.0 / r.lam for r in result.rows if r.ok], defects)
+    report.check("defect_order", table.shows_order(1, floor) is not None)
     report.metrics = {
-        "defect_ratio": result.defect_ratio,
+        "defect_order": table.rate,
+        "defect_ratio": defects[-1] / defects[0] if len(defects) > 1 and defects[0] else None,
         "defect_first": defects[0] if defects else None,
         "defect_last": defects[-1] if defects else None,
         "x_star_last": result.rows[-1].x if result.rows and result.rows[-1].ok else None,
@@ -486,7 +498,10 @@ def run_wave_periodic(cm, num, seed):
     report.row("kernel", "", nondeg.kernel_sigma_min, 1e-8, nondeg.kernel_ok,
                check="nondegeneracy")
     for r in nondeg.rows:
-        report.row("monodromy", r.lam, r.unit_gap, 1e-8, r.ok, check="nondegeneracy")
+        report.row("monodromy", r.lam, r.unit_gap, 1e-8, r.unit_gap > 1e-8,
+                   check="nondegeneracy")
+        report.row("liouville", r.lam, r.det_defect, r.det_bound, r.det_defect <= r.det_bound,
+                   check="nondegeneracy")
     result = find_periodic_wave(model, lam=1.0, n=2 * num["grid"], grid=num["grid"])
     report.row("periodic", 1.0, result.residual_eta, 1e-6, result.residual_eta <= 1e-6,
                check="periodic_residual")
@@ -504,7 +519,8 @@ def run_wave_periodic(cm, num, seed):
 def run_wave_energy(cm, num, seed):
     model = cm.wave
     report = Report(["section", "label", "value", "bound", "ok"],
-                    {"energy": 1e-3, "halving": [0.3, 0.7], "invariance": 1e-10})
+                    {"energy": 1e-3, "halving": {"order": ORDER_SHARE * ORDER, "floor": 1e-6},
+                     "invariance": 1e-10})
 
     sel = select_eta(model)
     report.row("rate", "analytic", sel.rate_analytic, "", "")
@@ -527,8 +543,10 @@ def run_wave_energy(cm, num, seed):
     report.row("energy", "grid=%d,n=%d" % (grid0, n0), res0, 1e-3, res0 < 1e-3,
                check="energy_residual")
     report.row("energy", "grid=%d,n=%d" % (2 * grid0, 2 * n0), res1, "", "")
-    report.row("energy-halving", "", factor, "0.3..0.7",
-               (0.3 <= factor <= 0.7) or res1 <= 1e-6, check="energy_halving")
+    halving = ConvergenceTable([grid0, 2 * grid0], [res0, res1])
+    how = halving.shows_order(ORDER, 1e-6)
+    report.row("energy-halving", how, halving.rate, ORDER_SHARE * ORDER, how is not None,
+               check="energy_halving")
     report.row("position", "grid=%d,n=%d" % (grid0, n0), pos0, "", "")
 
     pairs = [(ft * model.T, fs * model.T) for ft, fs in (

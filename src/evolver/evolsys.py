@@ -19,7 +19,7 @@ audits below are its callers.
 The result is an exact evolution system for the piecewise-frozen family:
 it satisfies the cocycle identity R(t, s) = R(t, r) R(r, s) for every
 s <= r <= t up to roundoff, and converges to the evolution system of the
-continuous family at first order in 1/n.
+continuous family at order ORDER in 1/n.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ from .linop import as_matrix, as_vector, mat_exp
 from .semigroup import metric_cholesky, metric_operator_norm
 
 MAX_SUBDIVISION = 2 ** 14
+
+# the product's convergence order in 1/n; every refinement check reads it
+ORDER = 1
 
 # queries within this distance of a grid node are treated as on-node
 SNAP = 1e-12

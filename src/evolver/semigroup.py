@@ -29,6 +29,9 @@ from .linop import (
 
 CONTRACTION_SLACK = 1e-12
 
+# a table shows order p when its fitted rate reaches this share of p
+ORDER_SHARE = 0.9
+
 
 def metric_cholesky(G) -> np.ndarray:
     """Cholesky factor L (G = L L^T) of an SPD metric; raises InvalidMetricError."""
@@ -158,6 +161,15 @@ class ConvergenceTable:
         ln = np.log([n for n, _ in pos])
         le = np.log([e for _, e in pos])
         return float(-np.polyfit(ln, le, 1)[0])
+
+    def shows_order(self, p: float, floor: float) -> str | None:
+        """How the table shows convergence at order p: "order" when
+        rate >= ORDER_SHARE * p, else "floor" when the finest (last) error
+        is at most floor, where errors are roundoff and a fitted slope is
+        noise, else None.  An empty table shows nothing."""
+        if self.rate >= ORDER_SHARE * p:
+            return "order"
+        return "floor" if self.errors and self.errors[-1] <= floor else None
 
 
 def chernoff_defect(T_op, x, n):

@@ -368,7 +368,7 @@ class NondegeneracyRow:
     lam: float
     unit_gap: float
     det_defect: float
-    ok: bool
+    det_bound: float
 
 
 @dataclass
@@ -379,7 +379,8 @@ class NondegeneracyReport:
     (zero means the averaged linearization has a kernel); each row holds
     the distance of the monodromy spectrum from 1 at one lam, and how far
     log |det M| is from Liouville's lam h sum_j tr A(t_j), which the
-    frozen product satisfies exactly since tr F_inf = 0.
+    frozen product satisfies exactly since tr F_inf = 0, with the bound
+    det_bound that distance is held to.
     """
 
     f_inf: float
@@ -389,7 +390,8 @@ class NondegeneracyReport:
 
     @property
     def verdict(self) -> bool:
-        return self.kernel_ok and all(r.ok for r in self.rows)
+        return self.kernel_ok and all(r.unit_gap > 1e-8 and r.det_defect <= r.det_bound
+                                      for r in self.rows)
 
 
 def linear_nondegeneracy(model: WaveModel, lambdas: Sequence[float],
@@ -399,9 +401,9 @@ def linear_nondegeneracy(model: WaveModel, lambdas: Sequence[float],
 
     The lift of the asymptotic slope is F_inf(u, v) = (0, -f_inf u).
     A smallest singular value or unit-eigenvalue gap at or below 1e-8 is
-    a detected resonance, and a det_defect above 1e-8 (1 + lam |S|), with
-    S = h sum_j tr A(t_j), a monodromy lost to roundoff; either yields a
-    failing verdict, not an exception.
+    a detected resonance, and a det_defect above the row's det_bound
+    1e-8 (1 + lam |S|), with S = h sum_j tr A(t_j), a monodromy lost to
+    roundoff; either yields a failing verdict, not an exception.
     """
     fi = model.f_inf if f_inf is None else float(f_inf)
     fam, k = model.family, model.k
@@ -417,9 +419,8 @@ def linear_nondegeneracy(model: WaveModel, lambdas: Sequence[float],
         M = monodromy(fam, lambda t: B, float(lam), n=n)
         gap = unit_eigenvalue_gap(M)
         det_defect = float(abs(np.linalg.slogdet(M)[1] - lam * S))
-        rows.append(NondegeneracyRow(
-            lam=float(lam), unit_gap=gap, det_defect=det_defect,
-            ok=gap > 1e-8 and det_defect <= 1e-8 * (1.0 + lam * abs(S))))
+        rows.append(NondegeneracyRow(lam=float(lam), unit_gap=gap, det_defect=det_defect,
+                                     det_bound=1e-8 * (1.0 + lam * abs(S))))
     return NondegeneracyReport(f_inf=fi, kernel_sigma_min=kernel_sigma_min,
                                kernel_ok=kernel_ok, rows=rows)
 

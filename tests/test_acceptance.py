@@ -147,7 +147,7 @@ def test_branching_defect():
         defects = rep.defects
         mono = all(b <= a * (1.0 + 1e-6) + 1e-12 for a, b in zip(defects, defects[1:]))
         ok = ok and all(r.ok for r in rep.rows)
-        ok = ok and rep.defect_ratio < 1e-2
+        ok = ok and defects[-1] / defects[0] < 1e-2
         ok = ok and mono
     assert _verdict("branching-defect", ok)
 

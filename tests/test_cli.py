@@ -8,7 +8,7 @@ import pytest
 
 import evolver.cli as cli
 import evolver.semigroup as semigroup
-from evolver import chernoff_defect
+from evolver import GeneratorFamily, chernoff_defect
 from evolver.catalog import _INLINE_KEYS
 from evolver.cli import EXPERIMENT_NAMES, EXPERIMENTS, _resolve_model, _validate_config, main
 
@@ -255,7 +255,7 @@ def _run_cli(tmp_path, experiment, numeric):
     ("wave-energy", {}, None, None),
     ("wave-energy", {"grid": 16}, "energy", "energy_residual"),
     # every monodromy is roundoff: its unit gap passes, Liouville's formula fails
-    ("wave-periodic", {"f_inf": 1e20}, "monodromy", "nondegeneracy"),
+    ("wave-periodic", {"f_inf": 1e20}, "liouville", "nondegeneracy"),
 ])
 def test_the_verdict_agrees_with_the_csv(tmp_path, capsys, experiment, numeric,
                                          section, failing):
@@ -265,6 +265,72 @@ def test_the_verdict_agrees_with_the_csv(tmp_path, capsys, experiment, numeric,
     assert (summary["failing"] is None) == (not false_rows)
     assert (rc, summary["failing"]) == (0 if failing is None else 1, failing)
     assert (false_rows[0]["section"] if false_rows else None) == section
+
+
+# how each catalog family shows its order at T and at T/4: a constant A
+# (scalar-linear, wave-k1) makes the product exact, and rotation-damped-2d
+# is exact only over a whole period
+@pytest.mark.parametrize("key, hows", [
+    ("scalar-linear", ("floor", "floor")),
+    ("rotation-damped-2d", ("floor", "order")),
+    ("wave-k1", ("floor", "floor")),
+    ("wave-k3", ("order", "order")),
+])
+def test_evolsys_passes_on_every_catalog_model(tmp_path, capsys, key, hows):
+    cfg = _write_cfg(tmp_path, "m.json", {"model": key})
+    out = tmp_path / "o"
+    assert main(["evolsys", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    with (out / "evolsys.csv").open(encoding="utf-8", newline="") as fh:
+        rows = [(r["section"], r["label"], r["ok"]) for r in csv.DictReader(fh)
+                if r["section"].startswith("order")]
+    assert rows == [("order", hows[0], "true"), ("order-T/4", hows[1], "true")]
+
+
+def test_a_zeroth_order_product_fails_refinement_order(monkeypatch):
+    # every step of the refined systems is exp(h A(0)); the reference at
+    # n_ref = 16 n = 4096 (default n) keeps the true scheme, so the refined
+    # errors stay O(1)
+    build = cli.build_evolution
+
+    def frozen(fam, m):
+        if m >= 4096:
+            return build(fam, m)
+        A0 = fam.A(0.0)
+        const = GeneratorFamily(dim=fam.dim, T=fam.T, metric=fam.metric,
+                                A=lambda t: np.broadcast_to(A0, np.shape(t) + A0.shape))
+        return build(const, m)
+
+    monkeypatch.setattr(cli, "build_evolution", frozen)
+    num, _ = _validate_config({}, "evolsys")
+    report = cli.run_evolsys(_resolve_model({}, "evolsys"), num, 0)
+    assert [r[:2] + r[4:] for r in report.rows if r[0].startswith("order")] == [
+        ["order", None, False], ["order-T/4", None, False]]
+    assert report.checks["refinement_order"] is False
+
+
+# a constant non-normal A, whose product is exact, so its refinement errors
+# are roundoff; and a field with F(t, 0) = 0 on a region centred at 0, so
+# every rung's fixed point is 0 and every defect is exactly 0
+@pytest.mark.parametrize("experiment, model, numeric, check", [
+    ("evolsys", {"A": [[-1.0, 2.5, 0.0], [0.0, -0.7, -1.5], [0.0, 0.0, -2.0]]},
+     {"n": 16}, "refinement_order"),
+    ("branching", {"A": [[-1.0]], "F": ["tanh(s)*cos(2*pi*t/T)"],
+                   "region": {"center": [0.0], "radius": 1.0}},
+     {"n": 16, "grid": 16}, "defect_order"),
+])
+@pytest.mark.parametrize("floor", [True, False])
+def test_exact_results_pass_by_the_floor_alone(tmp_path, capsys, monkeypatch, experiment,
+                                               model, numeric, check, floor):
+    if not floor:
+        shows_order = semigroup.ConvergenceTable.shows_order
+        monkeypatch.setattr(semigroup.ConvergenceTable, "shows_order",
+                            lambda self, p, floor: shows_order(self, p, -np.inf))
+    cfg = _write_cfg(tmp_path, "x.json", {"model": model, "numeric": numeric})
+    rc = main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "o" / f"{experiment}.summary.json").read_text(encoding="utf-8"))
+    assert (rc, summary["failing"]) == ((0, None) if floor else (1, check))
 
 
 def test_wave_periodic_reports_the_liouville_defect(tmp_path, capsys):

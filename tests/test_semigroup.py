@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from evolver import (
     ChernoffScheme,
     ChernoffSequence,
+    ConvergenceTable,
     InvalidInputError,
     InvalidMetricError,
     PreconditionError,
@@ -226,6 +227,27 @@ def test_power_limit_exact_scheme_has_zero_error():
     seq = ChernoffSequence(t=0.8, mu0=0.0, ns=(4, 16, 64))
     table = chernoff_power_limit(scheme, seq, [1.0, 0.0])
     assert max(table.errors) <= 1e-13
+
+
+@pytest.mark.parametrize("errors, p, floor, how", [
+    ([1.0, 0.5, 0.25], 1, 0.0, "order"),      # rate 1
+    ([1.0, 0.53, 0.28], 1, 0.0, "order"),     # rate 0.92, at least 0.9 of 1
+    ([1.0, 0.55, 0.3], 1, 0.0, None),         # rate 0.87 is not
+    ([1.0, 0.5, 0.25], 2, 0.0, None),         # first order is not second
+    ([1.0, 0.5, 0.25], 2, 0.25, "floor"),     # unless the finest error is roundoff
+    ([0.0, 0.0, 0.0], 1, 1e-12, "floor"),     # no positive error: nan rate
+    ([0.0, 0.0, 1e-3], 1, 1e-12, None),       # nan rate, finest error above the floor
+    ([1e-15, 1e-14, 1e-13], 1, 1e-12, "floor"),   # roundoff that grows
+])
+def test_shows_order_by_rate_or_floor(errors, p, floor, how):
+    table = ConvergenceTable(ns=[1, 2, 4], errors=errors)
+    assert table.shows_order(p, floor) == how
+
+
+def test_an_empty_table_shows_no_order():
+    table = ConvergenceTable()
+    assert np.isnan(table.rate)
+    assert table.shows_order(1, np.inf) is None
 
 
 def test_sum_limit_scalar_closed_form():

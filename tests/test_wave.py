@@ -218,7 +218,7 @@ def test_nondegeneracy_between_eigenvalues():
     report = linear_nondegeneracy(model, [0.25, 0.5, 1.0], f_inf=2.5, n=256)
     assert report.kernel_ok
     assert report.kernel_sigma_min > 0.5
-    assert all(r.ok for r in report.rows)
+    assert all(r.unit_gap > 1e-8 and r.det_defect <= r.det_bound for r in report.rows)
     assert report.verdict
 
 
@@ -237,7 +237,7 @@ def test_nondegeneracy_fails_monodromies_that_break_liouville():
     model = get_model("wave-k3").wave
     for f_inf, ok in ((2.5, True), (1e6, True), (1e20, False)):
         rows = linear_nondegeneracy(model, [0.1, 1.0], f_inf=f_inf, n=512).rows
-        assert [r.ok for r in rows] == [ok, ok]
+        assert [r.det_defect <= r.det_bound for r in rows] == [ok, ok]
         assert all(r.unit_gap > 1e-8 for r in rows)
     assert max(r.det_defect for r in rows) > 1e2
     # tr A = -k beta(t) with beta = 1 + 0.5 cos t, whose node sum is n: S = -k T
