@@ -6,7 +6,8 @@ model with k = 3 modes at increasing grid resolution, then reports
 
   * the cocycle defect R(t, r) R(r, s) - R(t, s) on grid triples,
   * the gap to a much finer reference solution, which should shrink
-    roughly like 1/n.
+    roughly like 1/n^2: each cell is frozen at its midpoint, the
+    second-order exponential midpoint rule.
 """
 
 import numpy as np
@@ -44,4 +45,4 @@ for n in (128, 256, 512, 1024, 2048):
     ratio = "" if prev is None else f"{prev / err:8.2f}"
     print(f"{n:>6} {err:>12.3e} {ratio:>8}")
     prev = err
-print("ratio near 2 means first-order convergence in the step size")
+print("ratio near 4 means second-order convergence in the step size")

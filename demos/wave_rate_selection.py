@@ -7,7 +7,8 @@ rates; the measured rate should never fall below the analytic one.
 
 Part 2 integrates the nonlinear k = 3 model and checks the energy
 balance of the computed trajectory with a finite-difference audit,
-halving the residual under a paired refinement of grid and steps.
+quartering the residual under a paired refinement of grid and steps
+(second order in the step size).
 """
 
 import numpy as np
@@ -58,4 +59,4 @@ res0 = residual_at(1024, 2048)
 res1 = residual_at(2048, 4096)
 print(f"  grid 1024, steps 2048: {res0:.4e}")
 print(f"  grid 2048, steps 4096: {res1:.4e}")
-print(f"  reduction factor {res1 / res0:.3f} (near 0.5 is first-order)")
+print(f"  reduction factor {res1 / res0:.3f} (near 0.25 is second-order)")

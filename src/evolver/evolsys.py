@@ -8,7 +8,11 @@ frozen-coefficient exponentials,
 
     R(t, s) = S_k(t - t_k) S_{k-1}(h) ... S_{l+1}(h) S_l(t_{l+1} - s),
 
-where S_j(a) = exp(a A(t_j)) acts on the cell [t_j, t_{j+1}).  Each build
+where S_j(a) = exp(a A(t_j + h/2)) acts on the cell [t_j, t_{j+1}): each
+cell's generator is frozen at its midpoint, the cell's tag (cell_tags),
+which makes the product the exponential midpoint rule, the second-order
+Magnus integrator.  A partial piece of a cell takes the whole cell's
+tag, so the cocycle law below holds exactly inside a cell too.  Each build
 computes the n whole-cell steps S_j(h) with one stacked exponential call;
 the prefix products R(t_k, 0) are formed on demand, only as far as a
 query reaches.  Every query goes through one batched pair kernel,
@@ -41,7 +45,7 @@ from .semigroup import metric_cholesky, metric_operator_norm
 MAX_SUBDIVISION = 2 ** 14
 
 # the product's convergence order in 1/n; every refinement check reads it
-ORDER = 1
+ORDER = 2
 
 # queries within this distance of a grid node are treated as on-node
 SNAP = 1e-12
@@ -148,7 +152,7 @@ class EvolutionSystem:
     family: GeneratorFamily
     n: int
     nodes: np.ndarray
-    steps: np.ndarray        # steps[j] = exp(h A(t_j))
+    steps: np.ndarray        # steps[j] = exp(h A(t_j + h/2)), the cell's tag
     _prefix: np.ndarray = field(init=False, repr=False, compare=False)
     _step_stacks: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
@@ -210,11 +214,12 @@ class EvolutionSystem:
         prefix[k], once the prefix is extended to the largest such k.
         Any other pair covers grid cells j0..j1, whole cells come from
         steps, and only its first piece (starting off a node) and last
-        piece (ending off a node) are partial: their generators come
-        from one stack call on the distinct nodes and their exponentials
-        from one stacked mat_exp.  The pieces multiply onto
-        the stack one position at a time, left to right, so every slice
-        is the same product the cell-by-cell walk forms.
+        piece (ending off a node) are partial: their generators, at the
+        tags of their cells, come from one stack call on the distinct
+        cells and their exponentials from one stacked mat_exp.  The
+        pieces multiply onto the stack one position at a time, left to
+        right, so every slice is the same product the cell-by-cell walk
+        forms.
         """
         nodes, T, d = self.nodes, self.T, self.dim
         tol = SNAP * max(1.0, T)
@@ -259,7 +264,7 @@ class EvolutionSystem:
         last = np.empty((len(cell), d, d))
         if part_nodes.size:
             uniq, inverse = np.unique(part_nodes, return_inverse=True)
-            gens = self.family.stack(nodes[uniq])
+            gens = self.family.stack(cell_tags(T, self.n)[uniq])
             partial = mat_exp(gens[inverse] * part_lengths[:, None, None])
             nf = np.count_nonzero(first_part)
             P[first_part] = partial[:nf]
@@ -313,24 +318,34 @@ def uniform_nodes(T: float, m: int) -> np.ndarray:
     return np.linspace(0.0, T, m + 1)
 
 
+def cell_tags(T: float, n: int) -> np.ndarray:
+    """The n times t_j + h/2, h = T/n, at which the product freezes each cell.
+
+    Every frozen generator of build_evolution's steps, of the partial
+    pieces of EvolutionSystem.operators and of the audits that must see
+    the same generators is read at these times.
+    """
+    return uniform_nodes(T, n)[:-1] + 0.5 * (T / n)
+
+
 def build_evolution(family: GeneratorFamily, n: int) -> EvolutionSystem:
     """Build the frozen-coefficient product system at subdivision n.
 
-    The n node generators come from one call A(t_0 .. t_{n-1}) and are
+    The n cell generators come from one call A(cell_tags(T, n)) and are
     exponentiated by a single stacked mat_exp call with time h; the
-    steps equal the node-by-node exponentials bit for bit.  No prefix
+    steps equal the cell-by-cell exponentials bit for bit.  No prefix
     product is formed here: the system forms them as queries reach them.
 
     Raises ResourceLimitError for n > 2^14 and InvalidInputError for
-    n < 1, for a stack that is not (n, d, d), for a non-finite A(t_j) or
-    for a step exponential that overflows.
+    n < 1, for a stack that is not (n, d, d), for a non-finite generator
+    or for a step exponential that overflows.
     """
     if n < 1:
         raise InvalidInputError("subdivision n must be >= 1")
     nodes = uniform_nodes(family.T, n)
-    steps = mat_exp(family.stack(nodes[:-1]), family.T / n)
+    steps = mat_exp(family.stack(cell_tags(family.T, n)), family.T / n)
     if not np.all(np.isfinite(steps)):
-        raise InvalidInputError(f"a step exp(h A(t_j)) overflows at subdivision n = {n}")
+        raise InvalidInputError(f"a step exp(h A(t_j + h/2)) overflows at subdivision n = {n}")
     return EvolutionSystem(family=family, n=n, nodes=nodes, steps=steps)
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .averaging import average_generator, monodromy, unit_eigenvalue_gap
 from .errors import ConfigError, InvalidInputError
-from .evolsys import GeneratorFamily, affine_family, build_evolution, uniform_nodes
+from .evolsys import GeneratorFamily, affine_family, build_evolution, cell_tags
 from .mild import (
     DEFAULT_GRID,
     FixedPointResult,
@@ -286,7 +286,9 @@ def energy_residual(traj: Trajectory, model: WaveModel) -> EnergyReport:
     The forcing (f, v)_0 is the velocity slot of the model's own field,
     -project_nonlinearity along the path, and zero when model.f is None.
     Central differences need at least 3 nodes.  The residual scales like
-    O(grid step) plus the frozen-coefficient error of the evolution build.
+    O(grid step^2), the order of the central differences and of the
+    trapezoid sweep, plus the frozen-coefficient error of the evolution
+    build, which is O(h^ORDER) in its step h.
     """
     z = np.asarray(traj.states, dtype=float)
     if z.ndim != 2 or z.shape[1] != model.dim:
@@ -378,7 +380,7 @@ class NondegeneracyReport:
     kernel_sigma_min is the smallest singular value of A_hat + F_inf_hat
     (zero means the averaged linearization has a kernel); each row holds
     the distance of the monodromy spectrum from 1 at one lam, and how far
-    log |det M| is from Liouville's lam h sum_j tr A(t_j), which the
+    log |det M| is from Liouville's lam h sum_j tr A(t_j + h/2), which the
     frozen product satisfies exactly since tr F_inf = 0, with the bound
     det_bound that distance is held to.
     """
@@ -402,8 +404,9 @@ def linear_nondegeneracy(model: WaveModel, lambdas: Sequence[float],
     The lift of the asymptotic slope is F_inf(u, v) = (0, -f_inf u).
     A smallest singular value or unit-eigenvalue gap at or below 1e-8 is
     a detected resonance, and a det_defect above the row's det_bound
-    1e-8 (1 + lam |S|), with S = h sum_j tr A(t_j), a monodromy lost to
-    roundoff; either yields a failing verdict, not an exception.
+    1e-8 (1 + lam |S|), with S = h sum_j tr A(t_j + h/2) over the cell
+    tags the product freezes at, a monodromy lost to roundoff; either
+    yields a failing verdict, not an exception.
     """
     fi = model.f_inf if f_inf is None else float(f_inf)
     fam, k = model.family, model.k
@@ -412,7 +415,7 @@ def linear_nondegeneracy(model: WaveModel, lambdas: Sequence[float],
     sig = np.linalg.svd(average_generator(fam) + B, compute_uv=False)
     kernel_sigma_min = float(sig[-1])
     kernel_ok = kernel_sigma_min > 1e-8
-    traces = np.trace(fam.stack(uniform_nodes(fam.T, n)[:-1]), axis1=1, axis2=2)
+    traces = np.trace(fam.stack(cell_tags(fam.T, n)), axis1=1, axis2=2)
     S = fam.T / n * float(np.sum(traces))
     rows = []
     for lam in lambdas:

@@ -176,10 +176,13 @@ def walk_operator(R, t, s, expm, snap):
     """R(t, s) of a frozen-coefficient system, walking its cells one by one.
 
     R supplies nodes, n, h, T, dim, steps (whole-cell exponentials),
-    prefix (R(t_k, 0)) and family.A.  expm(M, a) is the exponential the
-    system was built with, passed in so the walk can be compared with the
-    library bit for bit.  A time within snap * max(1, T) of a node counts
-    as on it.  Expects 0 <= s <= t <= T up to that snap.
+    prefix (R(t_k, 0)) and family.A.  Every piece of cell j, whole or
+    partial, is frozen at the cell's midpoint t_j + h/2; the walk states
+    that rule itself instead of reading the library's.  expm(M, a) is the
+    exponential the system was built with, passed in so the walk can be
+    compared with the library bit for bit.  A time within
+    snap * max(1, T) of a node counts as on it.  Expects
+    0 <= s <= t <= T up to that snap.
     """
     tol = snap * max(1.0, R.T)
     t, s = min(max(t, 0.0), R.T), min(max(s, 0.0), R.T)
@@ -204,7 +207,7 @@ def walk_operator(R, t, s, expm, snap):
         cell_end = R.nodes[j + 1]
         seg_end = min(cell_end, t)
         whole = abs(cur - R.nodes[j]) <= tol and abs(seg_end - cell_end) <= tol
-        F = R.steps[j] if whole else expm(R.family.A(R.nodes[j]), seg_end - cur)
+        F = R.steps[j] if whole else expm(R.family.A(R.nodes[j] + R.h / 2), seg_end - cur)
         P = F.copy() if first else F @ P
         first = False
         cur = cell_end

@@ -8,9 +8,10 @@ import pytest
 
 import evolver.cli as cli
 import evolver.semigroup as semigroup
-from evolver import GeneratorFamily, chernoff_defect
+from evolver import GeneratorFamily, chernoff_defect, find_periodic_wave
 from evolver.catalog import _INLINE_KEYS
 from evolver.cli import EXPERIMENT_NAMES, EXPERIMENTS, _resolve_model, _validate_config, main
+from evolver.semigroup import metric_norm
 
 
 def _write_cfg(tmp_path, name, obj):
@@ -339,6 +340,23 @@ def test_wave_periodic_reports_the_liouville_defect(tmp_path, capsys):
     _, _, summary = _run_cli(tmp_path, "wave-periodic", {"f_inf": 1e20})
     capsys.readouterr()
     assert summary["metrics"]["det_defect_max"] > 1e2
+
+
+def test_wave_periodic_default_sizes_reach_the_periodic_state_within_1e_4():
+    # the state wave-periodic solves for (n = 2 grid) against a reference
+    # at grid 2048; left tags at grid 1024 were 3.2e-4 away
+    model = _resolve_model({}, "wave-periodic").wave
+    grid = EXPERIMENTS["wave-periodic"].numeric["grid"]
+    x = find_periodic_wave(model, lam=1.0, n=2 * grid, grid=grid).fixed_point.x
+    ref = find_periodic_wave(model, lam=1.0, n=4096, grid=2048).fixed_point.x
+    assert metric_norm(x - ref, model.family.metric) <= 1e-4
+
+
+def test_wave_energy_default_residual_is_no_larger_than_with_left_tags(tmp_path, capsys):
+    # 5.75e-4 is the residual the left-tag default reached at grid 2048
+    _, _, summary = _run_cli(tmp_path, "wave-energy", {})
+    capsys.readouterr()
+    assert summary["metrics"]["energy_residual"] <= 5.75e-4
 
 
 def test_readme_lists_the_inline_model_keys():

@@ -149,10 +149,11 @@ def test_overflowing_prefix_raises_and_stores_nothing():
 
 
 def _per_node_build(family, n):
-    # reference: one mat_exp per grid node, prefix products from time 0
+    # reference: one mat_exp per cell, frozen at the cell's midpoint
+    # t_j + h/2, prefix products from time 0
     h = family.T / n
     nodes = np.linspace(0.0, family.T, n + 1)
-    steps = np.stack([mat_exp(family.A(t), h) for t in nodes[:-1]])
+    steps = np.stack([mat_exp(family.A(t + h / 2), h) for t in nodes[:-1]])
     prefix = [np.eye(family.dim)]
     for step in steps:
         prefix.append(step @ prefix[-1])
