@@ -16,7 +16,7 @@ from evolver.degree import averaged_map
 model = get_model("rotation-damped-2d")
 
 report = averaging_degree_check(
-    model.family, model.field, model.region, BRANCHING_LADDER, n=256, grid=256
+    model.family, model.field, model.region, BRANCHING_LADDER, grid=256
 )
 
 print("averaged-field degree d0 =", report.d0)

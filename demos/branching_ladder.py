@@ -15,7 +15,7 @@ from evolver.catalog import BRANCHING_LADDER
 
 model = get_model("scalar-linear")
 report = branching_experiment(
-    model.family, model.field, BRANCHING_LADDER, model.region, n=512, grid=1024
+    model.family, model.field, BRANCHING_LADDER, model.region, grid=1024
 )
 
 print("branching defect on the scalar linear model")

@@ -24,7 +24,7 @@ wave = model.wave
 
 # --- shooting for the periodic state --------------------------------------
 
-res = find_periodic_wave(wave, n=1024, grid=1024)
+res = find_periodic_wave(wave, grid=1024)
 fp = res.fixed_point
 print("periodic state of the nonlinear k = 3 wave model")
 print(f"  initial condition x*(0) = {np.array2string(fp.x, precision=5)}")

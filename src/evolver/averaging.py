@@ -29,7 +29,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .evolsys import MAX_SUBDIVISION, GeneratorFamily, affine_family, build_evolution
-from .mild import DEFAULT_GRID, field_jacobian, fixed_point, period_map
+from .mild import field_jacobian, fixed_point, period_map
 
 QUAD_TOL = 1e-10    # Simpson doubling stops when two levels agree this closely
 QUAD_START = 16     # intervals of the first Simpson level
@@ -170,16 +170,16 @@ class BranchingReport:
 
 
 def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
-                         U: Region, n: int = 1024,
-                         grid: int = DEFAULT_GRID) -> BranchingReport:
+                         U: Region, grid: int = 1024) -> BranchingReport:
     """Track the period-map fixed point along the ladder lambdas, in the
     given order (the branching experiment requires it descending), and
     measure its averaged-field defect ||A_hat x_lam + F_hat(x_lam)||.
 
     The defect decays like O(lam): fixed points accumulate on the zero
     of the averaged field.  Each rung solves ||Phi_T^lam(x) - x|| to
-    RUNG_TOL; a failed solve marks its row and the sweep continues (warm
-    starts skip the failed rung); a ResourceLimitError ends the sweep.
+    RUNG_TOL on the period map at subdivision grid; a failed solve marks
+    its row and the sweep continues (warm starts skip the failed rung); a
+    ResourceLimitError ends the sweep.
     """
     lams = [float(l) for l in lambdas]
     if any(l <= 0 for l in lams):
@@ -189,7 +189,7 @@ def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
     x_start = U.midpoint
     for lam in lams:
         try:
-            fp = fixed_point(period_map(family, F, lam, n, grid), x_start, tol=RUNG_TOL)
+            fp = fixed_point(period_map(family, F, lam, grid), x_start, tol=RUNG_TOL)
         except ResourceLimitError:
             raise
         except EvolverError as exc:
@@ -259,7 +259,7 @@ class AveragingDegreeReport:
 
 
 def averaging_degree_check(family: GeneratorFamily, F, U: Region,
-                           lambdas: Sequence[float], n: int = 256,
+                           lambdas: Sequence[float],
                            grid: int = 256) -> AveragingDegreeReport:
     """Compare deg(I - Phi_T^lam, U) with the averaged degree along lambdas.
 
@@ -289,7 +289,7 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
     reference = factor * d0_report.value
     rows: list[AveragingRow] = []
     for lam in map(float, lambdas):
-        phi = period_map(family, F, lam, n, grid)
+        phi = period_map(family, F, lam, grid)
         lip, slack = phi.gap_lipschitz()
 
         def evaluate(X):

@@ -364,8 +364,7 @@ def run_branching(cm, num, seed):
     lambdas = [float(v) for v in num["lambdas"]]
     if any(a <= b for a, b in zip(lambdas, lambdas[1:])):
         raise ConfigError("branching needs a strictly descending numeric.lambdas")
-    result = branching_experiment(cm.family, cm.field, lambdas, cm.region,
-                                  n=num["n"], grid=num["grid"])
+    result = branching_experiment(cm.family, cm.field, lambdas, cm.region, grid=num["grid"])
     d = cm.dim
     # the defect is O(lam), order 1 in 1/lam; a rung's residual RUNG_TOL
     # moves it by about RUNG_TOL / (lam T), most at the smallest lam
@@ -446,8 +445,7 @@ def run_degree(cm, num, seed):
 
 def run_averaging(cm, num, seed):
     lambdas = [float(v) for v in num["lambdas"]]
-    result = averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
-                                    n=num["n"], grid=num["grid"])
+    result = averaging_degree_check(cm.family, cm.field, cm.region, lambdas, grid=num["grid"])
     report = Report(["section", "lambda", "boundary_ok", "boundary_min",
                      "degree", "agrees", "error"], {})
     report.row("averaged", "", True, "", result.d0, "", "")
@@ -469,8 +467,7 @@ def run_averaging(cm, num, seed):
 
 def run_continuation(cm, num, seed):
     lambdas = sorted(float(v) for v in num["lambdas"])
-    result = averaging_degree_check(cm.family, cm.field, cm.region, lambdas,
-                                    n=num["n"], grid=num["grid"])
+    result = averaging_degree_check(cm.family, cm.field, cm.region, lambdas, grid=num["grid"])
     report = Report(["section", "lambda", "ok", "value", "error"], {"fp_residual": 1e-8})
     report.row("averaged", "", True, result.d0, "")
     report.check("averaged_degree_nonzero", result.d0 != 0)
@@ -479,7 +476,7 @@ def run_continuation(cm, num, seed):
         report.check("boundary_clear", r.boundary_ok)
         report.check("degree_constant", r.degree == result.reference)
     lam_top = lambdas[-1]
-    phi = period_map(cm.family, cm.field, lam_top, num["n"], num["grid"])
+    phi = period_map(cm.family, cm.field, lam_top, num["grid"])
     fp = fixed_point(phi, cm.region.midpoint, tol=1e-8)
     inside = bool(cm.region.contains(fp.x))
     report.row("fixed-point", lam_top, inside, fp.residual, "")
@@ -494,7 +491,7 @@ def run_wave_periodic(cm, num, seed):
     between = 0.5 * (eigs[0] + eigs[1]) if model.k >= 2 else eigs[0] + 1.0
     f_inf = float(between if num["f_inf"] is None else num["f_inf"])
     lambdas = [float(v) for v in num["lambdas"]]
-    nondeg = linear_nondegeneracy(model, lambdas, f_inf=f_inf, n=num["n"])
+    nondeg = linear_nondegeneracy(model, lambdas, f_inf=f_inf, n=num["grid"])
     report = Report(["section", "lambda", "value", "bound", "ok"],
                     {"unit_gap": 1e-8, "residual": 1e-6})
     report.row("kernel", "", nondeg.kernel_sigma_min, 1e-8, nondeg.kernel_ok,
@@ -504,7 +501,7 @@ def run_wave_periodic(cm, num, seed):
                    check="nondegeneracy")
         report.row("liouville", r.lam, r.det_defect, r.det_bound, r.det_defect <= r.det_bound,
                    check="nondegeneracy")
-    result = find_periodic_wave(model, lam=1.0, n=2 * num["grid"], grid=num["grid"])
+    result = find_periodic_wave(model, lam=1.0, grid=num["grid"])
     report.row("periodic", 1.0, result.residual_eta, 1e-6, result.residual_eta <= 1e-6,
                check="periodic_residual")
     report.metrics = {
@@ -521,7 +518,7 @@ def run_wave_periodic(cm, num, seed):
 def run_wave_energy(cm, num, seed):
     model = cm.wave
     report = Report(["section", "label", "value", "bound", "ok"],
-                    {"energy": 1e-3, "halving": {"order": ORDER_SHARE * ORDER, "floor": 1e-6},
+                    {"energy": 1e-3, "order": {"order": ORDER_SHARE * ORDER, "floor": 1e-6},
                      "invariance": 1e-10})
 
     sel = select_eta(model)
@@ -530,26 +527,24 @@ def run_wave_energy(cm, num, seed):
                sel.rate_numeric >= sel.rate_analytic - 1e-9, check="dissipativity_rate")
 
     grid0 = num["grid"]
-    n0 = 2 * grid0 if num["n"] is None else num["n"]
     x0 = np.zeros(model.dim)
     x0[0] = 0.5
     x0[model.k] = -0.2
 
-    def residual_at(grid, n):
-        rep = energy_residual(period_map(cm.family, cm.field, 1.0, n, grid)(x0), model)
+    def residual_at(grid):
+        rep = energy_residual(period_map(cm.family, cm.field, 1.0, grid)(x0), model)
         return rep.max_energy_residual, rep.max_position_residual
 
-    res0, pos0 = residual_at(grid0, n0)
-    res1, _ = residual_at(2 * grid0, 2 * n0)
+    res0, pos0 = residual_at(grid0)
+    res1, _ = residual_at(2 * grid0)
     factor = res1 / res0 if res0 > 0 else 0.0
-    report.row("energy", "grid=%d,n=%d" % (grid0, n0), res0, 1e-3, res0 < 1e-3,
-               check="energy_residual")
-    report.row("energy", "grid=%d,n=%d" % (2 * grid0, 2 * n0), res1, "", "")
-    halving = ConvergenceTable([grid0, 2 * grid0], [res0, res1])
-    how = halving.shows_order(ORDER, 1e-6)
-    report.row("energy-halving", how, halving.rate, ORDER_SHARE * ORDER, how is not None,
-               check="energy_halving")
-    report.row("position", "grid=%d,n=%d" % (grid0, n0), pos0, "", "")
+    report.row("energy", "grid=%d" % grid0, res0, 1e-3, res0 < 1e-3, check="energy_residual")
+    report.row("energy", "grid=%d" % (2 * grid0), res1, "", "")
+    table = ConvergenceTable([grid0, 2 * grid0], [res0, res1])
+    how = table.shows_order(ORDER, 1e-6)
+    report.row("energy-order", how, table.rate, ORDER_SHARE * ORDER, how is not None,
+               check="energy_order")
+    report.row("position", "grid=%d" % grid0, pos0, "", "")
 
     pairs = [(ft * model.T, fs * model.T) for ft, fs in (
         (0.17, 0.0), (0.35, 0.1), (0.5, 0.25), (0.63, 0.2), (0.77, 0.4),
@@ -569,7 +564,7 @@ def run_wave_energy(cm, num, seed):
         "rate_analytic": sel.rate_analytic,
         "rate_numeric": sel.rate_numeric,
         "energy_residual": res0,
-        "energy_halving_factor": factor,
+        "energy_refinement_factor": factor,
     }
     return report
 
@@ -593,16 +588,15 @@ EXPERIMENTS = {
                            {"samples": 200, "ns": (16, 64, 256, 1024, 4096)}),
     "evolsys": Experiment(run_evolsys, "wave-k3", None, {"n": 256, "n_continuity": 128}),
     "branching": Experiment(run_branching, "scalar-linear", "field",
-                            {"lambdas": catalog.BRANCHING_LADDER, "n": 512, "grid": 1024}),
+                            {"lambdas": catalog.BRANCHING_LADDER, "grid": 1024}),
     "degree": Experiment(run_degree, None, None, {"boundary_zero": False, "power_m": 3}),
     "averaging": Experiment(run_averaging, "scalar-linear", "degree",
-                            {"lambdas": catalog.AVERAGING_LADDER, "n": 256, "grid": 256}),
+                            {"lambdas": catalog.AVERAGING_LADDER, "grid": 256}),
     "continuation": Experiment(run_continuation, "rotation-damped-2d", "degree",
-                               {"lambdas": catalog.AVERAGING_LADDER, "n": 256, "grid": 256}),
+                               {"lambdas": catalog.AVERAGING_LADDER, "grid": 256}),
     "wave-periodic": Experiment(run_wave_periodic, "wave-k3", "wave",
-                                {"lambdas": catalog.WAVE_LADDER, "n": 512, "grid": 256,
-                                 "f_inf": None}),
-    "wave-energy": Experiment(run_wave_energy, "wave-k3", "wave", {"grid": 512, "n": None}),
+                                {"lambdas": catalog.WAVE_LADDER, "grid": 256, "f_inf": None}),
+    "wave-energy": Experiment(run_wave_energy, "wave-k3", "wave", {"grid": 512}),
 }
 EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 

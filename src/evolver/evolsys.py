@@ -18,8 +18,7 @@ the prefix products R(t_k, 0) are formed on demand, only as far as a
 query reaches.  Every query goes through one batched pair kernel,
 EvolutionSystem.operators, which returns R(t_i, s_i) for a whole array
 of pairs with one stacked exponential for all their partial cells;
-operator, apply, step_operators (memoized per system and grid) and the
-audits below are its callers.
+operator, apply, step_operators and the audits below are its callers.
 The result is an exact evolution system for the piecewise-frozen family:
 it satisfies the cocycle identity R(t, s) = R(t, r) R(r, s) for every
 s <= r <= t up to roundoff, and converges to the evolution system of the
@@ -140,13 +139,10 @@ class EvolutionSystem:
     a batch of pairs at once: R(t_k, 0) is a prefix lookup, and any other
     pair multiplies its whole steps and at most two partial cells.
     operator(t, s) is its one-pair case and apply(t, s, x) is
-    x @ operator(t, s)^T.  step_operators memoizes each stack it
-    assembles, keyed on the exact time array; the stacks are read-only
-    and are dropped with the system.  Queries are safe to call
-    concurrently: a prefix extension is built from a snapshot of the
-    stored prefix and published with one assignment, so two threads
-    racing on the same uncached grid or prefix at worst compute an
-    identical result twice.
+    x @ operator(t, s)^T.  Queries are safe to call concurrently: a
+    prefix extension is built from a snapshot of the stored prefix and
+    published with one assignment, so two threads racing on the same
+    prefix at worst compute an identical result twice.
     """
 
     family: GeneratorFamily
@@ -154,8 +150,6 @@ class EvolutionSystem:
     nodes: np.ndarray
     steps: np.ndarray        # steps[j] = exp(h A(t_j + h/2)), the cell's tag
     _prefix: np.ndarray = field(init=False, repr=False, compare=False)
-    _step_stacks: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_prefix", np.eye(self.dim)[None])
@@ -296,18 +290,14 @@ class EvolutionSystem:
     def step_operators(self, times: np.ndarray) -> np.ndarray:
         """Read-only stack E_i = R(times[i+1], times[i]) for an increasing array.
 
-        It is operators(times[1:], times[:-1]), assembled once per
-        distinct times array and memoized on the system.
+        It is operators(times[1:], times[:-1]); on the system's own nodes
+        it equals steps bit for bit.
         """
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
             raise InvalidInputError("times must be strictly increasing, length >= 2")
-        key = times.tobytes()
-        E = self._step_stacks.get(key)
-        if E is None:
-            E = self.operators(times[1:], times[:-1])
-            E.flags.writeable = False
-            self._step_stacks[key] = E
+        E = self.operators(times[1:], times[:-1])
+        E.flags.writeable = False
         return E
 
 

@@ -25,7 +25,8 @@ its Jacobian from one solve: each point rides with d tangent rows that
 start at the identity and follow the variational equation
 V' = lam (A V + DF(t, u) V) through the same trapezoid passes, which
 gives the exact derivative of the discrete map up to Picard tolerance
-(1 + d rows per point).  Each map builds its scan plan once.  Its
+(1 + d rows per point).  A map's Picard grid is its system's own
+subdivision, and it builds its scan plan once, from R.steps.  Its
 gap_lipschitz bounds x - Phi_T^lam(x) for the degree's cell exclusion.
 
 All state-space operations broadcast over leading axes, so a batch of
@@ -342,20 +343,20 @@ def mild_solve(R: EvolutionSystem, F, x0, lam: float = 1.0,
 @dataclass(frozen=True)
 class PeriodMap:
     """Phi_T^lam on the system R of lam A: phi(x) = mild_solve(R, F, x, lam=lam,
-    grid=grid), whose .final is Phi_T^lam(x) for a state or a batch (..., d).
-    Every solve of the map runs on one scan plan, built at its first solve."""
+    grid=R.n), whose .final is Phi_T^lam(x) for a state or a batch (..., d).
+    Its step operators are R.steps, and every solve of the map runs on one
+    scan plan of them, built at its first solve."""
 
     R: EvolutionSystem
     F: Callable
     lam: float
-    grid: int
 
     @cached_property
     def _plan(self):
-        return _scan_plan(self.R.step_operators(uniform_nodes(self.R.T, self.grid)))
+        return _scan_plan(self.R.steps)
 
     def __call__(self, x) -> Trajectory:
-        return mild_solve(self.R, self.F, x, lam=self.lam, grid=self.grid,
+        return mild_solve(self.R, self.F, x, lam=self.lam, grid=self.R.n,
                           _plan=self._plan)
 
     def linearize(self, X) -> tuple[Trajectory, np.ndarray]:
@@ -373,7 +374,7 @@ class PeriodMap:
         K, d = X.shape
         G = _variational(self.F, field_jacobian(self.F))
         Z = np.concatenate([X[:, None, :], np.broadcast_to(np.eye(d), (K, d, d))], axis=1)
-        traj = mild_solve(self.R, G, Z, lam=self.lam, grid=self.grid, _plan=self._plan)
+        traj = mild_solve(self.R, G, Z, lam=self.lam, grid=self.R.n, _plan=self._plan)
         J = traj.final[:, 1:].swapaxes(-1, -2)
         return replace(traj, states=traj.states[:, :, 0]), J
 
@@ -391,11 +392,10 @@ class PeriodMap:
         stopped below PICARD_TOL is within kappa / (1 - kappa) PICARD_TOL of
         the discrete map at each of the two points.
         """
-        h = self.R.T / self.grid
-        q = 0.5 * self.lam * h * getattr(self.F, "lipschitz", np.inf)
+        q = 0.5 * self.lam * self.R.h * getattr(self.F, "lipschitz", np.inf)
         if not q < 1.0:
             return np.inf, 0.0
-        E = self.R.step_operators(uniform_nodes(self.R.T, self.grid))
+        E = self.R.steps
         a = np.linalg.norm(E, 2, axis=(1, 2)).tolist()
         b = np.linalg.norm(E - np.eye(E.shape[-1]), 2, axis=(1, 2)).tolist()
         r = (1.0 + q) / (1.0 - q)
@@ -410,14 +410,14 @@ class PeriodMap:
         return min(S, 1.0 + D), 2.0 * kappa / (1.0 - kappa) * PICARD_TOL
 
 
-def period_map(family: GeneratorFamily, F, lam: float, n: int,
-               grid: int = DEFAULT_GRID) -> PeriodMap:
+def period_map(family: GeneratorFamily, F, lam: float, grid: int) -> PeriodMap:
     """The translation along trajectories Phi_T^lam of u' = lam (A u + F).
 
-    Builds R = build_evolution(affine_family(family, lam), n) once and
-    returns the PeriodMap x -> mild_solve(R, F, x, lam=lam, grid=grid).
+    Builds R = build_evolution(affine_family(family, lam), grid) once and
+    returns the PeriodMap x -> mild_solve(R, F, x, lam=lam, grid=grid):
+    one subdivision serves both R and the trapezoid sum.
     """
-    return PeriodMap(build_evolution(affine_family(family, lam), n), F, lam, grid)
+    return PeriodMap(build_evolution(affine_family(family, lam), grid), F, lam)
 
 
 @dataclass

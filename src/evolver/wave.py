@@ -437,18 +437,17 @@ class WavePeriodicResult:
     residual_eta: float
 
 
-def find_periodic_wave(model: WaveModel, lam: float = 1.0, n: int = 2048,
-                       grid: int = DEFAULT_GRID,
+def find_periodic_wave(model: WaveModel, lam: float = 1.0, grid: int = DEFAULT_GRID,
                        fp_tol: float = 1e-10) -> WavePeriodicResult:
     """Locate a T-periodic state of z' = lam (A(t) z + F(t, z)) by shooting.
 
-    Newton on the period map Phi_T^lam from the origin; the reported
-    residual is ||z(T) - z(0)|| in the eta metric, on the path of the
-    Newton solve's last evaluation (no further solve).
+    Newton on the period map Phi_T^lam at subdivision grid from the
+    origin; the reported residual is ||z(T) - z(0)|| in the eta metric,
+    on the path of the Newton solve's last evaluation (no further solve).
     """
     if model.f is None:
         raise InvalidInputError("model has no nonlinearity to solve with")
-    phi = period_map(model.family, nonlinear_field(model), lam, n, grid)
+    phi = period_map(model.family, nonlinear_field(model), lam, grid)
     fp = fixed_point(phi, np.zeros(model.dim), tol=fp_tol)
     traj = fp.trajectory
     residual = metric_norm(traj.final - fp.x, model.family.metric)

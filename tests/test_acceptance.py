@@ -148,7 +148,7 @@ def test_branching_defect():
     for key in ("scalar-linear", "rotation-damped-2d"):
         cm = get_model(key)
         rep = branching_experiment(cm.family, cm.field, list(BRANCHING_LADDER),
-                                   cm.region, n=512, grid=1024)
+                                   cm.region, grid=1024)
         defects = rep.defects
         mono = all(b <= a * (1.0 + 1e-6) + 1e-12 for a, b in zip(defects, defects[1:]))
         ok = ok and all(r.ok for r in rep.rows)
@@ -162,7 +162,7 @@ def test_averaging_degree():
     for key in ("scalar-linear", "rotation-damped-2d"):
         cm = get_model(key)
         rep = averaging_degree_check(cm.family, cm.field, cm.region,
-                                     list(AVERAGING_LADDER), n=256, grid=256)
+                                     list(AVERAGING_LADDER), grid=256)
         ok = ok and rep.verdict and rep.lambda0 is not None
         ok = ok and all(r.agrees for r in rep.rows if r.lam <= rep.lambda0)
         if cm.dim == 2:
@@ -258,7 +258,7 @@ def test_nondegeneracy_periodic():
     nondeg = linear_nondegeneracy(model, list(WAVE_LADDER), f_inf=2.5, n=512)
     ok = nondeg.verdict and min(r.unit_gap for r in nondeg.rows) > 1e-8
 
-    res = find_periodic_wave(model, lam=1.0, n=2048, grid=1024)
+    res = find_periodic_wave(model, lam=1.0, grid=1024)
     ok = ok and res.residual_eta <= 1e-6
 
     # affine nonlinearity: the period map is exactly affine, so its fixed
@@ -279,7 +279,7 @@ def test_nondegeneracy_periodic():
         e[j] = 1.0
         M[:, j] = phi(e) - b
     z_star = np.linalg.solve(np.eye(d) - M, b)
-    found = find_periodic_wave(model1, lam=1.0, n=n, grid=grid, fp_tol=1e-11)
+    found = find_periodic_wave(model1, lam=1.0, grid=grid, fp_tol=1e-11)
     gap = float(np.linalg.norm(found.fixed_point.x - z_star))
     ok = ok and gap <= 1e-8
     assert _verdict("nondegeneracy-periodic", ok), gap
@@ -290,7 +290,7 @@ def test_cli_determinism(tmp_path):
     cfg.write_text(json.dumps({
         "experiment": "branching",
         "model": "scalar-linear",
-        "numeric": {"n": 256, "grid": 512, "seed": 5},
+        "numeric": {"grid": 512, "seed": 5},
     }), encoding="utf-8")
     payloads = []
     for sub in ("a", "b"):

@@ -139,10 +139,10 @@ def test_mu_rescale_fixed_points_match_at_endpoints():
         return -np.linalg.solve(avg.A_hat, avg.DF_hat(np.asarray(x, dtype=float)))
 
     comparison = NonlinearField(F=comp, lipschitz=0.0, jacobian=comp_jacobian)
-    fp1 = fixed_point(period_map(cm.family, comparison, 0.5, 256, 512), [0.0], tol=1e-10)
+    fp1 = fixed_point(period_map(cm.family, comparison, 0.5, 512), [0.0], tol=1e-10)
     assert fp1.x[0] == pytest.approx(2.0, abs=1e-5)
     lam = 0.01
-    fp0 = fixed_point(period_map(cm.family, cm.field, lam, 256, 512), [2.0], tol=1e-10)
+    fp0 = fixed_point(period_map(cm.family, cm.field, lam, 512), [2.0], tol=1e-10)
     assert fp0.x[0] == pytest.approx(2.0 - _defect_closed_form(lam), abs=1e-4)
     assert abs(fp0.x[0] - 2.0) < 3.0 * lam  # O(lam) branch gap
 
@@ -174,8 +174,7 @@ def test_branching_ladder_validation():
 def test_branching_scalar_defects_follow_closed_form():
     cm = get_model("scalar-linear")
     lams = [1.0, 0.1, 0.01]
-    report = branching_experiment(cm.family, cm.field, lams, cm.region,
-                                  n=256, grid=512)
+    report = branching_experiment(cm.family, cm.field, lams, cm.region, grid=512)
     assert all(r.ok for r in report.rows)
     for row in report.rows:
         assert row.x[0] == pytest.approx(2.0 - _defect_closed_form(row.lam), abs=1e-4)
@@ -230,7 +229,7 @@ def test_averaging_degree_flags_boundary_fixed_point():
     # center the region so the periodic point sits exactly on the boundary
     cm = get_model("scalar-linear")
     lam = 0.1
-    phi = period_map(cm.family, cm.field, lam, 256, 256)
+    phi = period_map(cm.family, cm.field, lam, 256)
     fp = fixed_point(phi, [2.0], tol=1e-9)
     U = Region.ball([fp.x[0] - 0.3], 0.3)
     report = averaging_degree_check(cm.family, cm.field, U, [lam])
@@ -239,7 +238,7 @@ def test_averaging_degree_flags_boundary_fixed_point():
     assert row.error == "boundary fixed point suspected"
     assert row.degree is None
     # the screened minimum of |x - Phi_T(x)| over the 128 boundary samples,
-    # with the check's own period map (n = grid = 256)
+    # with the check's own period map (grid = 256)
     cloud = U.boundary_samples(128)
     traj = phi(cloud)
     assert row.boundary_min == float(np.min(np.linalg.norm(cloud - traj.final, axis=-1)))
@@ -288,7 +287,7 @@ def test_period_map_lipschitz_bound_holds_on_default_rungs(key, lam):
     # the bound is within a factor 1.13 of the largest quotient seen on
     # these rungs (sharp to roundoff on scalar-linear), so half of it fails
     cm = get_model(key)
-    phi = period_map(cm.family, cm.field, lam, 256, 256)
+    phi = period_map(cm.family, cm.field, lam, 256)
     lip, slack = phi.gap_lipschitz()
     assert 0.0 <= slack < 1e-10
     _assert_bound_holds(lambda x: x - phi(x).final, cm.region, lip, slack, seed=5)
@@ -306,14 +305,14 @@ def test_averaged_map_lipschitz_bound_holds(key):
 def test_a_field_without_a_bound_prunes_nothing():
     cm = get_model("rotation-damped-2d")
     bare = lambda t, x: cm.field(t, x)
-    assert period_map(cm.family, bare, 0.1, 64, 64).gap_lipschitz() == (np.inf, 0.0)
+    assert period_map(cm.family, bare, 0.1, 64).gap_lipschitz() == (np.inf, 0.0)
     avg = averaged_pair(cm.family, bare)
     assert avg.lipschitz == np.inf and avg.map_lipschitz == np.inf
     # nor does a bound under which a trapezoid step (q >= 1, at 1e4) or the
     # Picard pass (kappa >= 1, at 10) does not contract
     for lip in (1e4, 10.0):
         steep = NonlinearField(F=cm.field.F, lipschitz=lip, jacobian=cm.field.jacobian)
-        assert period_map(cm.family, steep, 1.0, 64, 64).gap_lipschitz() == (np.inf, 0.0)
+        assert period_map(cm.family, steep, 1.0, 64).gap_lipschitz() == (np.inf, 0.0)
 
 
 @pytest.mark.parametrize("key, lam", [("rotation-damped-2d", 0.03),
@@ -321,7 +320,7 @@ def test_a_field_without_a_bound_prunes_nothing():
                                       ("scalar-linear", 0.1)])
 def test_pruned_and_unpruned_degrees_agree(key, lam):
     cm = get_model(key)
-    phi = period_map(cm.family, cm.field, lam, 256, 256)
+    phi = period_map(cm.family, cm.field, lam, 256)
     avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
     lip, slack = phi.gap_lipschitz()
     pairs = (((lambda x: x - phi(x).final, _gap_pair(phi)), dict(lipschitz=lip, slack=slack)),
@@ -352,7 +351,7 @@ def test_default_continuation_rungs_start_few_newtons(monkeypatch):
     monkeypatch.setattr(averaging, "brouwer_degree", recorded)
     cm = get_model("rotation-damped-2d")
     report = averaging_degree_check(cm.family, cm.field, cm.region,
-                                    (0.01, 0.03, 0.1, 0.3, 1.0), n=256, grid=256)
+                                    (0.01, 0.03, 0.1, 0.3, 1.0), grid=256)
     assert report.verdict and len(reports) == 6   # d0 and five rungs
     for rep in reports:
         assert rep.cells == 60 and 1 <= rep.starts <= 8
@@ -376,7 +375,7 @@ def test_interval_degree_is_checked_against_the_endpoints():
     # at lam = 1 the bound is infinite, every cell starts, and Newton finds
     # only the outer zeros: the zero sum 2 is impossible on an interval
     cm = model_from_config(_TANH_MODEL)
-    phi = period_map(cm.family, cm.field, 1.0, 256, 256)
+    phi = period_map(cm.family, cm.field, 1.0, 256)
     lip, slack = phi.gap_lipschitz()
     assert lip == np.inf
     with pytest.raises(OracleFailureError,
@@ -423,7 +422,7 @@ def test_averaging_rungs_take_their_jacobians_from_the_tangent_rows(monkeypatch)
     assert len(shapes[0]) == 2 and len(shapes) > 2
     assert all(len(s) == 3 and s[1:] == (3, 2) for s in shapes[1:])
     monkeypatch.setattr(mild, "mild_solve", solve)
-    phi = period_map(cm.family, cm.field, 0.3, 256, 128)
+    phi = period_map(cm.family, cm.field, 0.3, 128)
     g = lambda x: x - phi(x).final
     lip, slack = phi.gap_lipschitz()
     fd = brouwer_degree(g, cm.region, grid=8, boundary_m=128, lipschitz=lip, slack=slack,
@@ -432,6 +431,6 @@ def test_averaging_rungs_take_their_jacobians_from_the_tangent_rows(monkeypatch)
     assert exact.rows[0].boundary_min == fd.boundary_min
     bare = lambda t, x: cm.field(t, x)
     with pytest.raises(InvalidInputError, match="no jacobian"):
-        period_map(cm.family, bare, 0.3, 256, 128).linearize(cm.region.midpoint[None])
+        period_map(cm.family, bare, 0.3, 128).linearize(cm.region.midpoint[None])
     with pytest.raises(InvalidInputError, match="no jacobian"):
         averaging_degree_check(cm.family, bare, cm.region, [0.3], grid=128)

@@ -134,7 +134,7 @@ _MODEL_5D = {"A": [[-1.0 if i == j else 0.0 for j in range(5)] for i in range(5)
     ("chernoff", {"numeric": {"ns": [0]}}),
     ("chernoff", {"numeric": {"samples": 2.5}}),
     ("chernoff", {"output": {"path": "x"}}),
-    ("wave-energy", {"numeric": {"n": 0}}),
+    ("wave-energy", {"numeric": {"grid": 0}}),
     ("branching", {"numeric": {"grid": 0}}),
     ("branching", {"numeric": {"lambdas": [0.1, 0.5]}}),   # the ladder descends
     ("branching", {"numeric": {"lambdas": [0.5, 0.5]}}),   # strictly
@@ -187,7 +187,7 @@ def test_every_numeric_key_is_read_by_some_experiment():
     read = {"seed"}.union(*(row.numeric for row in EXPERIMENTS.values()))
     assert read == set(_NUMERIC_SAMPLES)
     # (experiment, key) pairs accepted, seed included
-    assert sum(len(row.numeric) + 1 for row in EXPERIMENTS.values()) == 29
+    assert sum(len(row.numeric) + 1 for row in EXPERIMENTS.values()) == 24
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
@@ -318,7 +318,7 @@ def test_a_zeroth_order_product_fails_refinement_order(monkeypatch):
      {"n": 16}, "refinement_order"),
     ("branching", {"A": [[-1.0]], "F": ["tanh(s)*cos(2*pi*t/T)"],
                    "region": {"center": [0.0], "radius": 1.0}},
-     {"n": 16, "grid": 16}, "defect_order"),
+     {"grid": 16}, "defect_order"),
 ])
 @pytest.mark.parametrize("floor", [True, False])
 def test_exact_results_pass_by_the_floor_alone(tmp_path, capsys, monkeypatch, experiment,
@@ -343,12 +343,12 @@ def test_wave_periodic_reports_the_liouville_defect(tmp_path, capsys):
 
 
 def test_wave_periodic_default_sizes_reach_the_periodic_state_within_1e_4():
-    # the state wave-periodic solves for (n = 2 grid) against a reference
-    # at grid 2048; left tags at grid 1024 were 3.2e-4 away
+    # the state wave-periodic solves for against a reference at grid 2048;
+    # left tags at grid 1024 were 3.2e-4 away
     model = _resolve_model({}, "wave-periodic").wave
     grid = EXPERIMENTS["wave-periodic"].numeric["grid"]
-    x = find_periodic_wave(model, lam=1.0, n=2 * grid, grid=grid).fixed_point.x
-    ref = find_periodic_wave(model, lam=1.0, n=4096, grid=2048).fixed_point.x
+    x = find_periodic_wave(model, lam=1.0, grid=grid).fixed_point.x
+    ref = find_periodic_wave(model, lam=1.0, grid=2048).fixed_point.x
     assert metric_norm(x - ref, model.family.metric) <= 1e-4
 
 

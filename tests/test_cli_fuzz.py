@@ -66,7 +66,7 @@ def inline_models(draw):
 
 
 def _run(out, experiment, model, n, grid, capsys):
-    numeric = {"n": n, "n_continuity": n} if experiment == "evolsys" else {"n": n, "grid": grid}
+    numeric = {"n": n, "n_continuity": n} if experiment == "evolsys" else {"grid": grid}
     cfg = out / f"{experiment}.json"
     cfg.write_text(json.dumps({"model": model, "numeric": numeric}), encoding="utf-8")
     rc = main([experiment, "--config", str(cfg), "--out", str(out / experiment)])

@@ -170,18 +170,28 @@ def test_stacked_build_equals_per_node_exponentials(key):
         assert np.array_equal(R.prefix, prefix)
 
 
+def test_a_period_map_solve_forms_no_prefix_product():
+    # the map's steps are R.steps themselves, so no solve reads R(t_k, 0)
+    cm = get_model("rotation-damped-2d")
+    phi = period_map(cm.family, cm.field, 0.5, 64)
+    X = np.array([[0.3, -0.2], [0.0, 0.1]])
+    phi(X)
+    phi.linearize(X)
+    assert len(phi.R._prefix) == 1
+
+
 @pytest.mark.parametrize("grid, reach", [
     (64, 1),    # grid = n: the first step is R(t_1, 0)
     (16, 4),    # each step spans four cells: the first is R(t_4, 0)
     (128, 0),   # the first step ends off the grid: no prefix product
 ])
-def test_a_period_map_solve_forms_only_the_prefix_it_reaches(grid, reach):
-    cm = get_model("rotation-damped-2d")
-    phi = period_map(cm.family, cm.field, 0.5, 64, grid=grid)
-    phi(np.array([[0.3, -0.2], [0.0, 0.1]]))
-    stored = phi.R._prefix
+def test_step_operators_form_only_the_prefix_they_reach(grid, reach):
+    fam = affine_family(get_model("rotation-damped-2d").family, 0.5)
+    R = build_evolution(fam, 64)
+    R.step_operators(np.linspace(0.0, fam.T, grid + 1))
+    stored = R._prefix
     assert len(stored) == reach + 1
-    _, prefix = _per_node_build(phi.R.family, 64)
+    _, prefix = _per_node_build(fam, 64)
     assert np.array_equal(stored, prefix[:reach + 1])
 
 
@@ -621,7 +631,7 @@ def test_step_operators_nonuniform_times():
     assert np.array_equal(R.step_operators(times), _per_cell_stack(R, times))
 
 
-def test_step_operators_memoized_per_grid(monkeypatch):
+def test_step_operators_make_one_stacked_exponential(monkeypatch):
     fam = get_model("rotation-damped-2d").family
     calls = {"mat_exp": 0, "A": 0}
 
@@ -644,13 +654,8 @@ def test_step_operators_memoized_per_grid(monkeypatch):
     first = dict(calls)
     assert first["mat_exp"] == 1   # one stacked call for all partial cells
     assert first["A"] <= 64        # one A(t) per distinct node
-    again = R.step_operators(times.copy())
-    assert again is E
-    assert calls == first
-    # a different grid gets its own entry and leaves the first one alone
     other = R.step_operators(np.linspace(0.0, fam.T, 33))
-    assert other is not E and other.shape == (32, 2, 2)
-    assert R.step_operators(times) is E
+    assert other.shape == (32, 2, 2)
 
 
 @pytest.mark.parametrize("bad", [
@@ -698,6 +703,3 @@ def test_step_operators_concurrent_misses_agree():
     for i, E in results:
         assert np.array_equal(E, refs[i])
         assert not E.flags.writeable
-    # after the race, every grid resolves to one memoized stack
-    for g in grids:
-        assert R.step_operators(g) is R.step_operators(g.copy())

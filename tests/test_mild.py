@@ -20,6 +20,8 @@ from evolver import (
     mild_solve,
     period_map,
 )
+from evolver.averaging import RUNG_TOL
+from evolver.cli import EXPERIMENTS
 from evolver.mild import _FIELD_BLOCK, _eval_field, _gap, _scan_plan, _sweep, _workspace
 
 from oracles import fd_eval, loop_sweep, picard_fixed_point, rk4_path
@@ -267,9 +269,9 @@ def test_mild_solve_allocates_no_path_sized_field_temporaries():
 def test_period_map_is_the_scaled_system_solve(key):
     # Phi_T^lam pairs the system of lam A with the same lam in the solve
     cm = get_model(key)
-    lam, n, grid = 0.3, 128, 256
-    phi = period_map(cm.family, cm.field, lam, n, grid)
-    R = build_evolution(affine_family(cm.family, lam), n)
+    lam, grid = 0.3, 256
+    phi = period_map(cm.family, cm.field, lam, grid)
+    R = build_evolution(affine_family(cm.family, lam), grid)
     rng = np.random.default_rng(11)
     for X in (cm.region.midpoint, rng.standard_normal((5, cm.dim))):
         got = phi(X)
@@ -285,7 +287,7 @@ def test_exact_jacobians_match_central_differences(key, lam):
     # one solve of each point with its d tangent rows against the oracle's
     # 2d central probes of the plain map; both see the same discrete map
     cm = get_model(key)
-    phi = period_map(cm.family, cm.field, lam, 256, 256)
+    phi = period_map(cm.family, cm.field, lam, 256)
     X = np.random.default_rng(12).uniform(-1.0, 1.0, size=(3, cm.dim))
     traj, J = phi.linearize(X)
     vals, ref = fd_eval(lambda rows: phi(rows).final, X, 1e-5)
@@ -302,10 +304,10 @@ def test_linearize_without_a_jacobian_is_refused():
     # the map still solves, while linearize and fixed_point raise
     cm = get_model("rotation-damped-2d")
     X = np.array([[0.2, 0.4], [-0.3, 1.1]])
-    want = period_map(cm.family, cm.field, 0.5, 64, 128)(X).final
+    want = period_map(cm.family, cm.field, 0.5, 128)(X).final
     for bare in (lambda t, x: cm.field(t, x),
                  NonlinearField(F=cm.field.F, lipschitz=cm.field.lipschitz, jacobian=None)):
-        phi = period_map(cm.family, bare, 0.5, 64, 128)
+        phi = period_map(cm.family, bare, 0.5, 128)
         assert np.array_equal(phi(X).final, want)
         with pytest.raises(InvalidInputError, match="no jacobian"):
             phi.linearize(X)
@@ -325,7 +327,7 @@ def test_a_period_map_builds_its_scan_plan_once(monkeypatch):
 
     monkeypatch.setattr(mild, "_scan_plan", counted)
     cm = get_model("rotation-damped-2d")
-    phi = period_map(cm.family, cm.field, 0.5, 64, 128)
+    phi = period_map(cm.family, cm.field, 0.5, 128)
     X = np.array([[0.2, 0.4]])
     phi(X)
     phi(X[0])
@@ -335,6 +337,29 @@ def test_a_period_map_builds_its_scan_plan_once(monkeypatch):
     # a direct solve still builds its own
     mild_solve(phi.R, cm.field, X, lam=0.5, grid=128)
     assert len(built) == 2
+
+
+def test_a_period_map_makes_one_stacked_exponential(monkeypatch):
+    # the map's steps are R.steps: building it is the one mat_exp call, and
+    # its solves and its Lipschitz bound take no partial cell
+    import evolver.evolsys as evolsys
+
+    calls = []
+    mat_exp = evolsys.mat_exp
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return mat_exp(*args, **kwargs)
+
+    monkeypatch.setattr(evolsys, "mat_exp", counted)
+    cm = get_model(EXPERIMENTS["branching"].model)
+    grid = EXPERIMENTS["branching"].numeric["grid"]
+    phi = period_map(cm.family, cm.field, 1.0, grid)
+    assert calls == [(grid, cm.dim, cm.dim)]
+    fixed_point(phi, cm.region.midpoint, tol=RUNG_TOL)
+    lip, _ = phi.gap_lipschitz()
+    assert np.isfinite(lip)
+    assert len(calls) == 1
 
 
 def test_fixed_point_scalar_closed_form():
@@ -363,7 +388,7 @@ def test_fixed_point_rotation_2d():
     fp = fixed_point(period_map(cm.family, cm.field, 1.0, 1024), cm.region.midpoint,
                      tol=1e-10)
     # an independent solve on an unscaled R certifies periodicity of the orbit
-    orbit = mild_solve(R, cm.field, fp.x, grid=2048)
+    orbit = mild_solve(R, cm.field, fp.x, grid=1024)
     assert np.linalg.norm(orbit.final - fp.x) <= 1e-8
 
 
@@ -374,7 +399,7 @@ def test_fixed_point_degenerate_jacobian():
     fam = GeneratorFamily(dim=2, A=lambda t: np.broadcast_to(A, np.shape(t) + A.shape), T=1.0)
     zero = NonlinearField(F=lambda t, x: np.zeros_like(x), lipschitz=0.0,
                           jacobian=lambda t, x: np.zeros(np.shape(x) + (2,)))
-    phi = period_map(fam, zero, 1.0, 64, grid=128)
+    phi = period_map(fam, zero, 1.0, 128)
     assert np.allclose(phi(np.eye(2)).final, np.diag([1.0, np.exp(-1.0)]), atol=1e-14)
     with pytest.raises(DegenerateFixedPointError):
         fixed_point(phi, [0.0, 1.0])
@@ -386,7 +411,7 @@ def test_fixed_point_free_translation_map_fails_loudly():
     const = NonlinearField(F=lambda t, x: np.ones_like(x), lipschitz=0.0,
                            jacobian=lambda t, x: np.zeros(np.shape(x) + (1,)))
     with pytest.raises((ConvergenceError, DegenerateFixedPointError)):
-        fixed_point(period_map(fam, const, 1.0, 64, grid=128), [0.0])
+        fixed_point(period_map(fam, const, 1.0, 128), [0.0])
 
 
 def test_fixed_point_iteration_cap_raises():
@@ -437,7 +462,7 @@ def test_fixed_point_solves_once_per_trial(monkeypatch, model, lam, start):
 
     monkeypatch.setattr(mild, "mild_solve", counted)
     monkeypatch.setattr(mild, "damped_newton", recorded)
-    fp = fixed_point(period_map(cm.family, cm.field, lam, 128, 128), [start], tol=1e-10)
+    fp = fixed_point(period_map(cm.family, cm.field, lam, 128), [start], tol=1e-10)
     (rec,) = records
     assert fp.iterations >= 2
     assert len(calls) == 1 + (fp.iterations - 1) + int(rec.halvings[0])

@@ -139,7 +139,7 @@ def test_energy_residual_takes_the_models_own_forcing():
     model, k = cm.wave, cm.wave.k
     x0 = np.zeros(model.dim)
     x0[0], x0[k] = 0.5, -0.2
-    traj = period_map(cm.family, cm.field, 1.0, 512, 256)(x0)
+    traj = period_map(cm.family, cm.field, 1.0, 256)(x0)
     rep = energy_residual(traj, model)
     t, z = traj.times, traj.states
     a, b = z[:, :k], z[:, k:]
@@ -151,7 +151,7 @@ def test_energy_residual_takes_the_models_own_forcing():
     assert np.array_equal(rep.energy_residual, (E[2:] - E[:-2]) / (2.0 * h) - rhs)
     assert np.array_equal(rep.times, t[1:-1])
     # central differences need an interior node
-    short = period_map(cm.family, cm.field, 1.0, 4, 1)(x0)
+    short = period_map(cm.family, cm.field, 1.0, 1)(x0)
     with pytest.raises(InvalidInputError, match="at least 3 nodes"):
         energy_residual(short, model)
 
@@ -249,7 +249,7 @@ def test_nondegeneracy_fails_monodromies_that_break_liouville():
 
 def test_find_periodic_wave_small_residual():
     model = get_model("wave-k3").wave
-    result = find_periodic_wave(model, lam=1.0, n=512, grid=512)
+    result = find_periodic_wave(model, lam=1.0, grid=512)
     assert result.residual_eta <= 1e-6
     assert result.fixed_point.residual <= 1e-10
     z0 = result.trajectory.states[0]
@@ -264,7 +264,7 @@ def test_find_periodic_wave_small_residual():
 def _wave_jacobian_gap(field, lam=1.0):
     # max |exact - central difference| / max |central difference| of DPhi_T
     cm = get_model("wave-k3")
-    phi = period_map(cm.family, field, lam, 256, 256)
+    phi = period_map(cm.family, field, lam, 256)
     X = np.random.default_rng(13).uniform(-0.8, 0.8, size=(2, cm.dim))
     _, J = phi.linearize(X)
     _, ref = fd_eval(lambda rows: phi(rows).final, X, 1e-5)
@@ -304,7 +304,7 @@ def test_wave_k1_jacobian_is_the_monodromy_to_second_order():
     B = cm.field.jacobian(0.0, x[0])
     errs = []
     for grid in (256, 512):
-        phi = period_map(cm.family, cm.field, 1.0, 256, grid)
+        phi = period_map(cm.family, cm.field, 1.0, grid)
         errs.append(np.abs(phi.linearize(x)[1][0]
                            - monodromy(cm.family, lambda t: B, 1.0, n=256)).max())
     assert errs[0] <= 1e-6
@@ -312,7 +312,7 @@ def test_wave_k1_jacobian_is_the_monodromy_to_second_order():
 
 
 def test_periodic_wave_newton_converges_quadratically():
-    result = find_periodic_wave(get_model("wave-k3").wave, lam=1.0, n=1024, grid=512)
+    result = find_periodic_wave(get_model("wave-k3").wave, lam=1.0, grid=512)
     h = result.fixed_point.history
     assert len(h) == 4 and h[-1] <= 1e-13
     # each step squares the residual, up to a constant
@@ -338,5 +338,5 @@ def test_find_periodic_wave_affine_matches_linear_oracle():
     b = phi(np.zeros(d))
     M = np.stack([phi(np.eye(d)[j]) - b for j in range(d)], axis=-1)
     z_star = np.linalg.solve(np.eye(d) - M, b)
-    got = find_periodic_wave(model, lam=1.0, n=n, grid=n, fp_tol=1e-11)
+    got = find_periodic_wave(model, lam=1.0, grid=n, fp_tol=1e-11)
     assert np.linalg.norm(got.fixed_point.x - z_star) <= 1e-8
