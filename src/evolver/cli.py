@@ -1,7 +1,7 @@
 """Experiment runner: JSON configs in, CSV tables and JSON summaries out.
 
 Usage:
-    evolver <experiment> --config cfg.json [--out DIR] [--seed N]
+    evolver <experiment> --config cfg.json [--out DIR]
 
 Experiments: chernoff, evolsys, branching, degree, averaging,
 continuation, wave-periodic, wave-energy.  Each writes
@@ -14,7 +14,7 @@ any runner starts: a numeric key the runner does not read, a model given
 to an experiment that takes none, or one that lacks what it needs
 (degrees need d <= degree.MAX_DEGREE_DIM) is a config error.
 
-Outputs are byte-deterministic for a fixed config and seed: floats are
+Outputs are byte-deterministic for a fixed config: floats are
 printed with %.17g, JSON keys are sorted, and wall time goes to stderr
 only (the summary carries "wall_time": null).
 """
@@ -172,8 +172,7 @@ def _validate_config(cfg, experiment):
     num = cfg.get("numeric", {})
     if not isinstance(num, dict):
         raise ConfigError("numeric section must be an object")
-    # seed is read by main, which records it in every summary
-    defaults = {"seed": 0, **EXPERIMENTS[experiment].numeric}
+    defaults = EXPERIMENTS[experiment].numeric
     unread = set(num) - set(defaults)
     if unread:
         raise ConfigError(f"{experiment} does not read numeric keys {sorted(unread)}; "
@@ -185,10 +184,8 @@ def _validate_config(cfg, experiment):
     out = cfg.get("output", {})
     if not isinstance(out, dict):
         raise ConfigError("output section must be an object")
-    if set(out) - {"dir", "format"}:
-        raise ConfigError(f"unknown output keys: {sorted(set(out) - {'dir', 'format'})}")
-    if out.get("format", "csv") != "csv":
-        raise ConfigError("output.format must be 'csv'")
+    if set(out) - {"dir"}:
+        raise ConfigError(f"unknown output keys: {sorted(set(out) - {'dir'})}")
     return {**defaults, **num}, out
 
 
@@ -237,8 +234,8 @@ class Report:
         self.checks[name] = bool(self.checks.get(name, True) and ok)
 
 
-def run_chernoff(cm, num, seed):
-    rng = np.random.default_rng(seed)
+def run_chernoff(cm, num):
+    rng = np.random.default_rng(num["seed"])
     samples = num["samples"]
     draws = []   # (d, G, u, x, n) per sample, in the order the generator yields them
     for _ in range(samples):
@@ -287,7 +284,7 @@ def run_chernoff(cm, num, seed):
     return report
 
 
-def run_evolsys(cm, num, seed):
+def run_evolsys(cm, num):
     fam = cm.family
     T = fam.T
     n = num["n"]
@@ -360,7 +357,7 @@ def run_evolsys(cm, num, seed):
     return report
 
 
-def run_branching(cm, num, seed):
+def run_branching(cm, num):
     lambdas = [float(v) for v in num["lambdas"]]
     if any(a <= b for a, b in zip(lambdas, lambdas[1:])):
         raise ConfigError("branching needs a strictly descending numeric.lambdas")
@@ -417,7 +414,7 @@ def _power_field(m):
     return g, evaluate
 
 
-def run_degree(cm, num, seed):
+def run_degree(cm, num):
     if num["boundary_zero"]:
         U = Region.ball(np.array([1.0, 0.0]), 1.0)
         g, evaluate = _scaled_identity(1.0)
@@ -443,7 +440,7 @@ def run_degree(cm, num, seed):
     return report
 
 
-def run_averaging(cm, num, seed):
+def run_averaging(cm, num):
     lambdas = [float(v) for v in num["lambdas"]]
     result = averaging_degree_check(cm.family, cm.field, cm.region, lambdas, grid=num["grid"])
     report = Report(["section", "lambda", "boundary_ok", "boundary_min",
@@ -465,7 +462,7 @@ def run_averaging(cm, num, seed):
     return report
 
 
-def run_continuation(cm, num, seed):
+def run_continuation(cm, num):
     lambdas = sorted(float(v) for v in num["lambdas"])
     result = averaging_degree_check(cm.family, cm.field, cm.region, lambdas, grid=num["grid"])
     report = Report(["section", "lambda", "ok", "value", "error"], {"fp_residual": 1e-8})
@@ -485,7 +482,7 @@ def run_continuation(cm, num, seed):
     return report
 
 
-def run_wave_periodic(cm, num, seed):
+def run_wave_periodic(cm, num):
     model, eigs = cm.wave, cm.wave.eigs
     # unset: a slope between the first two eigenvalues (above the only one)
     between = 0.5 * (eigs[0] + eigs[1]) if model.k >= 2 else eigs[0] + 1.0
@@ -515,7 +512,7 @@ def run_wave_periodic(cm, num, seed):
     return report
 
 
-def run_wave_energy(cm, num, seed):
+def run_wave_energy(cm, num):
     model = cm.wave
     report = Report(["section", "label", "value", "bound", "ok"],
                     {"energy": 1e-3, "order": {"order": ORDER_SHARE * ORDER, "floor": 1e-6},
@@ -585,7 +582,7 @@ class Experiment:
 
 EXPERIMENTS = {
     "chernoff": Experiment(run_chernoff, None, None,
-                           {"samples": 200, "ns": (16, 64, 256, 1024, 4096)}),
+                           {"samples": 200, "ns": (16, 64, 256, 1024, 4096), "seed": 0}),
     "evolsys": Experiment(run_evolsys, "wave-k3", None, {"n": 256, "n_continuity": 128}),
     "branching": Experiment(run_branching, "scalar-linear", "field",
                             {"lambdas": catalog.BRANCHING_LADDER, "grid": 1024}),
@@ -627,7 +624,6 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENT_NAMES)
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
     args = parser.parse_args(argv)
 
     try:
@@ -638,19 +634,17 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    seed = args.seed if args.seed is not None else num["seed"]
     out_dir = args.out or out_cfg.get("dir", "out")
     summary = {
         "schema": 1,
         "experiment": args.experiment,
         "model": cm.key if cm is not None else None,
-        "seed": seed,
         "wall_time": None,
     }
 
     t0 = time.perf_counter()
     try:
-        report = EXPERIMENTS[args.experiment].run(cm, num, seed)
+        report = EXPERIMENTS[args.experiment].run(cm, num)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,8 @@ which makes the product the exponential midpoint rule, the second-order
 Magnus integrator.  A partial piece of a cell takes the whole cell's
 tag, so the cocycle law below holds exactly inside a cell too.  Each build
 computes the n whole-cell steps S_j(h) with one stacked exponential call;
-the prefix products R(t_k, 0) are formed on demand, only as far as a
-query reaches.  Every query goes through one batched pair kernel,
+the n + 1 prefix products R(t_k, 0) are formed together the first time a
+query reads one.  Every query goes through one batched pair kernel,
 EvolutionSystem.operators, which returns R(t_i, s_i) for a whole array
 of pairs with one stacked exponential for all their partial cells;
 operator, apply, step_operators and the audits below are its callers.
@@ -27,7 +27,8 @@ continuous family at order ORDER in 1/n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,27 +133,18 @@ class EvolutionSystem:
     """Frozen-coefficient product evolution system on [0, T].
 
     The defining data never change once built, and queries are pure.
-    The step exponentials are computed at build time; the prefix
-    products R(t_k, 0) from time 0 are formed on demand, by the
-    recurrence prefix[k + 1] = steps[k] @ prefix[k], and stored only as
-    far as a query has reached.  operators(t, s) answers every query for
-    a batch of pairs at once: R(t_k, 0) is a prefix lookup, and any other
-    pair multiplies its whole steps and at most two partial cells.
-    operator(t, s) is its one-pair case and apply(t, s, x) is
-    x @ operator(t, s)^T.  Queries are safe to call concurrently: a
-    prefix extension is built from a snapshot of the stored prefix and
-    published with one assignment, so two threads racing on the same
-    prefix at worst compute an identical result twice.
+    The step exponentials are computed at build time and the prefix
+    products R(t_k, 0) the first time a query reads one.  operators(t, s)
+    answers every query for a batch of pairs at once: R(t_k, 0) is a
+    prefix lookup, and any other pair multiplies its whole steps and at
+    most two partial cells.  operator(t, s) is its one-pair case and
+    apply(t, s, x) is x @ operator(t, s)^T.
     """
 
     family: GeneratorFamily
     n: int
     nodes: np.ndarray
     steps: np.ndarray        # steps[j] = exp(h A(t_j + h/2)), the cell's tag
-    _prefix: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_prefix", np.eye(self.dim)[None])
 
     @property
     def T(self) -> float:
@@ -166,34 +158,23 @@ class EvolutionSystem:
     def h(self) -> float:
         return self.family.T / self.n
 
-    @property
+    @cached_property
     def prefix(self) -> np.ndarray:
-        """The read-only (n + 1, d, d) stack prefix[k] = R(t_k, 0)."""
-        return self._prefix_to(self.n)
+        """The read-only (n + 1, d, d) stack prefix[k] = R(t_k, 0).
 
-    def _prefix_to(self, k: int) -> np.ndarray:
-        """The read-only stored prefix, first extended to node k if shorter.
-
-        The extension copies a snapshot of the stored stack, continues the
-        recurrence from its last entry, and replaces the stored stack with
-        one assignment, so every entry is the same product whichever
-        query formed it.  Raises InvalidInputError, and stores nothing,
-        when a new product is not finite.
+        Formed once, by the recurrence prefix[k + 1] = steps[k] @ prefix[k].
+        Raises InvalidInputError, and caches nothing, when a product is not
+        finite.
         """
-        P = self._prefix
-        have = len(P)
-        if k < have:
-            return P
-        ext = np.empty((k + 1,) + P.shape[1:])
-        ext[:have] = P
+        P = np.empty((self.n + 1, self.dim, self.dim))
+        P[0] = np.eye(self.dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            for step, cur, nxt in zip(self.steps[have - 1:k], ext[have - 1:k], ext[have:]):
+            for step, cur, nxt in zip(self.steps, P[:-1], P[1:]):
                 np.matmul(step, cur, out=nxt)
-        if not np.all(np.isfinite(ext[have:])):
-            raise InvalidInputError(f"a product R(t_j, 0), j <= {k}, overflows")
-        ext.flags.writeable = False
-        object.__setattr__(self, "_prefix", ext)
-        return ext
+        if not np.all(np.isfinite(P)):
+            raise InvalidInputError(f"a product R(t_j, 0), j <= {self.n}, overflows")
+        P.flags.writeable = False
+        return P
 
     def operators(self, t, s) -> np.ndarray:
         """The stack of R(t_i, s_i) over the broadcast arrays t and s.
@@ -205,7 +186,7 @@ class EvolutionSystem:
         Times are clamped to [0, T] and located on the grid with one
         searchsorted; a time within SNAP * max(1, T) of a node is on it.
         A pair with t - s inside the snap is exactly I, and R(t_k, 0) is
-        prefix[k], once the prefix is extended to the largest such k.
+        prefix[k]; a batch with no such pair leaves the prefix unformed.
         Any other pair covers grid cells j0..j1, whole cells come from
         steps, and only its first piece (starting off a node) and last
         piece (ending off a node) are partial: their generators, at the
@@ -236,7 +217,8 @@ class EvolutionSystem:
         ident = t - s <= tol
         from_prefix = ~ident & (s <= tol) & t_on
         k = kt[from_prefix]
-        E[from_prefix] = self._prefix_to(int(k.max(initial=0)))[k]
+        if k.size:
+            E[from_prefix] = self.prefix[k]
         cell = np.flatnonzero(~ident & ~from_prefix)
         s_on, t = s_on[cell], t[cell]
         j0 = ks[cell] - ~s_on            # an off-node start lies in cell k - 1
@@ -324,7 +306,7 @@ def build_evolution(family: GeneratorFamily, n: int) -> EvolutionSystem:
     The n cell generators come from one call A(cell_tags(T, n)) and are
     exponentiated by a single stacked mat_exp call with time h; the
     steps equal the cell-by-cell exponentials bit for bit.  No prefix
-    product is formed here: the system forms them as queries reach them.
+    product is formed here: the system forms them when a query reads one.
 
     Raises ResourceLimitError for n > 2^14 and InvalidInputError for
     n < 1, for a stack that is not (n, d, d), for a non-finite generator

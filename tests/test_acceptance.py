@@ -290,7 +290,7 @@ def test_cli_determinism(tmp_path):
     cfg.write_text(json.dumps({
         "experiment": "branching",
         "model": "scalar-linear",
-        "numeric": {"grid": 512, "seed": 5},
+        "numeric": {"grid": 512},
     }), encoding="utf-8")
     payloads = []
     for sub in ("a", "b"):

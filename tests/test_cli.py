@@ -43,24 +43,12 @@ def test_chernoff_run_writes_outputs(tmp_path, capsys):
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
     assert summary["schema"] == 1
     assert summary["experiment"] == "chernoff"
-    assert summary["seed"] == 7
     assert summary["verdict"] == "pass"
     assert summary["failing"] is None
     assert summary["wall_time"] is None
     assert summary["metrics"]["defect_violations"] == 0
     captured = capsys.readouterr()
     assert "chernoff: pass" in captured.out
-
-
-def test_seed_flag_overrides_config(tmp_path):
-    cfg = _write_cfg(tmp_path, "c.json", {
-        "numeric": {"samples": 10, "ns": [16, 64, 256, 1024], "seed": 3},
-    })
-    out = tmp_path / "out"
-    rc = main(["chernoff", "--config", cfg, "--out", str(out), "--seed", "9"])
-    assert rc == 0
-    summary = json.loads((out / "chernoff.summary.json").read_text(encoding="utf-8"))
-    assert summary["seed"] == 9
 
 
 def _loop_defect_rows(seed, samples):
@@ -99,8 +87,9 @@ def test_chernoff_stacks_its_defect_samples_per_dimension(monkeypatch, seed, ns)
                         counted("chernoff_defect", semigroup.chernoff_defect))
     monkeypatch.setattr(semigroup, "mat_exp", counted("mat_exp", semigroup.mat_exp))
     monkeypatch.setattr(semigroup, "mat_power", counted("mat_power", recorded_power))
-    num, _ = _validate_config({} if ns is None else {"numeric": {"ns": ns}}, "chernoff")
-    result = cli.run_chernoff(None, num, seed)
+    numeric = {"seed": seed} if ns is None else {"seed": seed, "ns": ns}
+    num, _ = _validate_config({"numeric": numeric}, "chernoff")
+    result = cli.run_chernoff(None, num)
     # against 200 defect calls and 202 exponentials with a call per sample
     assert calls["chernoff_defect"] <= 6
     assert calls["mat_exp"] <= 12
@@ -184,25 +173,69 @@ _NUMERIC_SAMPLES = {
 
 
 def test_every_numeric_key_is_read_by_some_experiment():
-    read = {"seed"}.union(*(row.numeric for row in EXPERIMENTS.values()))
+    read = set().union(*(row.numeric for row in EXPERIMENTS.values()))
     assert read == set(_NUMERIC_SAMPLES)
-    # (experiment, key) pairs accepted, seed included
-    assert sum(len(row.numeric) + 1 for row in EXPERIMENTS.values()) == 24
+    # (experiment, key) pairs accepted
+    assert sum(len(row.numeric) for row in EXPERIMENTS.values()) == 17
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
 @pytest.mark.parametrize("key", sorted(_NUMERIC_SAMPLES))
 def test_only_the_keys_an_experiment_reads_are_accepted(tmp_path, capsys, experiment, key):
     value = _NUMERIC_SAMPLES[key]
-    if key == "seed" or key in EXPERIMENTS[experiment].numeric:
+    if key in EXPERIMENTS[experiment].numeric:
         num, _ = _validate_config({"numeric": {key: value}}, experiment)
         assert num[key] == value
-        assert set(num) == {"seed"} | set(EXPERIMENTS[experiment].numeric)
+        assert set(num) == set(EXPERIMENTS[experiment].numeric)
         return
     cfg = _write_cfg(tmp_path, "k.json", {"numeric": {key: value}})
     assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "does not read" in err
+
+
+# a cheap value other than the default for every numeric key
+_CHANGED = {**_NUMERIC_SAMPLES, "grid": 16, "f_inf": 3.0, "boundary_zero": True}
+
+
+def _shown(out, experiment, numeric):
+    """What a run shows: its CSV bytes (None without one) and its summary's
+    verdict, failing check, error slug and metrics."""
+    cfg = _write_cfg(out, f"{experiment}.json", {"numeric": numeric})
+    assert main([experiment, "--config", cfg, "--out", str(out)]) in (0, 1)
+    csv_path = out / f"{experiment}.csv"
+    summary = json.loads((out / f"{experiment}.summary.json").read_text(encoding="utf-8"))
+    return (csv_path.read_bytes() if csv_path.exists() else None,
+            [summary.get(k) for k in ("verdict", "failing", "error", "metrics")])
+
+
+@pytest.fixture(scope="module")
+def shown_at_defaults(tmp_path_factory):
+    cache = {}
+
+    def get(experiment):
+        if experiment not in cache:
+            cache[experiment] = _shown(tmp_path_factory.mktemp(experiment), experiment, {})
+        return cache[experiment]
+
+    return get
+
+
+# every (experiment, key) pair the config check accepts
+@pytest.mark.parametrize("experiment, key", [
+    (name, key) for name in EXPERIMENT_NAMES for key in _validate_config({}, name)[0]])
+def test_every_accepted_numeric_key_changes_the_run(tmp_path, shown_at_defaults,
+                                                    experiment, key):
+    value = _CHANGED[key]
+    assert value != _validate_config({}, experiment)[0][key]
+    assert _shown(tmp_path, experiment, {key: value}) != shown_at_defaults(experiment)
+
+
+def test_seed_is_no_command_line_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chernoff", "--seed", "9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_readme_lists_the_keys_each_experiment_reads():
@@ -213,7 +246,6 @@ def test_readme_lists_the_keys_each_experiment_reads():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if len(cells) == 4 and cells[0].strip("`") in EXPERIMENTS:
             listed[cells[0].strip("`")] = set(re.findall(r"`(\w+)` =", cells[3]))
-    # seed, which every experiment reads, is listed once below the table
     assert listed == {name: set(row.numeric) for name, row in EXPERIMENTS.items()}
 
 
@@ -233,7 +265,7 @@ def test_readme_lists_the_checks_each_experiment_records():
     for name, row in EXPERIMENTS.items():
         cfg = {"model": _ALL_CHECKS_MODEL[name]} if name in _ALL_CHECKS_MODEL else {}
         num, _ = _validate_config(cfg, name)
-        report = row.run(_resolve_model(cfg, name), num, num["seed"])
+        report = row.run(_resolve_model(cfg, name), num)
         recorded[name] = list(report.checks)
     assert listed == recorded
 
@@ -304,7 +336,7 @@ def test_a_zeroth_order_product_fails_refinement_order(monkeypatch):
 
     monkeypatch.setattr(cli, "build_evolution", frozen)
     num, _ = _validate_config({}, "evolsys")
-    report = cli.run_evolsys(_resolve_model({}, "evolsys"), num, 0)
+    report = cli.run_evolsys(_resolve_model({}, "evolsys"), num)
     assert [r[:2] + r[4:] for r in report.rows if r[0].startswith("order")] == [
         ["order", None, False], ["order-T/4", None, False]]
     assert report.checks["refinement_order"] is False
