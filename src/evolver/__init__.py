@@ -104,7 +104,6 @@ from .exprlang import (
     compile_expr,
     diff_expr,
     eval_expr,
-    free_vars,
     parse_expr,
 )
 from .catalog import CatalogModel, get_model, model_from_config
@@ -171,7 +170,6 @@ __all__ = [
     "family_continuity_gap",
     "find_periodic_wave",
     "fixed_point",
-    "free_vars",
     "get_model",
     "linear_nondegeneracy",
     "mat_exp",

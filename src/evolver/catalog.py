@@ -1,6 +1,6 @@
 """Built-in example models and inline-config model assembly.
 
-Four shipped models:
+Four shipped models, one row each of MODELS:
 
     scalar-linear      d=1, A = [[-1]], forcing 2 + sin(2 pi t / T); the
                        averaged zero is x* = 2 exactly
@@ -11,10 +11,13 @@ Four shipped models:
     wave-k3            3-mode damped wave section, periodic damping and
                        saturating nonlinearity
 
-Time coefficients and nonlinearities are expression-language strings
-compiled once, when the model is built, to numpy callables; inline JSON
-configs take the same path.  Fields carry the Jacobians compiled from
-the derivatives of their expressions in s (exprlang.diff_expr).
+The two ODE models are the inline specs a config could give, and take
+the inline path.  Every coefficient and nonlinearity is an
+expression-language string that the parser checks against the variables
+its entry may use (t and T in time coefficients, t, s and T in fields)
+and that compiles once, when the model is built, to a numpy callable.
+Fields carry the Jacobians compiled from the derivatives of their
+expressions in s (exprlang.diff_expr).
 """
 
 from __future__ import annotations
@@ -26,11 +29,31 @@ import numpy as np
 from .degree import Region
 from .errors import ConfigError, InvalidInputError
 from .evolsys import GeneratorFamily
-from .exprlang import compile_expr, diff_expr, free_vars, parse_expr
+from .exprlang import compile_expr, diff_expr, parse_expr
 from .mild import NonlinearField
 from .wave import WaveModel, build_wave_model, nonlinear_field
 
-MODEL_KEYS = ("scalar-linear", "rotation-damped-2d", "wave-k1", "wave-k3")
+# the variables of a time coefficient and of a field expression
+TIME_VARS, FIELD_VARS = ("t", "T"), ("t", "s", "T")
+
+# shipped models by key: an ODE model's inline spec, or the k, damping
+# beta, nonlinearity f, its asymptotic slope f_inf and its Lipschitz
+# constant in s of a wave section on (0, pi) with period 2 pi
+MODELS = {
+    "scalar-linear": {
+        "A": [[-1]], "F": ["2+sin(2*pi*t/T)"], "lipschitz": 0,
+        "region": {"center": [2.0], "radius": 1.5},
+    },
+    "rotation-damped-2d": {
+        "A": [["-(1+0.3*sin(2*pi*t/T))", "-1"], ["1", "-(1+0.3*sin(2*pi*t/T))"]],
+        "F": ["1+0.2*cos(2*pi*t/T)+0.1*tanh(s)", "0.5+0.2*sin(2*pi*t/T)+0.1*tanh(s)"],
+        "lipschitz": 0.1, "region": {"center": [0.25, 0.75], "radius": 1.5},
+    },
+    "wave-k1": {"k": 1, "beta": "1", "f": "0.2*s+0.3*cos(t)", "f_inf": 0.2, "lipschitz": 0.2},
+    "wave-k3": {"k": 3, "beta": "1+0.5*cos(t)", "f": "tanh(s)+cos(t)", "f_inf": 0.0,
+                "lipschitz": 1.0},
+}
+MODEL_KEYS = tuple(MODELS)
 
 # default coupling ladders of the CLI experiments (cli.EXPERIMENTS)
 BRANCHING_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3)
@@ -40,30 +63,30 @@ WAVE_LADDER = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
 
 @dataclass(frozen=True)
 class CatalogModel:
-    """A ready-to-run model: generator family plus optional extras."""
+    """A ready-to-run model: generator family plus optional extras; an
+    ODE model has no wave section."""
 
-    key: str
-    kind: str
-    dim: int
-    T: float
     family: GeneratorFamily
     field: NonlinearField | None
     region: Region | None
     wave: WaveModel | None = None
 
+    @property
+    def dim(self) -> int:
+        return self.family.dim
 
-def compile_time_coefficient(src: str, T: float):
-    """Expression in t (and T) -> scalar callable of t."""
-    ast = parse_expr(src)
-    extra = free_vars(ast) - {"t", "T"}
-    if extra:
-        raise ConfigError(f"time coefficient may only use t and T, got {sorted(extra)}")
+
+def _bind(ast, T: float):
+    """A parsed expression, compiled once, as a callable (t, s=None) with
+    the period T bound."""
     value = compile_expr(ast)
+    return lambda t, s=None: value({"t": t, "s": s, "T": T})
 
-    def coeff(t):
-        return value({"t": t, "T": T})
 
-    return coeff
+def _field_expression(src, T: float):
+    """A field expression in t, s and T -> its callable and its slope in s."""
+    ast = parse_expr(src, FIELD_VARS)
+    return _bind(ast, T), _bind(diff_expr(ast, "s"), T)
 
 
 def _number(v, what: str) -> float:
@@ -88,25 +111,15 @@ def compile_matrix(entries, T: float):
     if not isinstance(entries, list) or not entries or not all(
             isinstance(row, list) and len(row) == len(entries) for row in entries):
         raise ConfigError("matrix spec must be a square, nonempty list of rows")
-    rows = [[parse_expr(cell) if isinstance(cell, str) else _number(cell, "matrix entry")
-             for cell in row] for row in entries]
-    d = len(rows)
-    for r in rows:
-        for cell in r:
-            if not isinstance(cell, float):
-                extra = free_vars(cell) - {"t", "T"}
-                if extra:
-                    raise ConfigError(
-                        f"matrix entries may only use t and T, got {sorted(extra)}"
-                    )
-    cells = [[c if isinstance(c, float) else compile_expr(c) for c in r] for r in rows]
+    cells = [[_bind(parse_expr(cell, TIME_VARS), T) if isinstance(cell, str)
+              else _number(cell, "matrix entry") for cell in row] for row in entries]
+    d = len(cells)
 
     def A(t):
         out = np.empty(np.shape(t) + (d, d))
-        env = {"t": t, "T": T}
         for i, r in enumerate(cells):
             for j, cell in enumerate(r):
-                out[..., i, j] = cell if isinstance(cell, float) else cell(env)
+                out[..., i, j] = cell if isinstance(cell, float) else cell(t)
         return out
 
     return A, d
@@ -123,17 +136,11 @@ def compile_field(exprs, T: float, lipschitz: float = np.inf) -> NonlinearField:
     x_i alone, so the Jacobian is diagonal, with entry i the compiled
     diff_expr of component i in s.
     """
-    asts = [parse_expr(src) for src in exprs]
-    for ast in asts:
-        extra = free_vars(ast) - {"t", "s", "T"}
-        if extra:
-            raise ConfigError(f"field components may only use t, s, T, got {sorted(extra)}")
-    components = [compile_expr(ast) for ast in asts]
-    slopes = [compile_expr(diff_expr(ast, "s")) for ast in asts]
-    d = len(asts)
+    components, slopes = zip(*[_field_expression(src, T) for src in exprs])
+    d = len(components)
 
     def over_nodes(values, t, x, tail):
-        """values(env) for each component i, s = x[..., i], into (..., d) + tail."""
+        """values[i](t, x[..., i]) for each component i, into (..., d) + tail."""
         x = np.asarray(x, dtype=float)
         tt = np.asarray(t, dtype=float)
         # drop trailing broadcast axes so t aligns with component slices
@@ -147,7 +154,7 @@ def compile_field(exprs, T: float, lipschitz: float = np.inf) -> NonlinearField:
         shape = np.broadcast_shapes(tt.shape, x.shape[:-1]) + x.shape[-1:] + tail
         out = np.zeros(shape) if tail else np.empty(shape)
         for i, value in enumerate(values):
-            out[(..., i) + (i,) * len(tail)] = value({"t": tt, "s": x[..., i], "T": T})
+            out[(..., i) + (i,) * len(tail)] = value(tt, x[..., i])
         return out
 
     def F(t, x):
@@ -159,71 +166,20 @@ def compile_field(exprs, T: float, lipschitz: float = np.inf) -> NonlinearField:
     return NonlinearField(F=F, lipschitz=lipschitz, jacobian=jacobian)
 
 
-def _scalar_linear() -> CatalogModel:
-    T = 1.0
-    family = GeneratorFamily(dim=1, A=lambda t: np.full(np.shape(t) + (1, 1), -1.0), T=T)
-    field = compile_field(["2+sin(2*pi*t/T)"], T, lipschitz=0.0)
-    region = Region.ball(np.array([2.0]), 1.5)
-    return CatalogModel(key="scalar-linear", kind="ode", dim=1, T=T,
-                        family=family, field=field, region=region)
-
-
-def _rotation_damped() -> CatalogModel:
-    T = 1.0
-    A, d = compile_matrix(
-        [["-(1+0.3*sin(2*pi*t/T))", "-1"],
-         ["1", "-(1+0.3*sin(2*pi*t/T))"]], T,
-    )
-    family = GeneratorFamily(dim=d, A=A, T=T)
-    field = compile_field(
-        ["1+0.2*cos(2*pi*t/T)+0.1*tanh(s)",
-         "0.5+0.2*sin(2*pi*t/T)+0.1*tanh(s)"], T, lipschitz=0.1,
-    )
-    region = Region.ball(np.array([0.25, 0.75]), 1.5)
-    return CatalogModel(key="rotation-damped-2d", kind="ode", dim=d, T=T,
-                        family=family, field=field, region=region)
-
-
-def _wave(key: str) -> CatalogModel:
+def _wave(k, beta, f, f_inf, lipschitz) -> CatalogModel:
     T = 2.0 * np.pi
-    if key == "wave-k1":
-        k = 1
-        beta = compile_time_coefficient("1", T)
-        f_src = "0.2*s+0.3*cos(t)"
-        f_inf, lip = 0.2, 0.2
-    else:
-        k = 3
-        beta = compile_time_coefficient("1+0.5*cos(t)", T)
-        f_src = "tanh(s)+cos(t)"
-        f_inf, lip = 0.0, 1.0
-    f_ast = parse_expr(f_src)
-    f_value, f_slope = compile_expr(f_ast), compile_expr(diff_expr(f_ast, "s"))
-
-    def f(t, s):
-        return f_value({"t": t, "s": s, "T": T})
-
-    def f_s(t, s):
-        return f_slope({"t": t, "s": s, "T": T})
-
-    model = build_wave_model(ell=np.pi, k=k, beta=beta, T=T, f=f,
-                             f_inf=f_inf, lipschitz=lip, f_s=f_s)
-    return CatalogModel(key=key, kind="wave", dim=model.dim, T=T,
-                        family=model.family, field=nonlinear_field(model),
+    f, f_s = _field_expression(f, T)
+    model = build_wave_model(ell=np.pi, k=k, beta=_bind(parse_expr(beta, TIME_VARS), T),
+                             T=T, f=f, f_inf=f_inf, lipschitz=lipschitz, f_s=f_s)
+    return CatalogModel(family=model.family, field=nonlinear_field(model),
                         region=None, wave=model)
 
 
-_BUILDERS = {
-    "scalar-linear": _scalar_linear,
-    "rotation-damped-2d": _rotation_damped,
-    "wave-k1": lambda: _wave("wave-k1"),
-    "wave-k3": lambda: _wave("wave-k3"),
-}
-
-
 def get_model(key: str) -> CatalogModel:
-    if key not in _BUILDERS:
+    if key not in MODELS:
         raise ConfigError(f"unknown catalog model {key!r}; known: {', '.join(MODEL_KEYS)}")
-    return _BUILDERS[key]()
+    spec = MODELS[key]
+    return _wave(**spec) if "k" in spec else model_from_config(spec)
 
 
 _INLINE_KEYS = {"A", "T", "F", "lipschitz", "region"}
@@ -258,8 +214,10 @@ def model_from_config(spec) -> CatalogModel:
     "F": [expr per component], "lipschitz" (a bound >= 0 for F, none if
     absent: the degree then keeps every Newton start), "region":
     {"kind": "ball", "center": [...], "radius": r} or
-    {"kind": "box", "lo": [...], "hi": [...]}}.
-    Unknown keys, wrong types and non-finite numbers raise ConfigError.
+    {"kind": "box", "lo": [...], "hi": [...]}}.  Matrix entries may use
+    t and T, field components t, s and T.  Unknown keys, wrong types,
+    non-finite numbers and names outside an entry's variables raise
+    ConfigError or ExprError.
     """
     if isinstance(spec, str):
         return get_model(spec)
@@ -274,7 +232,6 @@ def model_from_config(spec) -> CatalogModel:
     if T <= 0:
         raise ConfigError("model period T must be positive")
     A, d = compile_matrix(spec["A"], T)
-    family = GeneratorFamily(dim=d, A=A, T=T)
     lip = _number(spec["lipschitz"], "lipschitz") if "lipschitz" in spec else np.inf
     if lip < 0:
         raise ConfigError(f"lipschitz must be nonnegative, got {lip}")
@@ -285,5 +242,4 @@ def model_from_config(spec) -> CatalogModel:
             raise ConfigError(f"F must list {d} component expressions")
         field = compile_field(exprs, T, lipschitz=lip)
     region = _region(spec["region"], d) if "region" in spec else None
-    return CatalogModel(key="inline", kind="ode", dim=d, T=T, family=family,
-                        field=field, region=region)
+    return CatalogModel(family=GeneratorFamily(dim=d, A=A, T=T), field=field, region=region)

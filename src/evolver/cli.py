@@ -363,8 +363,10 @@ def run_branching(cm, num):
         raise ConfigError("branching needs a strictly descending numeric.lambdas")
     result = branching_experiment(cm.family, cm.field, lambdas, cm.region, grid=num["grid"])
     d = cm.dim
-    # the defect is O(lam), order 1 in 1/lam; a rung's residual RUNG_TOL
-    # moves it by about RUNG_TOL / (lam T), most at the smallest lam
+    # the defect is O(lam), order 1 in 1/lam, judged over the finest three
+    # solved rungs as a convergence check reads its last three errors; a
+    # rung's residual RUNG_TOL moves it by about RUNG_TOL / (lam T), most
+    # at the smallest lam
     floor = RUNG_TOL / (lambdas[-1] * cm.family.T)
     report = Report(["lambda"] + ["x_star_%d" % i for i in range(d)]
                     + ["defect", "newton_iters", "residual", "ok", "error"],
@@ -374,7 +376,7 @@ def run_branching(cm, num):
         report.row(r.lam, *xs, r.defect, r.iterations, r.residual, r.ok, r.error)
         report.check("fixed_point_failures", r.ok)
     defects = result.defects
-    table = ConvergenceTable([1.0 / r.lam for r in result.rows if r.ok], defects)
+    table = ConvergenceTable([1.0 / r.lam for r in result.rows if r.ok][-3:], defects[-3:])
     report.check("defect_order", table.shows_order(1, floor) is not None)
     report.metrics = {
         "defect_order": table.rate,
@@ -638,7 +640,7 @@ def main(argv=None) -> int:
     summary = {
         "schema": 1,
         "experiment": args.experiment,
-        "model": cm.key if cm is not None else None,
+        "model": cfg.get("model", EXPERIMENTS[args.experiment].model),
         "wall_time": None,
     }
 

@@ -8,8 +8,9 @@ Grammar (recursive descent, standard precedence):
     power  := atom ('^' factor)?          # right-associative
     atom   := NUMBER | VAR | FUNC '(' expr (',' expr)* ')' | '(' expr ')'
 
-Variables are t, s, T plus the constant pi; functions are sin, cos,
-exp, log (natural), tanh, abs, sign (one argument) and min, max (two).
+The caller names the variables an expression may use, and the constant
+pi is always one; functions are sin, cos, exp, log (natural), tanh,
+abs, sign (one argument) and min, max (two).
 '^' binds tighter than unary minus, so -2^2 = -(2^2); exponents may carry
 their own sign (2^-3 is valid).  No user-defined names, so configs stay
 data.
@@ -49,7 +50,6 @@ import numpy as np
 
 from .errors import EvolverError
 
-VARIABLES = ("t", "s", "T", "pi")
 MAX_DEPTH = 100
 
 
@@ -141,8 +141,8 @@ def _tokenize(src):
 
 
 class _Parser:
-    def __init__(self, src):
-        self.src = src
+    def __init__(self, src, variables):
+        self.names = {*variables, "pi"}
         self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0
@@ -232,7 +232,7 @@ class _Parser:
                         f"{text} takes {arity} argument(s), got {len(args)}", pos
                     )
                 return Call(text, tuple(args))
-            if text not in VARIABLES:
+            if text not in self.names:
                 raise ExprError(f"unknown identifier {text!r}", pos)
             return Var(text)
         if kind == "sym" and text == "(":
@@ -261,11 +261,15 @@ def _height(e: Expr) -> int:
     return best
 
 
-def parse_expr(src: str) -> Expr:
-    """Parse source text into an AST; raises ExprError with a byte offset."""
+def parse_expr(src: str, variables) -> Expr:
+    """Parse source text in the named variables (and pi) into an AST.
+
+    Any other identifier, like any syntax error, raises ExprError with
+    its byte offset.
+    """
     if not isinstance(src, str):
         raise ExprError("expression source must be a string")
-    return _Parser(src).parse()
+    return _Parser(src, variables).parse()
 
 
 def compile_expr(e: Expr):
@@ -338,22 +342,6 @@ def _compile(e):
         fn, args = FUNCTIONS[e.fn][1], [_compile(a) for a in e.args]
         return lambda env: fn(*[a(env) for a in args])
     raise ExprError(f"not an expression node: {e!r}")
-
-
-def free_vars(e: Expr) -> set:
-    """Variable names appearing in the AST (pi excluded)."""
-    if isinstance(e, Var):
-        return set() if e.name == "pi" else {e.name}
-    if isinstance(e, Neg):
-        return free_vars(e.arg)
-    if isinstance(e, Bin):
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    if isinstance(e, Call):
-        out = set()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    return set()
 
 
 _ZERO, _ONE = Num(0.0), Num(1.0)

@@ -286,24 +286,30 @@ def test_nondegeneracy_periodic():
 
 
 def test_cli_determinism(tmp_path):
-    cfg = tmp_path / "branching.json"
-    cfg.write_text(json.dumps({
-        "experiment": "branching",
-        "model": "scalar-linear",
-        "numeric": {"grid": 512},
-    }), encoding="utf-8")
-    payloads = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        proc = subprocess.run(
-            [sys.executable, "-m", "evolver.cli", "branching",
-             "--config", str(cfg), "--out", str(out)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        payloads.append((
-            (out / "branching.csv").read_bytes(),
-            (out / "branching.summary.json").read_bytes(),
-        ))
-    ok = payloads[0][0] == payloads[1][0] and payloads[0][1] == payloads[1][1]
+    # a catalog key, and an inline model whose spec the summary records
+    inline = {"A": [["-1+0.5*cos(2*pi*t/T)"]], "T": 2.0, "F": ["0.5*tanh(s)+sin(2*pi*t/T)"],
+              "lipschitz": 0.5, "region": {"center": [0.0], "radius": 2.0}}
+    ok = True
+    for name, model in (("key", "scalar-linear"), ("inline", inline)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({
+            "experiment": "branching",
+            "model": model,
+            "numeric": {"grid": 512},
+        }), encoding="utf-8")
+        payloads = []
+        for sub in ("a", "b"):
+            out = tmp_path / name / sub
+            proc = subprocess.run(
+                [sys.executable, "-m", "evolver.cli", "branching",
+                 "--config", str(cfg), "--out", str(out)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            payloads.append((
+                (out / "branching.csv").read_bytes(),
+                (out / "branching.summary.json").read_bytes(),
+            ))
+        summary = json.loads(payloads[0][1])
+        ok = ok and payloads[0] == payloads[1] and summary["model"] == model
     assert _verdict("cli-determinism", ok)

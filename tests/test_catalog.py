@@ -11,7 +11,6 @@ from evolver.catalog import (
     WAVE_LADDER,
     compile_field,
     compile_matrix,
-    compile_time_coefficient,
     get_model,
     model_from_config,
 )
@@ -19,7 +18,7 @@ from evolver.catalog import (
 
 def test_list_and_get():
     assert MODEL_KEYS == ("scalar-linear", "rotation-damped-2d", "wave-k1", "wave-k3")
-    assert [get_model(key).key for key in MODEL_KEYS] == list(MODEL_KEYS)
+    assert [get_model(key).wave is None for key in MODEL_KEYS] == [True, True, False, False]
     with pytest.raises(ConfigError):
         get_model("nope")
 
@@ -33,7 +32,7 @@ def test_ladders_frozen():
 
 def test_scalar_linear_model():
     m = get_model("scalar-linear")
-    assert m.kind == "ode" and m.dim == 1 and m.T == 1.0
+    assert m.dim == 1 and m.family.T == 1.0
     assert np.array_equal(m.family.A(0.37), [[-1.0]])
     # forcing peaks at quarter period: 2 + sin(pi/2) = 3
     assert np.allclose(m.field(0.25, np.zeros(1)), [3.0], atol=1e-14)
@@ -67,8 +66,8 @@ def test_catalog_family_contracts_and_is_periodic(key):
 
 def test_wave_models():
     m1 = get_model("wave-k1")
-    assert m1.kind == "wave" and m1.dim == 2
-    assert np.isclose(m1.T, 2.0 * np.pi)
+    assert m1.dim == 2
+    assert np.isclose(m1.family.T, 2.0 * np.pi)
     m3 = get_model("wave-k3")
     assert m3.dim == 6
     # a wave model carries its family and its lifted field, but no region
@@ -82,11 +81,13 @@ def test_wave_models():
 
 
 def test_time_coefficient():
-    beta = compile_time_coefficient("1+0.5*cos(2*pi*t/T)", 2.0)
-    assert beta(0.0) == 1.5
-    assert np.isclose(beta(1.0), 0.5, atol=1e-14)
-    with pytest.raises(ConfigError):
-        compile_time_coefficient("s+1", 1.0)
+    # a time coefficient compiles as a matrix cell does: t and T, no s
+    A, _ = compile_matrix([["1+0.5*cos(2*pi*t/T)"]], 2.0)
+    assert A(0.0)[0, 0] == 1.5
+    assert np.isclose(A(1.0)[0, 0], 0.5, atol=1e-14)
+    assert get_model("wave-k3").wave.beta(0.0) == 1.5
+    with pytest.raises(ExprError, match="unknown identifier 's' at offset 0"):
+        compile_matrix([["s+1"]], 1.0)
 
 
 def test_compile_matrix():
@@ -95,7 +96,7 @@ def test_compile_matrix():
     assert np.allclose(A(0.25), [[-2.0, 0.5], [0.0, -1.0]], atol=1e-14)
     with pytest.raises(ConfigError):
         compile_matrix([[-1.0, 0.0]], 1.0)  # not square
-    with pytest.raises(ConfigError):
+    with pytest.raises(ExprError, match="unknown identifier 's' at offset 0"):
         compile_matrix([["s"]], 1.0)  # state variable in a coefficient
 
 
@@ -163,7 +164,7 @@ def test_inline_model():
         "region": {"kind": "ball", "center": [0.0, 0.0], "radius": 2.0},
     }
     m = model_from_config(spec)
-    assert m.key == "inline" and m.dim == 2 and m.family.metric is None
+    assert m.wave is None and m.dim == 2 and m.family.metric is None
     assert np.allclose(m.family.A(0.25), [[-2.0, 0.5], [0.0, -1.0]], atol=1e-14)
     assert np.allclose(m.field(0.0, np.array([1.0, 0.0])), [2.0, 1.0], atol=1e-14)
     assert m.region.contains(np.zeros(2))
@@ -197,7 +198,7 @@ def test_inline_box_region_and_key_passthrough():
                            "region": {"kind": "box", "lo": [0.0], "hi": [1.0]}})
     assert m.region.contains(np.array([0.5]))
     assert m.field is None
-    assert model_from_config("wave-k1").key == "wave-k1"
+    assert model_from_config("wave-k1").wave.k == 1
 
 
 def test_inline_config_errors():
@@ -223,7 +224,7 @@ def test_inline_config_errors():
 
 def _catalog_field(key):
     cm = get_model(key)
-    return cm.T, cm.dim, cm.field
+    return cm.family.T, cm.dim, cm.field
 
 
 @pytest.mark.parametrize("key", MODEL_KEYS)

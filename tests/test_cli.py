@@ -9,7 +9,7 @@ import pytest
 import evolver.cli as cli
 import evolver.semigroup as semigroup
 from evolver import GeneratorFamily, chernoff_defect, find_periodic_wave
-from evolver.catalog import _INLINE_KEYS
+from evolver.catalog import _INLINE_KEYS, MODELS
 from evolver.cli import EXPERIMENT_NAMES, EXPERIMENTS, _resolve_model, _validate_config, main
 from evolver.semigroup import metric_norm
 
@@ -364,6 +364,64 @@ def test_exact_results_pass_by_the_floor_alone(tmp_path, capsys, monkeypatch, ex
     capsys.readouterr()
     summary = json.loads((tmp_path / "o" / f"{experiment}.summary.json").read_text(encoding="utf-8"))
     assert (rc, summary["failing"]) == ((0, None) if floor else (1, check))
+
+
+# defect_order reads the finest three solved rungs: a defect that is flat
+# over the top rungs and first order below passes, and one that plateaus
+# over the finest rungs, where the averaged field's Simpson level frozen at
+# the midpoint misses the zero, fails on defect_order alone
+@pytest.mark.parametrize("model, rc, orders", [
+    ({"A": [["-0.5"]], "F": ["(-0.144)*max(s, 0)*exp(-s)+(0.5)*cos(2*pi*t/T)"],
+      "lipschitz": 0.144, "region": {"kind": "ball", "center": [0.0], "radius": 2.0}},
+     0, (0.99, 1.01)),
+    ({"A": [["-1"]], "F": ["abs(cos(2*pi*t/T)-0.4)*tanh(s)+0.2"], "lipschitz": 1,
+      "region": {"center": [0.0], "radius": 2.0}},
+     1, (-0.01, 0.01)),
+])
+def test_branching_judges_the_finest_three_rungs(tmp_path, capsys, model, rc, orders):
+    cfg = _write_cfg(tmp_path, "b.json", {"model": model})
+    out = tmp_path / "o"
+    assert main(["branching", "--config", cfg, "--out", str(out)]) == rc
+    capsys.readouterr()
+    summary = json.loads((out / "branching.summary.json").read_text(encoding="utf-8"))
+    assert summary["failing"] == (None if rc == 0 else "defect_order")
+    with (out / "branching.csv").open(encoding="utf-8", newline="") as fh:
+        assert all(r["ok"] == "true" for r in csv.DictReader(fh))
+    assert orders[0] < summary["metrics"]["defect_order"] < orders[1]
+
+
+@pytest.mark.parametrize("where, model, name, offset", [
+    ("an A cell", {"A": [["-1+0*s"]]}, "s", 5),
+    ("an F component", {"F": ["1-q"]}, "q", 2),
+])
+def test_a_name_outside_an_entrys_variables_exits_2(tmp_path, capsys, where, model,
+                                                      name, offset):
+    # an A cell may use t and T, an F component t, s and T (pi always); the
+    # parser names any other identifier and its offset
+    base = {"A": [[-1.0]], "F": ["1-s"], "region": {"center": [0.0], "radius": 1.0}}
+    cfg = _write_cfg(tmp_path, "v.json", {"model": {**base, **model}})
+    rc = main(["branching", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, where
+    assert f"config error: unknown identifier {name!r} at offset {offset}" in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", [k for k, spec in MODELS.items() if "A" in spec])
+@pytest.mark.parametrize("experiment", ["averaging", "continuation", "branching"])
+def test_an_ode_model_runs_the_same_as_its_inline_spec(tmp_path, capsys, key, experiment):
+    # the summary records the config's own model: the key, or the spec
+    numeric = {"grid": 64, "lambdas": [1.0, 0.3, 0.1]}
+    got = {}
+    for name, model in (("key", key), ("spec", MODELS[key])):
+        cfg = _write_cfg(tmp_path, f"{name}.json", {"model": model, "numeric": numeric})
+        out = tmp_path / name
+        rc = main([experiment, "--config", cfg, "--out", str(out)])
+        summary = json.loads((out / f"{experiment}.summary.json").read_text(encoding="utf-8"))
+        assert summary.pop("model") == model
+        got[name] = rc, (out / f"{experiment}.csv").read_bytes(), summary
+    capsys.readouterr()
+    assert got["key"] == got["spec"]
 
 
 def test_wave_periodic_reports_the_liouville_defect(tmp_path, capsys):

@@ -5,7 +5,10 @@ t-dependent A with non-normal off-diagonals, a field built from the
 expression grammar's functions, and a ball region.  Each runs under
 evolsys, branching and one of averaging and continuation at n, grid in
 {16, 32}.
-Every drawn config is valid, so every run must end in exit 0 or 1
+About one drawn config in five names a variable its entry may not use
+(s or another name in an A cell, a name other than t, s, T in a field
+component), and every run of it must exit 2 with the parser's message.
+Every other drawn config is valid, so every run must end in exit 0 or 1
 without a traceback, with a verdict that agrees with its CSV.  Two
 checks must never fail for their unstated reason: refinement_order on a
 constant A, whose product is exact, and branching's defect_order on a
@@ -60,20 +63,34 @@ def inline_models(draw):
         lip = max(lip, abs(c))
     centred = draw(st.booleans())
     center = [0.0] * d if centred else [draw(_coef) for _ in range(d)]
+    stray = None
+    if draw(st.integers(0, 4)) == 0:   # one entry names a variable it may not use
+        i = draw(st.integers(0, d - 1))
+        if draw(st.booleans()):
+            stray = draw(st.sampled_from(["s", "q", "x"]))
+            j = draw(st.integers(0, d - 1))
+            A[i][j] = f"{A[i][j]}+0*{stray}"
+        else:
+            stray = draw(st.sampled_from(["q", "x", "tt"]))
+            F[i] = f"{F[i]}+0*{stray}"
     model = {"A": A, "F": F, "lipschitz": lip,
              "region": {"kind": "ball", "center": center,
                         "radius": draw(st.sampled_from([0.5, 1.0, 2.0]))}}
-    return model, constant, zero_at_0 and centred
+    return model, constant, zero_at_0 and centred, stray
 
 
-def _run(out, experiment, model, n, grid, capsys):
+def _run(out, experiment, model, n, grid, capsys, stray=None):
     numeric = {"n": n, "n_continuity": n} if experiment == "evolsys" else {"grid": grid}
     cfg = out / f"{experiment}.json"
     cfg.write_text(json.dumps({"model": model, "numeric": numeric}), encoding="utf-8")
     rc = main([experiment, "--config", str(cfg), "--out", str(out / experiment)])
     err = capsys.readouterr().err
-    assert rc in (0, 1), (rc, err)
     assert "Traceback" not in err
+    if stray is not None:
+        assert rc == 2 and f"config error: unknown identifier {stray!r} at offset" in err
+        assert not (out / experiment).exists()
+        return rc, None, None
+    assert rc in (0, 1), (rc, err)
     summary = json.loads((out / experiment / f"{experiment}.summary.json")
                          .read_text(encoding="utf-8"))
     csv_path = out / experiment / f"{experiment}.csv"
@@ -108,10 +125,10 @@ def _assert_verdict_agrees(experiment, summary, rows):
 @given(case=inline_models(), n=st.sampled_from([16, 32]), grid=st.sampled_from([16, 32]),
        degree_run=st.sampled_from(["averaging", "continuation"]))
 def test_random_inline_models_through_the_cli(capsys, case, n, grid, degree_run):
-    model, constant, zero_defects = case
+    model, constant, zero_defects, stray = case
     with tempfile.TemporaryDirectory() as tmp:
         for experiment in ("evolsys", "branching", degree_run):
-            rc, summary, rows = _run(Path(tmp), experiment, model, n, grid, capsys)
+            rc, summary, rows = _run(Path(tmp), experiment, model, n, grid, capsys, stray)
             if rows is None:
                 continue
             _assert_verdict_agrees(experiment, summary, rows)

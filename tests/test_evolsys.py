@@ -541,7 +541,7 @@ def _system(key, n):
 def _pairs(draw):
     key = draw(st.sampled_from(["scalar-linear", "rotation-damped-2d", "wave-k3"]))
     n = draw(st.sampled_from([1, 7, 64, 256]))
-    T = get_model(key).T
+    T = get_model(key).family.T
     tol = evolsys.SNAP * max(1.0, T)
     # on a node (exactly, or off it by less than the snap), or inside a cell
     on_node = st.builds(lambda i, o: T * i / n + o * tol,

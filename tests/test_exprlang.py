@@ -3,50 +3,51 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from evolver import ExprError, compile_expr, eval_expr, free_vars, parse_expr
+from evolver import ExprError, compile_expr, eval_expr, parse_expr
+from evolver.catalog import FIELD_VARS, TIME_VARS
 from evolver.exprlang import MAX_DEPTH, Bin, Call, Neg, Num, Var, diff_expr
 
 from oracles import format_expr, walk_expr
 
 
 def test_basic_values():
-    assert eval_expr(parse_expr("1+0.5*cos(2*pi*t/T)"), {"t": 0.0, "T": 1.0}) == 1.5
-    assert eval_expr(parse_expr("t*T"), {"t": 2.0, "T": 3.0}) == 6.0
-    assert eval_expr(parse_expr("exp(0)"), {}) == 1.0
-    assert eval_expr(parse_expr("min(2,3)+max(2,3)"), {}) == 5.0
-    assert eval_expr(parse_expr("abs(-4)"), {}) == 4.0
-    assert eval_expr(parse_expr(" 1 + 2 "), {}) == 3.0
+    assert eval_expr(parse_expr("1+0.5*cos(2*pi*t/T)", FIELD_VARS), {"t": 0.0, "T": 1.0}) == 1.5
+    assert eval_expr(parse_expr("t*T", FIELD_VARS), {"t": 2.0, "T": 3.0}) == 6.0
+    assert eval_expr(parse_expr("exp(0)", FIELD_VARS), {}) == 1.0
+    assert eval_expr(parse_expr("min(2,3)+max(2,3)", FIELD_VARS), {}) == 5.0
+    assert eval_expr(parse_expr("abs(-4)", FIELD_VARS), {}) == 4.0
+    assert eval_expr(parse_expr(" 1 + 2 ", FIELD_VARS), {}) == 3.0
 
 
 def test_power_precedence():
-    assert eval_expr(parse_expr("2^3^2"), {}) == 512.0  # right-associative
-    assert eval_expr(parse_expr("-2^2"), {}) == -4.0    # ^ above unary minus
-    assert eval_expr(parse_expr("2^-3"), {}) == 0.125   # signed exponent
-    assert eval_expr(parse_expr("(2^3)^2"), {}) == 64.0
-    assert eval_expr(parse_expr("2*3^2"), {}) == 18.0
+    assert eval_expr(parse_expr("2^3^2", FIELD_VARS), {}) == 512.0  # right-associative
+    assert eval_expr(parse_expr("-2^2", FIELD_VARS), {}) == -4.0    # ^ above unary minus
+    assert eval_expr(parse_expr("2^-3", FIELD_VARS), {}) == 0.125   # signed exponent
+    assert eval_expr(parse_expr("(2^3)^2", FIELD_VARS), {}) == 64.0
+    assert eval_expr(parse_expr("2*3^2", FIELD_VARS), {}) == 18.0
 
 
 def test_parse_errors_carry_positions():
     with pytest.raises(ExprError) as info:
-        parse_expr("sin(q)")
+        parse_expr("sin(q)", FIELD_VARS)
     assert "unknown identifier" in str(info.value)
     assert info.value.position == 4
     with pytest.raises(ExprError) as info:
-        parse_expr("sine(1)")
+        parse_expr("sine(1)", FIELD_VARS)
     assert "unknown function" in str(info.value)
     assert info.value.position == 0
     with pytest.raises(ExprError) as info:
-        parse_expr("1+2)")
+        parse_expr("1+2)", FIELD_VARS)
     assert info.value.position == 3
     with pytest.raises(ExprError) as info:
-        parse_expr("1 $ 2")
+        parse_expr("1 $ 2", FIELD_VARS)
     assert info.value.position == 2
     with pytest.raises(ExprError):
-        parse_expr("")
+        parse_expr("", FIELD_VARS)
     with pytest.raises(ExprError):
-        parse_expr("1+")
+        parse_expr("1+", FIELD_VARS)
     with pytest.raises(ExprError) as info:
-        parse_expr("min(1)")
+        parse_expr("min(1)", FIELD_VARS)
     assert "argument" in str(info.value)
 
 
@@ -61,29 +62,29 @@ def test_nesting_depth_limit():
     ]
     for src in deep:
         with pytest.raises(ExprError) as info:
-            parse_expr(src)
+            parse_expr(src, FIELD_VARS)
         assert "nested deeper" in str(info.value)
     # the limit itself is accepted and round-trips
     ok = "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1)
-    assert eval_expr(parse_expr(ok), {"t": 2.0}) == 2.0
-    chain = parse_expr("+".join(["t"] * MAX_DEPTH))
+    assert eval_expr(parse_expr(ok, FIELD_VARS), {"t": 2.0}) == 2.0
+    chain = parse_expr("+".join(["t"] * MAX_DEPTH), FIELD_VARS)
     assert eval_expr(chain, {"t": 1.0}) == MAX_DEPTH
-    assert parse_expr(format_expr(chain)) == chain
+    assert parse_expr(format_expr(chain), FIELD_VARS) == chain
     with pytest.raises(ExprError):
-        parse_expr("+".join(["t"] * (MAX_DEPTH + 1)))
+        parse_expr("+".join(["t"] * (MAX_DEPTH + 1)), FIELD_VARS)
 
 
 def test_eval_errors():
     with pytest.raises(ExprError):
-        eval_expr(parse_expr("1/0"), {})
+        eval_expr(parse_expr("1/0", FIELD_VARS), {})
     with pytest.raises(ExprError):
-        eval_expr(parse_expr("1/t"), {"t": 0.0})
+        eval_expr(parse_expr("1/t", FIELD_VARS), {"t": 0.0})
     with pytest.raises(ExprError):
-        eval_expr(parse_expr("0^-1"), {})
+        eval_expr(parse_expr("0^-1", FIELD_VARS), {})
     with pytest.raises(ExprError):
-        eval_expr(parse_expr("(-2)^0.5"), {})
+        eval_expr(parse_expr("(-2)^0.5", FIELD_VARS), {})
     with pytest.raises(ExprError):
-        eval_expr(parse_expr("t+1"), {})  # unbound variable
+        eval_expr(parse_expr("t+1", FIELD_VARS), {})  # unbound variable
 
 
 def test_compiled_errors_raise_on_call_not_on_compile():
@@ -94,7 +95,7 @@ def test_compiled_errors_raise_on_call_not_on_compile():
              ("t^-1", {"t": np.array([1.0, 0.0])}),
              ("t^0.5", {"t": np.array([1.0, -2.0])})]
     for src, env in cases:
-        value = compile_expr(parse_expr(src))
+        value = compile_expr(parse_expr(src, FIELD_VARS))
         with pytest.raises(ExprError):
             value(env)
 
@@ -147,7 +148,7 @@ def test_compiled_matches_tree_walk(ast, env, column):
 
 
 def test_vectorized_eval_broadcasts():
-    e = parse_expr("sin(2*pi*t)+s")
+    e = parse_expr("sin(2*pi*t)+s", FIELD_VARS)
     t = np.linspace(0.0, 1.0, 7)
     got = eval_expr(e, {"t": t, "s": 2.0})
     assert got.shape == (7,)
@@ -156,9 +157,20 @@ def test_vectorized_eval_broadcasts():
     assert isinstance(eval_expr(e, {"t": 0.25, "s": 0.0}), float)
 
 
-def test_free_vars():
-    assert free_vars(parse_expr("sin(t)+s*T")) == {"t", "s", "T"}
-    assert free_vars(parse_expr("2*pi")) == set()
+@pytest.mark.parametrize("names", [TIME_VARS, FIELD_VARS, ()], ids=["time", "field", "none"])
+def test_parse_expr_admits_only_the_named_variables_and_pi(names):
+    # a name is a variable when the caller names it or when it is pi; any
+    # other identifier is rejected at its byte offset
+    for name in ("t", "s", "T", "pi", "x", "q", "tt", "S", "PI"):
+        src = f"1+cos(2*{name})"
+        if name in names or name == "pi":
+            assert parse_expr(src, names) == Bin("+", Num(1.0), Call("cos", (
+                Bin("*", Num(2.0), Var(name)),)))
+            continue
+        with pytest.raises(ExprError) as info:
+            parse_expr(src, names)
+        assert str(info.value) == f"unknown identifier {name!r} at offset 8"
+        assert info.value.position == 8
 
 
 def test_format_specific_round_trips():
@@ -174,10 +186,10 @@ def test_format_specific_round_trips():
         "min(t,max(s,T))",
         "t^(s+1)",
     ]:
-        ast = parse_expr(src)
+        ast = parse_expr(src, FIELD_VARS)
         printed = format_expr(ast)
-        assert parse_expr(printed) == ast
-        assert format_expr(parse_expr(printed)) == printed
+        assert parse_expr(printed, FIELD_VARS) == ast
+        assert format_expr(parse_expr(printed, FIELD_VARS)) == printed
 
 
 def _random_ast(rng, depth):
@@ -210,7 +222,7 @@ def test_random_ast_round_trip():
     for _ in range(1000):
         ast = _random_ast(rng, 4)
         printed = format_expr(ast)
-        back = parse_expr(printed)
+        back = parse_expr(printed, FIELD_VARS)
         assert back == ast
         assert format_expr(back) == printed
         try:
@@ -246,22 +258,22 @@ def test_diff_expr_rules_and_simplification():
         "t^(1+0*s)": "0.0",
     }
     for src, want in cases.items():
-        d = diff_expr(parse_expr(src), "s")
+        d = diff_expr(parse_expr(src, FIELD_VARS), "s")
         assert format_expr(d) == want, src
-        assert parse_expr(format_expr(d)) == d
+        assert parse_expr(format_expr(d), FIELD_VARS) == d
     # t, T and pi are constants in s, and s is one in t
-    assert diff_expr(parse_expr("sin(t)*T+pi"), "s") == Num(0.0)
-    assert diff_expr(parse_expr("s*t"), "t") == Var("s")
+    assert diff_expr(parse_expr("sin(t)*T+pi", FIELD_VARS), "s") == Num(0.0)
+    assert diff_expr(parse_expr("s*t", FIELD_VARS), "t") == Var("s")
     # at a kink abs and min/max take the mean slope of the two sides
-    assert eval_expr(diff_expr(parse_expr("abs(s)"), "s"), {"s": 0.0}) == 0.0
-    assert eval_expr(diff_expr(parse_expr("max(s,-s)"), "s"), {"s": 0.0}) == 0.0
+    assert eval_expr(diff_expr(parse_expr("abs(s)", FIELD_VARS), "s"), {"s": 0.0}) == 0.0
+    assert eval_expr(diff_expr(parse_expr("max(s,-s)", FIELD_VARS), "s"), {"s": 0.0}) == 0.0
     # exponents in s: a^b (b' log a + b a'/a), or the power rule when b' = 0
     at = {"s": 1.5, "t": 0.0}
     slopes = {"2^s": 2.0 ** 1.5 * np.log(2.0),
               "s^s": 1.5 ** 1.5 * (np.log(1.5) + 1.0),
               "t^(1+0*s)": 0.0}
     for src, want in slopes.items():
-        got = eval_expr(diff_expr(parse_expr(src), "s"), at)
+        got = eval_expr(diff_expr(parse_expr(src, FIELD_VARS), "s"), at)
         assert got == pytest.approx(want, rel=1e-15, abs=0.0), src
     with pytest.raises(ExprError):
         diff_expr(object(), "s")
@@ -272,15 +284,16 @@ def test_log_and_exponents_in_s_keep_their_domain():
     # does the derivative of s^s, which holds log s
     for arg in (0.0, -1.0):
         with pytest.raises(ExprError, match="log"):
-            eval_expr(parse_expr("log(s)"), {"s": arg})
+            eval_expr(parse_expr("log(s)", FIELD_VARS), {"s": arg})
     with pytest.raises(ExprError, match="log"):
-        eval_expr(parse_expr("log(s)"), {"s": np.array([1.0, 2.0, 0.0])})
-    assert eval_expr(parse_expr("log(exp(s))"), {"s": 0.75}) == pytest.approx(0.75, rel=1e-15)
+        eval_expr(parse_expr("log(s)", FIELD_VARS), {"s": np.array([1.0, 2.0, 0.0])})
+    got = eval_expr(parse_expr("log(exp(s))", FIELD_VARS), {"s": 0.75})
+    assert got == pytest.approx(0.75, rel=1e-15)
     with pytest.raises(ExprError):
-        eval_expr(diff_expr(parse_expr("s^s"), "s"), {"s": -0.5})
+        eval_expr(diff_expr(parse_expr("s^s", FIELD_VARS), "s"), {"s": -0.5})
     # the derivative raises with log even where the power itself is defined
     with pytest.raises(ExprError, match="log"):
-        eval_expr(diff_expr(parse_expr("(-2)^s"), "s"), {"s": 2.0})
+        eval_expr(diff_expr(parse_expr("(-2)^s", FIELD_VARS), "s"), {"s": 2.0})
 
 
 def _value(value, env):
@@ -310,9 +323,9 @@ _DIFF_ASTS = st.one_of(
 @given(ast=_DIFF_ASTS, s=st.floats(-2.5, 2.5), t=st.floats(-2.0, 2.0))
 def test_diff_expr_matches_a_central_difference(ast, s, t):
     d = diff_expr(ast, "s")
-    if parse_expr(format_expr(ast)) == ast:
+    if parse_expr(format_expr(ast), FIELD_VARS) == ast:
         # a parser-produced tree has a derivative that prints and reparses
-        assert parse_expr(format_expr(d)) == d
+        assert parse_expr(format_expr(d), FIELD_VARS) == d
     value, slope = compile_expr(ast), compile_expr(d)
     env = {"t": t, "T": 1.7}
     f0 = _value(value, {**env, "s": s})

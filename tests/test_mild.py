@@ -219,7 +219,7 @@ def test_blocked_field_equals_one_call(key, batch):
     cm, field = _catalog_field(key)
     step = max(1, _FIELD_BLOCK // (int(np.prod(batch)) * cm.dim))
     nodes = 2 * step + step // 2 + 1  # two full blocks and a short third
-    times = np.linspace(0.0, cm.T, nodes)
+    times = np.linspace(0.0, cm.family.T, nodes)
     states = np.random.default_rng(71).standard_normal((nodes,) + batch + (cm.dim,))
     calls = []
 
@@ -240,7 +240,7 @@ def test_field_with_wrong_shape_in_its_last_block_is_rejected():
     grid = 3 * (_FIELD_BLOCK // X.size)
 
     def last_block_bad(t, x):
-        return x[..., :1] if np.max(t) == cm.T else cm.field(t, x)
+        return x[..., :1] if np.max(t) == cm.family.T else cm.field(t, x)
 
     with pytest.raises(InvalidInputError, match="expected"):
         mild_solve(R, last_block_bad, X, grid=grid)
