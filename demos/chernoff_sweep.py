@@ -56,5 +56,6 @@ print("resolvent scheme vs exp(A) x, t = 1")
 print(f"{'n':>6} {'power error':>14} {'sum error':>14}")
 for n, ep, es in zip(power.ns, power.errors, total.errors):
     print(f"{n:>6} {ep:>14.6e} {es:>14.6e}")
-print(f"power converged: {power.converged}   sum converged: {total.converged}")
+print(f"fitted order: power {power.rate:.3f}, sum {total.rate:.3f} "
+      f"(first order: {power.shows_order(1, 1e-12)}, {total.shows_order(1, 1e-12)})")
 print(f"reference |exp(A) x| = {np.linalg.norm(exact):.6f}")

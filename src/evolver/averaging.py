@@ -1,9 +1,10 @@
 """Averaging of periodic families and the small-period degree principle.
 
-For a T-periodic pair (A(t), F(t, x)) the averaged pair is
-
-    A_hat = (1/T) integral_0^T A(t) dt,
-    F_hat(x) = (1/T) integral_0^T F(t, x) dt.
+For a T-periodic pair (A(t), F(t, x)) the averaged pair (A_hat, F_hat) is
+the time mean of (A(t), F(t, .)) on the period map's own grid: A at its
+cell tags and F at its nodes 0 ... grid - 1 (the periodic trapezoid).
+Then -T (A_hat x + F_hat(x)) is exactly the lam -> 0 limit of
+(x - Phi_T^lam(x)) / lam for the map at that grid.
 
 Zeros of A_hat x + F_hat(x) organize the T-periodic states of
 u' = lam (A(t) u + F(t, u)) for small lam > 0: fixed points of the period
@@ -28,7 +29,14 @@ from .errors import (
     OracleFailureError,
     ResourceLimitError,
 )
-from .evolsys import MAX_SUBDIVISION, GeneratorFamily, affine_family, build_evolution
+from .evolsys import (
+    MAX_SUBDIVISION,
+    GeneratorFamily,
+    affine_family,
+    build_evolution,
+    cell_tags,
+    uniform_nodes,
+)
 from .mild import field_jacobian, fixed_point, period_map
 
 QUAD_TOL = 1e-10    # Simpson doubling stops when two levels agree this closely
@@ -83,20 +91,15 @@ def average_generator(family: GeneratorFamily) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AveragedField:
-    """Averaged pair with a frozen quadrature rule for fast re-evaluation.
+    """Averaged pair on a period map's grid, as the module docstring states.
 
-    The Simpson node count is fixed at construction (doubled until two
-    levels agree at the probe states), so F_hat is pure and deterministic.
-    DF_hat is F_hat's exact Jacobian, the mean of F.jacobian on the same
-    nodes and weights.  F_hat has F's Lipschitz bound (inf for none):
-    Simpson weights are positive.
+    DF_hat is F_hat's exact Jacobian, the mean of F.jacobian on F_hat's
+    nodes.  F_hat has F's Lipschitz bound (inf for none).
     """
 
     A_hat: np.ndarray
     F_hat: Callable
     DF_hat: Callable
-    T: float
-    nodes: int
     lipschitz: float
 
     @property
@@ -105,35 +108,28 @@ class AveragedField:
         return float(1.0 + self.lipschitz / np.linalg.svd(self.A_hat)[1][-1])
 
 
-def averaged_pair(family: GeneratorFamily, F, probes=None) -> AveragedField:
-    """Build the averaged pair (A_hat, F_hat) and DF_hat for a family and
-    field; DF_hat raises InvalidInputError when F has no jacobian."""
-    A_hat = average_generator(family)
-    if probes is None:
-        probes = np.zeros((1, family.dim))
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-
-    def sample(fn, ts, x, tail=()):
-        # fn at every node ts[i] and state x, one broadcast call:
-        # (len(ts),) + x.shape + tail
-        vals = np.asarray(fn(ts.reshape((-1,) + (1,) * x.ndim), x[None, ...]), dtype=float)
-        if vals.shape != (len(ts),) + x.shape + tail:
-            raise InvalidInputError(f"field returned shape {vals.shape}, "
-                                    f"expected {(len(ts),) + x.shape + tail}")
-        return vals
-
-    _, m = _simpson_doubling(lambda ts: sample(F, ts, probes), family.T)
-    ts = np.linspace(0.0, family.T, m + 1)
-    w = _simpson_weights(m) / (3.0 * m)
+def averaged_pair(family: GeneratorFamily, F, grid: int) -> AveragedField:
+    """Build the averaged pair (A_hat, F_hat) and DF_hat of the period map
+    at subdivision grid; DF_hat raises InvalidInputError when F has no
+    jacobian."""
+    A_hat = family.stack(cell_tags(family.T, grid)).mean(axis=0)
+    ts = uniform_nodes(family.T, grid)[:-1]
 
     def mean(fn, x, tail=()):
-        # chunk batches so the (nodes, batch, d) + tail intermediate stays
-        # small; an empty batch is its own (empty) mean
+        # fn at every node and state, one broadcast call per chunk of the
+        # batch, so the (nodes, batch, d) + tail intermediate stays small;
+        # an empty batch is its own (empty) mean
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1, x.shape[-1])
         step = max(1, 2_000_000 // (len(ts) * x.shape[-1] * int(np.prod(tail))))
-        parts = [np.tensordot(w, sample(fn, ts, flat[i:i + step], tail), axes=(0, 0))
-                 for i in range(0, len(flat), step)]
+        parts = []
+        for i in range(0, len(flat), step):
+            chunk = flat[i:i + step]
+            want = (len(ts),) + chunk.shape + tail
+            vals = np.asarray(fn(ts[:, None, None], chunk[None]), dtype=float)
+            if vals.shape != want:
+                raise InvalidInputError(f"field returned shape {vals.shape}, expected {want}")
+            parts.append(vals.mean(axis=0))
         return np.concatenate(parts or [flat]).reshape(x.shape + tail)
 
     def F_hat(x):
@@ -142,7 +138,7 @@ def averaged_pair(family: GeneratorFamily, F, probes=None) -> AveragedField:
     def DF_hat(x):
         return mean(field_jacobian(F), x, (family.dim,))
 
-    return AveragedField(A_hat=A_hat, F_hat=F_hat, DF_hat=DF_hat, T=family.T, nodes=m,
+    return AveragedField(A_hat=A_hat, F_hat=F_hat, DF_hat=DF_hat,
                          lipschitz=getattr(F, "lipschitz", np.inf))
 
 
@@ -184,7 +180,7 @@ def branching_experiment(family: GeneratorFamily, F, lambdas: Sequence[float],
     lams = [float(l) for l in lambdas]
     if any(l <= 0 for l in lams):
         raise InvalidInputError("lambda values must be positive")
-    avg = averaged_pair(family, F, probes=U.midpoint)
+    avg = averaged_pair(family, F, grid)
     rows: list[BranchingRow] = []
     x_start = U.midpoint
     for lam in lams:
@@ -281,7 +277,7 @@ def averaging_degree_check(family: GeneratorFamily, F, U: Region,
     smaller sampled lam yield a degree.  Equality with the reference is
     expected for all sampled lam <= lambda0.
     """
-    avg = averaged_pair(family, F, probes=U.midpoint)
+    avg = averaged_pair(family, F, grid)
     g, evaluate = averaged_map(avg.A_hat, avg.F_hat, avg.DF_hat)
     d0_report = brouwer_degree(g, U, grid=DEGREE_GRID, boundary_m=DEGREE_BOUNDARY,
                                lipschitz=avg.map_lipschitz, evaluate=evaluate)

@@ -29,7 +29,7 @@ import numpy as np
 from .degree import Region
 from .errors import ConfigError, InvalidInputError
 from .evolsys import GeneratorFamily
-from .exprlang import compile_expr, diff_expr, parse_expr
+from .exprlang import ExprError, compile_expr, diff_expr, parse_expr
 from .mild import NonlinearField
 from .wave import WaveModel, build_wave_model, nonlinear_field
 
@@ -83,9 +83,17 @@ def _bind(ast, T: float):
     return lambda t, s=None: value({"t": t, "s": s, "T": T})
 
 
-def _field_expression(src, T: float):
+def _parse(src, variables, place: str):
+    """parse_expr, with the entry's place (such as A[0][1]) prefixed to its error."""
+    try:
+        return parse_expr(src, variables)
+    except ExprError as exc:
+        raise ExprError(f"{place}: {exc}") from None
+
+
+def _field_expression(src, T: float, place: str):
     """A field expression in t, s and T -> its callable and its slope in s."""
-    ast = parse_expr(src, FIELD_VARS)
+    ast = _parse(src, FIELD_VARS, place)
     return _bind(ast, T), _bind(diff_expr(ast, "s"), T)
 
 
@@ -111,8 +119,9 @@ def compile_matrix(entries, T: float):
     if not isinstance(entries, list) or not entries or not all(
             isinstance(row, list) and len(row) == len(entries) for row in entries):
         raise ConfigError("matrix spec must be a square, nonempty list of rows")
-    cells = [[_bind(parse_expr(cell, TIME_VARS), T) if isinstance(cell, str)
-              else _number(cell, "matrix entry") for cell in row] for row in entries]
+    cells = [[_bind(_parse(cell, TIME_VARS, f"A[{i}][{j}]"), T) if isinstance(cell, str)
+              else _number(cell, "matrix entry") for j, cell in enumerate(row)]
+             for i, row in enumerate(entries)]
     d = len(cells)
 
     def A(t):
@@ -136,7 +145,8 @@ def compile_field(exprs, T: float, lipschitz: float = np.inf) -> NonlinearField:
     x_i alone, so the Jacobian is diagonal, with entry i the compiled
     diff_expr of component i in s.
     """
-    components, slopes = zip(*[_field_expression(src, T) for src in exprs])
+    components, slopes = zip(*[_field_expression(src, T, f"F[{i}]")
+                               for i, src in enumerate(exprs)])
     d = len(components)
 
     def over_nodes(values, t, x, tail):
@@ -168,8 +178,8 @@ def compile_field(exprs, T: float, lipschitz: float = np.inf) -> NonlinearField:
 
 def _wave(k, beta, f, f_inf, lipschitz) -> CatalogModel:
     T = 2.0 * np.pi
-    f, f_s = _field_expression(f, T)
-    model = build_wave_model(ell=np.pi, k=k, beta=_bind(parse_expr(beta, TIME_VARS), T),
+    f, f_s = _field_expression(f, T, "f")
+    model = build_wave_model(ell=np.pi, k=k, beta=_bind(_parse(beta, TIME_VARS, "beta"), T),
                              T=T, f=f, f_inf=f_inf, lipschitz=lipschitz, f_s=f_s)
     return CatalogModel(family=model.family, field=nonlinear_field(model),
                         region=None, wave=model)

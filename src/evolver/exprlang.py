@@ -55,6 +55,7 @@ MAX_DEPTH = 100
 
 class ExprError(EvolverError):
     """Parse or evaluation failure; position is a byte offset when known."""
+    slug = "expression"
 
     def __init__(self, message, position=None):
         if position is not None:

@@ -135,23 +135,12 @@ class ChernoffSequence:
 class ConvergenceTable:
     """Tabulated approximation errors along a sequence.
 
-    converged: last error below tol and the last three errors nonincreasing.
     rate: least-squares slope of log(error) against log(n) (nan if degenerate).
     """
 
     ns: list[int] = field(default_factory=list)
     errors: list[float] = field(default_factory=list)
-    tol: float = 1e-3
     target: np.ndarray | None = None
-
-    @property
-    def converged(self) -> bool:
-        if not self.errors or not np.isfinite(self.errors[-1]):
-            return False
-        if self.errors[-1] >= self.tol:
-            return False
-        tail = self.errors[-3:]
-        return all(a >= b - 1e-15 for a, b in zip(tail, tail[1:]))
 
     @property
     def rate(self) -> float:
@@ -166,7 +155,9 @@ class ConvergenceTable:
         """How the table shows convergence at order p: "order" when
         rate >= ORDER_SHARE * p, else "floor" when the finest (last) error
         is at most floor, where errors are roundoff and a fitted slope is
-        noise, else None.  An empty table shows nothing."""
+        noise, else None.  An empty or non-finite table shows nothing."""
+        if not np.all(np.isfinite(self.errors)):
+            return None
         if self.rate >= ORDER_SHARE * p:
             return "order"
         return "floor" if self.errors and self.errors[-1] <= floor else None

@@ -79,7 +79,7 @@ def test_representation_limits():
         errs = list(table.errors)
         ok = ok and errs[-1] < 1e-3
         ok = ok and errs[-3] >= errs[-2] >= errs[-1]
-        ok = ok and table.converged
+        ok = ok and table.shows_order(1, 0.0) == "order"
     assert _verdict("representation-limits", ok)
 
 
@@ -166,7 +166,7 @@ def test_averaging_degree():
         ok = ok and rep.verdict and rep.lambda0 is not None
         ok = ok and all(r.agrees for r in rep.rows if r.lam <= rep.lambda0)
         if cm.dim == 2:
-            avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
+            avg = averaged_pair(cm.family, cm.field, 256)
 
             def g_hat(x):
                 x = np.asarray(x, dtype=float)

@@ -70,32 +70,55 @@ def _constant_family(T=1.0):
 
 
 def test_average_field_closed_form():
+    # the mean of cos^2(2 pi t) over m >= 3 uniform nodes is exactly 1/2
     F = lambda t, x: x * np.cos(2.0 * np.pi * t) ** 2
-    probes = np.array([[1.0], [3.0], [-2.0]])
-    got = averaged_pair(_constant_family(), F, probes=probes).F_hat(probes)
-    assert np.allclose(got, probes / 2.0, atol=1e-10)
+    X = np.array([[1.0], [3.0], [-2.0]])
+    got = averaged_pair(_constant_family(), F, 16).F_hat(X)
+    assert np.allclose(got, X / 2.0, atol=1e-14)
 
 
 def test_simpson_refinement_has_a_cost_guard():
-    # a jump at T/3 never lands on a dyadic node, so the levels never agree
+    # a jump in A at T/3 never lands on a dyadic node, so the levels never agree
     T = 1.0
     calls = [0]
 
-    def F(t, x):
+    def A(t):
         calls[0] += np.size(t)   # nodes sampled
-        return x * np.where(t < T / 3.0, 1.0, 2.0)
+        return np.where(np.asarray(t) < T / 3.0, -1.0, -2.0)[..., None, None]
 
     with pytest.raises(OracleFailureError):
-        averaged_pair(_constant_family(T), F, probes=np.array([1.0]))
+        average_generator(GeneratorFamily(dim=1, A=A, T=T))
     assert 0 < calls[0] <= 2 ** 15 + 64
+
+
+# kinks in t in both A and F, off every grid node
+_KINKED = {"A": [["-1-0.5*abs(sin(2*pi*t/T)+0.3)"]],
+           "F": ["abs(cos(2*pi*t/T)-0.4)*tanh(s)+0.2"], "lipschitz": 1,
+           "region": {"center": [0.0], "radius": 2.0}}
+
+
+@pytest.mark.parametrize("grid", [64, 256, 1024])
+def test_the_averaged_pair_is_the_period_maps_small_lam_limit(grid):
+    # G(lam) = (x - Phi_T^lam(x)) / lam tends to G_0 = -T (A_hat x + F_hat(x))
+    # of the pair at the map's own grid, and the Richardson value
+    # 2 G(lam / 2) - G(lam) removes the O(lam) term
+    cm = model_from_config(_KINKED)
+    X = np.array([[-1.5], [0.0], [0.5], [1.5]])
+
+    def G(lam):
+        return (X - period_map(cm.family, cm.field, lam, grid)(X).final) / lam
+
+    avg = averaged_pair(cm.family, cm.field, grid)
+    G0 = -cm.family.T * (X @ avg.A_hat.T + avg.F_hat(X))
+    assert np.abs(2.0 * G(5e-4) - G(1e-3) - G0).max() <= 1e-6
 
 
 def test_averaged_pair_catalog_scalar():
     cm = get_model("scalar-linear")
-    avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
+    avg = averaged_pair(cm.family, cm.field, 256)
     assert avg.A_hat[0, 0] == pytest.approx(-1.0, abs=1e-10)
     assert avg.F_hat(np.array([0.7]))[0] == pytest.approx(2.0, abs=1e-10)
-    # frozen rule: batched evaluation agrees with single points
+    # batched evaluation agrees with single points
     X = np.array([[0.1], [2.0], [-1.0]])
     batch = avg.F_hat(X)
     for i in range(3):
@@ -106,7 +129,7 @@ def test_averaged_pair_on_the_wave_field():
     # f = 0.2 s + 0.3 cos t: the cos t forcing averages out, and the
     # collocation projection of 0.2 a phi_1 is exactly 0.2 a
     cm = get_model("wave-k1")
-    avg = averaged_pair(cm.family, cm.field)
+    avg = averaged_pair(cm.family, cm.field, 256)
     X = np.array([[0.3, -0.2], [0.0, 0.0], [1.0, 2.0]])
     want = np.stack([np.zeros(3), -0.2 * X[:, 0]], axis=-1)
     assert np.allclose(avg.F_hat(X), want, atol=1e-10)
@@ -115,11 +138,12 @@ def test_averaged_pair_on_the_wave_field():
 
 def test_averaged_field_with_wrong_shape_is_rejected():
     cm = get_model("scalar-linear")
-    # right at single times, wrong over the node column the Simpson rule samples
+    # right at single times, wrong over the node column the grid rule samples
     bad = NonlinearField(F=lambda t, x: np.zeros(np.shape(x)), lipschitz=0.0,
                          jacobian=lambda t, x: np.zeros(np.shape(x) + (1,)))
+    avg = averaged_pair(cm.family, bad, 256)
     with pytest.raises(InvalidInputError, match="expected"):
-        averaged_pair(cm.family, bad)
+        avg.F_hat(np.array([0.5]))
 
 
 def test_mu_rescale_fixed_points_match_at_endpoints():
@@ -128,7 +152,7 @@ def test_mu_rescale_fixed_points_match_at_endpoints():
     # At mu = 1 the deformed system u' = lam(-u + x*) has exactly x* = 2
     # as its periodic start; at mu = 0 the original one approaches it as lam -> 0
     cm = get_model("scalar-linear")
-    avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
+    avg = averaged_pair(cm.family, cm.field, 256)
 
     def comp(t, x):
         fx = np.asarray(avg.F_hat(np.asarray(x, dtype=float)), dtype=float)
@@ -296,7 +320,7 @@ def test_period_map_lipschitz_bound_holds_on_default_rungs(key, lam):
 @pytest.mark.parametrize("key", ["rotation-damped-2d", "scalar-linear"])
 def test_averaged_map_lipschitz_bound_holds(key):
     cm = get_model(key)
-    avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
+    avg = averaged_pair(cm.family, cm.field, 256)
     assert avg.lipschitz == cm.field.lipschitz
     g, _ = averaged_map(avg.A_hat, avg.F_hat, avg.DF_hat)
     _assert_bound_holds(g, cm.region, avg.map_lipschitz, 0.0, seed=6)
@@ -306,7 +330,7 @@ def test_a_field_without_a_bound_prunes_nothing():
     cm = get_model("rotation-damped-2d")
     bare = lambda t, x: cm.field(t, x)
     assert period_map(cm.family, bare, 0.1, 64).gap_lipschitz() == (np.inf, 0.0)
-    avg = averaged_pair(cm.family, bare)
+    avg = averaged_pair(cm.family, bare, 64)
     assert avg.lipschitz == np.inf and avg.map_lipschitz == np.inf
     # nor does a bound under which a trapezoid step (q >= 1, at 1e4) or the
     # Picard pass (kappa >= 1, at 10) does not contract
@@ -321,7 +345,7 @@ def test_a_field_without_a_bound_prunes_nothing():
 def test_pruned_and_unpruned_degrees_agree(key, lam):
     cm = get_model(key)
     phi = period_map(cm.family, cm.field, lam, 256)
-    avg = averaged_pair(cm.family, cm.field, probes=cm.region.midpoint)
+    avg = averaged_pair(cm.family, cm.field, 256)
     lip, slack = phi.gap_lipschitz()
     pairs = (((lambda x: x - phi(x).final, _gap_pair(phi)), dict(lipschitz=lip, slack=slack)),
              (averaged_map(avg.A_hat, avg.F_hat, avg.DF_hat),
@@ -360,7 +384,7 @@ def test_default_continuation_rungs_start_few_newtons(monkeypatch):
 
 def test_averaged_field_of_an_empty_batch_is_empty():
     cm = get_model("rotation-damped-2d")
-    avg = averaged_pair(cm.family, cm.field)
+    avg = averaged_pair(cm.family, cm.field, 256)
     assert avg.F_hat(np.empty((0, 2))).shape == (0, 2)
     assert avg.F_hat(np.empty((3, 0, 2))).shape == (3, 0, 2)
 

@@ -96,7 +96,7 @@ def test_compile_matrix():
     assert np.allclose(A(0.25), [[-2.0, 0.5], [0.0, -1.0]], atol=1e-14)
     with pytest.raises(ConfigError):
         compile_matrix([[-1.0, 0.0]], 1.0)  # not square
-    with pytest.raises(ExprError, match="unknown identifier 's' at offset 0"):
+    with pytest.raises(ExprError, match=r"^A\[0\]\[0\]: unknown identifier 's' at offset 0$"):
         compile_matrix([["s"]], 1.0)  # state variable in a coefficient
 
 
@@ -120,8 +120,8 @@ def test_field_broadcast_shapes():
     out1 = F(0.5, x[0])
     assert out1.shape == (4, 2)
     assert np.allclose(out1[:, 0], x[0, :, 0] + 0.5, atol=1e-14)
-    with pytest.raises(ExprError):
-        compile_field(["q+1"], 1.0)  # parser rejects unknown identifiers
+    with pytest.raises(ExprError, match=r"^F\[1\]: unknown identifier 'q' at offset 0$"):
+        compile_field(["s", "q+1"], 1.0)  # parser rejects unknown identifiers
 
 
 def test_field_jacobian_is_the_diagonal_of_slopes():

@@ -7,7 +7,8 @@ evolsys, branching and one of averaging and continuation at n, grid in
 {16, 32}.
 About one drawn config in five names a variable its entry may not use
 (s or another name in an A cell, a name other than t, s, T in a field
-component), and every run of it must exit 2 with the parser's message.
+component), and every run of it must exit 2 with the parser's message,
+prefixed with the entry's place.
 Every other drawn config is valid, so every run must end in exit 0 or 1
 without a traceback, with a verdict that agrees with its CSV.  Two
 checks must never fail for their unstated reason: refinement_order on a
@@ -36,7 +37,8 @@ _coef = st.floats(-1.0, 1.0, allow_nan=False).map(lambda v: round(v, 3))
 
 @st.composite
 def inline_models(draw):
-    """(model, constant_A, zero_at_0): an inline model and what it promises."""
+    """(model, constant_A, zero_at_0, stray): an inline model, what it
+    promises, and the start of its config error (None for a valid model)."""
     d = draw(st.integers(1, 3))
     constant = draw(st.booleans())
     A = []
@@ -67,12 +69,14 @@ def inline_models(draw):
     if draw(st.integers(0, 4)) == 0:   # one entry names a variable it may not use
         i = draw(st.integers(0, d - 1))
         if draw(st.booleans()):
-            stray = draw(st.sampled_from(["s", "q", "x"]))
+            name = draw(st.sampled_from(["s", "q", "x"]))
             j = draw(st.integers(0, d - 1))
-            A[i][j] = f"{A[i][j]}+0*{stray}"
+            A[i][j] = f"{A[i][j]}+0*{name}"
+            stray = f"A[{i}][{j}]: unknown identifier {name!r}"
         else:
-            stray = draw(st.sampled_from(["q", "x", "tt"]))
-            F[i] = f"{F[i]}+0*{stray}"
+            name = draw(st.sampled_from(["q", "x", "tt"]))
+            F[i] = f"{F[i]}+0*{name}"
+            stray = f"F[{i}]: unknown identifier {name!r}"
     model = {"A": A, "F": F, "lipschitz": lip,
              "region": {"kind": "ball", "center": center,
                         "radius": draw(st.sampled_from([0.5, 1.0, 2.0]))}}
@@ -87,7 +91,7 @@ def _run(out, experiment, model, n, grid, capsys, stray=None):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if stray is not None:
-        assert rc == 2 and f"config error: unknown identifier {stray!r} at offset" in err
+        assert rc == 2 and f"config error: {stray} at offset" in err
         assert not (out / experiment).exists()
         return rc, None, None
     assert rc in (0, 1), (rc, err)

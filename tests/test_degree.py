@@ -214,7 +214,7 @@ def test_deg_hat_singular_generator():
 
 def _averaged(key):
     cm = get_model(key)
-    avg = averaged_pair(cm.family, cm.field)
+    avg = averaged_pair(cm.family, cm.field, 256)
     return averaged_map(avg.A_hat, avg.F_hat, avg.DF_hat)
 
 
@@ -232,7 +232,7 @@ _EXACT_PAIRS = {
 @pytest.mark.parametrize("name", list(_EXACT_PAIRS))
 def test_exact_evaluators_match_central_differences(name):
     # evaluate returns g itself and its exact Jacobian; the averaged map's is
-    # I + A_hat^{-1} DF_hat, on the Simpson nodes and weights of F_hat
+    # I + A_hat^{-1} DF_hat, on the grid nodes of F_hat
     make, d = _EXACT_PAIRS[name]
     g, evaluate = make()
     X = np.random.default_rng(17).uniform(-1.0, 1.0, size=(6, d))

@@ -80,12 +80,14 @@ def test_perfbench_instrument_finds_every_traced_function():
 
 def test_perfbench_trace_keeps_outputs_and_counts_stacked_chernoff(tmp_path):
     # a traced chernoff run makes one chernoff_defect call per drawn
-    # dimension, and the traced outputs equal the plain ones
+    # dimension, wave-periodic's kernel check samples Simpson nodes, and the
+    # traced outputs equal the plain ones
     from evolver.cli import main
 
     layers, spans = _perfbench_modules()
     cases = [("averaging", {"numeric": {"lambdas": [0.5, 0.05]}}),
-             ("chernoff", {"numeric": {"samples": 20, "seed": 3}})]
+             ("chernoff", {"numeric": {"samples": 20, "seed": 3}}),
+             ("wave-periodic", {})]
 
     def run(tag):
         outs = []
